@@ -9,7 +9,7 @@ from .harness import (DEFAULT_PROFILES, BaselineRow, EpisodeResult, ExperimentCo
 from .kpi import (MANIFEST_SHA256, MANIFEST_VERSION, KpiConfig, KpiVector, compose_kpis,
                   reward_throughput, reward_ue_gap, write_manifest)
 from .qnet import (QNetParams, apply_gradient, backward, forward, forward_batch, init_params,
-                   load_params, save_params, soft_update)
+                   soft_update)
 from .sim import (CellState, SchedulerOption, SimConfig, TickObservables, UeProfile,
                   fit_traffic_profiles, generate_demands, init_cell_state, read_traffic_records,
                   schedule_prbs, spectral_efficiency, step)

@@ -15,9 +15,8 @@ anywhere in the update.
 
 from __future__ import annotations
 
-import copy
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,7 +279,7 @@ def _experience_header() -> list[str]:
 
 
 def write_experience_csv(path, experiences) -> None:
-    """Dump transitions in the preload format (also used by checkpoints)."""
+    """Dump transitions in the preload format that read_experience_csv loads."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_experience_header())

@@ -18,7 +18,7 @@ from . import harness
 from .agent import AgentConfig
 from .harness import ExperimentConfig
 from .kpi import KpiConfig
-from .sim import SchedulerOption, SimConfig, UeProfile, fit_traffic_profiles, read_traffic_records
+from .sim import SimConfig, UeProfile, fit_traffic_profiles, read_traffic_records
 
 
 class ConfigError(ValueError):
@@ -74,8 +74,8 @@ def _parse_profiles(data, path: str) -> list[UeProfile]:
 
 _TOP_LEVEL_KEYS = {
     "reward_mode", "episodes", "steps_demand", "steps_rest", "profiles",
-    "profiles_file", "agent", "sim", "kpi", "seed", "baseline_action",
-    "baseline_episodes", "checkpoint_every", "preload_path",
+    "profiles_file", "agent", "sim", "kpi", "seed", "baseline_episodes",
+    "checkpoint_every", "preload_path",
 }
 
 
@@ -101,13 +101,6 @@ def build_config(data: dict, seed_override: int | None = None) -> ExperimentConf
         kwargs["sim"] = _build_section(SimConfig, data["sim"], "sim")
     if "kpi" in data:
         kwargs["kpi"] = _build_section(KpiConfig, data["kpi"], "kpi")
-    if "baseline_action" in data and data["baseline_action"] is not None:
-        name = data["baseline_action"]
-        try:
-            kwargs["baseline_action"] = SchedulerOption[name]
-        except KeyError:
-            raise ConfigError(f"baseline_action: unknown option {name!r}; valid: "
-                              f"{[o.name for o in SchedulerOption]}") from None
     for key in ("reward_mode", "episodes", "steps_demand", "steps_rest", "seed",
                 "baseline_episodes", "checkpoint_every", "preload_path"):
         if key in data:
@@ -136,7 +129,6 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
         "sim": dataclasses.asdict(cfg.sim),
         "kpi": dataclasses.asdict(cfg.kpi),
         "seed": cfg.seed,
-        "baseline_action": cfg.baseline_action.name if cfg.baseline_action is not None else None,
         "baseline_episodes": cfg.baseline_episodes,
         "checkpoint_every": cfg.checkpoint_every,
         "preload_path": cfg.preload_path,

@@ -14,7 +14,7 @@ no training and no reward statistics.
 
 from __future__ import annotations
 
-import copy
+import contextlib
 import dataclasses
 import json
 import math
@@ -25,10 +25,9 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import kpi, qnet
-from .agent import AgentConfig, DoubleQAgent, Experience
-from .kpi import KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
-from .sim import (CellState, SchedulerOption, SimConfig, TickObservables, UeProfile,
-                  init_cell_state, step)
+from .agent import REPLAY_CAPACITY, AgentConfig, DoubleQAgent, Experience
+from .kpi import STATE_DIM, KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
+from .sim import SchedulerOption, SimConfig, TickObservables, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
 # sized so that the cell runs just past capacity on an average minute and
@@ -43,6 +42,12 @@ DEFAULT_PROFILES = [
 CURVE_CSV_HEADER = ["episode", "mean_reward", "stderr", "epsilon_end", "mean_td_error"]
 BASELINE_CSV_HEADER = ["action", "mean_reward", "stderr", "episodes"]
 
+CHECKPOINT_FILE = "checkpoint.npz"
+CHECKPOINT_FORMAT = 2
+_NETS = ("online", "target")
+_PARAMS = ("w1", "b1", "w2", "b2")
+_BUFFER = ("states", "next_states", "actions", "rewards", "episode_ids")
+
 
 @dataclass
 class ExperimentConfig:
@@ -55,7 +60,6 @@ class ExperimentConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     kpi: KpiConfig = field(default_factory=KpiConfig)
     seed: int = 0
-    baseline_action: SchedulerOption | None = None
     baseline_episodes: int = 50
     checkpoint_every: int = 10
     preload_path: str | None = None
@@ -226,48 +230,85 @@ def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
 
 
 def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
+    """Write the agent's whole learning state to directory/checkpoint.npz.
+
+    One uncompressed npz holds both networks, the replay buffer as five
+    arrays and a JSON meta string (format, global_step, next_episode, RNG
+    state, KPI manifest hash). It is written under a temporary name and
+    renamed into place, so a failed save leaves any earlier checkpoint
+    whole. The same state always gives the same bytes: np.savez dates every
+    member 1980-01-01 and meta holds no timestamp.
+    """
     os.makedirs(directory, exist_ok=True)
-    qnet.save_params(ag.online, os.path.join(directory, "online.qnet"))
-    qnet.save_params(ag.target, os.path.join(directory, "target.qnet"))
-    agent_mod.write_experience_csv(os.path.join(directory, "buffer.csv"), iter(ag.buffer))
+    items = list(ag.buffer)
+    n = len(items)
+    arrays = {f"{net}_{name}": getattr(getattr(ag, net), name) for net in _NETS for name in _PARAMS}
+    arrays.update(
+        states=np.array([e.state for e in items], dtype=np.float64).reshape(n, STATE_DIM),
+        next_states=np.array([e.next_state for e in items], dtype=np.float64).reshape(n, STATE_DIM),
+        actions=np.array([e.action for e in items], dtype=np.int64),
+        rewards=np.array([e.reward for e in items], dtype=np.float64),
+        episode_ids=np.array([e.episode_id for e in items], dtype=np.int64),
+    )
     meta = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "global_step": ag.global_step,
         "next_episode": next_episode,
-        "buffer_size": len(ag.buffer),
         "rng_state": ag.rng.bit_generator.state,
+        "manifest_sha256": kpi.MANIFEST_SHA256,
     }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=1)
+    path = os.path.join(directory, CHECKPOINT_FILE)
+    tmp = path + ".tmp"
+    try:
+        # a handle, not a path: np.savez would append ".npz" to the temporary name
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int]:
-    """Restore an agent exactly as saved; returns (agent, next_episode)."""
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-    if meta.get("format") != 1:
+    """Restore an agent exactly as saved; returns (agent, next_episode).
+
+    Refuses, naming the directory, a checkpoint of another format or KPI
+    manifest, network arrays of the wrong shape and inconsistent buffer
+    arrays; each transition is validated as a preloaded record is.
+    """
+    with np.load(os.path.join(directory, CHECKPOINT_FILE), allow_pickle=False) as npz:
+        members = {name: npz[name] for name in npz.files}
+    meta = json.loads(str(members.pop("meta", "{}")))
+    if meta.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{directory}: unsupported checkpoint format {meta.get('format')}")
+    if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
+        raise ValueError(f"{directory}: checkpoint written for KPI manifest "
+                         f"{meta.get('manifest_sha256')}, this build uses {kpi.MANIFEST_SHA256}")
     ag = DoubleQAgent(cfg.agent)
-    ag.online = qnet.load_params(os.path.join(directory, "online.qnet"))
-    ag.target = qnet.load_params(os.path.join(directory, "target.qnet"))
-    agent_mod.preload(ag.buffer, agent_mod.read_experience_csv(os.path.join(directory, "buffer.csv")))
+    for net in _NETS:
+        for name in _PARAMS:
+            got, want = members[f"{net}_{name}"], getattr(ag.online, name)
+            if got.shape != want.shape or got.dtype != want.dtype:
+                raise ValueError(f"{directory}: {net} {name} is {got.dtype}{list(got.shape)}, "
+                                 f"expected {want.dtype}{list(want.shape)}")
+        setattr(ag, net, qnet.QNetParams(*(members[f"{net}_{name}"] for name in _PARAMS)))
+
+    lengths = [len(members[name]) for name in _BUFFER]
+    if len(set(lengths)) != 1 or lengths[0] > REPLAY_CAPACITY:
+        raise ValueError(f"{directory}: buffer arrays {dict(zip(_BUFFER, lengths))} must have "
+                         f"one length of at most {REPLAY_CAPACITY}")
+    agent_mod.preload(ag.buffer, [
+        Experience(state=s, action=int(a), reward=float(r), next_state=sn, episode_id=int(e))
+        for s, sn, a, r, e in zip(members["states"], members["next_states"],
+                                  members["actions"].tolist(), members["rewards"].tolist(),
+                                  members["episode_ids"].tolist())])
     ag.global_step = int(meta["global_step"])
-    state = meta["rng_state"]
-    ag.rng.bit_generator.state = state
+    ag.rng.bit_generator.state = meta["rng_state"]
     return ag, int(meta["next_episode"])
 
 
 def _format_float(v: float) -> str:
     return repr(float(v))
-
-
-def write_curve_csv(path, results: list[EpisodeResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CURVE_CSV_HEADER) + "\n")
-        for r in results:
-            fh.write(",".join([str(r.episode_index), _format_float(r.mean_reward),
-                               _format_float(r.stderr), _format_float(r.epsilon_end),
-                               _format_float(r.mean_td_error)]) + "\n")
 
 
 def write_baseline_csv(path, rows: list[BaselineRow]) -> None:
@@ -285,7 +326,10 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
     episodes and at the end.
 
     With out_dir set, writes curve.csv incrementally (partial results survive
-    a crash) plus checkpoints/ep_NNNN/ directories and a final/ checkpoint.
+    a crash) plus checkpoints/ep_NNNN/ directories and a final/ checkpoint
+    directory, each holding one checkpoint.npz. A run that resumes at episode
+    k keeps the rows of an existing curve.csv for episodes before k and drops
+    the rest, so resuming into the same out_dir continues one curve.
     """
     if resume_from is not None:
         ag, start = load_checkpoint(resume_from, cfg)
@@ -297,8 +341,15 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         curve_path = os.path.join(out_dir, "curve.csv")
+        kept = []
+        if os.path.exists(curve_path):
+            with open(curve_path, newline="") as fh:
+                # a row without its newline was torn by a crash mid-write
+                kept = [row for row in fh.readlines()[1:]
+                        if row.endswith("\n") and int(row.split(",", 1)[0]) < start]
         with open(curve_path, "w", newline="") as fh:
             fh.write(",".join(CURVE_CSV_HEADER) + "\n")
+            fh.writelines(kept)
 
     for ep in range(start, cfg.episodes):
         res = run_episode(cfg, ep, agent=ag, train=True)

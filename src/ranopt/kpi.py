@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ N_CQI_BINS = 15
 N_RSRP_BINS = 8
 N_RSRQ_BINS = 8
 N_TA_BINS = 8
-N_ACTIONS = 5
+N_ACTIONS = len(SchedulerOption)
 N_PHASE = 2
 STATE_DIM = N_CELL_SCALARS + N_CQI_BINS + N_RSRP_BINS + N_RSRQ_BINS + N_TA_BINS + N_ACTIONS + N_PHASE
 

@@ -3,8 +3,7 @@
 A two-layer perceptron (relu hidden layer, linear output head) maps the
 58-entry KPI state vector to one action value per scheduler option.
 Everything runs in float64 numpy so the analytic backward pass can be held
-to finite-difference accuracy and checkpoints round-trip exactly through
-text.
+to finite-difference accuracy and the arrays checkpoint bit-exactly.
 
 The output head is linear: action values are unbounded regression targets,
 so a squashing head could not represent bootstrapped targets above 1.
@@ -16,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STATE_DIM = 58
-HIDDEN_DIM = 32
-N_ACTIONS = 5
+from .kpi import N_ACTIONS, STATE_DIM
 
-_CHECKPOINT_MAGIC = "QNET"
-_CHECKPOINT_VERSION = "v1"
+HIDDEN_DIM = 32
 
 
 @dataclass
@@ -130,47 +126,3 @@ def soft_update(target: QNetParams, online: QNetParams, tau: float) -> QNetParam
         w2=(1.0 - tau) * target.w2 + tau * online.w2,
         b2=(1.0 - tau) * target.b2 + tau * online.b2,
     )
-
-
-def save_params(params: QNetParams, path) -> None:
-    """Text checkpoint: header line, then w1 rows, b1, w2 rows, b2.
-
-    Values are written with repr so float64 reloads bit-exactly.
-    """
-    state_dim, hidden_dim, n_actions = params.dims
-    lines = [f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION} {state_dim} {hidden_dim} {n_actions}"]
-    for row in params.w1:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in params.b1))
-    for row in params.w2:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(" ".join(repr(float(v)) for v in params.b2))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> QNetParams:
-    """Load a checkpoint written by save_params."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty checkpoint")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != _CHECKPOINT_MAGIC or head[1] != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: bad checkpoint header {lines[0]!r}")
-    state_dim, hidden_dim, n_actions = (int(v) for v in head[2:])
-    expected = 1 + hidden_dim + 1 + n_actions + 1
-    if len(lines) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
-
-    def parse(line: str, n: int) -> np.ndarray:
-        vals = np.array([float(v) for v in line.split()], dtype=np.float64)
-        if vals.size != n:
-            raise ValueError(f"{path}: expected {n} values per line, found {vals.size}")
-        return vals
-
-    w1 = np.stack([parse(lines[1 + i], state_dim) for i in range(hidden_dim)])
-    b1 = parse(lines[1 + hidden_dim], hidden_dim)
-    w2 = np.stack([parse(lines[2 + hidden_dim + i], hidden_dim) for i in range(n_actions)])
-    b2 = parse(lines[2 + hidden_dim + n_actions], n_actions)
-    return QNetParams(w1=w1, b1=b1, w2=w2, b2=b2)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ranopt.cli import ConfigError, build_config, load_config_file, main, resolved_config_dict
-from ranopt.sim import SchedulerOption
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -61,11 +60,9 @@ class TestBuildConfig:
         assert cfg.seed == 9
 
     def test_resolved_dict_round_trips(self):
-        cfg = build_config({"episodes": 7, "reward_mode": "ue_gap",
-                            "baseline_action": "EQUAL_RATE"})
+        cfg = build_config({"episodes": 7, "reward_mode": "ue_gap"})
         again = build_config(resolved_config_dict(cfg))
         assert resolved_config_dict(again) == resolved_config_dict(cfg)
-        assert again.baseline_action == SchedulerOption.EQUAL_RATE
 
 
 class TestCliCommands:
@@ -100,7 +97,7 @@ class TestCliCommands:
         run_dir = tmp_path / "run"
         main(["train", "--config", cfg_path, "--out", str(run_dir)])
         snapshot = {p: (run_dir / p).read_bytes()
-                    for p in ("curve.csv", "final/online.qnet", "final/meta.json")}
+                    for p in ("curve.csv", "final/checkpoint.npz")}
         code = main(["eval", "--config", cfg_path, "--checkpoint", str(run_dir / "final"),
                      "--episodes", "2", "--out", str(tmp_path / "report")])
         assert code == 0

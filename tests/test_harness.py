@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -7,8 +8,7 @@ import pytest
 from ranopt.agent import AgentConfig, DoubleQAgent
 from ranopt.harness import (BaselineRow, ExperimentConfig, episode_seed, episode_stats,
                             evaluate_checkpoint, load_checkpoint, run_baseline_suite,
-                            run_episode, save_checkpoint, train_experiment, write_baseline_csv,
-                            write_curve_csv)
+                            run_episode, save_checkpoint, train_experiment, write_baseline_csv)
 from ranopt.sim import SchedulerOption, UeProfile
 
 
@@ -144,7 +144,7 @@ class TestTrainExperiment:
         cfg = small_cfg(episodes=0)
         results, agent = train_experiment(cfg, out_dir=tmp_path / "run")
         assert results == []
-        assert (tmp_path / "run" / "final" / "online.qnet").exists()
+        assert os.listdir(tmp_path / "run" / "final") == ["checkpoint.npz"]
         init = DoubleQAgent(cfg.agent)
         assert np.array_equal(agent.online.ravel(), init.online.ravel())
 
@@ -175,6 +175,16 @@ class TestTrainExperiment:
             assert a.epsilon_end == b.epsilon_end
             assert a.mean_td_error == b.mean_td_error
 
+    def test_resume_into_same_dir_keeps_history(self, tmp_path):
+        train_experiment(small_cfg(episodes=6, checkpoint_every=3), out_dir=tmp_path / "full")
+        run = tmp_path / "r"
+        train_experiment(small_cfg(episodes=5, checkpoint_every=3), out_dir=run)
+        with open(run / "curve.csv", "a") as fh:
+            fh.write("1")  # a row torn by a crash: its episode number is cut short
+        train_experiment(small_cfg(episodes=6, checkpoint_every=3), out_dir=run,
+                         resume_from=run / "checkpoints" / "ep_0003")
+        assert (run / "curve.csv").read_bytes() == (tmp_path / "full" / "curve.csv").read_bytes()
+
     def test_preload_feeds_buffer(self, tmp_path):
         from ranopt.agent import write_experience_csv, Experience
         rng = np.random.default_rng(0)
@@ -188,18 +198,96 @@ class TestTrainExperiment:
         assert len(agent.buffer) == 10 + cfg.steps_demand
 
 
+def assert_same_agent(a, b):
+    """Networks, buffer, RNG state and step agree bit for bit and by type."""
+    assert a.online.ravel().tobytes() == b.online.ravel().tobytes()
+    assert a.target.ravel().tobytes() == b.target.ravel().tobytes()
+    assert a.global_step == b.global_step
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    assert len(a.buffer) == len(b.buffer)
+    for x, y in zip(a.buffer, b.buffer):
+        assert x.state.dtype == y.state.dtype and x.state.tobytes() == y.state.tobytes()
+        assert x.next_state.dtype == y.next_state.dtype
+        assert x.next_state.tobytes() == y.next_state.tobytes()
+        assert type(x.action) is type(y.action) is int and x.action == y.action
+        assert type(x.reward) is type(y.reward) is float and x.reward.hex() == y.reward.hex()
+        assert type(x.episode_id) is type(y.episode_id) is int and x.episode_id == y.episode_id
+
+
+def rewrite_checkpoint(directory, meta=None, **arrays):
+    """Replace meta keys and members of a saved checkpoint.npz."""
+    path = directory / "checkpoint.npz"
+    with np.load(path) as npz:
+        members = {name: npz[name] for name in npz.files}
+    members["meta"] = np.array(json.dumps({**json.loads(str(members["meta"])), **(meta or {})}))
+    members.update(arrays)
+    np.savez(path, **members)
+
+
 class TestCheckpointRoundtrip:
-    def test_agent_state_exact(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def trained(self):
         cfg = small_cfg(episodes=2)
-        _, agent = train_experiment(cfg)
+        return cfg, train_experiment(cfg)[1]
+
+    def test_agent_state_exact(self, tmp_path, trained):
+        cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
         loaded, nxt = load_checkpoint(tmp_path / "ck", cfg)
         assert nxt == 2
-        assert np.array_equal(loaded.online.ravel(), agent.online.ravel())
-        assert np.array_equal(loaded.target.ravel(), agent.target.ravel())
-        assert loaded.global_step == agent.global_step
-        assert len(loaded.buffer) == len(agent.buffer)
-        assert loaded.rng.bit_generator.state == agent.rng.bit_generator.state
+        assert len(loaded.buffer) == 2 * cfg.steps_demand
+        assert_same_agent(loaded, agent)
+
+    def test_same_state_same_bytes(self, tmp_path, trained):
+        _, agent = trained
+        save_checkpoint(tmp_path / "a", agent, next_episode=2)
+        save_checkpoint(tmp_path / "b", agent, next_episode=2)
+        assert os.listdir(tmp_path / "a") == ["checkpoint.npz"]
+        assert ((tmp_path / "a" / "checkpoint.npz").read_bytes()
+                == (tmp_path / "b" / "checkpoint.npz").read_bytes())
+
+    def test_torn_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_cfg(episodes=1)
+        _, agent = train_experiment(cfg)
+        save_checkpoint(tmp_path / "ck", agent, next_episode=1)
+        saved, _ = load_checkpoint(tmp_path / "ck", cfg)
+        run_episode(cfg, 1, agent=agent, train=True)
+
+        def torn(fh, **arrays):
+            fh.write(b"PK\x03\x04 half a member")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path / "ck") == ["checkpoint.npz"]
+        loaded, nxt = load_checkpoint(tmp_path / "ck", cfg)
+        assert nxt == 1
+        assert_same_agent(loaded, saved)
+
+    @pytest.mark.parametrize("meta, arrays, message", [
+        ({"format": 1}, {}, "unsupported checkpoint format 1"),
+        ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
+        ({}, {"online_w1": np.zeros((32, 57))}, "online w1"),
+        ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
+    ], ids=["format", "manifest", "w1_shape", "buffer_lengths"])
+    def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        rewrite_checkpoint(tmp_path / "ck", meta, **arrays)
+        with pytest.raises(ValueError, match=message) as err:
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert str(tmp_path / "ck") in str(err.value)
+
+    def test_bad_reward_named_by_record(self, tmp_path, trained):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        rewards = np.array([e.reward for e in agent.buffer])
+        rewards[7] = 3.0
+        rewrite_checkpoint(tmp_path / "ck", rewards=rewards)
+        with pytest.raises(ValueError, match=r"record 7: reward 3\.0 outside"):
+            load_checkpoint(tmp_path / "ck", cfg)
 
     def test_evaluate_checkpoint_deterministic(self, tmp_path):
         cfg = small_cfg(episodes=2)

@@ -3,7 +3,7 @@ import pytest
 
 from ranopt import qnet
 from ranopt.qnet import (QNetParams, apply_gradient, backward, forward, forward_batch,
-                         init_params, load_params, save_params, soft_update)
+                         init_params, soft_update)
 
 
 def pack(p):
@@ -196,26 +196,3 @@ class TestSoftUpdate:
             QNetParams(c * o.w1, c * o.b1, c * o.w2, c * o.b2), 0.25)
         plain = soft_update(t, o, 0.25)
         assert np.allclose(scaled.ravel(), c * plain.ravel())
-
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
-        p = init_params(seed=19)
-        p = apply_gradient(p, init_params(seed=20), 1e-7)  # non-trivial digits
-        path = tmp_path / "net.qnet"
-        save_params(p, path)
-        q = load_params(path)
-        assert np.array_equal(p.ravel(), q.ravel())
-        s = np.random.default_rng(21).uniform(0, 1, 58)
-        assert np.array_equal(forward(p, s), forward(q, s))
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "net.qnet"
-        save_params(init_params(), path)
-        assert path.read_text().splitlines()[0] == "QNET v1 58 32 5"
-
-    def test_bad_header_raises(self, tmp_path):
-        path = tmp_path / "net.qnet"
-        path.write_text("NOPE v1 58 32 5\n")
-        with pytest.raises(ValueError):
-            load_params(path)
