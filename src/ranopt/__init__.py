@@ -1,8 +1,8 @@
 """Closed-loop RAN scheduler selection: simulator, KPI pipeline, double-Q agent."""
 
-from .agent import (AgentConfig, DoubleQAgent, Experience, ReplayBuffer, double_q_target,
-                    epsilon_at, preload, read_experience_csv, sample_segments, select_action,
-                    write_experience_csv)
+from .agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
+                    double_q_target, epsilon_at, preload, read_experience_csv, sample_segments,
+                    select_action, valid_segment_starts, write_experience_csv)
 from .harness import (DEFAULT_PROFILES, BaselineRow, EpisodeResult, ExperimentConfig,
                       episode_seed, episode_stats, evaluate_checkpoint, run_baseline_suite,
                       run_episode, train_experiment)

@@ -1,13 +1,14 @@
 """Double-Q learning agent over the five scheduler options.
 
-The replay buffer is a time-ordered ring of 5,000 transitions. Because
-learning uses n-step temporal-difference targets, training batches are
-contiguous segments of experience sampled from the buffer; a segment never
-crosses an episode boundary (rest minutes produce no experience at all, so
-the gap between episodes is structural). Targets follow the double-Q rule:
-the online network picks the bootstrap action, the slowly tracking target
-network evaluates it, and after every training step the target network takes
-a small Polyak step toward the online one.
+The replay buffer is a ring of 5,000 transitions in five preallocated arrays,
+the arrays a checkpoint stores; each transition is checked on its way in.
+Because learning uses n-step temporal-difference targets, training batches
+are contiguous segments of experience sampled from the buffer; a segment
+never crosses an episode boundary (rest minutes produce no experience at
+all, so the gap between episodes is structural). Targets follow the double-Q
+rule: the online network picks the bootstrap action, the slowly tracking
+target network evaluates it, and after every training step the target
+network takes a small Polyak step toward the online one.
 
 The control task is continuous; there is no terminal state and no done flag
 anywhere in the update.
@@ -21,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qnet
-from .qnet import QNetParams
+from .qnet import N_ACTIONS, STATE_DIM, QNetParams
 
 REPLAY_CAPACITY = 5000
+# The ring's arrays, named as the checkpoint members that store them.
+BUFFER_FIELDS = ("states", "next_states", "actions", "rewards", "episode_ids")
+_DTYPES = (np.float64, np.float64, np.int64, np.float64, np.int64)
 
 
 @dataclass
@@ -37,9 +41,6 @@ class AgentConfig:
     learning_rate: float = 1e-3
     batch_segments: int = 16
     seed: int = 0
-    # discount the bootstrap term by gamma**(n-1) instead of the standard
-    # gamma**n (the sum already spans n rewards); kept for exactness studies
-    bootstrap_discount_nm1: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -69,85 +70,116 @@ class Experience:
     episode_id: int
 
 
-def validate_experience(exp: Experience) -> None:
-    if np.asarray(exp.state).shape != (qnet.STATE_DIM,):
-        raise ValueError(f"state must have length {qnet.STATE_DIM}")
-    if np.asarray(exp.next_state).shape != (qnet.STATE_DIM,):
-        raise ValueError(f"next_state must have length {qnet.STATE_DIM}")
-    if not -1.0 <= exp.reward <= 1.0:
-        raise ValueError(f"reward {exp.reward} outside [-1, 1]")
-    if not 0 <= int(exp.action) < qnet.N_ACTIONS:
-        raise ValueError(f"action {exp.action} outside [0, {qnet.N_ACTIONS})")
+def _columns(records: list[Experience]) -> list[np.ndarray]:
+    """The BUFFER_FIELDS arrays of a non-empty list of transitions."""
+    return [np.array([getattr(e, f) for e in records], dtype=t)
+            for f, t in zip(("state", "next_state", "action", "reward", "episode_id"), _DTYPES)]
+
+
+def _check_transitions(states, next_states, actions, rewards, episode_ids) -> None:
+    """Refuse BUFFER_FIELDS arrays unless every transition has finite states,
+    a reward in [-1, 1] and a valid action; names a bad one as "record i"."""
+    shapes = {name: list(np.shape(a)) for name, a in
+              zip(BUFFER_FIELDS, (states, next_states, actions, rewards, episode_ids))}
+    n = len(rewards)
+    if shapes != dict(zip(BUFFER_FIELDS, [[n, STATE_DIM]] * 2 + [[n]] * 3)):
+        raise ValueError(f"buffer arrays {shapes} must be [n, {STATE_DIM}] states and n others")
+    ok = np.array([np.isfinite(states).all(axis=1), np.isfinite(next_states).all(axis=1),
+                   (-1.0 <= rewards) & (rewards <= 1.0), (0 <= actions) & (actions < N_ACTIONS)])
+    if not ok.all():
+        i, fault = divmod(int(np.argmin(ok.T)), len(ok))  # first bad record, its first fault
+        raise ValueError(f"record {i}: " + [
+            "state holds a non-finite value", "next_state holds a non-finite value",
+            f"reward {rewards[i]} outside [-1, 1]", f"action {actions[i]} outside [0, {N_ACTIONS})",
+        ][fault])
 
 
 class ReplayBuffer:
-    """Insertion-ordered ring: index 0 is the oldest entry, push evicts it when full."""
+    """Ring of transitions in five preallocated arrays named as BUFFER_FIELDS.
+
+    Logical entry i (0 is the oldest) sits in row (start + i) % capacity;
+    writing to a full ring overwrites its oldest entries, so start > 0 only
+    when the ring is full.
+    """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Experience] = []
-        self._start = 0
+        self.states = np.zeros((capacity, STATE_DIM))
+        self.next_states = np.zeros((capacity, STATE_DIM))
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.rewards = np.zeros(capacity)
+        self.episode_ids = np.zeros(capacity, dtype=np.int64)
+        self.start = self.size = 0
 
     def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, i: int) -> Experience:
-        if not 0 <= i < len(self._items):
-            raise IndexError(i)
-        return self._items[(self._start + i) % self.capacity]
+        return self.size
 
     def __iter__(self):
-        for i in range(len(self._items)):
-            yield self[i]
+        """Experience views of the entries, oldest first; their states are
+        rows of the ring, valid until the ring is next written or rotated."""
+        for j in self.rows(np.arange(self.size)).tolist():
+            yield Experience(state=self.states[j], action=int(self.actions[j]),
+                             reward=float(self.rewards[j]), next_state=self.next_states[j],
+                             episode_id=int(self.episode_ids[j]))
 
-    def push(self, exp: Experience) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(exp)
-        else:
-            self._items[self._start] = exp
-            self._start = (self._start + 1) % self.capacity
+    def rows(self, logical) -> np.ndarray:
+        """Ring rows of logical positions."""
+        return (self.start + logical) % self.capacity
 
-    def episode_ids(self) -> np.ndarray:
-        """Episode tags in logical (insertion) order."""
-        ids = np.empty(len(self._items), dtype=np.int64)
-        for i in range(len(self._items)):
-            ids[i] = self[i].episode_id
-        return ids
+    def extend(self, states, next_states, actions, rewards, episode_ids) -> None:
+        """Append BUFFER_FIELDS arrays, oldest first; only the most recent
+        `capacity` entries survive, and nothing is written if one is refused."""
+        columns = [np.asarray(a, dtype=t) for a, t in
+                   zip((states, next_states, actions, rewards, episode_ids), _DTYPES)]
+        _check_transitions(*columns)
+        n = len(columns[0])
+        keep = min(n, self.capacity)
+        rows = self.rows(self.size + np.arange(n - keep, n))
+        for name, a in zip(BUFFER_FIELDS, columns):
+            getattr(self, name)[rows] = a[n - keep:]
+        self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
+        self.size = min(self.size + n, self.capacity)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The entries as BUFFER_FIELDS arrays in logical order, as views of
+        the ring: rotates the ring in place, one array at a time, so that the
+        oldest entry sits in row 0."""
+        if self.start:
+            for name in BUFFER_FIELDS:
+                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
+            self.start = 0
+        return {name: getattr(self, name)[:self.size] for name in BUFFER_FIELDS}
 
 
 def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
-    """Push historical transitions in order; only the most recent ones survive."""
-    for i, rec in enumerate(records):
-        try:
-            validate_experience(rec)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-        buffer.push(rec)
+    """Append historical transitions in order; only the most recent ones survive.
+    Nothing is written if a record is malformed; the error names it by index."""
+    if records:
+        buffer.extend(*_columns(records))
 
 
 def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
     """Logical indices where n_step consecutive entries share one episode."""
-    ids = buffer.episode_ids()
-    size = ids.size
+    size = len(buffer)
     if size < n_step:
         return np.empty(0, dtype=np.int64)
-    ok = np.ones(size - n_step + 1, dtype=bool)
-    for j in range(1, n_step):
-        ok &= ids[j:size - n_step + 1 + j] == ids[:size - n_step + 1]
-    return np.flatnonzero(ok)
+    ring = buffer.episode_ids
+    ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
+    run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
+    return np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
-                    rng: np.random.Generator) -> list[list[Experience]]:
-    """Sample contiguous intra-episode segments, uniform over valid starts,
-    with replacement across the batch."""
+                    rng: np.random.Generator) -> np.ndarray:
+    """Ring rows of contiguous intra-episode segments, shape (batch, n_step):
+    starts are uniform over the valid ones, with replacement across the batch."""
     starts = valid_segment_starts(buffer, n_step)
     if starts.size == 0:
         raise ValueError(f"buffer holds no contiguous segment of length {n_step}")
     picks = starts[rng.integers(0, starts.size, size=batch)]
-    return [[buffer[s + j] for j in range(n_step)] for s in picks]
+    return buffer.rows(picks[:, None] + np.arange(n_step))
 
 
 def epsilon_at(step: int, cfg: AgentConfig) -> float:
@@ -167,27 +199,22 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(np.argmax(q_values))
 
 
-def double_q_target(segment: list[Experience], online: QNetParams, target: QNetParams,
-                    gamma: float, bootstrap_discount_nm1: bool = False) -> float:
-    """n-step double-Q target for the segment's first transition.
+def double_q_target(rewards: np.ndarray, s_boot: np.ndarray, online: QNetParams,
+                    target: QNetParams, gamma: float) -> np.ndarray:
+    """n-step double-Q targets for segments with (batch, n) rewards, oldest
+    first, and (batch, 58) states s_boot after their last transitions.
 
-    Sums the n discounted rewards, then bootstraps at the state after the
-    segment: the online network chooses the action, the target network
-    scores it. The bootstrap discount is gamma**n (or gamma**(n-1) with the
-    compatibility flag).
+    Sums the n discounted rewards, then bootstraps at s_boot: the online
+    network chooses the action, the target network scores it, discounted by
+    gamma**n.
     """
-    ids = {e.episode_id for e in segment}
-    if len(ids) != 1:
-        raise ValueError(f"segment spans episodes {sorted(ids)}; targets need one episode")
-    n = len(segment)
-    ret = 0.0
-    for i, exp in enumerate(segment):
-        ret += gamma ** i * exp.reward
-    s_boot = segment[-1].next_state
-    a_star = int(np.argmax(qnet.forward(online, s_boot)))
-    q_boot = float(qnet.forward(target, s_boot)[a_star])
-    power = n - 1 if bootstrap_discount_nm1 else n
-    return ret + gamma ** power * q_boot
+    batch, n = np.shape(rewards)
+    a_star = qnet.forward_batch(online, s_boot).argmax(axis=1)
+    q_boot = qnet.forward_batch(target, s_boot)[np.arange(batch), a_star]
+    ret = np.zeros(batch)
+    for i in range(n):  # reward by reward: the summation order fixes the rounding
+        ret += gamma ** i * rewards[:, i]
+    return ret + gamma ** n * q_boot
 
 
 class DoubleQAgent:
@@ -214,9 +241,10 @@ class DoubleQAgent:
         self.global_step += 1
         return action
 
-    def observe(self, exp: Experience) -> None:
-        validate_experience(exp)
-        self.buffer.push(exp)
+    def observe(self, state: np.ndarray, action: int, reward: float,
+                next_state: np.ndarray, episode_id: int) -> None:
+        """Append one checked transition to the replay buffer."""
+        self.buffer.extend([state], [next_state], [action], [reward], [episode_id])
 
     def can_train(self) -> bool:
         return valid_segment_starts(self.buffer, self.cfg.n_step).size > 0
@@ -226,35 +254,20 @@ class DoubleQAgent:
 
         Samples batch_segments segments, forms double-Q targets, ascends the
         (Y - Q) * grad Q direction with the learning rate averaged over the
-        batch, then Polyak-updates the target network.
+        batch, then Polyak-updates the target network. Raises
+        FloatingPointError on a non-finite TD error, before either changes.
         """
-        if len(self.buffer) == 0:
-            raise ValueError("cannot train from an empty replay buffer")
-        cfg = self.cfg
-        segments = sample_segments(self.buffer, cfg.n_step, cfg.batch_segments, self.rng)
-
-        s0 = np.stack([seg[0].state for seg in segments])
-        a0 = np.array([int(seg[0].action) for seg in segments])
-        s_boot = np.stack([seg[-1].next_state for seg in segments])
-
-        q_boot_online = qnet.forward_batch(self.online, s_boot)
-        a_star = q_boot_online.argmax(axis=1)
-        q_boot_target = qnet.forward_batch(self.target, s_boot)
-        boot = q_boot_target[np.arange(len(segments)), a_star]
-
-        n = cfg.n_step
-        power = n - 1 if cfg.bootstrap_discount_nm1 else n
-        returns = np.zeros(len(segments))
-        for b, seg in enumerate(segments):
-            for i, exp in enumerate(seg):
-                returns[b] += cfg.gamma ** i * exp.reward
-        targets = returns + cfg.gamma ** power * boot
-
-        q0 = qnet.forward_batch(self.online, s0)[np.arange(len(segments)), a0]
-        td = targets - q0
+        cfg, buf = self.cfg, self.buffer
+        rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
+        s0, a0 = buf.states[rows[:, 0]], buf.actions[rows[:, 0]]
+        targets = double_q_target(buf.rewards[rows], buf.next_states[rows[:, -1]],
+                                  self.online, self.target, cfg.gamma)
+        td = targets - qnet.forward_batch(self.online, s0)[np.arange(len(rows)), a0]
+        if not np.isfinite(td).all():
+            raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
 
         total = None
-        for b in range(len(segments)):
+        for b in range(len(rows)):
             g = qnet.backward(self.online, s0[b], int(a0[b]))
             if total is None:
                 total = QNetParams(td[b] * g.w1, td[b] * g.b1, td[b] * g.w2, td[b] * g.b2)
@@ -265,7 +278,7 @@ class DoubleQAgent:
                 total.b2 += td[b] * g.b2
 
         self.online = qnet.apply_gradient(self.online, total,
-                                          cfg.learning_rate / len(segments))
+                                          cfg.learning_rate / len(rows))
         self.target = qnet.soft_update(self.target, self.online, cfg.tau)
         return float(np.mean(np.abs(td)))
 
@@ -274,8 +287,8 @@ class DoubleQAgent:
 
 def _experience_header() -> list[str]:
     return (["episode_id", "action_code", "reward"]
-            + [f"s_{i}" for i in range(qnet.STATE_DIM)]
-            + [f"sn_{i}" for i in range(qnet.STATE_DIM)])
+            + [f"s_{i}" for i in range(STATE_DIM)]
+            + [f"sn_{i}" for i in range(STATE_DIM)])
 
 
 def write_experience_csv(path, experiences) -> None:
@@ -290,7 +303,8 @@ def write_experience_csv(path, experiences) -> None:
 
 
 def read_experience_csv(path) -> list[Experience]:
-    """Load historical transitions; raises naming the offending row index."""
+    """Load historical transitions; raises naming the offending record by its
+    index among the non-blank rows."""
     expected = _experience_header()
     records = []
     with open(path, newline="") as fh:
@@ -301,22 +315,20 @@ def read_experience_csv(path) -> list[Experience]:
             raise ValueError(f"{path}: empty experience file") from None
         if header != expected:
             raise ValueError(f"{path}: unexpected header (want episode_id,action_code,"
-                             f"reward,s_0..s_{qnet.STATE_DIM - 1},sn_0..sn_{qnet.STATE_DIM - 1})")
-        for i, row in enumerate(reader):
-            if not row:
-                continue
+                             f"reward,s_0..s_{STATE_DIM - 1},sn_0..sn_{STATE_DIM - 1})")
+        for i, row in enumerate(row for row in reader if row):
             if len(row) != len(expected):
                 raise ValueError(f"record {i}: expected {len(expected)} columns, got {len(row)}")
             try:
-                exp = Experience(
-                    state=np.array([float(v) for v in row[3:3 + qnet.STATE_DIM]]),
+                records.append(Experience(
+                    state=np.array([float(v) for v in row[3:3 + STATE_DIM]]),
                     action=int(row[1]),
                     reward=float(row[2]),
-                    next_state=np.array([float(v) for v in row[3 + qnet.STATE_DIM:]]),
+                    next_state=np.array([float(v) for v in row[3 + STATE_DIM:]]),
                     episode_id=int(row[0]),
-                )
-                validate_experience(exp)
+                ))
             except ValueError as exc:
                 raise ValueError(f"record {i}: {exc}") from None
-            records.append(exp)
+    if records:
+        _check_transitions(*_columns(records))
     return records

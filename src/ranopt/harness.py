@@ -25,8 +25,8 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import kpi, qnet
-from .agent import REPLAY_CAPACITY, AgentConfig, DoubleQAgent, Experience
-from .kpi import STATE_DIM, KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
+from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
+from .kpi import KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
 from .sim import SchedulerOption, SimConfig, TickObservables, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
@@ -46,7 +46,6 @@ CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 2
 _NETS = ("online", "target")
 _PARAMS = ("w1", "b1", "w2", "b2")
-_BUFFER = ("states", "next_states", "actions", "rewards", "episode_ids")
 
 
 @dataclass
@@ -173,8 +172,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         next_vec = compose_kpis(obs, action, t + 1, cfg.kpi).values
         rewards.append(r)
         if train:
-            agent.observe(Experience(state=state_vec, action=int(action), reward=r,
-                                     next_state=next_vec, episode_id=episode_index))
+            agent.observe(state_vec, int(action), r, next_vec, episode_index)
             if agent.can_train():
                 td_errors.append(agent.train_step())
         state_vec = next_vec
@@ -240,16 +238,7 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     member 1980-01-01 and meta holds no timestamp.
     """
     os.makedirs(directory, exist_ok=True)
-    items = list(ag.buffer)
-    n = len(items)
     arrays = {f"{net}_{name}": getattr(getattr(ag, net), name) for net in _NETS for name in _PARAMS}
-    arrays.update(
-        states=np.array([e.state for e in items], dtype=np.float64).reshape(n, STATE_DIM),
-        next_states=np.array([e.next_state for e in items], dtype=np.float64).reshape(n, STATE_DIM),
-        actions=np.array([e.action for e in items], dtype=np.int64),
-        rewards=np.array([e.reward for e in items], dtype=np.float64),
-        episode_ids=np.array([e.episode_id for e in items], dtype=np.int64),
-    )
     meta = {
         "format": CHECKPOINT_FORMAT,
         "global_step": ag.global_step,
@@ -262,7 +251,7 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     try:
         # a handle, not a path: np.savez would append ".npz" to the temporary name
         with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays, **ag.buffer.arrays())
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -273,8 +262,8 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """Restore an agent exactly as saved; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, network arrays of the wrong shape and inconsistent buffer
-    arrays; each transition is validated as a preloaded record is.
+    manifest, network arrays of the wrong shape, and buffer arrays that do
+    not fit the replay ring or hold a transition the ring's check refuses.
     """
     with np.load(os.path.join(directory, CHECKPOINT_FILE), allow_pickle=False) as npz:
         members = {name: npz[name] for name in npz.files}
@@ -293,15 +282,13 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
                                  f"expected {want.dtype}{list(want.shape)}")
         setattr(ag, net, qnet.QNetParams(*(members[f"{net}_{name}"] for name in _PARAMS)))
 
-    lengths = [len(members[name]) for name in _BUFFER]
-    if len(set(lengths)) != 1 or lengths[0] > REPLAY_CAPACITY:
-        raise ValueError(f"{directory}: buffer arrays {dict(zip(_BUFFER, lengths))} must have "
-                         f"one length of at most {REPLAY_CAPACITY}")
-    agent_mod.preload(ag.buffer, [
-        Experience(state=s, action=int(a), reward=float(r), next_state=sn, episode_id=int(e))
-        for s, sn, a, r, e in zip(members["states"], members["next_states"],
-                                  members["actions"].tolist(), members["rewards"].tolist(),
-                                  members["episode_ids"].tolist())])
+    columns = [members[name] for name in BUFFER_FIELDS]
+    try:
+        if max(map(len, columns)) > ag.buffer.capacity:
+            raise ValueError(f"buffer holds more than {ag.buffer.capacity} transitions")
+        ag.buffer.extend(*columns)
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
     ag.global_step = int(meta["global_step"])
     ag.rng.bit_generator.state = meta["rng_state"]
     return ag, int(meta["next_episode"])

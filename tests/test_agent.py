@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranopt import qnet
-from ranopt.agent import (AgentConfig, DoubleQAgent, Experience, ReplayBuffer, double_q_target,
-                          epsilon_at, preload, read_experience_csv, sample_segments,
-                          select_action, valid_segment_starts, write_experience_csv)
+from ranopt.agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
+                          double_q_target, epsilon_at, preload, read_experience_csv,
+                          sample_segments, select_action, valid_segment_starts,
+                          write_experience_csv)
 from ranopt.qnet import QNetParams
 
 
@@ -16,6 +19,38 @@ def exp(ep, tag=0.0, reward=0.0, action=0):
     sn = np.zeros(58)
     sn[0] = tag + 0.001
     return Experience(state=s, action=action, reward=reward, next_state=sn, episode_id=ep)
+
+
+def push(buf, e):
+    preload(buf, [e])
+
+
+def values(e):
+    """A transition as comparable plain values."""
+    return (e.state.tolist(), int(e.action), float(e.reward), e.next_state.tolist(),
+            int(e.episode_id))
+
+
+class ListBuffer:
+    """Reference replay buffer: a plain list, oldest first, with the segment
+    rules written out one transition at a time."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+
+    def push(self, e):
+        self.items = (self.items + [e])[-self.capacity:]
+
+    def valid_segment_starts(self, n_step):
+        return [s for s in range(len(self.items) - n_step + 1)
+                if all(self.items[s + j].episode_id == self.items[s].episode_id
+                       for j in range(n_step))]
+
+    def sample_segments(self, n_step, batch, rng):
+        starts = self.valid_segment_starts(n_step)
+        picks = [starts[k] for k in rng.integers(0, len(starts), size=batch)]
+        return [self.items[s:s + n_step] for s in picks]
 
 
 def value_nets(online_b2, target_b2):
@@ -92,21 +127,22 @@ class TestSelectAction:
 class TestReplayBuffer:
     def test_push_to_empty(self):
         buf = ReplayBuffer()
-        buf.push(exp(0))
+        push(buf, exp(0))
         assert len(buf) == 1
 
     def test_capacity_eviction(self):
         buf = ReplayBuffer()
         for i in range(5001):
-            buf.push(exp(0, tag=float(i)))
-        assert len(buf) == 5000
-        assert buf[0].state[0] == 1.0  # first pushed item evicted
-        assert buf[4999].state[0] == 5000.0
+            push(buf, exp(0, tag=float(i)))
+        items = list(buf)
+        assert len(buf) == len(items) == 5000
+        assert items[0].state[0] == 1.0  # first pushed item evicted
+        assert items[4999].state[0] == 5000.0
 
     def test_iteration_order(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(25):
-            buf.push(exp(0, tag=float(i)))
+            push(buf, exp(0, tag=float(i)))
         tags = [e.state[0] for e in buf]
         assert tags == [float(i) for i in range(15, 25)]
 
@@ -119,13 +155,13 @@ class TestReplayBuffer:
         buf = ReplayBuffer()
         preload(buf, [exp(0, tag=float(i)) for i in range(6000)])
         assert len(buf) == 5000
-        assert buf[0].state[0] == 1000.0
+        assert next(iter(buf)).state[0] == 1000.0
 
     def test_preload_then_push_order(self):
         buf = ReplayBuffer(capacity=100)
         preload(buf, [exp(0, tag=float(i)) for i in range(10)])
         for i in range(10, 20):
-            buf.push(exp(1, tag=float(i)))
+            push(buf, exp(1, tag=float(i)))
         assert [e.state[0] for e in buf] == [float(i) for i in range(20)]
 
     def test_preload_malformed_names_index(self):
@@ -134,20 +170,36 @@ class TestReplayBuffer:
         bad.reward = 3.0
         with pytest.raises(ValueError, match="record 2"):
             preload(buf, [exp(0), exp(0), bad])
+        assert len(buf) == 0
+
+    def test_first_bad_record_named(self):
+        buf = ReplayBuffer()
+        with pytest.raises(ValueError, match=r"record 1: action 7 outside \[0, 5\)"):
+            preload(buf, [exp(0), exp(0, action=7), exp(0, reward=3.0)])
+
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_refused(self, field, value):
+        agent = DoubleQAgent(AgentConfig())
+        e = exp(0)
+        getattr(e, field)[3] = value
+        with pytest.raises(ValueError, match=f"record 0: {field} holds a non-finite value"):
+            agent.observe(**vars(e))
+        assert len(agent.buffer) == 0
 
 
 class TestSegments:
     def test_n1_any_entry_valid(self):
         buf = ReplayBuffer()
-        buf.push(exp(0))
+        push(buf, exp(0))
         segs = sample_segments(buf, 1, 4, np.random.default_rng(0))
-        assert len(segs) == 4 and all(len(s) == 1 for s in segs)
+        assert segs.shape == (4, 1)
 
     def test_two_episodes_sixteen_starts(self):
         buf = ReplayBuffer()
         for ep in (0, 1):
             for _ in range(10):
-                buf.push(exp(ep))
+                push(buf, exp(ep))
         starts = valid_segment_starts(buf, 3)
         assert starts.size == 16
         assert set(starts) == set(range(8)) | set(range(10, 18))
@@ -156,16 +208,16 @@ class TestSegments:
         buf = ReplayBuffer()
         for ep in range(5):
             for _ in range(7):
-                buf.push(exp(ep))
+                push(buf, exp(ep))
         rng = np.random.default_rng(3)
         for seg in sample_segments(buf, 3, 200, rng):
             assert len(seg) == 3
-            assert len({e.episode_id for e in seg}) == 1
+            assert len(set(buf.episode_ids[seg].tolist())) == 1
 
     def test_no_valid_segment_raises(self):
         buf = ReplayBuffer()
-        buf.push(exp(0))
-        buf.push(exp(1))
+        push(buf, exp(0))
+        push(buf, exp(1))
         with pytest.raises(ValueError):
             sample_segments(buf, 2, 1, np.random.default_rng(0))
 
@@ -180,7 +232,7 @@ class TestSegments:
                 run = int(rng.integers(1, 6))
                 for _ in range(run):
                     e = exp(ep, tag=rng.random())
-                    buf.push(e)
+                    push(buf, e)
                     mirror.append(e)
             else:
                 run = int(rng.integers(1, 20))
@@ -190,39 +242,82 @@ class TestSegments:
             ep += 1
             mirror = mirror[-500:]
             if rng.random() < 0.05:
-                assert [id(e) for e in buf] == [id(e) for e in mirror]
-        assert [id(e) for e in buf] == [id(e) for e in mirror]
+                assert [values(e) for e in buf] == [values(e) for e in mirror]
+        assert [values(e) for e in buf] == [values(e) for e in mirror]
+
+    @settings(max_examples=200, deadline=None)
+    # ids 0 0 1 0 0: equal ids at both ends of a segment that crosses two boundaries
+    @example(capacity=12, n_step=3, batch=2, seed=0,
+             ops=[(False, 2, 0, False), (True, 1, 1, False), (False, 2, 0, False)])
+    @given(capacity=st.integers(1, 12), n_step=st.integers(1, 4), batch=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(1, 15), st.integers(0, 2),
+                                  st.booleans()), max_size=12))
+    def test_ring_matches_list_reference(self, capacity, n_step, batch, seed, ops):
+        # ops: (single pushes or one preload, how many, episode id, then read the
+        # arrays a checkpoint saves); a small id alphabet makes episodes recur
+        buf, ref = ReplayBuffer(capacity), ListBuffer(capacity)
+        tag = 0.0
+        for single, count, ep, save in ops:
+            records = []
+            for _ in range(count):
+                tag += 1.0
+                records.append(exp(ep, tag=tag, reward=tag / 1000.0, action=int(tag) % 5))
+            for e in records:
+                ref.push(e)
+            if single:
+                for e in records:
+                    push(buf, e)
+            else:
+                preload(buf, records)
+            assert [values(e) for e in buf] == [values(e) for e in ref.items]
+            assert valid_segment_starts(buf, n_step).tolist() == ref.valid_segment_starts(n_step)
+            if save:
+                arrays = buf.arrays()
+                assert [list(t) for t in zip(*(arrays[f].tolist() for f in BUFFER_FIELDS))] == [
+                    [e.state.tolist(), e.next_state.tolist(), e.action, e.reward, e.episode_id]
+                    for e in ref.items]
+        if not ref.valid_segment_starts(n_step):
+            return
+        rows = sample_segments(buf, n_step, batch, np.random.default_rng(seed))
+        segments = ref.sample_segments(n_step, batch, np.random.default_rng(seed))
+        assert rows.shape == (batch, n_step)
+        for r, seg in zip(rows, segments):
+            assert buf.states[r].tolist() == [e.state.tolist() for e in seg]
+            assert buf.next_states[r].tolist() == [e.next_state.tolist() for e in seg]
+            assert buf.actions[r].tolist() == [e.action for e in seg]
+            assert buf.rewards[r].tolist() == [e.reward for e in seg]
+            assert buf.episode_ids[r].tolist() == [e.episode_id for e in seg]
+
+
+def target_of(segment, online, target, gamma):
+    """double_q_target for one segment of transitions, as a batch of one."""
+    y = double_q_target(np.array([[e.reward for e in segment]]),
+                        segment[-1].next_state[None], online, target, gamma)
+    assert y.shape == (1,)
+    return y[0]
 
 
 class TestDoubleQTarget:
     def test_gamma_zero_is_immediate_reward(self):
         online, target = value_nets([0, 1, 0, 0, 0], [5, 5, 5, 5, 5])
-        cfg = AgentConfig()
         seg = [exp(0, reward=0.7)]
         # gamma -> 0 limit checked with a tiny positive gamma
-        y = double_q_target(seg, online, target, 1e-12)
+        y = target_of(seg, online, target, 1e-12)
         assert y == pytest.approx(0.7, abs=1e-9)
 
     def test_direct_substitution_n1(self):
         # r=1, gamma=0.95, target net scores the online argmax at 2 -> 2.9
         online, target = value_nets([0, 1, 0, 0, 0], [9, 2, 9, 9, 9])
-        y = double_q_target([exp(0, reward=1.0)], online, target, 0.95)
+        y = target_of([exp(0, reward=1.0)], online, target, 0.95)
         assert y == pytest.approx(2.9)
 
     def test_reward_sum_n3(self):
         online, target = value_nets([1, 0, 0, 0, 0], [3, 9, 9, 9, 9])
         seg = [exp(0, reward=0.5), exp(0, reward=0.25), exp(0, reward=0.125)]
         g = 0.9
-        y = double_q_target(seg, online, target, g)
+        y = target_of(seg, online, target, g)
         expected = 0.5 + g * 0.25 + g ** 2 * 0.125 + g ** 3 * 3.0
-        assert y == pytest.approx(expected)
-
-    def test_legacy_bootstrap_discount(self):
-        online, target = value_nets([1, 0, 0, 0, 0], [3, 9, 9, 9, 9])
-        seg = [exp(0, reward=0.5), exp(0, reward=0.25), exp(0, reward=0.125)]
-        g = 0.9
-        y = double_q_target(seg, online, target, g, bootstrap_discount_nm1=True)
-        expected = 0.5 + g * 0.25 + g ** 2 * 0.125 + g ** 2 * 3.0
         assert y == pytest.approx(expected)
 
     def test_identical_nets_reduce_to_classic_q_learning(self):
@@ -230,14 +325,9 @@ class TestDoubleQTarget:
         p = qnet.init_params(seed=8)
         for _ in range(20):
             e = exp(0, tag=rng.random(), reward=float(rng.uniform(-1, 1)))
-            y = double_q_target([e], p, p, 0.95)
+            y = target_of([e], p, p, 0.95)
             classic = e.reward + 0.95 * qnet.forward(p, e.next_state).max()
             assert y == pytest.approx(classic, rel=1e-12)
-
-    def test_cross_episode_segment_rejected(self):
-        online, target = value_nets([0] * 5, [0] * 5)
-        with pytest.raises(ValueError):
-            double_q_target([exp(0), exp(1)], online, target, 0.95)
 
 
 class TestTrainStep:
@@ -252,7 +342,7 @@ class TestTrainStep:
         agent = DoubleQAgent(cfg)
         q = 1.0 / (1.0 - cfg.gamma) * 0.5
         agent.online, agent.target = value_nets([q] * 5, [q] * 5)
-        agent.observe(exp(0, reward=0.5))
+        agent.observe(**vars(exp(0, reward=0.5)))
         before = agent.online.ravel()
         td = agent.train_step()
         assert td == pytest.approx(0.0, abs=1e-12)
@@ -261,7 +351,7 @@ class TestTrainStep:
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
         agent = DoubleQAgent(cfg)
-        agent.observe(exp(0, reward=0.3))
+        agent.observe(**vars(exp(0, reward=0.3)))
         before = agent.target.ravel().copy()
         agent.train_step()
         assert np.array_equal(agent.target.ravel(), before)
@@ -269,10 +359,21 @@ class TestTrainStep:
     def test_lr_zero_keeps_online(self):
         cfg = AgentConfig(n_step=1, learning_rate=0.0)
         agent = DoubleQAgent(cfg)
-        agent.observe(exp(0, reward=0.3))
+        agent.observe(**vars(exp(0, reward=0.3)))
         before = agent.online.ravel().copy()
         agent.train_step()
         assert np.array_equal(agent.online.ravel(), before)
+
+    def test_non_finite_td_error_leaves_networks(self):
+        cfg = AgentConfig(n_step=1)
+        agent = DoubleQAgent(cfg)
+        agent.online, agent.target = value_nets([np.inf] * 5, [1.0] * 5)
+        agent.observe(**vars(exp(0, reward=0.3)))
+        online, target = agent.online.copy(), agent.target.copy()
+        with pytest.raises(FloatingPointError, match="non-finite TD error"):
+            agent.train_step()
+        assert agent.online.ravel().tobytes() == online.ravel().tobytes()
+        assert agent.target.ravel().tobytes() == target.ravel().tobytes()
 
     def test_single_transition_convergence(self):
         # one-step regression: learning rate sized for the tiny-input NTK
@@ -282,7 +383,7 @@ class TestTrainStep:
         e = exp(0, tag=0.4, reward=0.8, action=2)
         e.next_state = np.zeros(58)
         e.next_state[1] = 0.9
-        agent.observe(e)
+        agent.observe(**vars(e))
         td = math.inf
         for _ in range(5000):
             td = agent.train_step()

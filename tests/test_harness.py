@@ -85,7 +85,7 @@ class TestRunEpisode:
         agent = DoubleQAgent(cfg.agent)
         run_episode(cfg, 0, agent=agent, train=True)
         run_episode(cfg, 1, agent=agent, train=True)
-        ids = agent.buffer.episode_ids()
+        ids = [e.episode_id for e in agent.buffer]
         assert set(ids[:cfg.steps_demand]) == {0}
         assert set(ids[cfg.steps_demand:]) == {1}
 
@@ -271,7 +271,8 @@ class TestCheckpointRoundtrip:
         ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
         ({}, {"online_w1": np.zeros((32, 57))}, "online w1"),
         ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
-    ], ids=["format", "manifest", "w1_shape", "buffer_lengths"])
+        ({}, {"states": np.zeros((40, 57))}, r"'states': \[40, 57\]"),
+    ], ids=["format", "manifest", "w1_shape", "buffer_lengths", "states_width"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
         cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
@@ -288,6 +289,16 @@ class TestCheckpointRoundtrip:
         rewrite_checkpoint(tmp_path / "ck", rewards=rewards)
         with pytest.raises(ValueError, match=r"record 7: reward 3\.0 outside"):
             load_checkpoint(tmp_path / "ck", cfg)
+
+    def test_non_finite_state_named_by_record(self, tmp_path, trained):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        states = np.array([e.state for e in agent.buffer])
+        states[5, 11] = np.nan
+        rewrite_checkpoint(tmp_path / "ck", states=states)
+        with pytest.raises(ValueError, match="record 5: state holds a non-finite value") as err:
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert str(tmp_path / "ck") in str(err.value)
 
     def test_evaluate_checkpoint_deterministic(self, tmp_path):
         cfg = small_cfg(episodes=2)
