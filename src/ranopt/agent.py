@@ -112,6 +112,7 @@ class ReplayBuffer:
         self.rewards = np.zeros(capacity)
         self.episode_ids = np.zeros(capacity, dtype=np.int64)
         self.start = self.size = 0
+        self._segment_starts = {}  # n_step -> valid_segment_starts, until the next write
 
     def __len__(self):
         return self.size
@@ -141,6 +142,7 @@ class ReplayBuffer:
             getattr(self, name)[rows] = a[n - keep:]
         self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
         self.size = min(self.size + n, self.capacity)
+        self._segment_starts.clear()
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The entries as BUFFER_FIELDS arrays in logical order, as views of
@@ -161,14 +163,25 @@ def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
 
 
 def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
-    """Logical indices where n_step consecutive entries share one episode."""
+    """Logical indices where n_step consecutive entries share one episode.
+
+    The buffer keeps the read-only result until its next write, so a
+    training tick that checks for a segment and then samples one scans once.
+    """
+    starts = buffer._segment_starts.get(n_step)
+    if starts is not None:
+        return starts
     size = len(buffer)
     if size < n_step:
-        return np.empty(0, dtype=np.int64)
-    ring = buffer.episode_ids
-    ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
-    run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
-    return np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
+        starts = np.empty(0, dtype=np.int64)
+    else:
+        ring = buffer.episode_ids
+        ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
+        run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
+        starts = np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
+    starts.flags.writeable = False
+    buffer._segment_starts[n_step] = starts
+    return starts
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,

@@ -46,6 +46,7 @@ CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 2
 _NETS = ("online", "target")
 _PARAMS = ("w1", "b1", "w2", "b2")
+_ARRAYS = tuple(f"{net}_{name}" for net in _NETS for name in _PARAMS) + BUFFER_FIELDS
 
 
 @dataclass
@@ -262,8 +263,9 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """Restore an agent exactly as saved; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, network arrays of the wrong shape, and buffer arrays that do
-    not fit the replay ring or hold a transition the ring's check refuses.
+    manifest, a missing or 0-d array member, network arrays of the wrong
+    shape, and buffer arrays that do not fit the replay ring or hold a
+    transition the ring's check refuses.
     """
     with np.load(os.path.join(directory, CHECKPOINT_FILE), allow_pickle=False) as npz:
         members = {name: npz[name] for name in npz.files}
@@ -273,6 +275,10 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
         raise ValueError(f"{directory}: checkpoint written for KPI manifest "
                          f"{meta.get('manifest_sha256')}, this build uses {kpi.MANIFEST_SHA256}")
+    absent = [name for name in _ARRAYS if np.ndim(members.get(name)) == 0]  # missing or 0-d
+    if absent:
+        raise ValueError(f"{directory}: {CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; "
+                         f"format {CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
     ag = DoubleQAgent(cfg.agent)
     for net in _NETS:
         for name in _PARAMS:

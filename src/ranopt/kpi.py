@@ -170,10 +170,7 @@ def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
     """Count values into bins, clamping outliers into the edge bins."""
     clipped = np.clip(values, edges[0], edges[-1])
     idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, n_bins - 1)
-    counts = np.zeros(n_bins)
-    for i in idx:
-        counts[i] += 1.0
-    return counts
+    return np.bincount(idx, minlength=n_bins)
 
 
 def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
@@ -216,9 +213,7 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
 
     # histograms count active UEs only, then normalize by the UE population
     cqi = np.clip(np.rint(N_CQI_BINS * obs.spectral_eff[active] / EFF_CAP), 1, N_CQI_BINS)
-    cqi_counts = np.zeros(N_CQI_BINS)
-    for c in cqi.astype(int):
-        cqi_counts[c - 1] += 1.0
+    cqi_counts = np.bincount(cqi.astype(int) - 1, minlength=N_CQI_BINS)
 
     rsrp_counts = _hist(obs.rsrp_dbm[active], RSRP_BIN_EDGES, N_RSRP_BINS)
 

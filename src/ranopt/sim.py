@@ -171,90 +171,78 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed) -> CellStat
     )
 
 
-def _greedy_equal_rate(avail_mb, y_mb, budget):
-    """Fill PRB by PRB toward equal served megabits across UEs with traffic."""
-    n = avail_mb.size
-    alloc = np.zeros(n, dtype=np.int64)
-    served = np.zeros(n)
-    for _ in range(budget):
-        can_use = served < avail_mb - 1e-12
-        if not np.any(can_use):
-            break
-        ranked = np.where(can_use, served, np.inf)
-        i = int(np.argmin(ranked))  # first minimum = lowest UE index on ties
-        alloc[i] += 1
-        served[i] = min(avail_mb[i], alloc[i] * y_mb[i])
-    return alloc
+def _top_budget(keys, valid, budget, descending):
+    """PRBs per UE from an (n_ues, k) grid whose entry k is the key of the
+    UE's (k+1)-th PRB: counts of the first `budget` valid entries in
+    (key, UE index, k) order, best key first.
+
+    This is the per-PRB greedy choice (ties to the lowest UE index) as long
+    as no UE's keys get better along k: a UE's next PRB is then never
+    preferred to one it got earlier, so greedy heads merge in sorted order.
+    """
+    ue, k = np.nonzero(valid)  # row-major, so already in (UE index, k) order
+    key = keys[ue, k]
+    order = np.argsort(-key if descending else key, kind="stable")
+    return np.bincount(ue[order[:budget]], minlength=keys.shape[0])
 
 
-def _ranked_fill(avail_mb, y_mb, budget, order):
-    """Serve UEs to exhaustion in the given order until the budget runs out."""
-    alloc = np.zeros(avail_mb.size, dtype=np.int64)
-    remaining = budget
-    for i in order:
-        if remaining <= 0:
-            break
-        if avail_mb[i] <= 1e-12:
-            continue
-        need = int(math.ceil(avail_mb[i] / y_mb[i] - 1e-12))
-        take = min(need, remaining)
-        alloc[i] = take
-        remaining -= take
-    return alloc
+def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
+    """Proportional-fair keys eff / avg**alpha, where the smoothed rate avg
+    counts the PRBs the UE got earlier in the tick.
 
-
-def _proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
-    """Per-PRB proportional fair: rank by eff / avg**alpha, updating the
-    smoothed rate with the allocation made so far this tick."""
-    n = avail_mb.size
-    eff = y_mb / cfg.prb_megabits
-    alloc = np.zeros(n, dtype=np.int64)
-    served = np.zeros(n)
+    A first PRB can lower avg below the UE's average and so raise its next
+    key; the greedy choice then keeps serving that UE, which a running
+    minimum along k reproduces.
+    """
     base_avg = np.maximum(pf_avg_mbps, cfg.pf_floor_mbps)
-    virtual = base_avg.copy()
-    for _ in range(budget):
-        can_use = served < avail_mb - 1e-12
-        if not np.any(can_use):
-            break
-        key = np.where(can_use, eff / virtual ** alpha, -np.inf)
-        i = int(np.argmax(key))  # first maximum = lowest UE index on ties
-        alloc[i] += 1
-        served[i] = min(avail_mb[i], alloc[i] * y_mb[i])
-        virtual[i] = max(cfg.pf_floor_mbps,
-                         (1.0 - cfg.pf_ema) * base_avg[i]
-                         + cfg.pf_ema * served[i] / cfg.tick_seconds)
-    return alloc
+    virtual = np.maximum(cfg.pf_floor_mbps,
+                         (1.0 - cfg.pf_ema) * base_avg[:, None]
+                         + cfg.pf_ema * served_before / cfg.tick_seconds)
+    virtual[:, 0] = base_avg
+    eff = y_mb / cfg.prb_megabits
+    return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
+
+
+def _prb_yield(state: CellState, cfg: SimConfig):
+    """Effective RSRP, spectral efficiency and megabits per PRB of each UE."""
+    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    eff = spectral_efficiency(rsrp_eff)
+    return rsrp_eff, eff, eff * cfg.prb_megabits
 
 
 def schedule_prbs(option: SchedulerOption, state: CellState, demands: np.ndarray,
-                  prb_budget: int, cfg: SimConfig) -> np.ndarray:
+                  prb_budget: int, cfg: SimConfig, *, y_mb: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Integer PRB split over UEs for one tick under the given option.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
-    the budget, and breaks ranking ties toward the lowest UE index.
+    the budget, and breaks ranking ties toward the lowest UE index. y_mb,
+    the megabits one PRB carries for each UE, follows from the state's radio
+    conditions unless the caller has it already, as step does.
     """
     if prb_budget <= 0:
         raise ValueError(f"prb_budget must be positive, got {prb_budget}")
     demands = np.asarray(demands, dtype=np.float64)
     if np.any(demands < 0):
         raise ValueError("demands must be >= 0")
+    if y_mb is None:
+        y_mb = _prb_yield(state, cfg)[2]
     avail = state.queue_mb + demands
-    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
-    y = spectral_efficiency(rsrp_eff) * cfg.prb_megabits
-
+    k = np.arange(prb_budget)
+    if option == SchedulerOption.MAXIMUM_C_OVER_I:
+        # each UE's whole need, ceil(avail / y) PRBs, best yield first
+        need = np.ceil(avail / y_mb - 1e-12)
+        valid = (k < need[:, None]) & (avail[:, None] > 1e-12)
+        return _top_budget(np.broadcast_to(y_mb[:, None], valid.shape), valid, prb_budget,
+                           descending=True)
+    served_before = np.minimum(avail[:, None], k * y_mb[:, None])  # megabits before PRB k+1
+    valid = served_before < avail[:, None] - 1e-12
     if option == SchedulerOption.EQUAL_RATE:
-        alloc = _greedy_equal_rate(avail, y, prb_budget)
-    elif option == SchedulerOption.MAXIMUM_C_OVER_I:
-        order = np.lexsort((np.arange(avail.size), -y))
-        alloc = _ranked_fill(avail, y, prb_budget, order)
-    elif option in PF_ALPHA:
-        alloc = _proportional_fair(avail, y, prb_budget, state.pf_avg_mbps,
-                                   PF_ALPHA[option], cfg)
-    else:
-        raise ValueError(f"unknown scheduler option {option!r}")
-
-    assert alloc.sum() <= prb_budget
-    return alloc
+        return _top_budget(served_before, valid, prb_budget, descending=False)
+    if option in PF_ALPHA:
+        keys = _pf_keys(served_before, y_mb, state.pf_avg_mbps, PF_ALPHA[option], cfg)
+        return _top_budget(keys, valid, prb_budget, descending=True)
+    raise ValueError(f"unknown scheduler option {option!r}")
 
 
 def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
@@ -267,17 +255,15 @@ def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
     if cfg.rf_jitter_std_db > 0:
         innov = state.rng.normal(0.0, cfg.rf_jitter_std_db, size=state.jitter_db.size)
         state.jitter_db = cfg.rf_jitter_rho * state.jitter_db + innov
-    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
-    eff = spectral_efficiency(rsrp_eff)
-    y = eff * cfg.prb_megabits
+    rsrp_eff, eff, y = _prb_yield(state, cfg)
 
     demands = generate_demands(profiles, rest, state.rng)
-    active = (state.queue_mb + demands) > 1e-12
-    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg)
+    avail = state.queue_mb + demands
+    active = avail > 1e-12
+    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y_mb=y)
 
-    state.queue_mb = state.queue_mb + demands
-    served = np.minimum(state.queue_mb, alloc * y)
-    state.queue_mb = state.queue_mb - served
+    served = np.minimum(avail, alloc * y)
+    state.queue_mb = avail - served
 
     tput = served / cfg.tick_seconds
     state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,

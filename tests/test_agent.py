@@ -221,6 +221,17 @@ class TestSegments:
         with pytest.raises(ValueError):
             sample_segments(buf, 2, 1, np.random.default_rng(0))
 
+    def test_starts_kept_until_next_write(self):
+        buf = ReplayBuffer(capacity=4)
+        preload(buf, [exp(0), exp(0), exp(1)])
+        starts = valid_segment_starts(buf, 2)
+        assert valid_segment_starts(buf, 2) is starts and not starts.flags.writeable
+        assert valid_segment_starts(buf, 1).tolist() == [0, 1, 2]
+        push(buf, exp(1))
+        assert valid_segment_starts(buf, 2).tolist() == [0, 2]
+        push(buf, exp(1))  # evicts the oldest entry
+        assert valid_segment_starts(buf, 2).tolist() == [1, 2]
+
     def test_fifo_and_contiguity_fuzz(self):
         # randomized interleaving of push/preload against a mirror list
         buf = ReplayBuffer(capacity=500)

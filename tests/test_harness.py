@@ -215,13 +215,14 @@ def assert_same_agent(a, b):
 
 
 def rewrite_checkpoint(directory, meta=None, **arrays):
-    """Replace meta keys and members of a saved checkpoint.npz."""
+    """Replace meta keys and members of a saved checkpoint.npz; a member
+    given as None is left out."""
     path = directory / "checkpoint.npz"
     with np.load(path) as npz:
         members = {name: npz[name] for name in npz.files}
     members["meta"] = np.array(json.dumps({**json.loads(str(members["meta"])), **(meta or {})}))
     members.update(arrays)
-    np.savez(path, **members)
+    np.savez(path, **{name: a for name, a in members.items() if a is not None})
 
 
 class TestCheckpointRoundtrip:
@@ -272,7 +273,12 @@ class TestCheckpointRoundtrip:
         ({}, {"online_w1": np.zeros((32, 57))}, "online w1"),
         ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
         ({}, {"states": np.zeros((40, 57))}, r"'states': \[40, 57\]"),
-    ], ids=["format", "manifest", "w1_shape", "buffer_lengths", "states_width"])
+        ({}, {"actions": None}, "lacks arrays actions; format 2 holds meta and the arrays "
+                                "online_w1, .*, episode_ids"),
+        ({}, {"actions": np.array(0)}, "lacks arrays actions;"),
+        ({}, {"online_w1": None}, "lacks arrays online_w1;"),
+    ], ids=["format", "manifest", "w1_shape", "buffer_lengths", "states_width",
+            "missing_actions", "scalar_actions", "missing_online_w1"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
         cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ranopt.sim import (PF_ALPHA, CellState, SchedulerOption, SimConfig, UeProfile,
-                        fit_traffic_profiles, generate_demands, init_cell_state,
-                        read_traffic_records, schedule_prbs, spectral_efficiency, step)
+from ranopt.sim import (PF_ALPHA, RSRP_MAX_DBM, RSRP_MIN_DBM, CellState, SchedulerOption,
+                        SimConfig, UeProfile, fit_traffic_profiles, generate_demands,
+                        init_cell_state, read_traffic_records, schedule_prbs,
+                        spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
@@ -22,6 +25,76 @@ def make_state(queues, rsrp, cfg, pf_avg=None, seed=0):
         last_allocation=np.zeros(n, dtype=np.int64),
         rng=np.random.default_rng(seed),
     )
+
+
+# --- reference schedulers: one greedy choice per PRB --------------------------
+
+
+def greedy_equal_rate(avail_mb, y_mb, budget):
+    """Fill PRB by PRB toward equal served megabits across UEs with traffic."""
+    n = avail_mb.size
+    alloc = np.zeros(n, dtype=np.int64)
+    served = np.zeros(n)
+    for _ in range(budget):
+        can_use = served < avail_mb - 1e-12
+        if not np.any(can_use):
+            break
+        ranked = np.where(can_use, served, np.inf)
+        i = int(np.argmin(ranked))  # first minimum = lowest UE index on ties
+        alloc[i] += 1
+        served[i] = min(avail_mb[i], alloc[i] * y_mb[i])
+    return alloc
+
+
+def ranked_fill(avail_mb, y_mb, budget, order):
+    """Serve UEs to exhaustion in the given order until the budget runs out."""
+    alloc = np.zeros(avail_mb.size, dtype=np.int64)
+    remaining = budget
+    for i in order:
+        if remaining <= 0:
+            break
+        if avail_mb[i] <= 1e-12:
+            continue
+        need = int(math.ceil(avail_mb[i] / y_mb[i] - 1e-12))
+        take = min(need, remaining)
+        alloc[i] = take
+        remaining -= take
+    return alloc
+
+
+def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
+    """Per-PRB proportional fair: rank by eff / avg**alpha, updating the
+    smoothed rate with the allocation made so far this tick."""
+    n = avail_mb.size
+    eff = y_mb / cfg.prb_megabits
+    alloc = np.zeros(n, dtype=np.int64)
+    served = np.zeros(n)
+    base_avg = np.maximum(pf_avg_mbps, cfg.pf_floor_mbps)
+    virtual = base_avg.copy()
+    for _ in range(budget):
+        can_use = served < avail_mb - 1e-12
+        if not np.any(can_use):
+            break
+        key = np.where(can_use, eff / virtual ** alpha, -np.inf)
+        i = int(np.argmax(key))  # first maximum = lowest UE index on ties
+        alloc[i] += 1
+        served[i] = min(avail_mb[i], alloc[i] * y_mb[i])
+        virtual[i] = max(cfg.pf_floor_mbps,
+                         (1.0 - cfg.pf_ema) * base_avg[i]
+                         + cfg.pf_ema * served[i] / cfg.tick_seconds)
+    return alloc
+
+
+def reference_schedule(option, state, demands, prb_budget, cfg):
+    """schedule_prbs written as the per-PRB loops above."""
+    avail = state.queue_mb + demands
+    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    y = spectral_efficiency(rsrp_eff) * cfg.prb_megabits
+    if option == SchedulerOption.EQUAL_RATE:
+        return greedy_equal_rate(avail, y, prb_budget)
+    if option == SchedulerOption.MAXIMUM_C_OVER_I:
+        return ranked_fill(avail, y, prb_budget, np.lexsort((np.arange(avail.size), -y)))
+    return proportional_fair(avail, y, prb_budget, state.pf_avg_mbps, PF_ALPHA[option], cfg)
 
 
 class TestSchedulerOption:
@@ -164,6 +237,84 @@ class TestSchedulePrbs:
                     SchedulerOption.EQUAL_RATE):
             alloc = schedule_prbs(opt, st, np.zeros(2), 1, cfg)
             assert np.array_equal(alloc, [1, 0])
+
+
+# radio levels and averages shared between UEs, so that keys tie exactly
+TIED_RSRP = [-130.0, -115.0, -105.0, -94.0, -60.0]
+TIED_PF_AVG = [0.001, 0.01, 1.0, 7.5, 40.0]
+Y_105 = spectral_efficiency(-105.0) * SimConfig().prb_megabits  # megabits per PRB at -105 dBm
+
+
+@st.composite
+def cells(draw):
+    """A cell of 1..8 UEs, a budget of 1..119 PRBs and this tick's demands.
+
+    Each UE has no traffic, a backlog of a whole number of PRBs (no fresh
+    demand), or arbitrary buffered and fresh traffic.
+    """
+    n = draw(st.integers(1, 8))
+    budget = draw(st.integers(1, 119))
+    # a PRB of under 1 megabit gives a queue of 1e-13 a need of ceil(avail / y - 1e-12) = 1
+    cfg = SimConfig(prb_budget=budget, prb_megabits=draw(st.sampled_from([10.8, 1.0, 0.05])))
+
+    def per_ue(strategy):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+
+    rsrp = per_ue(st.sampled_from(TIED_RSRP) | st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM))
+    jitter = per_ue(st.sampled_from([0.0, 1.5]) | st.floats(-4.0, 4.0))
+    pf_avg = per_ue(st.sampled_from(TIED_PF_AVG) | st.floats(0.0, 60.0))
+    y = spectral_efficiency(np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)) * cfg.prb_megabits
+    queue, demands = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        kind = draw(st.sampled_from(["none", "whole_prbs", "any"]))
+        if kind == "whole_prbs":
+            queue[i] = draw(st.integers(1, 130)) * y[i]
+        elif kind == "any":
+            queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
+            demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
+    state = CellState(tick_index=0, queue_mb=queue, base_rsrp_dbm=rsrp, jitter_db=jitter,
+                      pf_avg_mbps=pf_avg, last_allocation=np.zeros(n, dtype=np.int64),
+                      rng=np.random.default_rng(0))
+    return state, demands, budget, cfg
+
+
+class TestScheduleKernel:
+    """schedule_prbs against the per-PRB reference loops, bit for bit."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    # PF: a first PRB drops either UE's average from 38-40 to about 31, so its
+    # next key beats its first (the running-minimum path)
+    @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], SimConfig(), pf_avg=[40.0, 38.0]),
+                   np.zeros(2), 5, SimConfig(prb_budget=5)))
+    # MAXIMUM_C_OVER_I: the best UE holds exactly 31 PRBs of traffic, and
+    # (31 * y) / y rounds up to 31 + 3.6e-15
+    @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0], SimConfig()),
+                   np.zeros(2), 40, SimConfig(prb_budget=40)))
+    # MAXIMUM_C_OVER_I, 0.05-megabit PRBs: 1e-13 megabits count as no traffic
+    @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], SimConfig()),
+                   np.zeros(2), 3, SimConfig(prb_budget=3, prb_megabits=0.05)))
+    @given(cell=cells())
+    def test_matches_reference_loops(self, cell):
+        state, demands, budget, cfg = cell
+        for option in SchedulerOption:
+            alloc = schedule_prbs(option, state, demands, budget, cfg)
+            expected = reference_schedule(option, state, demands, budget, cfg)
+            assert alloc.dtype == expected.dtype
+            assert alloc.tolist() == expected.tolist(), option.name
+
+    def test_pf_first_prb_raises_next_key(self):
+        cfg = SimConfig(prb_budget=5)
+        state = make_state([1e6, 1e6], [-105.0, -105.0], cfg, pf_avg=[40.0, 38.0])
+        opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
+        # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
+        # second and later keys beat UE 1's first, but never come into play
+        assert schedule_prbs(opt, state, np.zeros(2), 5, cfg).tolist() == [0, 5]
+
+    def test_max_ci_exact_multiple_takes_need(self):
+        cfg = SimConfig(prb_budget=40)
+        state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], cfg)
+        alloc = schedule_prbs(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), 40, cfg)
+        assert alloc.tolist() == [31, 9]
 
 
 def _rsrp_for_eff(eff):
