@@ -266,9 +266,11 @@ class DoubleQAgent:
         """One replayed update; returns the batch mean absolute TD error.
 
         Samples batch_segments segments, forms double-Q targets, ascends the
-        (Y - Q) * grad Q direction with the learning rate averaged over the
-        batch, then Polyak-updates the target network. Raises
-        FloatingPointError on a non-finite TD error, before either changes.
+        sum of (Y - Q) * grad Q over the batch, taken by one batched
+        qnet.backward with the TD errors as weights, at the learning rate
+        averaged over the batch, then Polyak-updates the target network.
+        Raises FloatingPointError on a non-finite TD error, before either
+        network changes.
         """
         cfg, buf = self.cfg, self.buffer
         rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
@@ -279,19 +281,8 @@ class DoubleQAgent:
         if not np.isfinite(td).all():
             raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
 
-        total = None
-        for b in range(len(rows)):
-            g = qnet.backward(self.online, s0[b], int(a0[b]))
-            if total is None:
-                total = QNetParams(td[b] * g.w1, td[b] * g.b1, td[b] * g.w2, td[b] * g.b2)
-            else:
-                total.w1 += td[b] * g.w1
-                total.b1 += td[b] * g.b1
-                total.w2 += td[b] * g.w2
-                total.b2 += td[b] * g.b2
-
-        self.online = qnet.apply_gradient(self.online, total,
-                                          cfg.learning_rate / len(rows))
+        grad = qnet.backward(self.online, s0, a0, td)
+        self.online = qnet.apply_gradient(self.online, grad, cfg.learning_rate / len(rows))
         self.target = qnet.soft_update(self.target, self.online, cfg.tau)
         return float(np.mean(np.abs(td)))
 

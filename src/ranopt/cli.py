@@ -1,4 +1,4 @@
-"""Command-line entry point: train, baseline, eval, fit-traffic, export.
+"""Command-line entry point: train, baseline, eval, fit-traffic.
 
 Configs are JSON files mirroring ExperimentConfig. Every omitted key takes
 its documented default, unknown keys are rejected, and the fully resolved
@@ -194,24 +194,6 @@ def cmd_fit_traffic(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    curve = os.path.join(args.run, "curve.csv")
-    if not os.path.exists(curve):
-        raise FileNotFoundError(f"{args.run}: no curve.csv found; was this a train run?")
-    if args.format != "csv":
-        raise ConfigError(f"format: unsupported export format {args.format!r}")
-    dest = args.out or os.path.join(args.run, "curve_export.csv")
-    with open(curve) as src:
-        content = src.read()
-    header = content.splitlines()[0] if content else ""
-    if header != ",".join(harness.CURVE_CSV_HEADER):
-        raise ValueError(f"{curve}: unexpected curve header {header!r}")
-    with open(dest, "w") as fh:
-        fh.write(content)
-    print(f"wrote {dest}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ranopt",
@@ -245,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_traffic)
-
-    p = sub.add_parser("export", help="re-export a run's learning curve")
-    p.add_argument("--run", required=True)
-    p.add_argument("--format", default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export)
     return parser
 
 

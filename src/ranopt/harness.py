@@ -47,6 +47,7 @@ CHECKPOINT_FORMAT = 2
 _NETS = ("online", "target")
 _PARAMS = ("w1", "b1", "w2", "b2")
 _ARRAYS = tuple(f"{net}_{name}" for net in _NETS for name in _PARAMS) + BUFFER_FIELDS
+_META_KEYS = ("global_step", "next_episode", "rng_state")  # read besides format and manifest
 
 
 @dataclass
@@ -121,9 +122,7 @@ def episode_seed(master_seed: int, episode_index: int) -> int:
 
 
 def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
-    if mode == "ue_gap":
-        return reward_ue_gap(obs, cfg)
-    return reward_throughput(obs, mode, cfg)
+    return reward_ue_gap(obs, cfg) if mode == "ue_gap" else reward_throughput(obs, cfg)
 
 
 def _initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
@@ -263,9 +262,10 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """Restore an agent exactly as saved; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, a missing or 0-d array member, network arrays of the wrong
-    shape, and buffer arrays that do not fit the replay ring or hold a
-    transition the ring's check refuses.
+    manifest, a meta without the agent's step, next episode or RNG state, a
+    missing or 0-d array member, network arrays of the wrong shape, and
+    buffer arrays that do not fit the replay ring or hold a transition the
+    ring's check refuses.
     """
     with np.load(os.path.join(directory, CHECKPOINT_FILE), allow_pickle=False) as npz:
         members = {name: npz[name] for name in npz.files}
@@ -275,6 +275,9 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
         raise ValueError(f"{directory}: checkpoint written for KPI manifest "
                          f"{meta.get('manifest_sha256')}, this build uses {kpi.MANIFEST_SHA256}")
+    lacking = [key for key in _META_KEYS if key not in meta]
+    if lacking:
+        raise ValueError(f"{directory}: {CHECKPOINT_FILE} meta lacks {', '.join(lacking)}")
     absent = [name for name in _ARRAYS if np.ndim(members.get(name)) == 0]  # missing or 0-d
     if absent:
         raise ValueError(f"{directory}: {CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; "

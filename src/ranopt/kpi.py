@@ -125,7 +125,6 @@ class KpiConfig:
     n_ues: int = 4
     episode_steps: int = 90
     demand_steps: int = 80
-    cell_bandwidth_mhz: float = 18.0
     # state bounds (override the manifest defaults if needed)
     cell_throughput_bound_mbps: float = 86.4
     spectral_eff_bound: float = 4.8
@@ -145,7 +144,7 @@ class KpiConfig:
         for name in ("cell_throughput_bound_mbps", "spectral_eff_bound",
                      "ue_throughput_bound_mbps", "queue_depth_bound_mb",
                      "volume_bound_mb", "reward_throughput_bound_mbps",
-                     "reward_gap_bound_mbps", "cell_bandwidth_mhz"):
+                     "reward_gap_bound_mbps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_ues < 1:
@@ -160,10 +159,6 @@ class KpiVector:
 
     values: np.ndarray
     manifest_version: str = MANIFEST_VERSION
-
-
-def _norm(value: float, bound: float) -> float:
-    return float(np.clip(value / bound, 0.0, 1.0))
 
 
 def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
@@ -196,20 +191,21 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     served_vol = float(obs.served_mb.sum())
     demand_vol = float(obs.demand_mb.sum())
 
-    scalars = [
-        _norm(cell_tput, cfg.cell_throughput_bound_mbps),
-        _norm(mean_se, cfg.spectral_eff_bound),
-        _norm(util, 1.0),
-        _norm(cce, 1.0),
-        _norm(bitrate, cfg.cell_throughput_bound_mbps),
-        _norm(n_active, cfg.n_ues),
-        _norm(harmonic, cfg.ue_throughput_bound_mbps),
-        _norm(worst, cfg.ue_throughput_bound_mbps),
-        _norm(gap, cfg.ue_throughput_bound_mbps),
-        _norm(mean_queue, cfg.queue_depth_bound_mb),
-        _norm(served_vol, cfg.volume_bound_mb),
-        _norm(demand_vol, cfg.volume_bound_mb),
-    ]
+    # (raw value, normalization bound) per cell scalar, in manifest order
+    raw, bound = np.array([
+        (cell_tput, cfg.cell_throughput_bound_mbps),
+        (mean_se, cfg.spectral_eff_bound),
+        (util, 1.0),
+        (cce, 1.0),
+        (bitrate, cfg.cell_throughput_bound_mbps),
+        (n_active, cfg.n_ues),
+        (harmonic, cfg.ue_throughput_bound_mbps),
+        (worst, cfg.ue_throughput_bound_mbps),
+        (gap, cfg.ue_throughput_bound_mbps),
+        (mean_queue, cfg.queue_depth_bound_mb),
+        (served_vol, cfg.volume_bound_mb),
+        (demand_vol, cfg.volume_bound_mb),
+    ], dtype=np.float64).T
 
     # histograms count active UEs only, then normalize by the UE population
     cqi = np.clip(np.rint(N_CQI_BINS * obs.spectral_eff[active] / EFF_CAP), 1, N_CQI_BINS)
@@ -233,7 +229,7 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     ]
 
     values = np.concatenate([
-        np.array(scalars),
+        raw / bound,
         cqi_counts / cfg.n_ues,
         rsrp_counts / cfg.n_ues,
         rsrq_counts / cfg.n_ues,
@@ -241,30 +237,17 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
         one_hot,
         np.array(phase),
     ])
-    values = np.clip(values, 0.0, 1.0)
+    values = np.clip(values, 0.0, 1.0)  # the one clamp of every entry, cell scalars included
     assert values.shape == (STATE_DIM,)
     return KpiVector(values=values)
 
 
-REWARD_MODES = ("cell_throughput", "spectrum_efficiency", "ue_gap")
+REWARD_MODES = ("cell_throughput", "ue_gap")
 
 
-def reward_throughput(obs: TickObservables, mode: str, cfg: KpiConfig) -> float:
-    """Throughput-flavored reward, normalized by the operating bound and clipped.
-
-    The two modes are proportional views of the same quantity: cell
-    throughput in Mbit/s, or the same volume expressed as bit/s/Hz over the
-    whole cell bandwidth.
-    """
-    if mode == "cell_throughput":
-        raw = obs.cell_throughput_mbps
-        bound = cfg.reward_throughput_bound_mbps
-    elif mode == "spectrum_efficiency":
-        raw = obs.cell_throughput_mbps / cfg.cell_bandwidth_mhz
-        bound = cfg.reward_throughput_bound_mbps / cfg.cell_bandwidth_mhz
-    else:
-        raise ValueError(f"unknown throughput reward mode {mode!r}")
-    return float(np.clip(raw / bound, -1.0, 1.0))
+def reward_throughput(obs: TickObservables, cfg: KpiConfig) -> float:
+    """Cell throughput normalized by the operating bound, clipped to [-1, 1]."""
+    return float(np.clip(obs.cell_throughput_mbps / cfg.reward_throughput_bound_mbps, -1.0, 1.0))
 
 
 def reward_ue_gap(obs: TickObservables, cfg: KpiConfig) -> float:

@@ -59,16 +59,11 @@ def init_params(seed: int = 0, state_dim: int = STATE_DIM, hidden_dim: int = HID
     )
 
 
-def _check_state(params: QNetParams, state: np.ndarray) -> np.ndarray:
+def forward(params: QNetParams, state: np.ndarray) -> np.ndarray:
+    """Action values for one state: w2 @ relu(w1 @ s + b1) + b2."""
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (params.w1.shape[1],):
         raise ValueError(f"state has shape {state.shape}, expected ({params.w1.shape[1]},)")
-    return state
-
-
-def forward(params: QNetParams, state: np.ndarray) -> np.ndarray:
-    """Action values for one state: w2 @ relu(w1 @ s + b1) + b2."""
-    state = _check_state(params, state)
     hidden = np.maximum(params.w1 @ state + params.b1, 0.0)
     return params.w2 @ hidden + params.b2
 
@@ -82,24 +77,33 @@ def forward_batch(params: QNetParams, states: np.ndarray) -> np.ndarray:
     return hidden @ params.w2.T + params.b2
 
 
-def backward(params: QNetParams, state: np.ndarray, action_index: int) -> Gradient:
-    """Gradient of Q(state, action) with respect to every parameter.
+def backward(params: QNetParams, states: np.ndarray, actions: np.ndarray,
+             weights: np.ndarray) -> Gradient:
+    """Weighted sum over a batch of the gradients of Q(states[b], actions[b]).
 
-    Only the selected output contributes; rows of w2/b2 for other actions are
-    zero. The caller scales the result by the TD error and the learning rate.
+    Returns sum_b weights[b] * dQ(states[b], actions[b]) / dtheta for a
+    (batch, state_dim) matrix of states and (batch,) actions and weights.
+    Only the selected outputs contribute, so w2/b2 rows of actions the batch
+    never took are zero. The caller passes TD errors as the weights and
+    scales the result by the learning rate.
     """
-    state = _check_state(params, state)
-    n_actions = params.w2.shape[0]
-    if not 0 <= action_index < n_actions:
-        raise ValueError(f"action_index {action_index} outside [0, {n_actions})")
-    z1 = params.w1 @ state + params.b1
-    hidden = np.maximum(z1, 0.0)
-    gw2 = np.zeros_like(params.w2)
-    gb2 = np.zeros_like(params.b2)
-    gw2[action_index] = hidden
-    gb2[action_index] = 1.0
-    dz1 = params.w2[action_index] * (z1 > 0.0)
-    return QNetParams(w1=np.outer(dz1, state), b1=dz1, w2=gw2, b2=gb2)
+    states = np.asarray(states, dtype=np.float64)
+    n_in, n_actions = params.w1.shape[1], params.w2.shape[0]
+    if states.ndim != 2 or states.shape[1] != n_in:
+        raise ValueError(f"states have shape {states.shape}, expected (n, {n_in})")
+    n = len(states)
+    actions, weights = np.asarray(actions), np.asarray(weights, dtype=np.float64)
+    if weights.shape != (n,):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({n},)")
+    if (actions.shape != (n,) or actions.dtype.kind not in "iu"
+            or not np.all((0 <= actions) & (actions < n_actions))):
+        raise ValueError(f"actions must be {n} integers in [0, {n_actions}), got {actions}")
+    z1 = states @ params.w1.T + params.b1
+    wa = np.zeros((n, n_actions))  # each weight at its sample's action
+    wa[np.arange(n), actions] = weights
+    dz1 = (wa @ params.w2) * (z1 > 0.0)
+    return QNetParams(w1=dz1.T @ states, b1=dz1.sum(axis=0),
+                      w2=wa.T @ np.maximum(z1, 0.0), b2=wa.sum(axis=0))
 
 
 def apply_gradient(params: QNetParams, grad: Gradient, scale: float) -> QNetParams:

@@ -359,6 +359,16 @@ class TestTrainStep:
         assert td == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(agent.online.ravel(), before)
 
+    def test_one_batched_backward(self, monkeypatch):
+        cfg = AgentConfig(n_step=1, batch_segments=16)
+        agent = DoubleQAgent(cfg)
+        agent.observe(**vars(exp(0, reward=0.3)))
+        calls = []
+        batched = qnet.backward
+        monkeypatch.setattr(qnet, "backward", lambda *args: calls.append(args) or batched(*args))
+        agent.train_step()
+        assert [args[1].shape for args in calls] == [(16, 58)]
+
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
         agent = DoubleQAgent(cfg)

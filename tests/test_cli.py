@@ -38,8 +38,9 @@ class TestBuildConfig:
             build_config({"agent": {"gamma": 1.5}})
 
     def test_bad_reward_mode(self):
-        with pytest.raises(ConfigError, match="reward_mode"):
-            build_config({"reward_mode": "profit"})
+        for mode in ("profit", "spectrum_efficiency"):
+            with pytest.raises(ConfigError, match="reward_mode"):
+                build_config({"reward_mode": mode})
 
     def test_bad_baseline_action(self):
         with pytest.raises(ConfigError, match="baseline_action"):
@@ -82,15 +83,6 @@ class TestCliCommands:
         assert code == 0
         first_row = (tmp_path / "out" / "baseline.csv").read_text().splitlines()[1]
         assert first_row.startswith("MAXIMUM_C_OVER_I,")
-
-    def test_train_then_export(self, tmp_path):
-        cfg_path = write_config(tmp_path, SMALL)
-        run_dir = str(tmp_path / "run")
-        assert main(["train", "--config", cfg_path, "--out", run_dir]) == 0
-        assert main(["export", "--run", run_dir, "--format", "csv"]) == 0
-        exported = (tmp_path / "run" / "curve_export.csv").read_text()
-        assert exported == (tmp_path / "run" / "curve.csv").read_text()
-        assert len(exported.splitlines()) == SMALL["episodes"] + 1
 
     def test_eval_reports_and_modifies_nothing(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL)

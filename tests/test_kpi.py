@@ -142,27 +142,17 @@ class TestComposeKpis:
 class TestRewardThroughput:
     def test_zero_traffic(self):
         cfg = KpiConfig()
-        assert reward_throughput(make_obs(), "cell_throughput", cfg) == 0.0
+        assert reward_throughput(make_obs(), cfg) == 0.0
 
     def test_bound_hits_one(self):
         cfg = KpiConfig()
         obs = make_obs(cell_throughput_mbps=cfg.reward_throughput_bound_mbps)
-        assert reward_throughput(obs, "cell_throughput", cfg) == 1.0
+        assert reward_throughput(obs, cfg) == 1.0
 
     def test_clipped_above_bound(self):
         cfg = KpiConfig()
         obs = make_obs(cell_throughput_mbps=cfg.reward_throughput_bound_mbps * 2)
-        assert reward_throughput(obs, "cell_throughput", cfg) == 1.0
-
-    def test_modes_proportional(self):
-        cfg = KpiConfig()
-        obs = make_obs(cell_throughput_mbps=30.0)
-        assert reward_throughput(obs, "cell_throughput", cfg) == pytest.approx(
-            reward_throughput(obs, "spectrum_efficiency", cfg))
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            reward_throughput(make_obs(), "bitrate", KpiConfig())
+        assert reward_throughput(obs, cfg) == 1.0
 
 
 class TestRewardUeGap:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranopt import qnet
-from ranopt.qnet import (QNetParams, apply_gradient, backward, forward, forward_batch,
-                         init_params, soft_update)
+from ranopt.qnet import (HIDDEN_DIM, QNetParams, apply_gradient, backward, forward,
+                         forward_batch, init_params, soft_update)
 
 
 def pack(p):
@@ -79,35 +81,103 @@ class TestForward:
             assert np.allclose(batch[i], forward(p, states[i]))
 
 
+def backward_one(p, state, action):
+    """Reference: the gradient of Q(state, action) for one sample."""
+    z1 = p.w1 @ state + p.b1
+    gw2 = np.zeros_like(p.w2)
+    gb2 = np.zeros_like(p.b2)
+    gw2[action] = np.maximum(z1, 0.0)
+    gb2[action] = 1.0
+    dz1 = p.w2[action] * (z1 > 0.0)
+    return QNetParams(w1=np.outer(dz1, state), b1=dz1, w2=gw2, b2=gb2)
+
+
+def backward_loop(p, states, actions, weights):
+    """Reference for the batched backward: the weighted per-sample gradients
+    summed one sample at a time."""
+    total = None
+    for state, action, w in zip(states, actions, weights):
+        g = backward_one(p, state, int(action))
+        if total is None:
+            total = QNetParams(w * g.w1, w * g.b1, w * g.w2, w * g.b2)
+        else:
+            total.w1 += w * g.w1
+            total.b1 += w * g.b1
+            total.w2 += w * g.w2
+            total.b2 += w * g.b2
+    return total
+
+
+@st.composite
+def batches(draw):
+    """Params with some dead hidden units, and a batch with repeated actions
+    and zero and negative weights."""
+    n = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = init_params(seed=draw(st.integers(0, 99)))
+    p.b1[:] = rng.uniform(-0.5, 0.5, HIDDEN_DIM)
+    dead = rng.permutation(HIDDEN_DIM)[:draw(st.integers(0, HIDDEN_DIM))]
+    p.b1[dead] = -100.0  # far below any w1 @ s of a state in [0, 1]^58
+    pool = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    actions = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    weight = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0)
+    weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    return p, rng.uniform(0.0, 1.0, (n, 58)), actions, weights
+
+
 class TestBackward:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(batch=batches())
+    def test_matches_per_sample_sum(self, batch):
+        p, states, actions, weights = batch
+        got = pack(backward(p, states, actions, weights))
+        want = pack(backward_loop(p, states, actions, weights))
+        # rtol 1e-12 of each entry's magnitude: the gradient of a network of
+        # |params| at |states|, whose hidden layer |w1| @ |s| + |b1| bounds the
+        # rounding of z1 (gemm and gemv round it differently); an entry with
+        # no terms must match exactly
+        magnitude = QNetParams(*(np.abs(a) for a in (p.w1, p.b1, p.w2, p.b2)))
+        scale = sum(abs(w) * pack(backward_one(magnitude, np.abs(s), a))
+                    for s, a, w in zip(states, actions, weights))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
     def test_zero_state_w1_gradient_zero(self):
         p = init_params(seed=6)
         p.b1[:] = 0.3  # keep hidden units live so b1 receives gradient
-        g = backward(p, np.zeros(58), 2)
+        g = backward(p, np.zeros((1, 58)), [2], [1.0])
         assert np.all(g.w1 == 0.0)
         assert np.any(g.b1 != 0.0)
 
     def test_nonselected_outputs_zero(self):
         p = init_params(seed=8)
-        g = backward(p, np.random.default_rng(0).uniform(0, 1, 58), 3)
+        g = backward(p, np.random.default_rng(0).uniform(0, 1, (1, 58)), [3], [1.0])
         for a in range(5):
             if a != 3:
                 assert np.all(g.w2[a] == 0.0) and g.b2[a] == 0.0
         assert g.b2[3] == 1.0
 
     def test_bad_action_raises(self):
-        with pytest.raises(ValueError):
-            backward(init_params(), np.zeros(58), 5)
+        for actions in ([5], [-1], [2.0], [[2]], [1, 2]):
+            with pytest.raises(ValueError, match="actions"):
+                backward(init_params(), np.zeros((1, 58)), actions, [1.0])
+
+    def test_bad_shapes_raise(self):
+        for states in (np.zeros(58), np.zeros((2, 57)), np.zeros((1, 2, 58))):
+            with pytest.raises(ValueError, match="states"):
+                backward(init_params(), states, [0, 0], [1.0, 1.0])
+        for weights in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
+            with pytest.raises(ValueError, match="weights"):
+                backward(init_params(), np.zeros((2, 58)), [0, 1], weights)
 
     def test_matches_finite_differences(self):
-        # spot version of the acceptance gradient check
+        # spot version of the acceptance gradient check, through a batch of one
         rng = np.random.default_rng(42)
         h = 1e-5
         for trial in range(5):
             p = init_params(seed=trial)
             s = rng.uniform(0.0, 1.0, 58)
             a = int(rng.integers(0, 5))
-            analytic = pack(backward(p, s, a))
+            analytic = pack(backward(p, s[None], [a], [1.0]))
             theta = pack(p)
             numeric = np.empty_like(theta)
             for i in range(theta.size):
@@ -132,7 +202,7 @@ def _unpack(theta, like):
 class TestApplyGradient:
     def test_zero_scale_identity(self):
         p = init_params(seed=9)
-        g = backward(p, np.ones(58) * 0.5, 1)
+        g = backward(p, np.full((1, 58), 0.5), [1], [1.0])
         q = apply_gradient(p, g, 0.0)
         assert np.array_equal(q.ravel(), p.ravel())
 
@@ -154,7 +224,7 @@ class TestApplyGradient:
         for _ in range(3):
             q = forward(p, s)[0]
             td = target - q
-            p = apply_gradient(p, backward(p, s, 0), 0.05 * td)
+            p = apply_gradient(p, backward(p, s[None], [0], [1.0]), 0.05 * td)
         q_before = -8.0
         q_after = forward(p, s)[0]
         assert abs(target - q_after) < abs(target - q_before)
