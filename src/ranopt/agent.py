@@ -16,7 +16,6 @@ anywhere in the update.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +143,20 @@ class ReplayBuffer:
         self.size = min(self.size + n, self.capacity)
         self._segment_starts.clear()
 
+    def load(self, arrays) -> None:
+        """Append the transitions of a mapping of BUFFER_FIELDS arrays, such
+        as the members of a checkpoint.npz. Refuses a missing or 0-d array and
+        more transitions than the ring holds, extend refuses the rest, and
+        nothing is written if one is refused."""
+        absent = [name for name in BUFFER_FIELDS if np.ndim(arrays.get(name)) == 0]
+        if absent:
+            raise ValueError(f"lacks arrays {', '.join(absent)}; "
+                             f"it must hold the arrays {', '.join(BUFFER_FIELDS)}")
+        columns = [arrays[name] for name in BUFFER_FIELDS]
+        if max(map(len, columns)) > self.capacity:
+            raise ValueError(f"buffer holds more than {self.capacity} transitions")
+        self.extend(*columns)
+
     def arrays(self) -> dict[str, np.ndarray]:
         """The entries as BUFFER_FIELDS arrays in logical order, as views of
         the ring: rotates the ring in place, one array at a time, so that the
@@ -267,72 +280,16 @@ class DoubleQAgent:
 
         Samples batch_segments segments, forms double-Q targets, ascends the
         sum of (Y - Q) * grad Q over the batch, taken by one batched
-        qnet.backward with the TD errors as weights, at the learning rate
-        averaged over the batch, then Polyak-updates the target network.
-        Raises FloatingPointError on a non-finite TD error, before either
-        network changes.
+        qnet.backward, at the learning rate averaged over the batch, then
+        Polyak-updates the target network. Raises FloatingPointError on a
+        non-finite TD error, before either network changes.
         """
         cfg, buf = self.cfg, self.buffer
         rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
-        s0, a0 = buf.states[rows[:, 0]], buf.actions[rows[:, 0]]
         targets = double_q_target(buf.rewards[rows], buf.next_states[rows[:, -1]],
                                   self.online, self.target, cfg.gamma)
-        td = targets - qnet.forward_batch(self.online, s0)[np.arange(len(rows)), a0]
-        if not np.isfinite(td).all():
-            raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
-
-        grad = qnet.backward(self.online, s0, a0, td)
+        td, grad = qnet.backward(self.online, buf.states[rows[:, 0]], buf.actions[rows[:, 0]],
+                                 targets)
         self.online = qnet.apply_gradient(self.online, grad, cfg.learning_rate / len(rows))
         self.target = qnet.soft_update(self.target, self.online, cfg.tau)
         return float(np.mean(np.abs(td)))
-
-
-# --- historical-experience files ---------------------------------------------
-
-def _experience_header() -> list[str]:
-    return (["episode_id", "action_code", "reward"]
-            + [f"s_{i}" for i in range(STATE_DIM)]
-            + [f"sn_{i}" for i in range(STATE_DIM)])
-
-
-def write_experience_csv(path, experiences) -> None:
-    """Dump transitions in the preload format that read_experience_csv loads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_experience_header())
-        for exp in experiences:
-            writer.writerow([int(exp.episode_id), int(exp.action), repr(float(exp.reward))]
-                            + [repr(float(v)) for v in exp.state]
-                            + [repr(float(v)) for v in exp.next_state])
-
-
-def read_experience_csv(path) -> list[Experience]:
-    """Load historical transitions; raises naming the offending record by its
-    index among the non-blank rows."""
-    expected = _experience_header()
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty experience file") from None
-        if header != expected:
-            raise ValueError(f"{path}: unexpected header (want episode_id,action_code,"
-                             f"reward,s_0..s_{STATE_DIM - 1},sn_0..sn_{STATE_DIM - 1})")
-        for i, row in enumerate(row for row in reader if row):
-            if len(row) != len(expected):
-                raise ValueError(f"record {i}: expected {len(expected)} columns, got {len(row)}")
-            try:
-                records.append(Experience(
-                    state=np.array([float(v) for v in row[3:3 + STATE_DIM]]),
-                    action=int(row[1]),
-                    reward=float(row[2]),
-                    next_state=np.array([float(v) for v in row[3 + STATE_DIM:]]),
-                    episode_id=int(row[0]),
-                ))
-            except ValueError as exc:
-                raise ValueError(f"record {i}: {exc}") from None
-    if records:
-        _check_transitions(*_columns(records))
-    return records

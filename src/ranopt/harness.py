@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import agent as agent_mod
 from . import kpi, qnet
 from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
 from .kpi import KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
@@ -43,11 +42,9 @@ CURVE_CSV_HEADER = ["episode", "mean_reward", "stderr", "epsilon_end", "mean_td_
 BASELINE_CSV_HEADER = ["action", "mean_reward", "stderr", "episodes"]
 
 CHECKPOINT_FILE = "checkpoint.npz"
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 _NETS = ("online", "target")
-_PARAMS = ("w1", "b1", "w2", "b2")
-_ARRAYS = tuple(f"{net}_{name}" for net in _NETS for name in _PARAMS) + BUFFER_FIELDS
-_META_KEYS = ("global_step", "next_episode", "rng_state")  # read besides format and manifest
+_ARRAYS = _NETS + BUFFER_FIELDS
 
 
 @dataclass
@@ -63,7 +60,7 @@ class ExperimentConfig:
     seed: int = 0
     baseline_episodes: int = 50
     checkpoint_every: int = 10
-    preload_path: str | None = None
+    preload_path: str | None = None  # an npz of BUFFER_FIELDS arrays to start a fresh ring with
 
     def __post_init__(self):
         if self.reward_mode not in kpi.REWARD_MODES:
@@ -134,9 +131,9 @@ def _initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
         ue_throughput_mbps=zeros, cell_throughput_mbps=0.0,
         spectral_eff=zeros, rsrp_dbm=np.array([p.rsrp_dbm for p in cfg.ue_profiles]),
         prb_allocation=np.zeros(n, dtype=np.int64), prb_utilization=0.0,
-        active_mask=np.zeros(n, dtype=bool), active_ue_count=0,
+        active_mask=np.zeros(n, dtype=bool),
     )
-    return compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg.kpi).values
+    return compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg.kpi)
 
 
 def run_episode(cfg: ExperimentConfig, episode_index: int,
@@ -158,18 +155,14 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
     state_vec = _initial_state_vector(cfg)
     rewards = []
     td_errors = []
-    action = SchedulerOption.EQUAL_RATE
+    action = constant_action
 
     for t in range(cfg.steps_demand):
-        if constant_action is not None:
-            action = constant_action
-        elif train:
-            action = SchedulerOption(agent.act(state_vec))
-        else:
-            action = SchedulerOption(agent.act(state_vec, greedy=True))
+        if agent is not None:
+            action = SchedulerOption(agent.act(state_vec, greedy=not train))
         cell, obs = step(cell, action, cfg.ue_profiles, False, cfg.sim)
         r = _reward_for(obs, cfg.reward_mode, cfg.kpi)
-        next_vec = compose_kpis(obs, action, t + 1, cfg.kpi).values
+        next_vec = compose_kpis(obs, action, t + 1, cfg.kpi)
         rewards.append(r)
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
@@ -179,7 +172,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
 
     for t in range(cfg.steps_demand, cfg.steps_demand + cfg.steps_rest):
         cell, obs = step(cell, action, cfg.ue_profiles, True, cfg.sim)
-        state_vec = compose_kpis(obs, action, t + 1, cfg.kpi).values
+        state_vec = compose_kpis(obs, action, t + 1, cfg.kpi)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(
@@ -220,25 +213,41 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
 # --- training runs and checkpoints ---------------------------------------------
 
 
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """The members of an npz archive; refuses, naming path, a file that is not one."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            return dict(npz)
+    except (EOFError, TypeError, ValueError):  # empty, a lone .npy, or of no numpy format
+        raise ValueError(f"{path}: not an npz archive") from None
+
+
 def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
+    """A fresh agent. With cfg.preload_path set, its replay ring first takes
+    the BUFFER_FIELDS arrays of that npz (a saved checkpoint.npz qualifies),
+    refused, naming the file, where a checkpoint's would be."""
     ag = DoubleQAgent(cfg.agent)
     if cfg.preload_path:
-        agent_mod.preload(ag.buffer, agent_mod.read_experience_csv(cfg.preload_path))
+        members = _read_npz(cfg.preload_path)
+        try:
+            ag.buffer.load(members)
+        except ValueError as exc:
+            raise ValueError(f"{cfg.preload_path}: {exc}") from None
     return ag
 
 
 def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     """Write the agent's whole learning state to directory/checkpoint.npz.
 
-    One uncompressed npz holds both networks, the replay buffer as five
-    arrays and a JSON meta string (format, global_step, next_episode, RNG
-    state, KPI manifest hash). It is written under a temporary name and
-    renamed into place, so a failed save leaves any earlier checkpoint
-    whole. The same state always gives the same bytes: np.savez dates every
-    member 1980-01-01 and meta holds no timestamp.
+    One uncompressed npz (format 3) holds a JSON meta string (format,
+    global_step, next_episode, RNG state, KPI manifest hash), each network
+    as one parameter vector (members online and target) and the replay
+    buffer as its five BUFFER_FIELDS arrays. It is written under a temporary
+    name and renamed into place, so a failed save leaves any earlier
+    checkpoint whole. The same state always gives the same bytes: np.savez
+    dates every member 1980-01-01 and meta holds no timestamp.
     """
     os.makedirs(directory, exist_ok=True)
-    arrays = {f"{net}_{name}": getattr(getattr(ag, net), name) for net in _NETS for name in _PARAMS}
     meta = {
         "format": CHECKPOINT_FORMAT,
         "global_step": ag.global_step,
@@ -251,7 +260,8 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     try:
         # a handle, not a path: np.savez would append ".npz" to the temporary name
         with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays, **ag.buffer.arrays())
+            np.savez(fh, meta=np.array(json.dumps(meta)), online=ag.online.theta,
+                     target=ag.target.theta, **ag.buffer.arrays())
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -259,48 +269,36 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
 
 
 def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int]:
-    """Restore an agent exactly as saved; returns (agent, next_episode).
+    """Restore an agent exactly as saved by save_checkpoint; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, a meta without the agent's step, next episode or RNG state, a
-    missing or 0-d array member, network arrays of the wrong shape, and
-    buffer arrays that do not fit the replay ring or hold a transition the
-    ring's check refuses.
+    manifest, a meta whose step, next episode or RNG state is missing or
+    malformed, a missing or 0-d array member, a network vector that is not
+    float64 of this network's size, and buffer arrays that do not fit the
+    replay ring or hold a transition the ring's check refuses.
     """
-    with np.load(os.path.join(directory, CHECKPOINT_FILE), allow_pickle=False) as npz:
-        members = {name: npz[name] for name in npz.files}
-    meta = json.loads(str(members.pop("meta", "{}")))
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{directory}: unsupported checkpoint format {meta.get('format')}")
-    if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
-        raise ValueError(f"{directory}: checkpoint written for KPI manifest "
-                         f"{meta.get('manifest_sha256')}, this build uses {kpi.MANIFEST_SHA256}")
-    lacking = [key for key in _META_KEYS if key not in meta]
-    if lacking:
-        raise ValueError(f"{directory}: {CHECKPOINT_FILE} meta lacks {', '.join(lacking)}")
-    absent = [name for name in _ARRAYS if np.ndim(members.get(name)) == 0]  # missing or 0-d
-    if absent:
-        raise ValueError(f"{directory}: {CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; "
-                         f"format {CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
-    ag = DoubleQAgent(cfg.agent)
-    for net in _NETS:
-        for name in _PARAMS:
-            got, want = members[f"{net}_{name}"], getattr(ag.online, name)
-            if got.shape != want.shape or got.dtype != want.dtype:
-                raise ValueError(f"{directory}: {net} {name} is {got.dtype}{list(got.shape)}, "
-                                 f"expected {want.dtype}{list(want.shape)}")
-        setattr(ag, net, qnet.QNetParams(*(members[f"{net}_{name}"] for name in _PARAMS)))
-
-    columns = [members[name] for name in BUFFER_FIELDS]
+    members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
-        if max(map(len, columns)) > ag.buffer.capacity:
-            raise ValueError(f"buffer holds more than {ag.buffer.capacity} transitions")
-        ag.buffer.extend(*columns)
-    except ValueError as exc:
+        meta = json.loads(str(members.pop("meta", "{}")))
+        if meta.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"unsupported checkpoint format {meta.get('format')}")
+        if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
+            raise ValueError(f"checkpoint written for KPI manifest {meta.get('manifest_sha256')}, "
+                             f"this build uses {kpi.MANIFEST_SHA256}")
+        absent = [name for name in _ARRAYS if np.ndim(members.get(name)) == 0]  # missing or 0-d
+        if absent:
+            raise ValueError(f"{CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; format "
+                             f"{CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
+        ag = DoubleQAgent(cfg.agent)
+        ag.online, ag.target = (qnet.QNetParams(members[net], ag.online.dims) for net in _NETS)
+        ag.buffer.load(members)
+        ag.global_step = int(meta["global_step"])
+        ag.rng.bit_generator.state = meta["rng_state"]
+        return ag, int(meta["next_episode"])
+    except KeyError as exc:  # a meta key, or an entry of the RNG state that numpy reads
+        raise ValueError(f"{directory}: {CHECKPOINT_FILE} meta lacks {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{directory}: {exc}") from None
-    ag.global_step = int(meta["global_step"])
-    ag.rng.bit_generator.state = meta["rng_state"]
-    return ag, int(meta["next_episode"])
 
 
 def _format_float(v: float) -> str:

@@ -113,11 +113,6 @@ def manifest_sha256() -> str:
 MANIFEST_SHA256 = manifest_sha256()
 
 
-def write_manifest(path) -> None:
-    with open(path, "w") as fh:
-        fh.write(manifest_text())
-
-
 @dataclass
 class KpiConfig:
     """Normalization bounds and episode framing for state and reward composition."""
@@ -153,14 +148,6 @@ class KpiConfig:
             raise ValueError("demand_steps must lie in (0, episode_steps]")
 
 
-@dataclass
-class KpiVector:
-    """One composed state: 58 values in [0, 1] plus the layout version."""
-
-    values: np.ndarray
-    manifest_version: str = MANIFEST_VERSION
-
-
 def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
     """Count values into bins, clamping outliers into the edge bins."""
     clipped = np.clip(values, edges[0], edges[-1])
@@ -169,7 +156,7 @@ def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
-                 step_in_episode: int, cfg: KpiConfig) -> KpiVector:
+                 step_in_episode: int, cfg: KpiConfig) -> np.ndarray:
     """Build the 58-entry state vector for one tick. Pure function of its inputs."""
     active = obs.active_mask
     n_active = int(active.sum())
@@ -239,7 +226,7 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     ])
     values = np.clip(values, 0.0, 1.0)  # the one clamp of every entry, cell scalars included
     assert values.shape == (STATE_DIM,)
-    return KpiVector(values=values)
+    return values
 
 
 REWARD_MODES = ("cell_throughput", "ue_gap")

@@ -5,6 +5,11 @@ A two-layer perceptron (relu hidden layer, linear output head) maps the
 Everything runs in float64 numpy so the analytic backward pass can be held
 to finite-difference accuracy and the arrays checkpoint bit-exactly.
 
+A network is one contiguous parameter vector theta, laid out as w1, b1, w2,
+b2; a gradient is a vector of the same layout, so an SGD step and a Polyak
+step are each one vector expression and a checkpoint stores one array per
+network.
+
 The output head is linear: action values are unbounded regression targets,
 so a squashing head could not represent bootstrapped targets above 1.
 """
@@ -22,27 +27,31 @@ HIDDEN_DIM = 32
 
 @dataclass
 class QNetParams:
-    """Weights of one network: w1 (hidden, in), b1 (hidden,), w2 (out, hidden), b2 (out,)."""
+    """One network: theta holds w1 (hidden, in), b1 (hidden,), w2 (out, hidden)
+    and b2 (out,) in that order, for dims = (in, hidden, out).
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+    w1, b1, w2 and b2 are views of theta, made once here, so writing to one
+    writes theta.
+    """
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.w1.shape[1], self.w1.shape[0], self.w2.shape[0]
+    theta: np.ndarray
+    dims: tuple[int, int, int]
+
+    def __post_init__(self):
+        self.dims = n_in, hidden, n_out = tuple(int(d) for d in self.dims)
+        size = hidden * (n_in + 1) + n_out * (hidden + 1)
+        if self.theta.shape != (size,) or self.theta.dtype != np.float64:
+            raise ValueError(f"network parameters are {self.theta.dtype}{list(self.theta.shape)}, "
+                             f"expected float64[{size}] for dims {self.dims}")
+        b1_at = hidden * n_in
+        w2_at = b1_at + hidden
+        self.w1 = self.theta[:b1_at].reshape(hidden, n_in)
+        self.b1 = self.theta[b1_at:w2_at]
+        self.w2 = self.theta[w2_at:w2_at + n_out * hidden].reshape(n_out, hidden)
+        self.b2 = self.theta[w2_at + n_out * hidden:]
 
     def copy(self) -> "QNetParams":
-        return QNetParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def ravel(self) -> np.ndarray:
-        """Flatten all parameters into one vector (w1, b1, w2, b2 order)."""
-        return np.concatenate([self.w1.ravel(), self.b1.ravel(), self.w2.ravel(), self.b2.ravel()])
-
-
-# A gradient has the same layout as the parameters it differentiates.
-Gradient = QNetParams
+        return QNetParams(self.theta.copy(), self.dims)
 
 
 def init_params(seed: int = 0, state_dim: int = STATE_DIM, hidden_dim: int = HIDDEN_DIM,
@@ -51,19 +60,17 @@ def init_params(seed: int = 0, state_dim: int = STATE_DIM, hidden_dim: int = HID
     rng = np.random.default_rng(seed)
     lim1 = np.sqrt(6.0 / (state_dim + hidden_dim))
     lim2 = np.sqrt(6.0 / (hidden_dim + n_actions))
-    return QNetParams(
-        w1=rng.uniform(-lim1, lim1, size=(hidden_dim, state_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.uniform(-lim2, lim2, size=(n_actions, hidden_dim)),
-        b2=np.zeros(n_actions),
-    )
+    w1 = rng.uniform(-lim1, lim1, size=hidden_dim * state_dim)
+    w2 = rng.uniform(-lim2, lim2, size=n_actions * hidden_dim)
+    theta = np.concatenate([w1, np.zeros(hidden_dim), w2, np.zeros(n_actions)])
+    return QNetParams(theta, (state_dim, hidden_dim, n_actions))
 
 
 def forward(params: QNetParams, state: np.ndarray) -> np.ndarray:
     """Action values for one state: w2 @ relu(w1 @ s + b1) + b2."""
     state = np.asarray(state, dtype=np.float64)
-    if state.shape != (params.w1.shape[1],):
-        raise ValueError(f"state has shape {state.shape}, expected ({params.w1.shape[1]},)")
+    if state.shape != (params.dims[0],):
+        raise ValueError(f"state has shape {state.shape}, expected ({params.dims[0]},)")
     hidden = np.maximum(params.w1 @ state + params.b1, 0.0)
     return params.w2 @ hidden + params.b2
 
@@ -71,62 +78,54 @@ def forward(params: QNetParams, state: np.ndarray) -> np.ndarray:
 def forward_batch(params: QNetParams, states: np.ndarray) -> np.ndarray:
     """Action values for a (batch, state_dim) matrix of states."""
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != params.w1.shape[1]:
-        raise ValueError(f"states have shape {states.shape}, expected (n, {params.w1.shape[1]})")
+    if states.ndim != 2 or states.shape[1] != params.dims[0]:
+        raise ValueError(f"states have shape {states.shape}, expected (n, {params.dims[0]})")
     hidden = np.maximum(states @ params.w1.T + params.b1, 0.0)
     return hidden @ params.w2.T + params.b2
 
 
 def backward(params: QNetParams, states: np.ndarray, actions: np.ndarray,
-             weights: np.ndarray) -> Gradient:
-    """Weighted sum over a batch of the gradients of Q(states[b], actions[b]).
+             targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TD errors of a batch and the gradient they weight, from one forward pass.
 
-    Returns sum_b weights[b] * dQ(states[b], actions[b]) / dtheta for a
-    (batch, state_dim) matrix of states and (batch,) actions and weights.
-    Only the selected outputs contribute, so w2/b2 rows of actions the batch
-    never took are zero. The caller passes TD errors as the weights and
-    scales the result by the learning rate.
+    For a (batch, state_dim) matrix of states and (batch,) actions and
+    targets, returns td = targets - Q(states, actions) and
+    sum_b td[b] * dQ(states[b], actions[b]) / dtheta as a vector laid out as
+    theta. Only the selected outputs contribute, so w2/b2 rows of actions the
+    batch never took are zero. The caller scales the gradient by the
+    learning rate. Raises FloatingPointError on a non-finite TD error,
+    before any gradient product is formed.
     """
     states = np.asarray(states, dtype=np.float64)
-    n_in, n_actions = params.w1.shape[1], params.w2.shape[0]
+    n_in, _, n_actions = params.dims
     if states.ndim != 2 or states.shape[1] != n_in:
         raise ValueError(f"states have shape {states.shape}, expected (n, {n_in})")
     n = len(states)
-    actions, weights = np.asarray(actions), np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n,):
-        raise ValueError(f"weights have shape {weights.shape}, expected ({n},)")
+    actions, targets = np.asarray(actions), np.asarray(targets, dtype=np.float64)
+    if targets.shape != (n,):
+        raise ValueError(f"targets have shape {targets.shape}, expected ({n},)")
     if (actions.shape != (n,) or actions.dtype.kind not in "iu"
             or not np.all((0 <= actions) & (actions < n_actions))):
         raise ValueError(f"actions must be {n} integers in [0, {n_actions}), got {actions}")
     z1 = states @ params.w1.T + params.b1
-    wa = np.zeros((n, n_actions))  # each weight at its sample's action
-    wa[np.arange(n), actions] = weights
+    hidden = np.maximum(z1, 0.0)
+    td = targets - (hidden @ params.w2.T + params.b2)[np.arange(n), actions]
+    if not np.isfinite(td).all():
+        raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
+    wa = np.zeros((n, n_actions))  # each TD error at its sample's action
+    wa[np.arange(n), actions] = td
     dz1 = (wa @ params.w2) * (z1 > 0.0)
-    return QNetParams(w1=dz1.T @ states, b1=dz1.sum(axis=0),
-                      w2=wa.T @ np.maximum(z1, 0.0), b2=wa.sum(axis=0))
+    return td, np.concatenate([(dz1.T @ states).ravel(), dz1.sum(axis=0),
+                               (wa.T @ hidden).ravel(), wa.sum(axis=0)])
 
 
-def apply_gradient(params: QNetParams, grad: Gradient, scale: float) -> QNetParams:
-    """params + scale * grad, elementwise; scale carries learning rate and TD error."""
-    for name in ("w1", "b1", "w2", "b2"):
-        if getattr(params, name).shape != getattr(grad, name).shape:
-            raise ValueError(f"gradient {name} shape {getattr(grad, name).shape} does not match "
-                             f"params {getattr(params, name).shape}")
-    return QNetParams(
-        w1=params.w1 + scale * grad.w1,
-        b1=params.b1 + scale * grad.b1,
-        w2=params.w2 + scale * grad.w2,
-        b2=params.b2 + scale * grad.b2,
-    )
+def apply_gradient(params: QNetParams, grad: np.ndarray, scale: float) -> QNetParams:
+    """params + scale * grad, for a gradient vector laid out as theta."""
+    return QNetParams(params.theta + scale * grad, params.dims)
 
 
 def soft_update(target: QNetParams, online: QNetParams, tau: float) -> QNetParams:
     """Polyak step: (1 - tau) * target + tau * online."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return QNetParams(
-        w1=(1.0 - tau) * target.w1 + tau * online.w1,
-        b1=(1.0 - tau) * target.b1 + tau * online.b1,
-        w2=(1.0 - tau) * target.w2 + tau * online.w2,
-        b2=(1.0 - tau) * target.b2 + tau * online.b2,
-    )
+    return QNetParams((1.0 - tau) * target.theta + tau * online.theta, target.dims)

@@ -95,12 +95,10 @@ class SimConfig:
 class CellState:
     """Mutable simulator truth for one cell."""
 
-    tick_index: int
     queue_mb: np.ndarray        # per-UE buffered traffic
     base_rsrp_dbm: np.ndarray   # per-UE nominal radio condition
     jitter_db: np.ndarray       # per-UE shadow-fading offset
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
-    last_allocation: np.ndarray
     rng: np.random.Generator
 
 
@@ -118,7 +116,6 @@ class TickObservables:
     prb_allocation: np.ndarray
     prb_utilization: float
     active_mask: np.ndarray       # UEs with buffered or fresh traffic this tick
-    active_ue_count: int
 
 
 def spectral_efficiency(rsrp_dbm):
@@ -161,12 +158,10 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed) -> CellStat
     else:
         jitter = np.zeros(n)
     return CellState(
-        tick_index=0,
         queue_mb=np.zeros(n),
         base_rsrp_dbm=base,
         jitter_db=jitter,
         pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
-        last_allocation=np.zeros(n, dtype=np.int64),
         rng=rng,
     )
 
@@ -268,8 +263,6 @@ def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
     tput = served / cfg.tick_seconds
     state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,
                                    (1.0 - cfg.pf_ema) * state.pf_avg_mbps + cfg.pf_ema * tput)
-    state.last_allocation = alloc
-    state.tick_index += 1
 
     obs = TickObservables(
         demand_mb=demands,
@@ -282,7 +275,6 @@ def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
         prb_allocation=alloc,
         prb_utilization=float(alloc.sum()) / cfg.prb_budget,
         active_mask=active,
-        active_ue_count=int(active.sum()),
     )
     return state, obs
 

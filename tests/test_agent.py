@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from ranopt import qnet
 from ranopt.agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
-                          double_q_target, epsilon_at, preload, read_experience_csv,
-                          sample_segments, select_action, valid_segment_starts,
-                          write_experience_csv)
+                          double_q_target, epsilon_at, preload, sample_segments, select_action,
+                          valid_segment_starts)
 from ranopt.qnet import QNetParams
 
 
@@ -56,8 +55,8 @@ class ListBuffer:
 def value_nets(online_b2, target_b2):
     """State-independent nets: w1 = b1 = w2 = 0, so Q(s, a) = b2[a]."""
     def net(b2):
-        return QNetParams(np.zeros((32, 58)), np.zeros(32), np.zeros((5, 32)),
-                          np.array(b2, dtype=float))
+        return QNetParams(np.concatenate([np.zeros(32 * 58 + 32 + 5 * 32), b2]),
+                          (58, 32, 5))
     return net(online_b2), net(target_b2)
 
 
@@ -176,6 +175,29 @@ class TestReplayBuffer:
         buf = ReplayBuffer()
         with pytest.raises(ValueError, match=r"record 1: action 7 outside \[0, 5\)"):
             preload(buf, [exp(0), exp(0, action=7), exp(0, reward=3.0)])
+
+    def test_load_round_trips_arrays(self):
+        buf = ReplayBuffer(capacity=4)
+        preload(buf, [exp(0, tag=float(i)) for i in range(6)])  # rotates the ring
+        copy = ReplayBuffer(capacity=4)
+        copy.load({name: a.copy() for name, a in buf.arrays().items()})
+        assert [values(e) for e in copy] == [values(e) for e in buf]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rewards": None},
+         "lacks arrays rewards; it must hold the arrays states, .*, episode_ids"),
+        ({"actions": np.array(0)}, "lacks arrays actions;"),
+        ({name: np.zeros((5, 58) if "states" in name else 5) for name in BUFFER_FIELDS},
+         "buffer holds more than 4 transitions"),
+    ], ids=["missing", "scalar", "over_capacity"])
+    def test_load_refuses_and_writes_nothing(self, change, message):
+        arrays = {"states": np.zeros((2, 58)), "next_states": np.zeros((2, 58)),
+                  "actions": np.zeros(2, dtype=np.int64), "rewards": np.zeros(2),
+                  "episode_ids": np.zeros(2, dtype=np.int64), **change}
+        buf = ReplayBuffer(capacity=4)
+        with pytest.raises(ValueError, match=message):
+            buf.load({name: a for name, a in arrays.items() if a is not None})
+        assert len(buf) == 0
 
     @pytest.mark.parametrize("field", ["state", "next_state"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -354,10 +376,10 @@ class TestTrainStep:
         q = 1.0 / (1.0 - cfg.gamma) * 0.5
         agent.online, agent.target = value_nets([q] * 5, [q] * 5)
         agent.observe(**vars(exp(0, reward=0.5)))
-        before = agent.online.ravel()
+        before = agent.online.theta.copy()
         td = agent.train_step()
         assert td == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(agent.online.ravel(), before)
+        assert np.allclose(agent.online.theta, before)
 
     def test_one_batched_backward(self, monkeypatch):
         cfg = AgentConfig(n_step=1, batch_segments=16)
@@ -373,17 +395,17 @@ class TestTrainStep:
         cfg = AgentConfig(n_step=1, tau=0.0)
         agent = DoubleQAgent(cfg)
         agent.observe(**vars(exp(0, reward=0.3)))
-        before = agent.target.ravel().copy()
+        before = agent.target.theta.copy()
         agent.train_step()
-        assert np.array_equal(agent.target.ravel(), before)
+        assert np.array_equal(agent.target.theta, before)
 
     def test_lr_zero_keeps_online(self):
         cfg = AgentConfig(n_step=1, learning_rate=0.0)
         agent = DoubleQAgent(cfg)
         agent.observe(**vars(exp(0, reward=0.3)))
-        before = agent.online.ravel().copy()
+        before = agent.online.theta.copy()
         agent.train_step()
-        assert np.array_equal(agent.online.ravel(), before)
+        assert np.array_equal(agent.online.theta, before)
 
     def test_non_finite_td_error_leaves_networks(self):
         cfg = AgentConfig(n_step=1)
@@ -393,8 +415,8 @@ class TestTrainStep:
         online, target = agent.online.copy(), agent.target.copy()
         with pytest.raises(FloatingPointError, match="non-finite TD error"):
             agent.train_step()
-        assert agent.online.ravel().tobytes() == online.ravel().tobytes()
-        assert agent.target.ravel().tobytes() == target.ravel().tobytes()
+        assert agent.online.theta.tobytes() == online.theta.tobytes()
+        assert agent.target.theta.tobytes() == target.theta.tobytes()
 
     def test_single_transition_convergence(self):
         # one-step regression: learning rate sized for the tiny-input NTK
@@ -411,41 +433,6 @@ class TestTrainStep:
             if td < 1e-3:
                 break
         assert td < 1e-3
-
-
-class TestExperienceCsv:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        records = [Experience(state=rng.uniform(0, 1, 58), action=int(rng.integers(5)),
-                              reward=float(rng.uniform(-1, 1)),
-                              next_state=rng.uniform(0, 1, 58), episode_id=i)
-                   for i in range(20)]
-        path = tmp_path / "hist.csv"
-        write_experience_csv(path, records)
-        loaded = read_experience_csv(path)
-        assert len(loaded) == 20
-        for a, b in zip(records, loaded):
-            assert np.array_equal(a.state, b.state)
-            assert np.array_equal(a.next_state, b.next_state)
-            assert (a.action, a.reward, a.episode_id) == (b.action, b.reward, b.episode_id)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "hist.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ValueError, match="header"):
-            read_experience_csv(path)
-
-    def test_bad_row_named(self, tmp_path):
-        rng = np.random.default_rng(6)
-        rec = Experience(state=rng.uniform(0, 1, 58), action=1, reward=0.0,
-                         next_state=rng.uniform(0, 1, 58), episode_id=0)
-        path = tmp_path / "hist.csv"
-        write_experience_csv(path, [rec])
-        lines = path.read_text().splitlines()
-        lines.append(lines[1].replace(",1,", ",7,", 1))  # invalid action code
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="record 1"):
-            read_experience_csv(path)
 
 
 class TestActGreedy:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -67,9 +68,9 @@ class TestRunEpisode:
     def test_baseline_never_touches_agent(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)
-        before = agent.online.ravel().copy()
+        before = agent.online.theta.copy()
         run_episode(cfg, 0, constant_action=SchedulerOption.MAXIMUM_C_OVER_I)
-        assert np.array_equal(agent.online.ravel(), before)
+        assert np.array_equal(agent.online.theta, before)
         assert len(agent.buffer) == 0
 
     def test_training_pushes_one_experience_per_demand_step(self):
@@ -146,7 +147,7 @@ class TestTrainExperiment:
         assert results == []
         assert os.listdir(tmp_path / "run" / "final") == ["checkpoint.npz"]
         init = DoubleQAgent(cfg.agent)
-        assert np.array_equal(agent.online.ravel(), init.online.ravel())
+        assert np.array_equal(agent.online.theta, init.online.theta)
 
     def test_curve_length_and_checkpoints(self, tmp_path):
         cfg = small_cfg(episodes=5, checkpoint_every=2)
@@ -186,22 +187,65 @@ class TestTrainExperiment:
         assert (run / "curve.csv").read_bytes() == (tmp_path / "full" / "curve.csv").read_bytes()
 
     def test_preload_feeds_buffer(self, tmp_path):
-        from ranopt.agent import write_experience_csv, Experience
-        rng = np.random.default_rng(0)
-        records = [Experience(state=rng.uniform(0, 1, 58), action=1, reward=0.1,
-                              next_state=rng.uniform(0, 1, 58), episode_id=-1)
-                   for _ in range(10)]
-        path = tmp_path / "hist.csv"
-        write_experience_csv(path, records)
-        cfg = small_cfg(episodes=1, preload_path=str(path))
-        results, agent = train_experiment(cfg)
-        assert len(agent.buffer) == 10 + cfg.steps_demand
+        # from a saved checkpoint.npz, the file a preload is most often made from
+        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
+        save_checkpoint(tmp_path / "ck", earlier, next_episode=1)
+        cfg = small_cfg(episodes=1, preload_path=str(tmp_path / "ck" / "checkpoint.npz"))
+        _, agent = train_experiment(cfg)
+        history = earlier.buffer.arrays()
+        assert len(agent.buffer) == 2 * cfg.steps_demand
+        for name, saved in history.items():
+            assert getattr(agent.buffer, name)[:len(saved)].tobytes() == saved.tobytes()
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"actions": None}, r"lacks arrays actions; it must hold the arrays states, .*episode_ids"),
+        ({"rewards": np.array([0.1, 2.0, 0.3])}, r"record 1: reward 2\.0 outside \[-1, 1\]"),
+        ({"states": np.array([[0.5] * 57 + [np.inf]] * 3)}, "record 0: state holds a non-finite"),
+    ], ids=["missing_member", "bad_reward", "non_finite_state"])
+    def test_preload_refuses_bad_file(self, tmp_path, arrays, message):
+        members = {"states": np.full((3, 58), 0.5), "next_states": np.full((3, 58), 0.5),
+                   "actions": np.array([0, 1, 2]), "rewards": np.array([0.1, 0.2, 0.3]),
+                   "episode_ids": np.zeros(3, dtype=np.int64), **arrays}
+        path = tmp_path / "history.npz"
+        np.savez(path, **{name: a for name, a in members.items() if a is not None})
+        with pytest.raises(ValueError, match=message) as err:
+            train_experiment(small_cfg(episodes=1, preload_path=str(path)))
+        assert str(path) in str(err.value)
+
+    def test_preload_refuses_a_file_of_no_npz_format(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text("episode_id,action_code,reward\n")
+        with pytest.raises(ValueError, match="not an npz archive") as err:
+            train_experiment(small_cfg(episodes=1, preload_path=str(path)))
+        assert str(path) in str(err.value)
+
+
+class TestGoldenTrajectory:
+    """A seeded short run and its resume, pinned bit for bit: a change that
+    reorders a floating-point sum anywhere in the loop shows here."""
+
+    FULL = [("0x1.d85cb215c4505p-1", "0x1.6e327c0eb6702p+1"),
+            ("0x1.e1dea7e6872b6p-1", "0x1.61877efc20bb4p+1"),
+            ("0x1.b39841a09ce66p-1", "0x1.437a75e7e2e1cp+1"),
+            ("0x1.be4e8b9609868p-1", "0x1.3359d242e11cfp+1")]
+    ONLINE_SHA256 = "88d88652b7baa6c44e683c938b0b3d32fbd72bce7badae82297bb6c5fc5f84c7"
+    TARGET_SHA256 = "3271c65d5ae5775a919d24aa2de5fd677f1fa2d92c6533a94144fb35cbf66de5"
+
+    def test_train_then_resume(self, tmp_path):
+        cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
+        full, _ = train_experiment(cfg, out_dir=tmp_path / "full")
+        resumed, agent = train_experiment(cfg, out_dir=tmp_path / "resumed",
+                                          resume_from=tmp_path / "full" / "checkpoints" / "ep_0002")
+        assert [(r.mean_reward.hex(), r.mean_td_error.hex()) for r in full] == self.FULL
+        assert [(r.mean_reward.hex(), r.mean_td_error.hex()) for r in resumed] == self.FULL[2:]
+        assert hashlib.sha256(agent.online.theta.tobytes()).hexdigest() == self.ONLINE_SHA256
+        assert hashlib.sha256(agent.target.theta.tobytes()).hexdigest() == self.TARGET_SHA256
 
 
 def assert_same_agent(a, b):
     """Networks, buffer, RNG state and step agree bit for bit and by type."""
-    assert a.online.ravel().tobytes() == b.online.ravel().tobytes()
-    assert a.target.ravel().tobytes() == b.target.ravel().tobytes()
+    assert a.online.theta.tobytes() == b.online.theta.tobytes()
+    assert a.target.theta.tobytes() == b.target.theta.tobytes()
     assert a.global_step == b.global_step
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
     assert len(a.buffer) == len(b.buffer)
@@ -271,21 +315,42 @@ class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("meta, arrays, message", [
         ({"format": 1}, {}, "unsupported checkpoint format 1"),
         ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
-        ({}, {"online_w1": np.zeros((32, 57))}, "online w1"),
+        # the online vector of a network for 57 inputs: its w1 is (32, 57)
+        ({}, {"online": np.zeros(32 * 57 + 32 + 5 * 32 + 5)},
+         r"parameters are float64\[2021\], expected float64\[2053\] for dims \(58, 32, 5\)"),
+        ({}, {"target": np.zeros(2053, dtype=np.float32)}, r"parameters are float32\[2053\]"),
         ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
         ({}, {"states": np.zeros((40, 57))}, r"'states': \[40, 57\]"),
-        ({}, {"actions": None}, "lacks arrays actions; format 2 holds meta and the arrays "
-                                "online_w1, .*, episode_ids"),
+        ({}, {"actions": None}, "checkpoint.npz lacks arrays actions; format 3 holds meta and "
+                                "the arrays online, target, states, .*, episode_ids"),
         ({}, {"actions": np.array(0)}, "lacks arrays actions;"),
-        ({}, {"online_w1": None}, "lacks arrays online_w1;"),
+        ({}, {"online": None}, "lacks arrays online;"),
         ({"global_step": None}, {}, "checkpoint.npz meta lacks global_step$"),
-    ], ids=["format", "manifest", "w1_shape", "buffer_lengths", "states_width",
-            "missing_actions", "scalar_actions", "missing_online_w1", "missing_global_step"])
+        ({"rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}}, {},
+         "checkpoint.npz meta lacks state$"),
+        ({"global_step": "abc"}, {}, "invalid literal for int"),
+    ], ids=["format", "manifest", "w1_shape", "target_dtype", "buffer_lengths",
+            "states_width", "missing_actions", "scalar_actions", "missing_online",
+            "missing_global_step", "rng_state_without_state", "global_step_not_a_number"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
         cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
         rewrite_checkpoint(tmp_path / "ck", meta, **arrays)
         with pytest.raises(ValueError, match=message) as err:
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert str(tmp_path / "ck") in str(err.value)
+
+    def test_refuses_format_2(self, tmp_path, trained):
+        # format 2 stored each network as four members, w1, b1, w2 and b2
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        split = {}
+        for net in ("online", "target"):
+            p = getattr(agent, net)
+            split.update({f"{net}_w1": p.w1, f"{net}_b1": p.b1, f"{net}_w2": p.w2,
+                          f"{net}_b2": p.b2, net: None})
+        rewrite_checkpoint(tmp_path / "ck", {"format": 2}, **split)
+        with pytest.raises(ValueError, match="unsupported checkpoint format 2") as err:
             load_checkpoint(tmp_path / "ck", cfg)
         assert str(tmp_path / "ck") in str(err.value)
 

@@ -21,7 +21,6 @@ def make_obs(n=4, **overrides):
         prb_allocation=np.zeros(n, dtype=np.int64),
         prb_utilization=0.0,
         active_mask=np.zeros(n, dtype=bool),
-        active_ue_count=0,
     )
     base.update(overrides)
     return TickObservables(**base)
@@ -44,7 +43,6 @@ def random_obs(rng, n=4):
         prb_allocation=alloc,
         prb_utilization=float(min(alloc.sum(), 100)) / 100.0,
         active_mask=active,
-        active_ue_count=int(active.sum()),
     )
 
 
@@ -79,12 +77,11 @@ class TestComposeKpis:
     def test_length_58(self):
         cfg = KpiConfig()
         v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, cfg)
-        assert v.values.shape == (58,)
-        assert v.manifest_version == "v1"
+        assert v.shape == (58,) and v.dtype == np.float64
 
     def test_zero_tick(self):
         cfg = KpiConfig()
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, cfg).values
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, cfg)
         assert np.all(v[:12] == 0.0)
         assert np.all(v[12:51] == 0.0)          # all histograms empty
         assert np.array_equal(v[51:56], [1, 0, 0, 0, 0])  # one-hot EQUAL_RATE
@@ -93,14 +90,14 @@ class TestComposeKpis:
     def test_clip_at_bound(self):
         cfg = KpiConfig()
         obs = make_obs(cell_throughput_mbps=cfg.cell_throughput_bound_mbps * 3)
-        v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg).values
+        v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg)
         assert v[0] == 1.0
 
     def test_pure_function(self):
         cfg = KpiConfig()
         obs = random_obs(np.random.default_rng(5))
-        a = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg).values
-        b = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg).values
+        a = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg)
+        b = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg)
         assert np.array_equal(a, b)
 
     def test_histograms_sum_to_active_count(self):
@@ -108,24 +105,24 @@ class TestComposeKpis:
         rng = np.random.default_rng(1)
         for _ in range(200):
             obs = random_obs(rng)
-            v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 3, cfg).values
+            v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 3, cfg)
             for sl in (slice(12, 27), slice(27, 35), slice(35, 43), slice(43, 51)):
-                assert v[sl].sum() * cfg.n_ues == pytest.approx(obs.active_ue_count)
+                assert v[sl].sum() * cfg.n_ues == pytest.approx(obs.active_mask.sum())
 
     def test_prev_action_one_hot(self):
         cfg = KpiConfig()
         for opt in SchedulerOption:
-            v = compose_kpis(make_obs(), opt, 0, cfg).values
+            v = compose_kpis(make_obs(), opt, 0, cfg)
             expected = np.zeros(5)
             expected[int(opt)] = 1.0
             assert np.array_equal(v[51:56], expected)
 
     def test_phase_entries(self):
         cfg = KpiConfig()
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 45, cfg).values
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 45, cfg)
         assert v[56] == pytest.approx(0.5)
         assert v[57] == 0.0
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 85, cfg).values
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 85, cfg)
         assert v[57] == 1.0
 
     def test_fuzzed_range_and_length(self):
@@ -134,7 +131,7 @@ class TestComposeKpis:
         rng = np.random.default_rng(2)
         for _ in range(500):
             v = compose_kpis(random_obs(rng), SchedulerOption(int(rng.integers(5))),
-                             int(rng.integers(0, 91)), cfg).values
+                             int(rng.integers(0, 91)), cfg)
             assert v.shape == (58,)
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
@@ -159,13 +156,13 @@ class TestRewardUeGap:
     def test_equal_throughputs_zero(self):
         cfg = KpiConfig()
         obs = make_obs(ue_throughput_mbps=np.full(4, 7.5),
-                       active_mask=np.ones(4, dtype=bool), active_ue_count=4)
+                       active_mask=np.ones(4, dtype=bool))
         assert reward_ue_gap(obs, cfg) == 0.0
 
     def test_direct_substitution(self):
         cfg = KpiConfig(reward_gap_bound_mbps=10.0)
         obs = make_obs(ue_throughput_mbps=np.array([2.0, 5.0, 3.0, 4.0]),
-                       active_mask=np.ones(4, dtype=bool), active_ue_count=4)
+                       active_mask=np.ones(4, dtype=bool))
         assert reward_ue_gap(obs, cfg) == pytest.approx(-0.3)
 
     def test_no_active_ues(self):
@@ -174,7 +171,7 @@ class TestRewardUeGap:
     def test_inactive_ues_excluded(self):
         cfg = KpiConfig()
         obs = make_obs(ue_throughput_mbps=np.array([0.0, 6.0, 6.0, 6.0]),
-                       active_mask=np.array([False, True, True, True]), active_ue_count=3)
+                       active_mask=np.array([False, True, True, True]))
         assert reward_ue_gap(obs, cfg) == 0.0
 
     def test_never_positive_and_zero_iff_equal(self):
@@ -191,7 +188,7 @@ class TestRewardUeGap:
     def test_clipped_at_minus_one(self):
         cfg = KpiConfig(reward_gap_bound_mbps=1.0)
         obs = make_obs(ue_throughput_mbps=np.array([0.0, 50.0, 0.0, 0.0]),
-                       active_mask=np.ones(4, dtype=bool), active_ue_count=4)
+                       active_mask=np.ones(4, dtype=bool))
         assert reward_ue_gap(obs, cfg) == -1.0
 
 

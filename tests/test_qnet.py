@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,24 +10,42 @@ from ranopt.qnet import (HIDDEN_DIM, QNetParams, apply_gradient, backward, forwa
                          forward_batch, init_params, soft_update)
 
 
-def pack(p):
-    return p.ravel()
+def net(w1, b1, w2, b2):
+    """A network from its four arrays."""
+    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
+    theta = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+    return QNetParams(theta, (w1.shape[1], w1.shape[0], w2.shape[0]))
 
 
 def micro_params():
     # 2 inputs -> 1 hidden unit -> 2 outputs, small enough to evaluate by hand
-    return QNetParams(
-        w1=np.array([[3.0, -1.0]]),
-        b1=np.array([0.5]),
-        w2=np.array([[-1.5], [2.0]]),
-        b2=np.array([0.25, -0.75]),
-    )
+    return net(w1=[[3.0, -1.0]], b1=[0.5], w2=[[-1.5], [2.0]], b2=[0.25, -0.75])
+
+
+class TestLayout:
+    def test_views_of_theta_in_order(self):
+        p = init_params(seed=5)
+        parts = (p.w1, p.b1, p.w2, p.b2)
+        assert [a.shape for a in parts] == [(32, 58), (32,), (5, 32), (5,)]
+        assert all(np.shares_memory(a, p.theta) for a in parts)
+        assert np.concatenate([a.ravel() for a in parts]).tobytes() == p.theta.tobytes()
+
+    def test_copy_is_independent(self):
+        p = init_params(seed=5)
+        q = p.copy()
+        q.b2[0] = 9.0
+        assert p.b2[0] == 0.0 and q.theta[-5] == 9.0
+
+    def test_wrong_size_or_dtype_refused(self):
+        for theta in (np.zeros(2052), np.zeros(2053, dtype=np.float32), np.zeros((1, 2053))):
+            with pytest.raises(ValueError, match=r"expected float64\[2053\]"):
+                QNetParams(theta, (58, 32, 5))
 
 
 class TestInit:
     def test_same_seed_identical(self):
         a, b = init_params(seed=7), init_params(seed=7)
-        assert np.array_equal(a.ravel(), b.ravel())
+        assert np.array_equal(a.theta, b.theta)
 
     def test_different_seed_differs(self):
         assert not np.array_equal(init_params(0).w1, init_params(1).w1)
@@ -47,8 +67,7 @@ class TestInit:
 class TestForward:
     def test_zero_params_zero_output(self):
         p = init_params()
-        zero = QNetParams(np.zeros_like(p.w1), np.zeros_like(p.b1),
-                          np.zeros_like(p.w2), np.zeros_like(p.b2))
+        zero = QNetParams(np.zeros_like(p.theta), p.dims)
         q = forward(zero, np.ones(58))
         assert np.all(q == 0.0)
 
@@ -56,7 +75,7 @@ class TestForward:
         p = init_params(seed=1)
         s = np.random.default_rng(2).uniform(0, 1, 58)
         q = forward(p, s)
-        doubled = QNetParams(p.w1, p.b1, 2.0 * p.w2, 2.0 * p.b2)
+        doubled = net(p.w1, p.b1, 2.0 * p.w2, 2.0 * p.b2)
         assert np.allclose(forward(doubled, s), 2.0 * q)
 
     def test_micro_network_hand_evaluation(self):
@@ -82,36 +101,34 @@ class TestForward:
 
 
 def backward_one(p, state, action):
-    """Reference: the gradient of Q(state, action) for one sample."""
+    """Reference: the gradient of Q(state, action) for one sample, laid out as theta."""
     z1 = p.w1 @ state + p.b1
     gw2 = np.zeros_like(p.w2)
     gb2 = np.zeros_like(p.b2)
     gw2[action] = np.maximum(z1, 0.0)
     gb2[action] = 1.0
     dz1 = p.w2[action] * (z1 > 0.0)
-    return QNetParams(w1=np.outer(dz1, state), b1=dz1, w2=gw2, b2=gb2)
+    return net(np.outer(dz1, state), dz1, gw2, gb2).theta
 
 
 def backward_loop(p, states, actions, weights):
     """Reference for the batched backward: the weighted per-sample gradients
     summed one sample at a time."""
-    total = None
+    total = np.zeros_like(p.theta)
     for state, action, w in zip(states, actions, weights):
-        g = backward_one(p, state, int(action))
-        if total is None:
-            total = QNetParams(w * g.w1, w * g.b1, w * g.w2, w * g.b2)
-        else:
-            total.w1 += w * g.w1
-            total.b1 += w * g.b1
-            total.w2 += w * g.w2
-            total.b2 += w * g.b2
+        total += w * backward_one(p, state, int(action))
     return total
+
+
+def q_of(p, states, actions):
+    """Reference: Q(states[b], actions[b]) one sample at a time."""
+    return np.array([forward(p, s)[a] for s, a in zip(states, actions)])
 
 
 @st.composite
 def batches(draw):
-    """Params with some dead hidden units, and a batch with repeated actions
-    and zero and negative weights."""
+    """Params with some dead hidden units, and a batch with repeated actions,
+    with targets at Q plus weights that include zero and negative ones."""
     n = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p = init_params(seed=draw(st.integers(0, 99)))
@@ -122,39 +139,48 @@ def batches(draw):
     actions = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     weight = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0)
     weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
-    return p, rng.uniform(0.0, 1.0, (n, 58)), actions, weights
+    states = rng.uniform(0.0, 1.0, (n, 58))
+    return p, states, actions, forward_batch(p, states)[np.arange(n), actions] + weights
+
+
+def unit_td(p, states, actions):
+    """backward at targets one above Q, so that td is about 1."""
+    q = forward_batch(p, states)[np.arange(len(states)), actions]
+    return backward(p, states, actions, q + 1.0)
 
 
 class TestBackward:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(batch=batches())
     def test_matches_per_sample_sum(self, batch):
-        p, states, actions, weights = batch
-        got = pack(backward(p, states, actions, weights))
-        want = pack(backward_loop(p, states, actions, weights))
+        p, states, actions, targets = batch
+        td, got = backward(p, states, actions, targets)
+        assert np.allclose(td, targets - q_of(p, states, actions), rtol=0.0, atol=1e-12)
+        want = backward_loop(p, states, actions, td)
         # rtol 1e-12 of each entry's magnitude: the gradient of a network of
         # |params| at |states|, whose hidden layer |w1| @ |s| + |b1| bounds the
         # rounding of z1 (gemm and gemv round it differently); an entry with
         # no terms must match exactly
-        magnitude = QNetParams(*(np.abs(a) for a in (p.w1, p.b1, p.w2, p.b2)))
-        scale = sum(abs(w) * pack(backward_one(magnitude, np.abs(s), a))
-                    for s, a, w in zip(states, actions, weights))
+        magnitude = QNetParams(np.abs(p.theta), p.dims)
+        scale = sum(abs(w) * backward_one(magnitude, np.abs(s), a)
+                    for s, a, w in zip(states, actions, td))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_zero_state_w1_gradient_zero(self):
         p = init_params(seed=6)
         p.b1[:] = 0.3  # keep hidden units live so b1 receives gradient
-        g = backward(p, np.zeros((1, 58)), [2], [1.0])
+        g = QNetParams(unit_td(p, np.zeros((1, 58)), [2])[1], p.dims)
         assert np.all(g.w1 == 0.0)
         assert np.any(g.b1 != 0.0)
 
     def test_nonselected_outputs_zero(self):
         p = init_params(seed=8)
-        g = backward(p, np.random.default_rng(0).uniform(0, 1, (1, 58)), [3], [1.0])
+        td, grad = unit_td(p, np.random.default_rng(0).uniform(0, 1, (1, 58)), [3])
+        g = QNetParams(grad, p.dims)
         for a in range(5):
             if a != 3:
                 assert np.all(g.w2[a] == 0.0) and g.b2[a] == 0.0
-        assert g.b2[3] == 1.0
+        assert g.b2[3] == td[0] != 0.0
 
     def test_bad_action_raises(self):
         for actions in ([5], [-1], [2.0], [[2]], [1, 2]):
@@ -165,9 +191,18 @@ class TestBackward:
         for states in (np.zeros(58), np.zeros((2, 57)), np.zeros((1, 2, 58))):
             with pytest.raises(ValueError, match="states"):
                 backward(init_params(), states, [0, 0], [1.0, 1.0])
-        for weights in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
-            with pytest.raises(ValueError, match="weights"):
-                backward(init_params(), np.zeros((2, 58)), [0, 1], weights)
+        for targets in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
+            with pytest.raises(ValueError, match="targets"):
+                backward(init_params(), np.zeros((2, 58)), [0, 1], targets)
+
+    @pytest.mark.parametrize("b2, target", [(np.inf, 1.0), (0.0, np.nan), (0.0, -np.inf)])
+    def test_non_finite_td_error_raises_before_gradient(self, b2, target):
+        p = init_params(seed=7)
+        p.b2[:] = b2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an inf TD error times a zero weight would warn
+            with pytest.raises(FloatingPointError, match="non-finite TD error"):
+                backward(p, np.full((2, 58), 0.5), [0, 1], [target, 1.0])
 
     def test_matches_finite_differences(self):
         # spot version of the acceptance gradient check, through a batch of one
@@ -177,54 +212,44 @@ class TestBackward:
             p = init_params(seed=trial)
             s = rng.uniform(0.0, 1.0, 58)
             a = int(rng.integers(0, 5))
-            analytic = pack(backward(p, s[None], [a], [1.0]))
-            theta = pack(p)
-            numeric = np.empty_like(theta)
-            for i in range(theta.size):
-                tp, tm = theta.copy(), theta.copy()
+            td, grad = unit_td(p, s[None], [a])
+            analytic = grad / td[0]
+            numeric = np.empty_like(p.theta)
+            for i in range(p.theta.size):
+                tp, tm = p.theta.copy(), p.theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                numeric[i] = (forward(_unpack(tp, p), s)[a] - forward(_unpack(tm, p), s)[a]) / (2 * h)
+                numeric[i] = (forward(QNetParams(tp, p.dims), s)[a]
+                              - forward(QNetParams(tm, p.dims), s)[a]) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum.reduce(
                 [np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-6)])
             assert rel.max() < 1e-5
 
 
-def _unpack(theta, like):
-    i = 0
-    out = []
-    for arr in (like.w1, like.b1, like.w2, like.b2):
-        out.append(theta[i:i + arr.size].reshape(arr.shape))
-        i += arr.size
-    return QNetParams(*out)
-
-
 class TestApplyGradient:
     def test_zero_scale_identity(self):
         p = init_params(seed=9)
-        g = backward(p, np.full((1, 58), 0.5), [1], [1.0])
+        _, g = unit_td(p, np.full((1, 58), 0.5), [1])
         q = apply_gradient(p, g, 0.0)
-        assert np.array_equal(q.ravel(), p.ravel())
+        assert np.array_equal(q.theta, p.theta)
 
     def test_grad_equal_params_doubles(self):
         p = init_params(seed=10)
-        q = apply_gradient(p, p, 1.0)
-        assert np.allclose(q.ravel(), 2.0 * p.ravel())
+        q = apply_gradient(p, p.theta, 1.0)
+        assert np.allclose(q.theta, 2.0 * p.theta)
 
     def test_shape_mismatch_raises(self):
         p = init_params()
-        bad = QNetParams(np.zeros((3, 3)), np.zeros(3), np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
-            apply_gradient(p, bad, 1.0)
+            apply_gradient(p, np.zeros(12), 1.0)
 
     def test_sgd_step_reduces_td_error(self):
         p = micro_params()
         s = np.array([2.0, 1.0])
         target = 1.0
         for _ in range(3):
-            q = forward(p, s)[0]
-            td = target - q
-            p = apply_gradient(p, backward(p, s[None], [0], [1.0]), 0.05 * td)
+            _, g = backward(p, s[None], [0], [target])
+            p = apply_gradient(p, g, 0.05)
         q_before = -8.0
         q_after = forward(p, s)[0]
         assert abs(target - q_after) < abs(target - q_before)
@@ -234,12 +259,12 @@ class TestSoftUpdate:
     def test_tau_one_copies_online(self):
         t, o = init_params(seed=11), init_params(seed=12)
         out = soft_update(t, o, 1.0)
-        assert np.array_equal(out.ravel(), o.ravel())
+        assert np.array_equal(out.theta, o.theta)
 
     def test_tau_zero_keeps_target(self):
         t, o = init_params(seed=13), init_params(seed=14)
         out = soft_update(t, o, 0.0)
-        assert np.array_equal(out.ravel(), t.ravel())
+        assert np.array_equal(out.theta, t.theta)
 
     def test_tau_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -249,20 +274,18 @@ class TestSoftUpdate:
         online = init_params(seed=15)
         target = init_params(seed=16)
         tau = 0.01
-        d0 = np.linalg.norm(target.ravel() - online.ravel())
+        d0 = np.linalg.norm(target.theta - online.theta)
         for k in (1, 10, 50):
             t = target
             for _ in range(k):
                 t = soft_update(t, online, tau)
-            dk = np.linalg.norm(t.ravel() - online.ravel())
+            dk = np.linalg.norm(t.theta - online.theta)
             expected = (1 - tau) ** k * d0
             assert abs(dk - expected) / expected < 1e-10
 
     def test_affine_in_scaling(self):
         t, o = init_params(seed=17), init_params(seed=18)
         c = 3.0
-        scaled = soft_update(
-            QNetParams(c * t.w1, c * t.b1, c * t.w2, c * t.b2),
-            QNetParams(c * o.w1, c * o.b1, c * o.w2, c * o.b2), 0.25)
+        scaled = soft_update(QNetParams(c * t.theta, t.dims), QNetParams(c * o.theta, o.dims), 0.25)
         plain = soft_update(t, o, 0.25)
-        assert np.allclose(scaled.ravel(), c * plain.ravel())
+        assert np.allclose(scaled.theta, c * plain.theta)

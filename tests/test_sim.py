@@ -16,13 +16,11 @@ RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 def make_state(queues, rsrp, cfg, pf_avg=None, seed=0):
     n = len(queues)
     return CellState(
-        tick_index=0,
         queue_mb=np.array(queues, dtype=float),
         base_rsrp_dbm=np.array(rsrp, dtype=float),
         jitter_db=np.zeros(n),
         pf_avg_mbps=np.array(pf_avg, dtype=float) if pf_avg is not None
         else np.full(n, cfg.pf_floor_mbps),
-        last_allocation=np.zeros(n, dtype=np.int64),
         rng=np.random.default_rng(seed),
     )
 
@@ -272,9 +270,8 @@ def cells(draw):
         elif kind == "any":
             queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
-    state = CellState(tick_index=0, queue_mb=queue, base_rsrp_dbm=rsrp, jitter_db=jitter,
-                      pf_avg_mbps=pf_avg, last_allocation=np.zeros(n, dtype=np.int64),
-                      rng=np.random.default_rng(0))
+    state = CellState(queue_mb=queue, base_rsrp_dbm=rsrp, jitter_db=jitter,
+                      pf_avg_mbps=pf_avg, rng=np.random.default_rng(0))
     return state, demands, budget, cfg
 
 
@@ -335,7 +332,7 @@ class TestStep:
         st, obs = step(st, SchedulerOption.EQUAL_RATE, profiles, False, cfg)
         assert obs.cell_throughput_mbps == 0.0
         assert obs.prb_utilization == 0.0
-        assert obs.active_ue_count == 0
+        assert not obs.active_mask.any()
 
     def test_single_backlogged_ue_gets_full_budget(self):
         cfg = SimConfig()
