@@ -15,32 +15,50 @@ import os
 import sys
 
 from . import harness
-from .agent import AgentConfig
 from .harness import ExperimentConfig
-from .kpi import KpiConfig
-from .sim import SimConfig, UeProfile, fit_traffic_profiles, read_traffic_records
+from .sim import UeProfile, fit_traffic_profiles, read_traffic_records
 
 
 class ConfigError(ValueError):
     pass
 
 
-_PROFILE_KEYS = {"rsrp_dbm", "demand_mean", "demand_std"}
+def _key(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-def _build_section(cls, data: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+def _check_number(f: dataclasses.Field, value, key: str) -> None:
+    """Refuse a bool for a number field and anything but an integer for an int field."""
+    if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+
+
+def _build_section(cls, data, path: str, **parsed):
+    """A cls from its config mapping, whose keys are the names of cls's fields.
+
+    A field holding a config dataclass (agent, sim, kpi) is a nested mapping.
+    The fields named in parsed are no keys of the mapping: they take the value
+    given there, or their default where it is None.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in parsed]
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
+        raise ConfigError(f"{_key(path, sorted(unknown)[0])}: unknown key")
+    kwargs = {name: value for name, value in parsed.items() if value is not None}
+    for f in fields:
+        key = _key(path, f.name)
         if f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(value, bool) and f.type in ("float", "int"):
-            raise ConfigError(f"{path}.{f.name}: expected a number, got {value!r}")
-        kwargs[f.name] = value
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"{path}: missing key {f.name}")
+        elif dataclasses.is_dataclass(f.default_factory):
+            kwargs[f.name] = _build_section(f.default_factory, data[f.name], key)
+        else:
+            _check_number(f, data[f.name], key)
+            kwargs[f.name] = data[f.name]
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -48,91 +66,43 @@ def _build_section(cls, data: dict, path: str):
         msg = str(exc)
         for f in dataclasses.fields(cls):
             if f.name in msg:
-                raise ConfigError(f"{path}.{f.name}: {msg}") from None
-        raise ConfigError(f"{path}: {msg}") from None
+                raise ConfigError(f"{_key(path, f.name)}: {msg}") from None
+        raise ConfigError(f"{path}: {msg}" if path else msg) from None
 
 
 def _parse_profiles(data, path: str) -> list[UeProfile]:
     if not isinstance(data, list) or not data:
         raise ConfigError(f"{path}: expected a non-empty list of profile objects")
-    profiles = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}[{i}]: expected an object")
-        unknown = set(entry) - _PROFILE_KEYS
-        if unknown:
-            raise ConfigError(f"{path}[{i}].{sorted(unknown)[0]}: unknown key")
-        missing = _PROFILE_KEYS - set(entry)
-        if missing:
-            raise ConfigError(f"{path}[{i}]: missing key {sorted(missing)[0]}")
-        try:
-            profiles.append(UeProfile(**entry))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}[{i}]: {exc}") from None
-    return profiles
-
-
-_TOP_LEVEL_KEYS = {
-    "reward_mode", "episodes", "steps_demand", "steps_rest", "profiles",
-    "profiles_file", "agent", "sim", "kpi", "seed", "baseline_episodes",
-    "checkpoint_every", "preload_path",
-}
+    return [_build_section(UeProfile, entry, f"{path}[{i}]") for i, entry in enumerate(data)]
 
 
 def build_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a raw config mapping into an ExperimentConfig."""
+    """Validate a raw config mapping into an ExperimentConfig.
+
+    Its keys are ExperimentConfig's field names, except that ue_profiles is
+    given as profiles, a list of profile objects, or as profiles_file, the
+    path of a JSON file holding one.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown key")
     if "profiles" in data and "profiles_file" in data:
         raise ConfigError("profiles: give either profiles or profiles_file, not both")
-
-    kwargs = {}
+    data = dict(data)
+    profiles = None
     if "profiles" in data:
-        kwargs["ue_profiles"] = _parse_profiles(data["profiles"], "profiles")
+        profiles = _parse_profiles(data.pop("profiles"), "profiles")
     elif "profiles_file" in data:
-        with open(data["profiles_file"]) as fh:
-            kwargs["ue_profiles"] = _parse_profiles(json.load(fh), "profiles_file")
-    if "agent" in data:
-        kwargs["agent"] = _build_section(AgentConfig, data["agent"], "agent")
-    if "sim" in data:
-        kwargs["sim"] = _build_section(SimConfig, data["sim"], "sim")
-    if "kpi" in data:
-        kwargs["kpi"] = _build_section(KpiConfig, data["kpi"], "kpi")
-    for key in ("reward_mode", "episodes", "steps_demand", "steps_rest", "seed",
-                "baseline_episodes", "checkpoint_every", "preload_path"):
-        if key in data:
-            kwargs[key] = data[key]
+        with open(data.pop("profiles_file")) as fh:
+            profiles = _parse_profiles(json.load(fh), "profiles_file")
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return ExperimentConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        msg = str(exc)
-        for f in dataclasses.fields(ExperimentConfig):
-            if f.name in msg:
-                raise ConfigError(f"{f.name}: {msg}") from None
-        raise ConfigError(msg) from None
+        data["seed"] = seed_override
+    return _build_section(ExperimentConfig, data, "", ue_profiles=profiles)
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
     """The fully resolved config as a mapping that build_config accepts again."""
-    return {
-        "reward_mode": cfg.reward_mode,
-        "episodes": cfg.episodes,
-        "steps_demand": cfg.steps_demand,
-        "steps_rest": cfg.steps_rest,
-        "profiles": [dataclasses.asdict(p) for p in cfg.ue_profiles],
-        "agent": dataclasses.asdict(cfg.agent),
-        "sim": dataclasses.asdict(cfg.sim),
-        "kpi": dataclasses.asdict(cfg.kpi),
-        "seed": cfg.seed,
-        "baseline_episodes": cfg.baseline_episodes,
-        "checkpoint_every": cfg.checkpoint_every,
-        "preload_path": cfg.preload_path,
-    }
+    return {"profiles" if name == "ue_profiles" else name: value
+            for name, value in dataclasses.asdict(cfg).items()}
 
 
 def load_config_file(path, seed_override: int | None = None) -> ExperimentConfig:

@@ -15,7 +15,6 @@ no training and no reward statistics.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -26,7 +25,7 @@ import numpy as np
 from . import kpi, qnet
 from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
 from .kpi import KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
-from .sim import SchedulerOption, SimConfig, TickObservables, UeProfile, init_cell_state, step
+from .sim import SchedulerOption, SimConfig, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
 # sized so that the cell runs just past capacity on an average minute and
@@ -40,6 +39,12 @@ DEFAULT_PROFILES = [
 
 CURVE_CSV_HEADER = ["episode", "mean_reward", "stderr", "epsilon_end", "mean_td_error"]
 BASELINE_CSV_HEADER = ["action", "mean_reward", "stderr", "episodes"]
+
+# The state before the first tick, what compose_kpis makes of a tick with no
+# active UE: every measurement 0, EQUAL_RATE as the previous action.
+INITIAL_STATE = np.zeros(kpi.STATE_DIM)
+INITIAL_STATE[kpi.STATE_DIM - kpi.N_PHASE - kpi.N_ACTIONS + SchedulerOption.EQUAL_RATE] = 1.0
+INITIAL_STATE.flags.writeable = False
 
 CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 3
@@ -76,13 +81,6 @@ class ExperimentConfig:
             raise ValueError("baseline_episodes must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        # keep the KPI composer's framing consistent with the episode shape
-        self.kpi = dataclasses.replace(
-            self.kpi,
-            n_ues=len(self.ue_profiles),
-            episode_steps=self.steps_demand + self.steps_rest,
-            demand_steps=self.steps_demand,
-        )
 
 
 @dataclass
@@ -122,20 +120,6 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
     return reward_ue_gap(obs, cfg) if mode == "ue_gap" else reward_throughput(obs, cfg)
 
 
-def _initial_state_vector(cfg: ExperimentConfig) -> np.ndarray:
-    """State seen before the first tick: all-zero observables, EQUAL_RATE marker."""
-    n = len(cfg.ue_profiles)
-    zeros = np.zeros(n)
-    obs = TickObservables(
-        demand_mb=zeros, served_mb=zeros, queue_after_mb=zeros,
-        ue_throughput_mbps=zeros, cell_throughput_mbps=0.0,
-        spectral_eff=zeros, rsrp_dbm=np.array([p.rsrp_dbm for p in cfg.ue_profiles]),
-        prb_allocation=np.zeros(n, dtype=np.int64), prb_utilization=0.0,
-        active_mask=np.zeros(n, dtype=bool),
-    )
-    return compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg.kpi)
-
-
 def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
@@ -152,7 +136,8 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         raise ValueError("training requires an agent")
 
     cell = init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index))
-    state_vec = _initial_state_vector(cfg)
+    n_ticks = cfg.steps_demand + cfg.steps_rest
+    state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
     action = constant_action
@@ -162,7 +147,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
             action = SchedulerOption(agent.act(state_vec, greedy=not train))
         cell, obs = step(cell, action, cfg.ue_profiles, False, cfg.sim)
         r = _reward_for(obs, cfg.reward_mode, cfg.kpi)
-        next_vec = compose_kpis(obs, action, t + 1, cfg.kpi)
+        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
         rewards.append(r)
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
@@ -170,9 +155,9 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
                 td_errors.append(agent.train_step())
         state_vec = next_vec
 
-    for t in range(cfg.steps_demand, cfg.steps_demand + cfg.steps_rest):
+    for t in range(cfg.steps_demand, n_ticks):
         cell, obs = step(cell, action, cfg.ue_profiles, True, cfg.sim)
-        state_vec = compose_kpis(obs, action, t + 1, cfg.kpi)
+        state_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(
@@ -225,11 +210,20 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
     """A fresh agent. With cfg.preload_path set, its replay ring first takes
     the BUFFER_FIELDS arrays of that npz (a saved checkpoint.npz qualifies),
-    refused, naming the file, where a checkpoint's would be."""
+    refused, naming the file, where a checkpoint's would be.
+
+    The preloaded episode ids are shifted to end at -1, equal ids staying
+    equal, so no n-step segment spans a preloaded episode and the run's
+    first episode, 0.
+    """
     ag = DoubleQAgent(cfg.agent)
     if cfg.preload_path:
         members = _read_npz(cfg.preload_path)
         try:
+            ids = members.get("episode_ids")
+            if np.ndim(ids) == 1 and ids.size:  # any other is empty or refused by load
+                ids = np.asarray(ids, dtype=np.int64)  # the cast the ring makes
+                members["episode_ids"] = ids - ids.max() - 1
             ag.buffer.load(members)
         except ValueError as exc:
             raise ValueError(f"{cfg.preload_path}: {exc}") from None

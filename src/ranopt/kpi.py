@@ -5,8 +5,11 @@ composed once per tick from the tick observables, with every entry min-max
 normalized into [0, 1]. The layout (12 cell scalars, 15 CQI bins, 8 RSRP
 bins, 8 RSRQ bins, 8 timing-advance bins, 5 previous-action indicators and
 2 episode-phase entries) is frozen in a versioned manifest so that recorded
-experience stays interpretable across runs; the composer refuses to run if
-the configured manifest hash does not match the layout compiled in here.
+experience stays interpretable across runs. The manifest also fixes the
+state's normalization bounds: the 12 cell scalars are divided by its bound
+column (the active-UE count, like the histograms, by the UE count), so a
+checkpoint's manifest hash pins what every state entry means. A config sets
+only the two reward bounds.
 
 CCE utilization, RSRQ and timing advance have no simulator ground truth and
 are deterministic proxies: grant-count fraction, an RSRP/load blend, and a
@@ -41,8 +44,8 @@ N_ACTIONS = len(SchedulerOption)
 N_PHASE = 2
 STATE_DIM = N_CELL_SCALARS + N_CQI_BINS + N_RSRP_BINS + N_RSRQ_BINS + N_TA_BINS + N_ACTIONS + N_PHASE
 
-# Default normalization bounds for the cell scalars (min is always 0).
-_SCALAR_DEFAULTS = [
+# The cell scalars in state order, each with its normalization bound (min is always 0).
+_CELL_SCALARS = [
     ("dl_cell_throughput_mbps", 86.4),
     ("mean_spectral_efficiency", 4.8),
     ("prb_utilization", 1.0),
@@ -71,7 +74,7 @@ def build_manifest() -> list[tuple[int, str, str, float, float]]:
     """The frozen state layout: (index, name, group, min_bound, max_bound) rows."""
     rows = []
     idx = 0
-    for name, bound in _SCALAR_DEFAULTS:
+    for name, bound in _CELL_SCALARS:
         rows.append((idx, name, "cell_scalar", 0.0, bound))
         idx += 1
     for i in range(N_CQI_BINS):
@@ -113,39 +116,24 @@ def manifest_sha256() -> str:
 MANIFEST_SHA256 = manifest_sha256()
 
 
+# Normalization bounds of the cell scalars: the bound column of the manifest.
+CELL_SCALAR_BOUNDS = np.array([row[4] for row in build_manifest()[:N_CELL_SCALARS]])
+# The one cell scalar divided by the UE count instead of its manifest bound.
+_ACTIVE_UE_COUNT = [name for name, _ in _CELL_SCALARS].index("active_ue_count")
+
+
 @dataclass
 class KpiConfig:
-    """Normalization bounds and episode framing for state and reward composition."""
+    """Reward normalization bounds. The state bounds are fixed by the
+    manifest, so they are not part of a config."""
 
-    n_ues: int = 4
-    episode_steps: int = 90
-    demand_steps: int = 80
-    # state bounds (override the manifest defaults if needed)
-    cell_throughput_bound_mbps: float = 86.4
-    spectral_eff_bound: float = 4.8
-    ue_throughput_bound_mbps: float = 43.2
-    queue_depth_bound_mb: float = 10000.0
-    volume_bound_mb: float = 5184.0
-    # reward bounds
     reward_throughput_bound_mbps: float = 55.0
     reward_gap_bound_mbps: float = 10.0
-    manifest_sha256: str = MANIFEST_SHA256
 
     def __post_init__(self):
-        if self.manifest_sha256 != MANIFEST_SHA256:
-            raise ValueError(
-                f"KPI manifest hash mismatch: config expects {self.manifest_sha256}, "
-                f"this build composes {MANIFEST_SHA256} ({MANIFEST_VERSION})")
-        for name in ("cell_throughput_bound_mbps", "spectral_eff_bound",
-                     "ue_throughput_bound_mbps", "queue_depth_bound_mb",
-                     "volume_bound_mb", "reward_throughput_bound_mbps",
-                     "reward_gap_bound_mbps"):
+        for name in ("reward_throughput_bound_mbps", "reward_gap_bound_mbps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.n_ues < 1:
-            raise ValueError("n_ues must be >= 1")
-        if not 0 < self.demand_steps <= self.episode_steps:
-            raise ValueError("demand_steps must lie in (0, episode_steps]")
 
 
 def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
@@ -155,10 +143,15 @@ def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
     return np.bincount(idx, minlength=n_bins)
 
 
-def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
-                 step_in_episode: int, cfg: KpiConfig) -> np.ndarray:
-    """Build the 58-entry state vector for one tick. Pure function of its inputs."""
+def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_episode: int,
+                 demand_steps: int, episode_steps: int) -> np.ndarray:
+    """Build the 58-entry state vector for one tick. Pure function of its inputs.
+
+    The episode framing (demand_steps of episode_steps ticks) sets the phase
+    entries; the UE count is the length of the observables' arrays.
+    """
     active = obs.active_mask
+    n_ues = active.size
     n_active = int(active.sum())
     tputs = obs.ue_throughput_mbps[active]
 
@@ -166,7 +159,7 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     mean_se = float(obs.spectral_eff[active].mean()) if n_active else 0.0
     util = obs.prb_utilization
     n_sched = int((obs.prb_allocation > 0).sum())
-    cce = n_sched / cfg.n_ues
+    cce = n_sched / n_ues
     bitrate = cell_tput / util if util > 0 else 0.0
     if n_active and np.all(tputs > 0):
         harmonic = n_active / float((1.0 / tputs).sum())
@@ -178,21 +171,9 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     served_vol = float(obs.served_mb.sum())
     demand_vol = float(obs.demand_mb.sum())
 
-    # (raw value, normalization bound) per cell scalar, in manifest order
-    raw, bound = np.array([
-        (cell_tput, cfg.cell_throughput_bound_mbps),
-        (mean_se, cfg.spectral_eff_bound),
-        (util, 1.0),
-        (cce, 1.0),
-        (bitrate, cfg.cell_throughput_bound_mbps),
-        (n_active, cfg.n_ues),
-        (harmonic, cfg.ue_throughput_bound_mbps),
-        (worst, cfg.ue_throughput_bound_mbps),
-        (gap, cfg.ue_throughput_bound_mbps),
-        (mean_queue, cfg.queue_depth_bound_mb),
-        (served_vol, cfg.volume_bound_mb),
-        (demand_vol, cfg.volume_bound_mb),
-    ], dtype=np.float64).T
+    scalars = np.array([cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst, gap,
+                        mean_queue, served_vol, demand_vol]) / CELL_SCALAR_BOUNDS
+    scalars[_ACTIVE_UE_COUNT] = n_active / n_ues
 
     # histograms count active UEs only, then normalize by the UE population
     cqi = np.clip(np.rint(N_CQI_BINS * obs.spectral_eff[active] / EFF_CAP), 1, N_CQI_BINS)
@@ -211,16 +192,16 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption,
     one_hot[int(prev_action)] = 1.0
 
     phase = [
-        min(step_in_episode / cfg.episode_steps, 1.0),
-        1.0 if step_in_episode >= cfg.demand_steps else 0.0,
+        min(step_in_episode / episode_steps, 1.0),
+        1.0 if step_in_episode >= demand_steps else 0.0,
     ]
 
     values = np.concatenate([
-        raw / bound,
-        cqi_counts / cfg.n_ues,
-        rsrp_counts / cfg.n_ues,
-        rsrq_counts / cfg.n_ues,
-        ta_counts / cfg.n_ues,
+        scalars,
+        cqi_counts / n_ues,
+        rsrp_counts / n_ues,
+        rsrq_counts / n_ues,
+        ta_counts / n_ues,
         one_hot,
         np.array(phase),
     ])

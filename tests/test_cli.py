@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -29,9 +30,16 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="gamma_decay"):
             build_config({"gamma_decay": 1})
 
-    def test_unknown_nested_key(self):
+    def test_unknown_nested_key(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="agent.learningrate"):
             build_config({"agent": {"learningrate": 0.1}})
+        # the UE count, the episode framing, the manifest hash and the state
+        # bounds are not set by a config
+        for key in ("n_ues", "manifest_sha256", "volume_bound_mb"):
+            cfg_path = write_config(tmp_path, {"kpi": {key: 1}})
+            code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert f"kpi.{key}: unknown key" in capsys.readouterr().err
 
     def test_gamma_invariant_names_key(self):
         with pytest.raises(ConfigError, match="agent.gamma"):
@@ -50,7 +58,6 @@ class TestBuildConfig:
         cfg = build_config({"profiles": [
             {"rsrp_dbm": -110.0, "demand_mean": 5.0, "demand_std": 1.0}]})
         assert len(cfg.ue_profiles) == 1
-        assert cfg.kpi.n_ues == 1
 
     def test_profile_error_names_entry(self):
         with pytest.raises(ConfigError, match=r"profiles\[0\]"):
@@ -61,9 +68,42 @@ class TestBuildConfig:
         assert cfg.seed == 9
 
     def test_resolved_dict_round_trips(self):
-        cfg = build_config({"episodes": 7, "reward_mode": "ue_gap"})
-        again = build_config(resolved_config_dict(cfg))
-        assert resolved_config_dict(again) == resolved_config_dict(cfg)
+        # a value off its default in every section
+        cfg = build_config({
+            "episodes": 7, "reward_mode": "ue_gap", "preload_path": "history.npz",
+            "profiles": [{"rsrp_dbm": -110.0, "demand_mean": 5.0, "demand_std": 1.0}],
+            "agent": {"n_step": 4}, "sim": {"prb_budget": 50},
+            "kpi": {"reward_gap_bound_mbps": 7.5}})
+        assert build_config(resolved_config_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("data, error", [
+        ({"episodes": True}, "episodes: expected an integer, got True"),
+        ({"episodes": 1.5}, "episodes: expected an integer, got 1.5"),
+        ({"seed": "3"}, "seed: expected an integer, got '3'"),
+        ({"agent": {"n_step": 2.5}}, "agent.n_step: expected an integer, got 2.5"),
+        ({"agent": {"gamma": True}}, "agent.gamma: expected a number, got True"),
+        ({"sim": {"prb_budget": False}}, "sim.prb_budget: expected an integer, got False"),
+        ({"kpi": {"reward_gap_bound_mbps": None}},
+         "kpi.reward_gap_bound_mbps: expected a number, got None"),
+        ({"profiles": [{"rsrp_dbm": True, "demand_mean": 5.0, "demand_std": 1.0}]},
+         r"profiles\[0\].rsrp_dbm: expected a number, got True"),
+        ({"sim": {"tick_seconds": 30}}, None),  # an integer for a float field
+        ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
+    ], ids=["bool_top_level", "float_for_int", "string_for_int", "float_for_nested_int",
+            "bool_for_float", "bool_for_nested_int", "null_for_float", "bool_in_profile",
+            "int_for_float", "int_for_kpi_float"])
+    def test_number_fields_checked(self, tmp_path, capsys, data, error):
+        cfg_path = write_config(tmp_path, {**SMALL, **data})
+        code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if error is None:
+            assert code == 0
+            (section, values), = data.items()
+            cfg = load_config_file(cfg_path)
+            assert all(getattr(getattr(cfg, section), k) == v for k, v in values.items())
+        else:
+            assert code == 1
+            assert re.fullmatch(f"error: {error}\n", err)
 
 
 class TestCliCommands:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ranopt.agent import AgentConfig, DoubleQAgent
+from ranopt.agent import AgentConfig, DoubleQAgent, valid_segment_starts
 from ranopt.harness import (BaselineRow, ExperimentConfig, episode_seed, episode_stats,
                             evaluate_checkpoint, load_checkpoint, run_baseline_suite,
                             run_episode, save_checkpoint, train_experiment, write_baseline_csv)
@@ -193,9 +193,22 @@ class TestTrainExperiment:
         cfg = small_cfg(episodes=1, preload_path=str(tmp_path / "ck" / "checkpoint.npz"))
         _, agent = train_experiment(cfg)
         history = earlier.buffer.arrays()
+        history["episode_ids"] = history["episode_ids"] - 1  # episode 0 of that run is -1 here
         assert len(agent.buffer) == 2 * cfg.steps_demand
         for name, saved in history.items():
             assert getattr(agent.buffer, name)[:len(saved)].tobytes() == saved.tobytes()
+
+    def test_preloaded_episodes_stay_apart_from_the_run(self, tmp_path):
+        # a 1-episode run preloaded into another: both runs have an episode 0
+        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
+        save_checkpoint(tmp_path / "ck", earlier, next_episode=1)
+        cfg = small_cfg(episodes=1, preload_path=str(tmp_path / "ck" / "checkpoint.npz"))
+        _, agent = train_experiment(cfg)
+        starts = valid_segment_starts(agent.buffer, cfg.agent.n_step)
+        boundary = cfg.steps_demand  # logical index of the run's first transition
+        assert starts.size == 2 * (cfg.steps_demand - cfg.agent.n_step + 1)
+        assert not np.any((starts < boundary) & (starts + cfg.agent.n_step > boundary))
+        assert set(agent.buffer.episode_ids[:boundary].tolist()) == {-1}
 
     @pytest.mark.parametrize("arrays, message", [
         ({"actions": None}, r"lacks arrays actions; it must hold the arrays states, .*episode_ids"),

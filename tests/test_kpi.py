@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ranopt import kpi
+from ranopt.harness import INITIAL_STATE
 from ranopt.kpi import (KpiConfig, compose_kpis, manifest_sha256, manifest_text,
                         reward_throughput, reward_ue_gap)
 from ranopt.sim import SchedulerOption, TickObservables
@@ -65,73 +66,70 @@ class TestManifest:
         shipped = (resources.files("ranopt") / "data" / "kpi_manifest_v1.csv").read_text()
         assert shipped == manifest_text()
 
-    def test_hash_mismatch_refused(self):
-        with pytest.raises(ValueError, match="manifest hash"):
-            KpiConfig(manifest_sha256="0" * 64)
-
     def test_hash_stable(self):
         assert manifest_sha256() == kpi.MANIFEST_SHA256
 
 
+# the default episode framing: 80 demand ticks of 90
+FRAMING = (80, 90)
+
+
 class TestComposeKpis:
     def test_length_58(self):
-        cfg = KpiConfig()
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, cfg)
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, *FRAMING)
         assert v.shape == (58,) and v.dtype == np.float64
 
     def test_zero_tick(self):
-        cfg = KpiConfig()
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, cfg)
-        assert np.all(v[:12] == 0.0)
-        assert np.all(v[12:51] == 0.0)          # all histograms empty
-        assert np.array_equal(v[51:56], [1, 0, 0, 0, 0])  # one-hot EQUAL_RATE
-        assert v[56] == 0.0 and v[57] == 0.0
+        for n in range(1, 7):
+            v = compose_kpis(make_obs(n), SchedulerOption.EQUAL_RATE, 0, *FRAMING)
+            assert np.all(v[:12] == 0.0)
+            assert np.all(v[12:51] == 0.0)          # all histograms empty
+            assert np.array_equal(v[51:56], [1, 0, 0, 0, 0])  # one-hot EQUAL_RATE
+            assert v[56] == 0.0 and v[57] == 0.0
+            assert np.array_equal(v, INITIAL_STATE)
 
     def test_clip_at_bound(self):
-        cfg = KpiConfig()
-        obs = make_obs(cell_throughput_mbps=cfg.cell_throughput_bound_mbps * 3)
-        v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, cfg)
+        obs = make_obs(cell_throughput_mbps=kpi.CELL_SCALAR_BOUNDS[0] * 3)
+        v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, *FRAMING)
         assert v[0] == 1.0
 
     def test_pure_function(self):
-        cfg = KpiConfig()
         obs = random_obs(np.random.default_rng(5))
-        a = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg)
-        b = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, cfg)
+        a = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, *FRAMING)
+        b = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, *FRAMING)
         assert np.array_equal(a, b)
 
     def test_histograms_sum_to_active_count(self):
-        cfg = KpiConfig()
+        # the UE count comes from the observables, so every population size
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            obs = random_obs(rng)
-            v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 3, cfg)
-            for sl in (slice(12, 27), slice(27, 35), slice(35, 43), slice(43, 51)):
-                assert v[sl].sum() * cfg.n_ues == pytest.approx(obs.active_mask.sum())
+        for n in range(1, 7):
+            for _ in range(50):
+                obs = random_obs(rng, n)
+                v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 3, *FRAMING)
+                for sl in (slice(12, 27), slice(27, 35), slice(35, 43), slice(43, 51)):
+                    assert v[sl].sum() * n == pytest.approx(obs.active_mask.sum())
+                assert v[5] * n == pytest.approx(obs.active_mask.sum())  # active_ue_count
 
     def test_prev_action_one_hot(self):
-        cfg = KpiConfig()
         for opt in SchedulerOption:
-            v = compose_kpis(make_obs(), opt, 0, cfg)
+            v = compose_kpis(make_obs(), opt, 0, *FRAMING)
             expected = np.zeros(5)
             expected[int(opt)] = 1.0
             assert np.array_equal(v[51:56], expected)
 
     def test_phase_entries(self):
-        cfg = KpiConfig()
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 45, cfg)
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 45, *FRAMING)
         assert v[56] == pytest.approx(0.5)
         assert v[57] == 0.0
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 85, cfg)
+        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 85, *FRAMING)
         assert v[57] == 1.0
 
     def test_fuzzed_range_and_length(self):
         # acceptance-scale fuzz lives in test_acceptance; a fast slice here
-        cfg = KpiConfig()
         rng = np.random.default_rng(2)
         for _ in range(500):
             v = compose_kpis(random_obs(rng), SchedulerOption(int(rng.integers(5))),
-                             int(rng.integers(0, 91)), cfg)
+                             int(rng.integers(0, 91)), *FRAMING)
             assert v.shape == (58,)
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
