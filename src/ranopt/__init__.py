@@ -11,7 +11,7 @@ from .kpi import (MANIFEST_SHA256, MANIFEST_VERSION, KpiConfig, compose_kpis, re
 from .qnet import (QNetParams, apply_gradient, backward, forward, forward_batch, init_params,
                    soft_update)
 from .sim import (CellState, SchedulerOption, SimConfig, TickObservables, UeProfile,
-                  fit_traffic_profiles, generate_demands, init_cell_state, read_traffic_records,
-                  schedule_prbs, spectral_efficiency, step)
+                  fit_traffic_profiles, init_cell_state, read_traffic_records, schedule_prbs,
+                  spectral_efficiency, step)
 
 __version__ = "0.1.0"

@@ -75,6 +75,12 @@ def _columns(records: list[Experience]) -> list[np.ndarray]:
             for f, t in zip(("state", "next_state", "action", "reward", "episode_id"), _DTYPES)]
 
 
+def _transition_ok(states, next_states, actions, rewards) -> list:
+    """Per transition (or for one): finite states, reward in [-1, 1], valid action."""
+    return [np.isfinite(states).all(axis=-1), np.isfinite(next_states).all(axis=-1),
+            (-1.0 <= rewards) & (rewards <= 1.0), (0 <= actions) & (actions < N_ACTIONS)]
+
+
 def _check_transitions(states, next_states, actions, rewards, episode_ids) -> None:
     """Refuse BUFFER_FIELDS arrays unless every transition has finite states,
     a reward in [-1, 1] and a valid action; names a bad one as "record i"."""
@@ -83,8 +89,7 @@ def _check_transitions(states, next_states, actions, rewards, episode_ids) -> No
     n = len(rewards)
     if shapes != dict(zip(BUFFER_FIELDS, [[n, STATE_DIM]] * 2 + [[n]] * 3)):
         raise ValueError(f"buffer arrays {shapes} must be [n, {STATE_DIM}] states and n others")
-    ok = np.array([np.isfinite(states).all(axis=1), np.isfinite(next_states).all(axis=1),
-                   (-1.0 <= rewards) & (rewards <= 1.0), (0 <= actions) & (actions < N_ACTIONS)])
+    ok = np.array(_transition_ok(states, next_states, actions, rewards))
     if not ok.all():
         i, fault = divmod(int(np.argmin(ok.T)), len(ok))  # first bad record, its first fault
         raise ValueError(f"record {i}: " + [
@@ -141,6 +146,19 @@ class ReplayBuffer:
             getattr(self, name)[rows] = a[n - keep:]
         self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
         self.size = min(self.size + n, self.capacity)
+        self._segment_starts.clear()
+
+    def append(self, state, next_state, action, reward, episode_id) -> None:
+        """Append one transition in one row write, refused as extend refuses a batch of one."""
+        if not (np.shape(state) == np.shape(next_state) == (STATE_DIM,)
+                and all(_transition_ok(state, next_state, action, reward))):
+            _check_transitions(*(np.asarray([a], dtype=t) for a, t in
+                                 zip((state, next_state, action, reward, episode_id), _DTYPES)))
+        row = (self.start + self.size) % self.capacity
+        self.states[row], self.next_states[row] = state, next_state
+        self.actions[row], self.rewards[row], self.episode_ids[row] = action, reward, episode_id
+        self.start = (self.start + (self.size == self.capacity)) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
         self._segment_starts.clear()
 
     def load(self, arrays) -> None:
@@ -270,7 +288,7 @@ class DoubleQAgent:
     def observe(self, state: np.ndarray, action: int, reward: float,
                 next_state: np.ndarray, episode_id: int) -> None:
         """Append one checked transition to the replay buffer."""
-        self.buffer.extend([state], [next_state], [action], [reward], [episode_id])
+        self.buffer.append(state, next_state, action, reward, episode_id)
 
     def can_train(self) -> bool:
         return valid_segment_starts(self.buffer, self.cfg.n_step).size > 0

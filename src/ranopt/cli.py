@@ -27,12 +27,16 @@ def _key(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _check_number(f: dataclasses.Field, value, key: str) -> None:
-    """Refuse a bool for a number field and anything but an integer for an int field."""
-    if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
+# A field's annotation -> the JSON values it takes, and their name in an error.
+_ACCEPTS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+            "str": (str, "a string"), "str | None": ((str, type(None)), "a string or null")}
+
+
+def _check_value(f: dataclasses.Field, value, key: str) -> None:
+    """Refuse a value not of the field's annotated type; a bool is no number."""
+    accepts = _ACCEPTS.get(f.type)
+    if accepts and (isinstance(value, bool) or not isinstance(value, accepts[0])):
+        raise ConfigError(f"{key}: expected {accepts[1]}, got {value!r}")
 
 
 def _build_section(cls, data, path: str, **parsed):
@@ -57,7 +61,7 @@ def _build_section(cls, data, path: str, **parsed):
         elif dataclasses.is_dataclass(f.default_factory):
             kwargs[f.name] = _build_section(f.default_factory, data[f.name], key)
         else:
-            _check_number(f, data[f.name], key)
+            _check_value(f, data[f.name], key)
             kwargs[f.name] = data[f.name]
     try:
         return cls(**kwargs)
@@ -92,7 +96,9 @@ def build_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     if "profiles" in data:
         profiles = _parse_profiles(data.pop("profiles"), "profiles")
     elif "profiles_file" in data:
-        with open(data.pop("profiles_file")) as fh:
+        if not isinstance(path := data.pop("profiles_file"), str):  # not a file descriptor
+            raise ConfigError(f"profiles_file: expected a string, got {path!r}")
+        with open(path) as fh:
             profiles = _parse_profiles(json.load(fh), "profiles_file")
     if seed_override is not None:
         data["seed"] = seed_override

@@ -9,7 +9,8 @@ state (networks, replay buffer, exploration schedule) is never reset
 between episodes: the control task is continuous.
 
 Rest minutes are simulated (queues keep draining) but produce no experience,
-no training and no reward statistics.
+no training and no reward statistics, so their KPI states are never
+composed; nor are any under a constant action, which reads no state.
 """
 
 from __future__ import annotations
@@ -128,15 +129,17 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
 
     Returns reward statistics over the demand steps only. With train set the
     agent pushes one experience per demand step and runs one training step
-    per tick once the buffer holds a valid segment.
+    per tick once the buffer holds a valid segment. Only an agent's demand
+    steps compose a state: nothing else reads one.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
     if train and agent is None:
         raise ValueError("training requires an agent")
 
-    cell = init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index))
     n_ticks = cfg.steps_demand + cfg.steps_rest
+    cell = init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
+                           np.arange(n_ticks) >= cfg.steps_demand)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
@@ -145,19 +148,20 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
     for t in range(cfg.steps_demand):
         if agent is not None:
             action = SchedulerOption(agent.act(state_vec, greedy=not train))
-        cell, obs = step(cell, action, cfg.ue_profiles, False, cfg.sim)
+        cell, obs = step(cell, action, cfg.sim)
         r = _reward_for(obs, cfg.reward_mode, cfg.kpi)
-        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
         rewards.append(r)
+        if agent is None:
+            continue
+        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
             if agent.can_train():
                 td_errors.append(agent.train_step())
         state_vec = next_vec
 
-    for t in range(cfg.steps_demand, n_ticks):
-        cell, obs = step(cell, action, cfg.ue_profiles, True, cfg.sim)
-        state_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
+    for _ in range(cfg.steps_rest):  # queues keep draining
+        step(cell, action, cfg.sim)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(

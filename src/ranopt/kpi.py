@@ -136,11 +136,14 @@ class KpiConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def _hist(values: np.ndarray, edges: np.ndarray, n_bins: int) -> np.ndarray:
-    """Count values into bins, clamping outliers into the edge bins."""
-    clipped = np.clip(values, edges[0], edges[-1])
-    idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, n_bins - 1)
-    return np.bincount(idx, minlength=n_bins)
+# Each histogram's offset into the state's histogram entries, and the inner
+# edges of the binned ones: searchsorted on them puts a value below the first
+# edge into bin 0 and one above the last, or NaN, into the last bin.
+_CQI_AT, _RSRP_AT, _RSRQ_AT, _TA_AT = np.cumsum([0, N_CQI_BINS, N_RSRP_BINS, N_RSRQ_BINS])
+_N_HIST = N_CQI_BINS + N_RSRP_BINS + N_RSRQ_BINS + N_TA_BINS
+_RSRP_INNER, _RSRQ_INNER, _TA_INNER = (e[1:-1] for e in (RSRP_BIN_EDGES, RSRQ_BIN_EDGES,
+                                                         TA_BIN_EDGES))
+_PREV_ACTION_AT = N_CELL_SCALARS + _N_HIST
 
 
 def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_episode: int,
@@ -152,62 +155,43 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_epi
     """
     active = obs.active_mask
     n_ues = active.size
-    n_active = int(active.sum())
+    ue_index = np.flatnonzero(active)
+    n_active = ue_index.size
     tputs = obs.ue_throughput_mbps[active]
+    eff = obs.spectral_eff[active]
+    rsrp = obs.rsrp_dbm[active]
 
     cell_tput = obs.cell_throughput_mbps
-    mean_se = float(obs.spectral_eff[active].mean()) if n_active else 0.0
     util = obs.prb_utilization
-    n_sched = int((obs.prb_allocation > 0).sum())
-    cce = n_sched / n_ues
+    mean_se, worst, gap, harmonic = 0.0, 0.0, 0.0, 0.0
+    if n_active:
+        mean_se, worst = float(eff.mean()), float(tputs.min())
+        gap = float(tputs.max() - tputs.min())
+        if np.all(tputs > 0):
+            harmonic = n_active / float((1.0 / tputs).sum())
+    cce = int((obs.prb_allocation > 0).sum()) / n_ues
     bitrate = cell_tput / util if util > 0 else 0.0
-    if n_active and np.all(tputs > 0):
-        harmonic = n_active / float((1.0 / tputs).sum())
-    else:
-        harmonic = 0.0
-    worst = float(tputs.min()) if n_active else 0.0
-    gap = float(tputs.max() - tputs.min()) if n_active else 0.0
-    mean_queue = float(obs.queue_after_mb.mean())
-    served_vol = float(obs.served_mb.sum())
-    demand_vol = float(obs.demand_mb.sum())
-
-    scalars = np.array([cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst, gap,
-                        mean_queue, served_vol, demand_vol]) / CELL_SCALAR_BOUNDS
-    scalars[_ACTIVE_UE_COUNT] = n_active / n_ues
+    values = np.zeros(STATE_DIM)
+    values[:N_CELL_SCALARS] = (cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst,
+                               gap, float(obs.queue_after_mb.mean()), float(obs.served_mb.sum()),
+                               float(obs.demand_mb.sum()))
+    values[:N_CELL_SCALARS] /= CELL_SCALAR_BOUNDS
+    values[_ACTIVE_UE_COUNT] = n_active / n_ues
 
     # histograms count active UEs only, then normalize by the UE population
-    cqi = np.clip(np.rint(N_CQI_BINS * obs.spectral_eff[active] / EFF_CAP), 1, N_CQI_BINS)
-    cqi_counts = np.bincount(cqi.astype(int) - 1, minlength=N_CQI_BINS)
-
-    rsrp_counts = _hist(obs.rsrp_dbm[active], RSRP_BIN_EDGES, N_RSRP_BINS)
-
-    rsrq = -3.0 - 8.5 * util - 8.5 * (1.0 - (obs.rsrp_dbm[active] + 140.0) / 100.0)
-    rsrq_counts = _hist(rsrq, RSRQ_BIN_EDGES, N_RSRQ_BINS)
-
-    ue_index = np.flatnonzero(active)
+    cqi = np.clip(np.rint(N_CQI_BINS * eff / EFF_CAP), 1, N_CQI_BINS).astype(int) - 1
+    rsrq = -3.0 - 8.5 * util - 8.5 * (1.0 - (rsrp + 140.0) / 100.0)
     ta_km = TA_KM_BASE + TA_KM_PER_UE_INDEX * ue_index
-    ta_counts = _hist(ta_km, TA_BIN_EDGES, N_TA_BINS)
+    bins = np.concatenate((cqi + _CQI_AT,
+                           np.searchsorted(_RSRP_INNER, rsrp, "right") + _RSRP_AT,
+                           np.searchsorted(_RSRQ_INNER, rsrq, "right") + _RSRQ_AT,
+                           np.searchsorted(_TA_INNER, ta_km, "right") + _TA_AT))
+    values[N_CELL_SCALARS:_PREV_ACTION_AT] = np.bincount(bins, minlength=_N_HIST) / n_ues
 
-    one_hot = np.zeros(N_ACTIONS)
-    one_hot[int(prev_action)] = 1.0
-
-    phase = [
-        min(step_in_episode / episode_steps, 1.0),
-        1.0 if step_in_episode >= demand_steps else 0.0,
-    ]
-
-    values = np.concatenate([
-        scalars,
-        cqi_counts / n_ues,
-        rsrp_counts / n_ues,
-        rsrq_counts / n_ues,
-        ta_counts / n_ues,
-        one_hot,
-        np.array(phase),
-    ])
-    values = np.clip(values, 0.0, 1.0)  # the one clamp of every entry, cell scalars included
-    assert values.shape == (STATE_DIM,)
-    return values
+    values[_PREV_ACTION_AT + int(prev_action)] = 1.0
+    values[-2] = min(step_in_episode / episode_steps, 1.0)
+    values[-1] = 1.0 if step_in_episode >= demand_steps else 0.0
+    return np.clip(values, 0.0, 1.0, out=values)  # the one clamp of every entry
 
 
 REWARD_MODES = ("cell_throughput", "ue_gap")
@@ -215,7 +199,8 @@ REWARD_MODES = ("cell_throughput", "ue_gap")
 
 def reward_throughput(obs: TickObservables, cfg: KpiConfig) -> float:
     """Cell throughput normalized by the operating bound, clipped to [-1, 1]."""
-    return float(np.clip(obs.cell_throughput_mbps / cfg.reward_throughput_bound_mbps, -1.0, 1.0))
+    # np.clip's result, NaN kept, without its cost on a scalar
+    return min(max(obs.cell_throughput_mbps / cfg.reward_throughput_bound_mbps, -1.0), 1.0)
 
 
 def reward_ue_gap(obs: TickObservables, cfg: KpiConfig) -> float:
@@ -228,4 +213,4 @@ def reward_ue_gap(obs: TickObservables, cfg: KpiConfig) -> float:
     if tputs.size == 0:
         return 0.0
     raw = float(tputs.min() - tputs.max())
-    return float(np.clip(raw / cfg.reward_gap_bound_mbps, -1.0, 1.0))
+    return min(max(raw / cfg.reward_gap_bound_mbps, -1.0), 1.0)

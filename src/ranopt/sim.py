@@ -1,10 +1,15 @@
 """Deterministic single-cell downlink simulator.
 
 One tick is one simulated minute. Four (by default) UEs sit at fixed base
-RSRP levels with a slow shadow-fading component on top; each tick they draw
-fresh traffic demand, the configured MAC scheduler option splits the PRB
-budget over their buffered traffic, and the cell serves whatever the channel
-allows. The whole trajectory is a pure function of (profiles, config, seed).
+RSRP levels with a slow shadow-fading component on top; each demand tick
+brings them fresh traffic, the configured MAC scheduler option splits the
+PRB budget over their buffered traffic, and the cell serves whatever the
+channel allows. The whole trajectory is a pure function of (profiles,
+config, seed, rest ticks).
+
+No action changes the radio or the demand, so a cell draws its episode's
+noise when it is created: each tick's radio conditions and demand are rows
+of arrays, and a tick only schedules and serves.
 
 Units: traffic volumes in megabits, rates in Mbit/s, radio conditions in dBm.
 One PRB carries prb_megabits * efficiency megabits per tick (180 kHz * 60 s
@@ -93,13 +98,16 @@ class SimConfig:
 
 @dataclass
 class CellState:
-    """Mutable simulator truth for one cell."""
+    """Mutable simulator truth for one cell. Its episode is drawn at
+    creation: row t of each (ticks, n_ues) array is what tick t sees."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
-    base_rsrp_dbm: np.ndarray   # per-UE nominal radio condition
-    jitter_db: np.ndarray       # per-UE shadow-fading offset
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
-    rng: np.random.Generator
+    rsrp_dbm: np.ndarray        # effective (base + fading) RSRP
+    spectral_eff: np.ndarray    # efficiency at the effective RSRP
+    y_mb: np.ndarray            # megabits one PRB carries
+    demand_mb: np.ndarray       # fresh traffic, zero on rest ticks
+    tick: int = 0               # the next tick to simulate
 
 
 @dataclass
@@ -134,36 +142,37 @@ def spectral_efficiency(rsrp_dbm):
     return eff
 
 
-def generate_demands(profiles: list[UeProfile], rest: bool, rng: np.random.Generator) -> np.ndarray:
-    """Per-UE fresh traffic for one tick: truncated-normal draws, or zeros at rest."""
-    n = len(profiles)
-    if rest:
-        return np.zeros(n)
-    means = np.array([p.demand_mean for p in profiles])
-    stds = np.array([p.demand_std for p in profiles])
-    draws = rng.normal(means, stds) if np.any(stds > 0) else means.copy()
-    # zero-variance UEs must come out exactly at the mean
-    draws = np.where(stds > 0, draws, means)
-    return np.maximum(draws, 0.0)
+def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> CellState:
+    """Fresh cell with empty buffers and its episode drawn: rest holds one
+    flag per tick, and a rest tick brings no demand.
 
+    One standard-normal block holds the draws of a tick-by-tick simulation
+    in its order: n for the initial fading, at its stationary distribution,
+    then per tick n for the fading innovation and, on a demand tick, n for
+    demand. Fading draws are skipped without fading, demand draws when no
+    UE's demand varies. Each draw is loc + scale * z, as Generator.normal
+    forms it, and demand is truncated at 0.
+    """
+    rest = np.asarray(rest, dtype=bool)
+    n, ticks = len(profiles), rest.size
+    means, stds = np.array([(p.demand_mean, p.demand_std) for p in profiles]).T
+    drawn = np.full((ticks + 1, 2), cfg.rf_jitter_std_db > 0)  # (fading, demand); row 0: start
+    drawn[:, 1] = np.append(False, ~rest & np.any(stds > 0))
+    z = np.zeros((ticks + 1, 2, n))
+    z[drawn] = np.random.default_rng(seed).standard_normal(n * int(drawn.sum())).reshape(-1, n)
 
-def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed) -> CellState:
-    """Fresh cell with empty buffers; fading starts at its stationary distribution."""
-    n = len(profiles)
-    rng = np.random.default_rng(seed)
-    base = np.array([p.rsrp_dbm for p in profiles])
-    if cfg.rf_jitter_std_db > 0:
-        stat_std = cfg.rf_jitter_std_db / math.sqrt(1.0 - cfg.rf_jitter_rho ** 2)
-        jitter = rng.normal(0.0, stat_std, size=n)
-    else:
-        jitter = np.zeros(n)
-    return CellState(
-        queue_mb=np.zeros(n),
-        base_rsrp_dbm=base,
-        jitter_db=jitter,
-        pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
-        rng=rng,
-    )
+    scale = np.full((ticks + 1, 1), cfg.rf_jitter_std_db)
+    scale[0] = cfg.rf_jitter_std_db / math.sqrt(1.0 - cfg.rf_jitter_rho ** 2)
+    # AR(1) in Python floats, one multiply and one add per step as numpy rounds them
+    ar1 = np.frompyfunc(lambda prev, innov: cfg.rf_jitter_rho * prev + innov, 2, 1)
+    fading = ar1.accumulate((0.0 + scale * z[:, 0]).astype(object), axis=0)[1:].astype(float)
+    rsrp = np.clip(np.array([p.rsrp_dbm for p in profiles]) + fading, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    eff = spectral_efficiency(rsrp)
+    # a UE without variance gets exactly its mean
+    demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
+    return CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
+                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * cfg.prb_megabits,
+                     demand_mb=np.where(rest[:, None], 0.0, demand))
 
 
 def _top_budget(keys, valid, budget, descending):
@@ -198,30 +207,20 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
     return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
 
 
-def _prb_yield(state: CellState, cfg: SimConfig):
-    """Effective RSRP, spectral efficiency and megabits per PRB of each UE."""
-    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
-    eff = spectral_efficiency(rsrp_eff)
-    return rsrp_eff, eff, eff * cfg.prb_megabits
-
-
 def schedule_prbs(option: SchedulerOption, state: CellState, demands: np.ndarray,
-                  prb_budget: int, cfg: SimConfig, *, y_mb: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Integer PRB split over UEs for one tick under the given option.
+                  prb_budget: int, cfg: SimConfig, y_mb: np.ndarray) -> np.ndarray:
+    """Integer PRB split over UEs for one tick under the given option, where
+    UE i has the state's queue plus demands[i] to send at y_mb[i] megabits
+    per PRB.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
-    the budget, and breaks ranking ties toward the lowest UE index. y_mb,
-    the megabits one PRB carries for each UE, follows from the state's radio
-    conditions unless the caller has it already, as step does.
+    the budget, and breaks ranking ties toward the lowest UE index.
     """
     if prb_budget <= 0:
         raise ValueError(f"prb_budget must be positive, got {prb_budget}")
     demands = np.asarray(demands, dtype=np.float64)
     if np.any(demands < 0):
         raise ValueError("demands must be >= 0")
-    if y_mb is None:
-        y_mb = _prb_yield(state, cfg)[2]
     avail = state.queue_mb + demands
     k = np.arange(prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
@@ -240,25 +239,23 @@ def schedule_prbs(option: SchedulerOption, state: CellState, demands: np.ndarray
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
-def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
-         rest: bool, cfg: SimConfig) -> tuple[CellState, TickObservables]:
-    """Advance the cell by one minute; mutates and returns the state.
+def step(state: CellState, option: SchedulerOption, cfg: SimConfig
+         ) -> tuple[CellState, TickObservables]:
+    """Advance the cell by one minute, the next row of its drawn episode;
+    mutates and returns the state.
 
-    Order within a tick: fading evolves, demand arrives, PRBs are scheduled,
-    traffic is served, buffers and the PF average update.
+    Order within a tick: demand arrives, PRBs are scheduled, traffic is
+    served, buffers and the PF average update.
     """
-    if cfg.rf_jitter_std_db > 0:
-        innov = state.rng.normal(0.0, cfg.rf_jitter_std_db, size=state.jitter_db.size)
-        state.jitter_db = cfg.rf_jitter_rho * state.jitter_db + innov
-    rsrp_eff, eff, y = _prb_yield(state, cfg)
-
-    demands = generate_demands(profiles, rest, state.rng)
+    t = state.tick
+    demands, y = state.demand_mb[t], state.y_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y_mb=y)
+    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y)
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
+    state.tick = t + 1
 
     tput = served / cfg.tick_seconds
     state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,
@@ -270,8 +267,8 @@ def step(state: CellState, option: SchedulerOption, profiles: list[UeProfile],
         queue_after_mb=state.queue_mb.copy(),
         ue_throughput_mbps=tput,
         cell_throughput_mbps=float(tput.sum()),
-        spectral_eff=eff,
-        rsrp_dbm=rsrp_eff,
+        spectral_eff=state.spectral_eff[t],
+        rsrp_dbm=state.rsrp_dbm[t],
         prb_allocation=alloc,
         prb_utilization=float(alloc.sum()) / cfg.prb_budget,
         active_mask=active,

@@ -21,7 +21,7 @@ def exp(ep, tag=0.0, reward=0.0, action=0):
 
 
 def push(buf, e):
-    preload(buf, [e])
+    buf.append(e.state, e.next_state, e.action, e.reward, e.episode_id)
 
 
 def values(e):
@@ -208,6 +208,23 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match=f"record 0: {field} holds a non-finite value"):
             agent.observe(**vars(e))
         assert len(agent.buffer) == 0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"reward": 1.5}, r"record 0: reward 1.5 outside \[-1, 1\]"),
+        ({"reward": np.nan}, r"record 0: reward nan outside \[-1, 1\]"),
+        ({"action": 5}, r"record 0: action 5 outside \[0, 5\)"),
+        ({"action": -1}, r"record 0: action -1 outside \[0, 5\)"),
+        ({"state": np.zeros(57)}, r"buffer arrays .* must be \[n, 58\] states"),
+    ], ids=["reward_high", "reward_nan", "action_high", "action_negative", "short_state"])
+    def test_observe_refuses_as_extend(self, change, message):
+        agent = DoubleQAgent(AgentConfig())
+        agent.buffer = ReplayBuffer(capacity=2)
+        for i in range(2):
+            push(agent.buffer, exp(0, tag=float(i)))
+        with pytest.raises(ValueError, match=message):
+            agent.observe(**{**vars(exp(1, tag=5.0)), **change})
+        # nothing written: the full ring still holds its oldest entry
+        assert [values(e) for e in agent.buffer] == [values(exp(0, tag=float(i))) for i in range(2)]
 
 
 class TestSegments:

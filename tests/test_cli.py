@@ -87,11 +87,15 @@ class TestBuildConfig:
          "kpi.reward_gap_bound_mbps: expected a number, got None"),
         ({"profiles": [{"rsrp_dbm": True, "demand_mean": 5.0, "demand_std": 1.0}]},
          r"profiles\[0\].rsrp_dbm: expected a number, got True"),
+        # a path that is not a string: open() would take an integer as a file descriptor
+        ({"preload_path": 5}, "preload_path: expected a string or null, got 5"),
+        ({"profiles_file": 5}, "profiles_file: expected a string, got 5"),
         ({"sim": {"tick_seconds": 30}}, None),  # an integer for a float field
         ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
     ], ids=["bool_top_level", "float_for_int", "string_for_int", "float_for_nested_int",
             "bool_for_float", "bool_for_nested_int", "null_for_float", "bool_in_profile",
-            "int_for_float", "int_for_kpi_float"])
+            "int_for_preload_path", "int_for_profiles_file", "int_for_float",
+            "int_for_kpi_float"])
     def test_number_fields_checked(self, tmp_path, capsys, data, error):
         cfg_path = write_config(tmp_path, {**SMALL, **data})
         code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])

@@ -65,6 +65,17 @@ class TestRunEpisode:
             hn.step = orig
         assert len(calls) == 90
 
+    def test_states_composed_only_where_an_agent_reads_them(self, monkeypatch):
+        import ranopt.harness as hn
+        calls = []
+        monkeypatch.setattr(hn, "compose_kpis",
+                            lambda *args: calls.append(args[2]) or hn.INITIAL_STATE)
+        cfg = small_cfg()
+        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        assert calls == []
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        assert calls == list(range(1, cfg.steps_demand + 1))  # no rest tick's
+
     def test_baseline_never_touches_agent(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)

@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ranopt import kpi
 from ranopt.harness import INITIAL_STATE
-from ranopt.kpi import (KpiConfig, compose_kpis, manifest_sha256, manifest_text,
-                        reward_throughput, reward_ue_gap)
-from ranopt.sim import SchedulerOption, TickObservables
+from ranopt.kpi import (N_ACTIONS, N_CQI_BINS, N_RSRP_BINS, N_RSRQ_BINS, N_TA_BINS,
+                        RSRP_BIN_EDGES, RSRQ_BIN_EDGES, STATE_DIM, TA_BIN_EDGES,
+                        TA_KM_BASE, TA_KM_PER_UE_INDEX, KpiConfig, compose_kpis,
+                        manifest_sha256, manifest_text, reward_throughput, reward_ue_gap)
+from ranopt.sim import EFF_CAP, SchedulerOption, TickObservables
 
 
 def make_obs(n=4, **overrides):
@@ -74,6 +78,86 @@ class TestManifest:
 FRAMING = (80, 90)
 
 
+# --- reference composer: one numpy call per quantity ---------------------------
+
+
+def _hist(values, edges, n_bins):
+    """Count values into bins, clamping outliers into the edge bins."""
+    clipped = np.clip(values, edges[0], edges[-1])
+    idx = np.clip(np.searchsorted(edges, clipped, side="right") - 1, 0, n_bins - 1)
+    return np.bincount(idx, minlength=n_bins)
+
+
+def reference_compose_kpis(obs, prev_action, step_in_episode, demand_steps, episode_steps):
+    """compose_kpis written one quantity and one histogram at a time."""
+    active = obs.active_mask
+    n_ues = active.size
+    n_active = int(active.sum())
+    tputs = obs.ue_throughput_mbps[active]
+
+    cell_tput = obs.cell_throughput_mbps
+    mean_se = float(obs.spectral_eff[active].mean()) if n_active else 0.0
+    util = obs.prb_utilization
+    n_sched = int((obs.prb_allocation > 0).sum())
+    cce = n_sched / n_ues
+    bitrate = cell_tput / util if util > 0 else 0.0
+    if n_active and np.all(tputs > 0):
+        harmonic = n_active / float((1.0 / tputs).sum())
+    else:
+        harmonic = 0.0
+    worst = float(tputs.min()) if n_active else 0.0
+    gap = float(tputs.max() - tputs.min()) if n_active else 0.0
+    mean_queue = float(obs.queue_after_mb.mean())
+    served_vol = float(obs.served_mb.sum())
+    demand_vol = float(obs.demand_mb.sum())
+
+    scalars = np.array([cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst, gap,
+                        mean_queue, served_vol, demand_vol]) / kpi.CELL_SCALAR_BOUNDS
+    scalars[5] = n_active / n_ues  # active_ue_count
+
+    cqi = np.clip(np.rint(N_CQI_BINS * obs.spectral_eff[active] / EFF_CAP), 1, N_CQI_BINS)
+    cqi_counts = np.bincount(cqi.astype(int) - 1, minlength=N_CQI_BINS)
+    rsrp_counts = _hist(obs.rsrp_dbm[active], RSRP_BIN_EDGES, N_RSRP_BINS)
+    rsrq = -3.0 - 8.5 * util - 8.5 * (1.0 - (obs.rsrp_dbm[active] + 140.0) / 100.0)
+    rsrq_counts = _hist(rsrq, RSRQ_BIN_EDGES, N_RSRQ_BINS)
+    ta_km = TA_KM_BASE + TA_KM_PER_UE_INDEX * np.flatnonzero(active)
+    ta_counts = _hist(ta_km, TA_BIN_EDGES, N_TA_BINS)
+
+    one_hot = np.zeros(N_ACTIONS)
+    one_hot[int(prev_action)] = 1.0
+    phase = [min(step_in_episode / episode_steps, 1.0),
+             1.0 if step_in_episode >= demand_steps else 0.0]
+    values = np.concatenate([scalars, cqi_counts / n_ues, rsrp_counts / n_ues,
+                             rsrq_counts / n_ues, ta_counts / n_ues, one_hot, np.array(phase)])
+    return np.clip(values, 0.0, 1.0)
+
+
+@st.composite
+def observables(draw):
+    """Observables of 1..9 UEs, none to all active, with values inside and
+    far outside the state bounds, zero utilization and NaN radio among them."""
+    n = draw(st.integers(1, 9))
+
+    def per_ue(strategy, dtype=float):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)), dtype=dtype)
+
+    # no throughput so small that the harmonic mean's sum of inverses overflows
+    tput = per_ue(st.sampled_from([0.0, -1.0]) | st.floats(1e-3, 300.0))
+    return TickObservables(
+        demand_mb=per_ue(st.floats(0.0, 2e4)),
+        served_mb=per_ue(st.floats(0.0, 2e4)),
+        queue_after_mb=per_ue(st.floats(0.0, 1e5)),
+        ue_throughput_mbps=tput,
+        cell_throughput_mbps=draw(st.just(float(tput.sum())) | st.floats(-10.0, 500.0)),
+        spectral_eff=per_ue(st.floats(-1.0, 6.0)),
+        rsrp_dbm=per_ue(st.sampled_from(list(RSRP_BIN_EDGES) + [np.nan])
+                        | st.floats(-250.0, 50.0)),
+        prb_allocation=per_ue(st.integers(0, 120), np.int64),
+        prb_utilization=draw(st.just(0.0) | st.floats(0.0, 1.5)),
+        active_mask=per_ue(st.booleans(), bool),
+    )
+
+
 class TestComposeKpis:
     def test_length_58(self):
         v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, *FRAMING)
@@ -132,6 +216,18 @@ class TestComposeKpis:
                              int(rng.integers(0, 91)), *FRAMING)
             assert v.shape == (58,)
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+class TestComposeMatchesReference:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @example(obs=make_obs(), prev_action=SchedulerOption.EQUAL_RATE, step_in_episode=0)
+    @given(obs=observables(), prev_action=st.sampled_from(SchedulerOption),
+           step_in_episode=st.integers(0, 100))
+    def test_bit_equal(self, obs, prev_action, step_in_episode):
+        v = compose_kpis(obs, prev_action, step_in_episode, *FRAMING)
+        expected = reference_compose_kpis(obs, prev_action, step_in_episode, *FRAMING)
+        assert v.shape == (STATE_DIM,) and v.dtype == expected.dtype
+        assert v.tobytes() == expected.tobytes()
 
 
 class TestRewardThroughput:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,23 +7,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ranopt.sim import (PF_ALPHA, RSRP_MAX_DBM, RSRP_MIN_DBM, CellState, SchedulerOption,
-                        SimConfig, UeProfile, fit_traffic_profiles, generate_demands,
+                        SimConfig, TickObservables, UeProfile, fit_traffic_profiles,
                         init_cell_state, read_traffic_records, schedule_prbs,
                         spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
 
-def make_state(queues, rsrp, cfg, pf_avg=None, seed=0):
+def make_state(queues, rsrp, cfg, pf_avg=None):
+    """A cell at its first tick: the given queues, effective RSRP and PF
+    averages, and no fresh demand."""
     n = len(queues)
+    rsrp = np.array([rsrp], dtype=float)
+    eff = spectral_efficiency(rsrp)
     return CellState(
         queue_mb=np.array(queues, dtype=float),
-        base_rsrp_dbm=np.array(rsrp, dtype=float),
-        jitter_db=np.zeros(n),
         pf_avg_mbps=np.array(pf_avg, dtype=float) if pf_avg is not None
         else np.full(n, cfg.pf_floor_mbps),
-        rng=np.random.default_rng(seed),
+        rsrp_dbm=rsrp,
+        spectral_eff=eff,
+        y_mb=eff * cfg.prb_megabits,
+        demand_mb=np.zeros((1, n)),
     )
+
+
+def schedule(option, state, demands, prb_budget, cfg):
+    """schedule_prbs at the state's current radio, a PRB carrying cfg.prb_megabits
+    at unit efficiency."""
+    return schedule_prbs(option, state, demands, prb_budget, cfg,
+                         state.spectral_eff[state.tick] * cfg.prb_megabits)
 
 
 # --- reference schedulers: one greedy choice per PRB --------------------------
@@ -86,13 +99,76 @@ def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
 def reference_schedule(option, state, demands, prb_budget, cfg):
     """schedule_prbs written as the per-PRB loops above."""
     avail = state.queue_mb + demands
-    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
-    y = spectral_efficiency(rsrp_eff) * cfg.prb_megabits
+    y = state.spectral_eff[state.tick] * cfg.prb_megabits
     if option == SchedulerOption.EQUAL_RATE:
         return greedy_equal_rate(avail, y, prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         return ranked_fill(avail, y, prb_budget, np.lexsort((np.arange(avail.size), -y)))
     return proportional_fair(avail, y, prb_budget, state.pf_avg_mbps, PF_ALPHA[option], cfg)
+
+
+# --- reference simulator: the noise drawn tick by tick ------------------------
+
+
+@dataclass
+class TickCell:
+    """A cell that draws its fading and demand as each tick comes."""
+
+    queue_mb: np.ndarray
+    base_rsrp_dbm: np.ndarray
+    jitter_db: np.ndarray
+    pf_avg_mbps: np.ndarray
+    rng: np.random.Generator
+
+
+def generate_demands(profiles, rest, rng):
+    """Per-UE fresh traffic for one tick: truncated-normal draws, or zeros at rest."""
+    n = len(profiles)
+    if rest:
+        return np.zeros(n)
+    means = np.array([p.demand_mean for p in profiles])
+    stds = np.array([p.demand_std for p in profiles])
+    draws = rng.normal(means, stds) if np.any(stds > 0) else means.copy()
+    # zero-variance UEs must come out exactly at the mean
+    draws = np.where(stds > 0, draws, means)
+    return np.maximum(draws, 0.0)
+
+
+def init_tick_cell(profiles, cfg, seed):
+    """Fresh cell with empty buffers; fading starts at its stationary distribution."""
+    n = len(profiles)
+    rng = np.random.default_rng(seed)
+    if cfg.rf_jitter_std_db > 0:
+        stat_std = cfg.rf_jitter_std_db / math.sqrt(1.0 - cfg.rf_jitter_rho ** 2)
+        jitter = rng.normal(0.0, stat_std, size=n)
+    else:
+        jitter = np.zeros(n)
+    return TickCell(queue_mb=np.zeros(n), base_rsrp_dbm=np.array([p.rsrp_dbm for p in profiles]),
+                    jitter_db=jitter, pf_avg_mbps=np.full(n, cfg.pf_floor_mbps), rng=rng)
+
+
+def tick_step(state, option, profiles, rest, cfg):
+    """One minute: fading evolves, demand arrives, PRBs are scheduled,
+    traffic is served, buffers and the PF average update."""
+    if cfg.rf_jitter_std_db > 0:
+        innov = state.rng.normal(0.0, cfg.rf_jitter_std_db, size=state.jitter_db.size)
+        state.jitter_db = cfg.rf_jitter_rho * state.jitter_db + innov
+    rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    eff = spectral_efficiency(rsrp_eff)
+    y = eff * cfg.prb_megabits
+    demands = generate_demands(profiles, rest, state.rng)
+    avail = state.queue_mb + demands
+    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y)
+    served = np.minimum(avail, alloc * y)
+    state.queue_mb = avail - served
+    tput = served / cfg.tick_seconds
+    state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,
+                                   (1.0 - cfg.pf_ema) * state.pf_avg_mbps + cfg.pf_ema * tput)
+    return TickObservables(
+        demand_mb=demands, served_mb=served, queue_after_mb=state.queue_mb.copy(),
+        ue_throughput_mbps=tput, cell_throughput_mbps=float(tput.sum()), spectral_eff=eff,
+        rsrp_dbm=rsrp_eff, prb_allocation=alloc,
+        prb_utilization=float(alloc.sum()) / cfg.prb_budget, active_mask=avail > 1e-12)
 
 
 class TestSchedulerOption:
@@ -153,20 +229,24 @@ class TestSpectralEfficiency:
 
 
 class TestGenerateDemands:
+    """The demand init_cell_state draws, and the reference draws it matches."""
+
     def test_zero_std_exact_mean(self):
         profiles = [UeProfile(-100.0, 10.0, 0.0), UeProfile(-90.0, 3.5, 0.0)]
-        d = generate_demands(profiles, False, np.random.default_rng(0))
-        assert np.array_equal(d, [10.0, 3.5])
+        assert np.array_equal(generate_demands(profiles, False, np.random.default_rng(0)),
+                              [10.0, 3.5])
+        cell = init_cell_state(profiles, SimConfig(), 0, [False, True, False])
+        assert np.array_equal(cell.demand_mb, [[10.0, 3.5], [0.0, 0.0], [10.0, 3.5]])
 
     def test_rest_all_zero(self):
         profiles = [UeProfile(-100.0, 10.0, 5.0)]
-        d = generate_demands(profiles, True, np.random.default_rng(0))
-        assert np.array_equal(d, [0.0])
+        assert np.array_equal(generate_demands(profiles, True, np.random.default_rng(0)), [0.0])
+        assert np.array_equal(init_cell_state(profiles, SimConfig(), 0, [True] * 4).demand_mb,
+                              np.zeros((4, 1)))
 
     def test_law_of_large_numbers(self):
         profiles = [UeProfile(-100.0, 10.0, 2.0)]
-        rng = np.random.default_rng(123)
-        draws = np.array([generate_demands(profiles, False, rng)[0] for _ in range(10 ** 5)])
+        draws = init_cell_state(profiles, SimConfig(), 123, np.zeros(10 ** 5, bool)).demand_mb
         assert abs(draws.mean() - 10.0) < 3.0 * 2.0 / math.sqrt(10 ** 5)
         assert draws.min() >= 0.0
 
@@ -175,20 +255,20 @@ class TestSchedulePrbs:
     def test_equal_rate_symmetric(self):
         cfg = SimConfig(prb_budget=50)
         st = make_state([1e6, 1e6], [-100.0, -100.0], cfg)
-        alloc = schedule_prbs(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 50, cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 50, cfg)
         assert np.array_equal(alloc, [25, 25])
 
     def test_max_ci_winner_takes_budget(self):
         cfg = SimConfig(prb_budget=50)
         # efficiencies 2.0 vs 1.0 via rsrp chosen from the channel inverse
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
-        alloc = schedule_prbs(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), 50, cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), 50, cfg)
         assert np.array_equal(alloc, [50, 0])
 
     def test_equal_rate_matches_brute_force(self):
         cfg = SimConfig(prb_budget=30)
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
-        alloc = schedule_prbs(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 30, cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 30, cfg)
         # brute force over all full-budget integer splits: minimize served spread
         best, best_spread = None, None
         for a in range(31):
@@ -202,14 +282,14 @@ class TestSchedulePrbs:
         cfg = SimConfig()
         st = make_state([0.0, 50.0, 0.0, 50.0], RSRP_LAB, cfg)
         for opt in SchedulerOption:
-            alloc = schedule_prbs(opt, st, np.zeros(4), cfg.prb_budget, cfg)
+            alloc = schedule(opt, st, np.zeros(4), cfg.prb_budget, cfg)
             assert alloc[0] == 0 and alloc[2] == 0
 
     def test_budget_zero_raises(self):
         cfg = SimConfig()
         st = make_state([1.0], [-100.0], cfg)
         with pytest.raises(ValueError):
-            schedule_prbs(SchedulerOption.EQUAL_RATE, st, np.zeros(1), 0, cfg)
+            schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(1), 0, cfg)
 
     def test_budget_respected_under_fuzz(self):
         cfg = SimConfig()
@@ -220,7 +300,7 @@ class TestSchedulePrbs:
                             pf_avg=rng.uniform(0.01, 50, n))
             demands = rng.uniform(0, 2000, n)
             opt = SchedulerOption(int(rng.integers(0, 5)))
-            alloc = schedule_prbs(opt, st, demands, cfg.prb_budget, cfg)
+            alloc = schedule(opt, st, demands, cfg.prb_budget, cfg)
             assert alloc.sum() <= cfg.prb_budget
             assert np.all(alloc >= 0)
             assert np.all(alloc[(st.queue_mb + demands) <= 1e-12] == 0)
@@ -233,7 +313,7 @@ class TestSchedulePrbs:
                     SchedulerOption.PROPORTIONAL_FAIR_LOW,
                     SchedulerOption.MAXIMUM_C_OVER_I,
                     SchedulerOption.EQUAL_RATE):
-            alloc = schedule_prbs(opt, st, np.zeros(2), 1, cfg)
+            alloc = schedule(opt, st, np.zeros(2), 1, cfg)
             assert np.array_equal(alloc, [1, 0])
 
 
@@ -261,7 +341,8 @@ def cells(draw):
     rsrp = per_ue(st.sampled_from(TIED_RSRP) | st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM))
     jitter = per_ue(st.sampled_from([0.0, 1.5]) | st.floats(-4.0, 4.0))
     pf_avg = per_ue(st.sampled_from(TIED_PF_AVG) | st.floats(0.0, 60.0))
-    y = spectral_efficiency(np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)) * cfg.prb_megabits
+    rsrp_eff = np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    y = spectral_efficiency(rsrp_eff) * cfg.prb_megabits
     queue, demands = np.zeros(n), np.zeros(n)
     for i in range(n):
         kind = draw(st.sampled_from(["none", "whole_prbs", "any"]))
@@ -270,8 +351,7 @@ def cells(draw):
         elif kind == "any":
             queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
-    state = CellState(queue_mb=queue, base_rsrp_dbm=rsrp, jitter_db=jitter,
-                      pf_avg_mbps=pf_avg, rng=np.random.default_rng(0))
+    state = make_state(queue, rsrp_eff, cfg, pf_avg)
     return state, demands, budget, cfg
 
 
@@ -294,7 +374,7 @@ class TestScheduleKernel:
     def test_matches_reference_loops(self, cell):
         state, demands, budget, cfg = cell
         for option in SchedulerOption:
-            alloc = schedule_prbs(option, state, demands, budget, cfg)
+            alloc = schedule(option, state, demands, budget, cfg)
             expected = reference_schedule(option, state, demands, budget, cfg)
             assert alloc.dtype == expected.dtype
             assert alloc.tolist() == expected.tolist(), option.name
@@ -305,12 +385,12 @@ class TestScheduleKernel:
         opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
         # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
         # second and later keys beat UE 1's first, but never come into play
-        assert schedule_prbs(opt, state, np.zeros(2), 5, cfg).tolist() == [0, 5]
+        assert schedule(opt, state, np.zeros(2), 5, cfg).tolist() == [0, 5]
 
     def test_max_ci_exact_multiple_takes_need(self):
         cfg = SimConfig(prb_budget=40)
         state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], cfg)
-        alloc = schedule_prbs(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), 40, cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), 40, cfg)
         assert alloc.tolist() == [31, 9]
 
 
@@ -320,53 +400,55 @@ def _rsrp_for_eff(eff):
     return sinr_db - 121.0
 
 
-class TestStep:
-    def _profiles(self):
-        return [UeProfile(r, m, s) for r, m, s in
+PROFILES_LAB = [UeProfile(r, m, sd) for r, m, sd in
                 zip(RSRP_LAB, [500, 600, 1400, 2600], [400, 450, 900, 2000])]
+IDLE_LAB = [UeProfile(r, 0.0, 0.0) for r in RSRP_LAB]
 
+
+def demand_ticks(ticks):
+    return np.zeros(ticks, dtype=bool)
+
+
+class TestStep:
     def test_nothing_to_serve(self):
         cfg = SimConfig()
-        profiles = [UeProfile(r, 0.0, 0.0) for r in RSRP_LAB]
-        st = init_cell_state(profiles, cfg, seed=1)
-        st, obs = step(st, SchedulerOption.EQUAL_RATE, profiles, False, cfg)
+        st = init_cell_state(IDLE_LAB, cfg, 1, demand_ticks(1))
+        st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
         assert obs.cell_throughput_mbps == 0.0
         assert obs.prb_utilization == 0.0
         assert not obs.active_mask.any()
 
     def test_single_backlogged_ue_gets_full_budget(self):
         cfg = SimConfig()
-        profiles = [UeProfile(r, 0.0, 0.0) for r in RSRP_LAB]
         for opt in SchedulerOption:
-            st = init_cell_state(profiles, cfg, seed=2)
+            st = init_cell_state(IDLE_LAB, cfg, 2, demand_ticks(1))
             st.queue_mb[1] = 1e9  # far more than one tick can serve
-            st, obs = step(st, opt, profiles, False, cfg)
+            st, obs = step(st, opt, cfg)
             assert obs.prb_allocation[1] == cfg.prb_budget
             assert obs.prb_utilization == 1.0
 
     def test_conservation(self):
         cfg = SimConfig()
-        profiles = self._profiles()
-        st = init_cell_state(profiles, cfg, seed=3)
+        st = init_cell_state(PROFILES_LAB, cfg, 3, np.arange(60) % 9 == 8)
         for t in range(60):
             before = st.queue_mb.copy()
             opt = SchedulerOption(t % 5)
-            st, obs = step(st, opt, profiles, t % 9 == 8, cfg)
+            st, obs = step(st, opt, cfg)
             assert np.allclose(before + obs.demand_mb - obs.served_mb, obs.queue_after_mb)
             assert np.all(obs.served_mb >= 0)
             assert np.all(obs.served_mb <= before + obs.demand_mb + 1e-9)
             assert obs.cell_throughput_mbps == pytest.approx(obs.ue_throughput_mbps.sum())
             assert 0.0 <= obs.prb_utilization <= 1.0
+            assert (t % 9 == 8) == (not obs.demand_mb.any())
 
     def test_deterministic_trajectories(self):
         cfg = SimConfig()
-        profiles = self._profiles()
         runs = []
         for _ in range(2):
-            st = init_cell_state(profiles, cfg, seed=12345)
+            st = init_cell_state(PROFILES_LAB, cfg, 12345, np.arange(90) >= 80)
             trace = []
-            for t in range(90):
-                st, obs = step(st, SchedulerOption.MAXIMUM_C_OVER_I, profiles, t >= 80, cfg)
+            for _ in range(90):
+                st, obs = step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
                 trace.append(np.concatenate([obs.served_mb, obs.rsrp_dbm,
                                              obs.queue_after_mb, [obs.cell_throughput_mbps]]))
             runs.append(np.array(trace))
@@ -374,11 +456,10 @@ class TestStep:
 
     def test_pf_average_updates(self):
         cfg = SimConfig(rf_jitter_std_db=0.0)
-        profiles = [UeProfile(-100.0, 0.0, 0.0)]
-        st = init_cell_state(profiles, cfg, seed=4)
+        st = init_cell_state([UeProfile(-100.0, 0.0, 0.0)], cfg, 4, demand_ticks(1))
         st.queue_mb[0] = 1e9
         before = st.pf_avg_mbps.copy()
-        st, obs = step(st, SchedulerOption.EQUAL_RATE, profiles, False, cfg)
+        st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
         expected = 0.8 * before[0] + 0.2 * obs.ue_throughput_mbps[0]
         assert st.pf_avg_mbps[0] == pytest.approx(expected)
 
@@ -386,15 +467,14 @@ class TestStep:
         # construction property: max C/I tops raw throughput, equal rate
         # minimizes the throughput spread, over 50 matched 80-tick runs
         cfg = SimConfig()
-        profiles = self._profiles()
         mean_tput = {}
         mean_gap = {}
         for opt in SchedulerOption:
             tputs, gaps = [], []
             for ep in range(50):
-                st = init_cell_state(profiles, cfg, seed=1000 + ep)
+                st = init_cell_state(PROFILES_LAB, cfg, 1000 + ep, demand_ticks(80))
                 for _ in range(80):
-                    st, obs = step(st, opt, profiles, False, cfg)
+                    st, obs = step(st, opt, cfg)
                     tputs.append(obs.cell_throughput_mbps)
                     act = obs.ue_throughput_mbps[obs.active_mask]
                     if act.size:
@@ -403,6 +483,58 @@ class TestStep:
             mean_gap[opt] = np.mean(gaps)
         assert max(mean_tput, key=mean_tput.get) == SchedulerOption.MAXIMUM_C_OVER_I
         assert min(mean_gap, key=mean_gap.get) == SchedulerOption.EQUAL_RATE
+
+    def test_episode_end_refused(self):
+        cfg = SimConfig()
+        st, _ = step(init_cell_state(PROFILES_LAB, cfg, 5, demand_ticks(1)),
+                     SchedulerOption.EQUAL_RATE, cfg)
+        with pytest.raises(IndexError):
+            step(st, SchedulerOption.EQUAL_RATE, cfg)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def episodes(draw):
+    """Profiles of 1..8 UEs (some without variance), fading on or off, and
+    an episode of 1..40 ticks: its rest mask and an option per tick."""
+    n = draw(st.integers(1, 8))
+    profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)),
+                          draw(st.floats(0.0, 3000.0)),
+                          draw(st.just(0.0) | st.floats(0.0, 2500.0))) for _ in range(n)]
+    cfg = SimConfig(rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
+    ticks = draw(st.integers(1, 40))
+    rest = draw(st.lists(st.booleans(), min_size=ticks, max_size=ticks))
+    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=ticks, max_size=ticks))
+    return profiles, cfg, draw(st.integers(0, 2 ** 64 - 1)), rest, options
+
+
+class TestDrawnEpisode:
+    """step over a cell drawn at creation against the tick-by-tick reference."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    # every UE without variance: no demand draws at all
+    @example(episode=(IDLE_LAB[:2] + [UeProfile(-100.0, 300.0, 0.0)], SimConfig(), 7,
+                      [False, True, False], list(SchedulerOption)[:3]))
+    # the default episode shape
+    @example(episode=(PROFILES_LAB, SimConfig(), 99, [t >= 80 for t in range(90)],
+                      [SchedulerOption(t % 5) for t in range(90)]))
+    @given(episode=episodes())
+    def test_matches_per_tick_reference(self, episode):
+        profiles, cfg, seed, rest, options = episode
+        cell = init_cell_state(profiles, cfg, seed, rest)
+        ref = init_tick_cell(profiles, cfg, seed)
+        for option, resting in zip(options, rest):
+            cell, obs = step(cell, option, cfg)
+            expected = tick_step(ref, option, profiles, resting, cfg)
+            for name in ("demand_mb", "served_mb", "queue_after_mb", "rsrp_dbm",
+                         "spectral_eff", "prb_allocation", "active_mask"):
+                assert same_bits(getattr(obs, name), getattr(expected, name)), name
+            assert same_bits(cell.pf_avg_mbps, ref.pf_avg_mbps)
+            assert obs.cell_throughput_mbps.hex() == expected.cell_throughput_mbps.hex()
 
 
 class TestFitTrafficProfiles:
