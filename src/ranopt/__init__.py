@@ -6,8 +6,8 @@ from .agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, Replay
 from .harness import (DEFAULT_PROFILES, BaselineRow, EpisodeResult, ExperimentConfig,
                       episode_seed, episode_stats, evaluate_checkpoint, run_baseline_suite,
                       run_episode, train_experiment)
-from .kpi import (MANIFEST_SHA256, MANIFEST_VERSION, KpiConfig, compose_kpis, reward_throughput,
-                  reward_ue_gap)
+from .kpi import (MANIFEST_SHA256, MANIFEST_VERSION, KpiConfig, compose_kpis, radio_table,
+                  reward_throughput, reward_ue_gap)
 from .qnet import (QNetParams, apply_gradient, backward, forward, forward_batch, init_params,
                    soft_update)
 from .sim import (CellState, SchedulerOption, SimConfig, TickObservables, UeProfile,

@@ -10,12 +10,17 @@ between episodes: the control task is continuous.
 
 Rest minutes are simulated (queues keep draining) but produce no experience,
 no training and no reward statistics, so their KPI states are never
-composed; nor are any under a constant action, which reads no state.
+composed; nor are any under a constant action, which reads no state. An
+agent episode bins its radio once, with radio_table over the drawn rows of
+its demand ticks, and composes each demand tick's state from its row. The
+baseline suite draws each episode's cell once and runs every constant
+action on a shallow copy of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 import os
@@ -25,8 +30,8 @@ import numpy as np
 
 from . import kpi, qnet
 from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
-from .kpi import KpiConfig, compose_kpis, reward_throughput, reward_ue_gap
-from .sim import SchedulerOption, SimConfig, UeProfile, init_cell_state, step
+from .kpi import KpiConfig, compose_kpis, radio_table, reward_throughput, reward_ue_gap
+from .sim import CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
 # sized so that the cell runs just past capacity on an average minute and
@@ -121,16 +126,24 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
     return reward_ue_gap(obs, cfg) if mode == "ue_gap" else reward_throughput(obs, cfg)
 
 
+def _draw_cell(cfg: ExperimentConfig, episode_index: int) -> CellState:
+    """The episode's cell, its radio and demand drawn from the episode seed."""
+    return init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
+                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand)
+
+
 def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
-                train: bool = False) -> EpisodeResult:
+                train: bool = False, cell: CellState | None = None) -> EpisodeResult:
     """One 90-tick episode under either the agent's policy or a constant action.
 
     Returns reward statistics over the demand steps only. With train set the
     agent pushes one experience per demand step and runs one training step
     per tick once the buffer holds a valid segment. Only an agent's demand
-    steps compose a state: nothing else reads one.
+    steps compose a state: nothing else reads one. cell, when given, is the
+    episode's drawn cell, not yet stepped; the episode runs on a shallow copy,
+    which shares its read-only drawn arrays and leaves it as it was.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
@@ -138,12 +151,15 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         raise ValueError("training requires an agent")
 
     n_ticks = cfg.steps_demand + cfg.steps_rest
-    cell = init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
-                           np.arange(n_ticks) >= cfg.steps_demand)
+    # step rebinds a cell's queue and PF average, never writes into them
+    cell = _draw_cell(cfg, episode_index) if cell is None else copy.copy(cell)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
     action = constant_action
+    if agent is not None:  # each demand tick's row of the radio's state terms
+        radio = list(zip(*radio_table(cell.rsrp_dbm[:cfg.steps_demand],
+                                      cell.spectral_eff[:cfg.steps_demand])))
 
     for t in range(cfg.steps_demand):
         if agent is not None:
@@ -153,7 +169,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         rewards.append(r)
         if agent is None:
             continue
-        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks)
+        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks, radio[t])
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
             if agent.can_train():
@@ -183,16 +199,21 @@ class BaselineRow:
 
 def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
                        first_episode: int = 0) -> list[BaselineRow]:
-    """Evaluate all five constant actions on identical episode seeds.
+    """Evaluate all five constant actions on identical episode seeds, each
+    episode's cell drawn once and run under every option.
 
     Rows come back sorted best-first under the configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
+    means = {option: [] for option in SchedulerOption}
+    for ep in range(first_episode, first_episode + n_eps):
+        cell = _draw_cell(cfg, ep)
+        for option, option_means in means.items():
+            option_means.append(run_episode(cfg, ep, constant_action=option,
+                                            cell=cell).mean_reward)
     rows = []
-    for option in SchedulerOption:
-        means = [run_episode(cfg, first_episode + i, constant_action=option).mean_reward
-                 for i in range(n_eps)]
-        mean, stderr = episode_stats(means)
+    for option, option_means in means.items():
+        mean, stderr = episode_stats(option_means)
         rows.append(BaselineRow(action=option, mean_reward=mean, stderr=stderr,
                                 episodes=n_eps))
     rows.sort(key=lambda r: -r.mean_reward)

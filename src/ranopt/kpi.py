@@ -1,8 +1,12 @@
 """KPI state composition and reward definitions.
 
 The agent never sees raw simulator state; it sees a 58-entry KPI vector
-composed once per tick from the tick observables, with every entry min-max
-normalized into [0, 1]. The layout (12 cell scalars, 15 CQI bins, 8 RSRP
+composed from the tick observables, with every entry min-max normalized into
+[0, 1]. No action changes the radio, so its half of the state is binned once
+per episode: radio_table gives each tick's CQI, RSRP and timing-advance
+histogram ids and RSRQ's radio term, and compose_kpis adds a tick's cell
+scalars, its RSRQ bins (they depend on the utilization) and the histogram
+counts of its active UEs. The layout (12 cell scalars, 15 CQI bins, 8 RSRP
 bins, 8 RSRQ bins, 8 timing-advance bins, 5 previous-action indicators and
 2 episode-phase entries) is frozen in a versioned manifest so that recorded
 experience stays interpretable across runs. The manifest also fixes the
@@ -144,54 +148,73 @@ _N_HIST = N_CQI_BINS + N_RSRP_BINS + N_RSRQ_BINS + N_TA_BINS
 _RSRP_INNER, _RSRQ_INNER, _TA_INNER = (e[1:-1] for e in (RSRP_BIN_EDGES, RSRQ_BIN_EDGES,
                                                          TA_BIN_EDGES))
 _PREV_ACTION_AT = N_CELL_SCALARS + _N_HIST
+# RSRQ's inner edges after _RSRQ_AT edges of -inf, which no value, NaN
+# included, sorts before: searchsorted on them gives an RSRQ value's id.
+_RSRQ_IDS = np.concatenate((np.full(_RSRQ_AT, -np.inf), _RSRQ_INNER))
+
+
+def radio_table(rsrp_dbm, spectral_eff) -> tuple[np.ndarray, np.ndarray]:
+    """The state terms no action changes, for arrays whose last axis is the UE.
+
+    Returns each UE's CQI, RSRP and timing-advance histogram ids, shape
+    (..., n_ues, 3), and the radio term of its RSRQ proxy, shape (..., n_ues).
+    A tick's row is compose_kpis's radio argument; the RSRQ bins also depend
+    on the tick's utilization, so they are binned there.
+    """
+    rsrp = np.asarray(rsrp_dbm, dtype=np.float64)
+    eff = np.asarray(spectral_eff, dtype=np.float64)
+    cqi = np.clip(np.rint(N_CQI_BINS * eff / EFF_CAP), 1, N_CQI_BINS).astype(np.intp) - 1
+    ta_km = TA_KM_BASE + TA_KM_PER_UE_INDEX * np.arange(rsrp.shape[-1])
+    ids = np.stack(np.broadcast_arrays(cqi + _CQI_AT,
+                                       np.searchsorted(_RSRP_INNER, rsrp, "right") + _RSRP_AT,
+                                       np.searchsorted(_TA_INNER, ta_km, "right") + _TA_AT),
+                   axis=-1)
+    return ids, 8.5 * (1.0 - (rsrp + 140.0) / 100.0)
 
 
 def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_episode: int,
-                 demand_steps: int, episode_steps: int) -> np.ndarray:
+                 demand_steps: int, episode_steps: int,
+                 radio: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Build the 58-entry state vector for one tick. Pure function of its inputs.
 
     The episode framing (demand_steps of episode_steps ticks) sets the phase
-    entries; the UE count is the length of the observables' arrays.
+    entries; the UE count is the length of the observables' arrays. radio is
+    radio_table of the tick's RSRP and efficiency, obs.rsrp_dbm and
+    obs.spectral_eff.
     """
+    hist_ids, rsrq_radio = radio
     active = obs.active_mask
     n_ues = active.size
-    ue_index = np.flatnonzero(active)
-    n_active = ue_index.size
-    tputs = obs.ue_throughput_mbps[active]
-    eff = obs.spectral_eff[active]
-    rsrp = obs.rsrp_dbm[active]
-
+    n_active = np.count_nonzero(active)
     cell_tput = obs.cell_throughput_mbps
     util = obs.prb_utilization
     mean_se, worst, gap, harmonic = 0.0, 0.0, 0.0, 0.0
     if n_active:
-        mean_se, worst = float(eff.mean()), float(tputs.min())
-        gap = float(tputs.max() - tputs.min())
-        if np.all(tputs > 0):
-            harmonic = n_active / float((1.0 / tputs).sum())
-    cce = int((obs.prb_allocation > 0).sum()) / n_ues
+        tputs = obs.ue_throughput_mbps[active]
+        lo, hi = tputs.min(), tputs.max()
+        mean_se, worst, gap = obs.spectral_eff[active].sum() / n_active, lo, hi - lo
+        if lo > 0:  # every active UE served; a NaN makes the minimum NaN
+            harmonic = n_active / (1.0 / tputs).sum()
+    cce = np.count_nonzero(obs.prb_allocation > 0) / n_ues
     bitrate = cell_tput / util if util > 0 else 0.0
     values = np.zeros(STATE_DIM)
-    values[:N_CELL_SCALARS] = (cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst,
-                               gap, float(obs.queue_after_mb.mean()), float(obs.served_mb.sum()),
-                               float(obs.demand_mb.sum()))
-    values[:N_CELL_SCALARS] /= CELL_SCALAR_BOUNDS
+    np.divide((cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst, gap,
+               obs.queue_after_mb.sum() / n_ues, obs.served_mb.sum(), obs.demand_mb.sum()),
+              CELL_SCALAR_BOUNDS, out=values[:N_CELL_SCALARS])
     values[_ACTIVE_UE_COUNT] = n_active / n_ues
 
     # histograms count active UEs only, then normalize by the UE population
-    cqi = np.clip(np.rint(N_CQI_BINS * eff / EFF_CAP), 1, N_CQI_BINS).astype(int) - 1
-    rsrq = -3.0 - 8.5 * util - 8.5 * (1.0 - (rsrp + 140.0) / 100.0)
-    ta_km = TA_KM_BASE + TA_KM_PER_UE_INDEX * ue_index
-    bins = np.concatenate((cqi + _CQI_AT,
-                           np.searchsorted(_RSRP_INNER, rsrp, "right") + _RSRP_AT,
-                           np.searchsorted(_RSRQ_INNER, rsrq, "right") + _RSRQ_AT,
-                           np.searchsorted(_TA_INNER, ta_km, "right") + _TA_AT))
-    values[N_CELL_SCALARS:_PREV_ACTION_AT] = np.bincount(bins, minlength=_N_HIST) / n_ues
+    rsrq = (-3.0 - 8.5 * util) - rsrq_radio[active]
+    bins = np.concatenate((hist_ids[active].ravel(), _RSRQ_IDS.searchsorted(rsrq, "right")))
+    np.divide(np.bincount(bins, minlength=_N_HIST), n_ues,
+              out=values[N_CELL_SCALARS:_PREV_ACTION_AT])
 
     values[_PREV_ACTION_AT + int(prev_action)] = 1.0
     values[-2] = min(step_in_episode / episode_steps, 1.0)
     values[-1] = 1.0 if step_in_episode >= demand_steps else 0.0
-    return np.clip(values, 0.0, 1.0, out=values)  # the one clamp of every entry
+    # the one clamp of every entry: np.clip's result, NaN and -0.0 kept, the
+    # bound first so that maximum keeps a -0.0 entry
+    return np.minimum(1.0, np.maximum(0.0, values, out=values), out=values)
 
 
 REWARD_MODES = ("cell_throughput", "ue_gap")

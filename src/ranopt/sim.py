@@ -99,7 +99,9 @@ class SimConfig:
 @dataclass
 class CellState:
     """Mutable simulator truth for one cell. Its episode is drawn at
-    creation: row t of each (ticks, n_ues) array is what tick t sees."""
+    creation into read-only arrays: row t of each (ticks, n_ues) array is
+    what tick t sees. step rebinds the queue and PF average, never writes
+    into them, so a shallow copy of a fresh cell runs the same episode."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
@@ -151,7 +153,7 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     then per tick n for the fading innovation and, on a demand tick, n for
     demand. Fading draws are skipped without fading, demand draws when no
     UE's demand varies. Each draw is loc + scale * z, as Generator.normal
-    forms it, and demand is truncated at 0.
+    forms it, and demand is truncated at 0. The drawn arrays are read-only.
     """
     rest = np.asarray(rest, dtype=bool)
     n, ticks = len(profiles), rest.size
@@ -170,9 +172,12 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     eff = spectral_efficiency(rsrp)
     # a UE without variance gets exactly its mean
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
-    return CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
+    cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
                      rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * cfg.prb_megabits,
                      demand_mb=np.where(rest[:, None], 0.0, demand))
+    for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb):
+        drawn_array.flags.writeable = False
+    return cell
 
 
 def _top_budget(keys, valid, budget, descending):
@@ -207,21 +212,19 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
     return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
 
 
-def schedule_prbs(option: SchedulerOption, state: CellState, demands: np.ndarray,
+def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
                   prb_budget: int, cfg: SimConfig, y_mb: np.ndarray) -> np.ndarray:
     """Integer PRB split over UEs for one tick under the given option, where
-    UE i has the state's queue plus demands[i] to send at y_mb[i] megabits
-    per PRB.
+    UE i has avail[i] megabits, its queue and fresh demand, to send at y_mb[i]
+    megabits per PRB; the PF options rank by the state's PF average.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
     if prb_budget <= 0:
         raise ValueError(f"prb_budget must be positive, got {prb_budget}")
-    demands = np.asarray(demands, dtype=np.float64)
-    if np.any(demands < 0):
-        raise ValueError("demands must be >= 0")
-    avail = state.queue_mb + demands
+    if avail.min() < 0:
+        raise ValueError("avail must be >= 0")
     k = np.arange(prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         # each UE's whole need, ceil(avail / y) PRBs, best yield first
@@ -251,7 +254,7 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     demands, y = state.demand_mb[t], state.y_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg.prb_budget, cfg, y)
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
@@ -264,7 +267,7 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     obs = TickObservables(
         demand_mb=demands,
         served_mb=served,
-        queue_after_mb=state.queue_mb.copy(),
+        queue_after_mb=state.queue_mb,
         ue_throughput_mbps=tput,
         cell_throughput_mbps=float(tput.sum()),
         spectral_eff=state.spectral_eff[t],

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +77,26 @@ class TestRunEpisode:
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         assert calls == list(range(1, cfg.steps_demand + 1))  # no rest tick's
 
+    def test_radio_table_built_once_per_agent_episode(self, monkeypatch):
+        import ranopt.harness as hn
+        shapes, orig = [], hn.radio_table
+        monkeypatch.setattr(hn, "radio_table", lambda rsrp, eff: shapes.append(rsrp.shape)
+                            or orig(rsrp, eff))
+        cfg = small_cfg()
+        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        assert shapes == []
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        assert shapes == [(cfg.steps_demand, len(cfg.ue_profiles))]
+
+    def test_given_cell_left_as_it_was(self):
+        import ranopt.harness as hn
+        cfg = small_cfg()
+        cell = hn._draw_cell(cfg, 1)
+        for option in (SchedulerOption.EQUAL_RATE, SchedulerOption.MAXIMUM_C_OVER_I):
+            res = run_episode(cfg, 1, constant_action=option, cell=cell)
+            assert cell.tick == 0 and not cell.queue_mb.any()
+            assert res == run_episode(cfg, 1, constant_action=option)
+
     def test_baseline_never_touches_agent(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)
@@ -140,6 +161,19 @@ class TestBaselineSuite:
         means = [r.mean_reward for r in rows]
         assert means == sorted(means, reverse=True)
 
+    def test_each_seed_drawn_once(self, monkeypatch):
+        import ranopt.harness as hn
+        cfg = small_cfg()
+        alone = {option: [run_episode(cfg, 2 + i, constant_action=option).mean_reward
+                          for i in range(cfg.baseline_episodes)] for option in SchedulerOption}
+        drawn, orig = [], hn.init_cell_state
+        monkeypatch.setattr(hn, "init_cell_state", lambda *args: drawn.append(args[2])
+                            or orig(*args))
+        rows = run_baseline_suite(cfg, first_episode=2)
+        assert drawn == [episode_seed(cfg.seed, 2 + i) for i in range(cfg.baseline_episodes)]
+        for row in rows:
+            assert row.mean_reward.hex() == episode_stats(alone[row.action])[0].hex()
+
     def test_throughput_best_is_max_ci(self):
         cfg = ExperimentConfig(baseline_episodes=10)
         rows = run_baseline_suite(cfg)
@@ -149,6 +183,50 @@ class TestBaselineSuite:
         cfg = ExperimentConfig(reward_mode="ue_gap", baseline_episodes=10)
         rows = run_baseline_suite(cfg)
         assert rows[0].action == SchedulerOption.EQUAL_RATE
+
+
+class TestTraceContract:
+    """The names and types a tracer that patches module globals relies on."""
+
+    def test_step_schedules_through_sim_globals(self, monkeypatch):
+        import ranopt.sim as sim
+        options, orig = [], sim.schedule_prbs
+        monkeypatch.setattr(sim, "schedule_prbs", lambda *args: options.append(args[0])
+                            or orig(*args))
+        cfg = small_cfg()
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        run_episode(cfg, 0, constant_action=SchedulerOption.PROPORTIONAL_FAIR_LOW)
+        assert len(options) == 2 * (cfg.steps_demand + cfg.steps_rest)
+        assert all(isinstance(option, SchedulerOption) for option in options)
+
+    def test_prb_utilization_is_a_float(self, monkeypatch):
+        import ranopt.harness as hn
+        kinds, orig = set(), hn.step
+
+        def recording(*args):
+            cell, obs = orig(*args)
+            kinds.add(type(obs.prb_utilization))
+            return cell, obs
+
+        monkeypatch.setattr(hn, "step", recording)
+        cfg = small_cfg()
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        assert kinds == {float}
+
+    def test_harness_reaches_layers_through_its_globals(self, monkeypatch):
+        import ranopt.harness as hn
+        calls = {}
+        for name in ("step", "compose_kpis", "init_cell_state"):
+            orig = getattr(hn, name)
+            monkeypatch.setattr(hn, name, lambda *args, _n=name, _f=orig:
+                                calls.setdefault(_n, []).append(1) or _f(*args))
+        cfg = small_cfg()
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        run_baseline_suite(cfg, episodes=1)
+        ticks = cfg.steps_demand + cfg.steps_rest
+        assert {name: len(c) for name, c in calls.items()} == {
+            "init_cell_state": 2, "step": 6 * ticks, "compose_kpis": cfg.steps_demand}
 
 
 class TestTrainExperiment:
@@ -264,6 +342,26 @@ class TestGoldenTrajectory:
         assert [(r.mean_reward.hex(), r.mean_td_error.hex()) for r in resumed] == self.FULL[2:]
         assert hashlib.sha256(agent.online.theta.tobytes()).hexdigest() == self.ONLINE_SHA256
         assert hashlib.sha256(agent.target.theta.tobytes()).hexdigest() == self.TARGET_SHA256
+
+
+class TestGoldenGreedy:
+    """Greedy evaluation of a seeded short run's final checkpoint, pinned bit
+    for bit: the states an agent acts on, not only the ones it trains on."""
+
+    MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
+    # options stepped over the 6 evaluated episodes, rest ticks included
+    ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
+
+    def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
+        import ranopt.harness as hn
+        cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
+        train_experiment(cfg, out_dir=tmp_path)
+        stepped, orig = [], hn.step
+        monkeypatch.setattr(hn, "step", lambda cell, option, c: stepped.append(int(option))
+                            or orig(cell, option, c))
+        mean, stderr = evaluate_checkpoint(cfg, tmp_path / "final", episodes=6, first_episode=4)
+        assert (mean.hex(), stderr.hex()) == (self.MEAN, self.STDERR)
+        assert Counter(stepped) == self.ACTIONS
 
 
 def assert_same_agent(a, b):

@@ -10,8 +10,9 @@ from ranopt.harness import INITIAL_STATE
 from ranopt.kpi import (N_ACTIONS, N_CQI_BINS, N_RSRP_BINS, N_RSRQ_BINS, N_TA_BINS,
                         RSRP_BIN_EDGES, RSRQ_BIN_EDGES, STATE_DIM, TA_BIN_EDGES,
                         TA_KM_BASE, TA_KM_PER_UE_INDEX, KpiConfig, compose_kpis,
-                        manifest_sha256, manifest_text, reward_throughput, reward_ue_gap)
-from ranopt.sim import EFF_CAP, SchedulerOption, TickObservables
+                        manifest_sha256, manifest_text, radio_table, reward_throughput,
+                        reward_ue_gap)
+from ranopt.sim import EFF_CAP, SchedulerOption, TickObservables, UeProfile
 
 
 def make_obs(n=4, **overrides):
@@ -76,6 +77,12 @@ class TestManifest:
 
 # the default episode framing: 80 demand ticks of 90
 FRAMING = (80, 90)
+
+
+def compose(obs, prev_action, step_in_episode):
+    """compose_kpis at the default framing, with the observables' radio table."""
+    return compose_kpis(obs, prev_action, step_in_episode, *FRAMING,
+                        radio_table(obs.rsrp_dbm, obs.spectral_eff))
 
 
 # --- reference composer: one numpy call per quantity ---------------------------
@@ -160,12 +167,12 @@ def observables(draw):
 
 class TestComposeKpis:
     def test_length_58(self):
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 0, *FRAMING)
+        v = compose(make_obs(), SchedulerOption.EQUAL_RATE, 0)
         assert v.shape == (58,) and v.dtype == np.float64
 
     def test_zero_tick(self):
         for n in range(1, 7):
-            v = compose_kpis(make_obs(n), SchedulerOption.EQUAL_RATE, 0, *FRAMING)
+            v = compose(make_obs(n), SchedulerOption.EQUAL_RATE, 0)
             assert np.all(v[:12] == 0.0)
             assert np.all(v[12:51] == 0.0)          # all histograms empty
             assert np.array_equal(v[51:56], [1, 0, 0, 0, 0])  # one-hot EQUAL_RATE
@@ -174,13 +181,13 @@ class TestComposeKpis:
 
     def test_clip_at_bound(self):
         obs = make_obs(cell_throughput_mbps=kpi.CELL_SCALAR_BOUNDS[0] * 3)
-        v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 0, *FRAMING)
+        v = compose(obs, SchedulerOption.EQUAL_RATE, 0)
         assert v[0] == 1.0
 
     def test_pure_function(self):
         obs = random_obs(np.random.default_rng(5))
-        a = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, *FRAMING)
-        b = compose_kpis(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17, *FRAMING)
+        a = compose(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17)
+        b = compose(obs, SchedulerOption.MAXIMUM_C_OVER_I, 17)
         assert np.array_equal(a, b)
 
     def test_histograms_sum_to_active_count(self):
@@ -189,31 +196,31 @@ class TestComposeKpis:
         for n in range(1, 7):
             for _ in range(50):
                 obs = random_obs(rng, n)
-                v = compose_kpis(obs, SchedulerOption.EQUAL_RATE, 3, *FRAMING)
+                v = compose(obs, SchedulerOption.EQUAL_RATE, 3)
                 for sl in (slice(12, 27), slice(27, 35), slice(35, 43), slice(43, 51)):
                     assert v[sl].sum() * n == pytest.approx(obs.active_mask.sum())
                 assert v[5] * n == pytest.approx(obs.active_mask.sum())  # active_ue_count
 
     def test_prev_action_one_hot(self):
         for opt in SchedulerOption:
-            v = compose_kpis(make_obs(), opt, 0, *FRAMING)
+            v = compose(make_obs(), opt, 0)
             expected = np.zeros(5)
             expected[int(opt)] = 1.0
             assert np.array_equal(v[51:56], expected)
 
     def test_phase_entries(self):
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 45, *FRAMING)
+        v = compose(make_obs(), SchedulerOption.EQUAL_RATE, 45)
         assert v[56] == pytest.approx(0.5)
         assert v[57] == 0.0
-        v = compose_kpis(make_obs(), SchedulerOption.EQUAL_RATE, 85, *FRAMING)
+        v = compose(make_obs(), SchedulerOption.EQUAL_RATE, 85)
         assert v[57] == 1.0
 
     def test_fuzzed_range_and_length(self):
         # acceptance-scale fuzz lives in test_acceptance; a fast slice here
         rng = np.random.default_rng(2)
         for _ in range(500):
-            v = compose_kpis(random_obs(rng), SchedulerOption(int(rng.integers(5))),
-                             int(rng.integers(0, 91)), *FRAMING)
+            v = compose(random_obs(rng), SchedulerOption(int(rng.integers(5))),
+                        int(rng.integers(0, 91)))
             assert v.shape == (58,)
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
@@ -224,10 +231,55 @@ class TestComposeMatchesReference:
     @given(obs=observables(), prev_action=st.sampled_from(SchedulerOption),
            step_in_episode=st.integers(0, 100))
     def test_bit_equal(self, obs, prev_action, step_in_episode):
-        v = compose_kpis(obs, prev_action, step_in_episode, *FRAMING)
+        v = compose_kpis(obs, prev_action, step_in_episode, *FRAMING,
+                         radio_table(obs.rsrp_dbm, obs.spectral_eff))
         expected = reference_compose_kpis(obs, prev_action, step_in_episode, *FRAMING)
         assert v.shape == (STATE_DIM,) and v.dtype == expected.dtype
         assert v.tobytes() == expected.tobytes()
+
+
+class TestRadioTable:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(ticks=st.integers(1, 6), n=st.integers(1, 9), data=st.data())
+    def test_episode_row_is_the_row_alone(self, ticks, n, data):
+        def block(strategy):
+            return np.array(data.draw(st.lists(strategy, min_size=ticks * n,
+                                               max_size=ticks * n))).reshape(ticks, n)
+
+        rsrp = block(st.sampled_from(list(RSRP_BIN_EDGES) + [np.nan]) | st.floats(-250.0, 50.0))
+        eff = block(st.floats(-1.0, 6.0))
+        ids, rsrq_radio = radio_table(rsrp, eff)
+        assert ids.shape == (ticks, n, 3) and rsrq_radio.shape == (ticks, n)
+        for t in range(ticks):
+            row_ids, row_radio = radio_table(rsrp[t], eff[t])
+            assert ids[t].tobytes() == row_ids.tobytes() and ids.dtype == row_ids.dtype
+            assert rsrq_radio[t].tobytes() == row_radio.tobytes()
+
+
+class TestEpisodeStatesMatchReference:
+    """Every state an agent episode composes, against the reference composer,
+    on light traffic that leaves UEs idle on some ticks."""
+
+    LIGHT = [UeProfile(-118.0, 30.0, 120.0), UeProfile(-104.0, 10.0, 200.0),
+             UeProfile(-96.0, 0.0, 0.0), UeProfile(-85.0, 40.0, 90.0)]
+
+    def test_bit_equal_with_idle_ues(self, monkeypatch):
+        import ranopt.harness as hn
+        from ranopt.agent import DoubleQAgent
+        cfg = hn.ExperimentConfig(steps_demand=60, steps_rest=5, ue_profiles=self.LIGHT)
+        actives = []
+
+        def checked(obs, *args):
+            state = compose_kpis(obs, *args)
+            assert state.tobytes() == reference_compose_kpis(obs, *args[:4]).tobytes()
+            actives.append(int(obs.active_mask.sum()))
+            return state
+
+        monkeypatch.setattr(hn, "compose_kpis", checked)
+        hn.run_episode(cfg, 3, agent=DoubleQAgent(cfg.agent), train=True)
+        assert len(actives) == cfg.steps_demand
+        # ticks with no UE, some UEs and (but for the idle one) all UEs active
+        assert {0, 1, 2, 3} <= set(actives)
 
 
 class TestRewardThroughput:

@@ -34,7 +34,7 @@ def make_state(queues, rsrp, cfg, pf_avg=None):
 def schedule(option, state, demands, prb_budget, cfg):
     """schedule_prbs at the state's current radio, a PRB carrying cfg.prb_megabits
     at unit efficiency."""
-    return schedule_prbs(option, state, demands, prb_budget, cfg,
+    return schedule_prbs(option, state, state.queue_mb + demands, prb_budget, cfg,
                          state.spectral_eff[state.tick] * cfg.prb_megabits)
 
 
@@ -158,7 +158,7 @@ def tick_step(state, option, profiles, rest, cfg):
     y = eff * cfg.prb_megabits
     demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
-    alloc = schedule_prbs(option, state, demands, cfg.prb_budget, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg.prb_budget, cfg, y)
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
     tput = served / cfg.tick_seconds
@@ -290,6 +290,13 @@ class TestSchedulePrbs:
         st = make_state([1.0], [-100.0], cfg)
         with pytest.raises(ValueError):
             schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(1), 0, cfg)
+
+    def test_negative_volume_refused(self):
+        cfg = SimConfig()
+        st = make_state([1.0, 5.0], [-100.0, -100.0], cfg)
+        for opt in SchedulerOption:
+            with pytest.raises(ValueError, match="avail must be >= 0"):
+                schedule(opt, st, np.array([0.0, -5.5]), cfg.prb_budget, cfg)
 
     def test_budget_respected_under_fuzz(self):
         cfg = SimConfig()
@@ -483,6 +490,20 @@ class TestStep:
             mean_gap[opt] = np.mean(gaps)
         assert max(mean_tput, key=mean_tput.get) == SchedulerOption.MAXIMUM_C_OVER_I
         assert min(mean_gap, key=mean_gap.get) == SchedulerOption.EQUAL_RATE
+
+    def test_drawn_episode_read_only(self):
+        st = init_cell_state(PROFILES_LAB, SimConfig(), 6, demand_ticks(3))
+        for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(st, name)[0, 0] = 1.0
+
+    def test_observables_outlive_the_next_tick(self):
+        cfg = SimConfig()
+        st = init_cell_state(PROFILES_LAB, cfg, 7, demand_ticks(2))
+        st, first = step(st, SchedulerOption.EQUAL_RATE, cfg)
+        queue = first.queue_after_mb.copy()
+        step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
+        assert same_bits(first.queue_after_mb, queue)
 
     def test_episode_end_refused(self):
         cfg = SimConfig()
