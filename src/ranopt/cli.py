@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 from . import harness
@@ -66,10 +67,10 @@ def _build_section(cls, data, path: str, **parsed):
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        # name the offending key when the dataclass validator identifies one
+        # name the offending key when the dataclass validator names one as a word
         msg = str(exc)
         for f in dataclasses.fields(cls):
-            if f.name in msg:
+            if re.search(rf"\b{f.name}\b", msg):
                 raise ConfigError(f"{_key(path, f.name)}: {msg}") from None
         raise ConfigError(f"{path}: {msg}" if path else msg) from None
 
@@ -146,6 +147,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     cfg = load_config_file(args.config, seed_override=args.seed)
     _echo(cfg)
     mean, stderr = harness.evaluate_checkpoint(cfg, args.checkpoint, args.episodes)
@@ -154,6 +157,8 @@ def cmd_eval(args) -> int:
     print(json.dumps(report, indent=2))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+        # relative to the report, so the file does not depend on where the tree lives
+        report["checkpoint"] = os.path.relpath(args.checkpoint, args.out)
         with open(os.path.join(args.out, "eval.json"), "w") as fh:
             json.dump(report, fh, indent=2)
     return 0

@@ -8,13 +8,13 @@ any two runs of the same config reproduce each other exactly. Learning
 state (networks, replay buffer, exploration schedule) is never reset
 between episodes: the control task is continuous.
 
-Rest minutes are simulated (queues keep draining) but produce no experience,
-no training and no reward statistics, so their KPI states are never
-composed; nor are any under a constant action, which reads no state. An
-agent episode bins its radio once, with radio_table over the drawn rows of
-its demand ticks, and composes each demand tick's state from its row. The
-baseline suite draws each episode's cell once and runs every constant
-action on a shallow copy of it.
+Nothing reads the rest minutes (no experience, training or reward, and the
+next episode starts from a fresh cell), so a cell is drawn and stepped for
+the demand minutes only; the rest minutes live on in the state's phase
+entries. No state is composed under a constant action, which reads none. An
+agent episode bins its radio once, with radio_table over its drawn rows, and
+composes each tick's state from its row. The baseline suite draws each
+episode's cell once and runs every constant action on a shallow copy of it.
 """
 
 from __future__ import annotations
@@ -129,37 +129,36 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
 def _draw_cell(cfg: ExperimentConfig, episode_index: int) -> CellState:
     """The episode's cell, its radio and demand drawn from the episode seed."""
     return init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
-                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand)
+                           cfg.steps_demand)
 
 
 def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
                 train: bool = False, cell: CellState | None = None) -> EpisodeResult:
-    """One 90-tick episode under either the agent's policy or a constant action.
+    """One episode's demand ticks under either the agent's policy or a
+    constant action; its rest ticks affect nothing and are not simulated.
 
-    Returns reward statistics over the demand steps only. With train set the
-    agent pushes one experience per demand step and runs one training step
-    per tick once the buffer holds a valid segment. Only an agent's demand
-    steps compose a state: nothing else reads one. cell, when given, is the
-    episode's drawn cell, not yet stepped; the episode runs on a shallow copy,
-    which shares its read-only drawn arrays and leaves it as it was.
+    Returns reward statistics over the demand steps. With train set the
+    agent pushes one experience per step and runs one training step per
+    tick once the buffer holds a valid segment. Only an agent composes
+    states: nothing else reads one. cell, when given, is the episode's drawn
+    cell, not yet stepped; the episode runs on a shallow copy, which shares
+    its read-only drawn arrays and leaves it as it was.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
     if train and agent is None:
         raise ValueError("training requires an agent")
 
-    n_ticks = cfg.steps_demand + cfg.steps_rest
     # step rebinds a cell's queue and PF average, never writes into them
     cell = _draw_cell(cfg, episode_index) if cell is None else copy.copy(cell)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
     action = constant_action
-    if agent is not None:  # each demand tick's row of the radio's state terms
-        radio = list(zip(*radio_table(cell.rsrp_dbm[:cfg.steps_demand],
-                                      cell.spectral_eff[:cfg.steps_demand])))
+    if agent is not None:  # each tick's row of the radio's state terms
+        radio = list(zip(*radio_table(cell.rsrp_dbm, cell.spectral_eff)))
 
     for t in range(cfg.steps_demand):
         if agent is not None:
@@ -169,15 +168,13 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         rewards.append(r)
         if agent is None:
             continue
-        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks, radio[t])
+        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand,
+                                cfg.steps_demand + cfg.steps_rest, radio[t])
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
             if agent.can_train():
                 td_errors.append(agent.train_step())
         state_vec = next_vec
-
-    for _ in range(cfg.steps_rest):  # queues keep draining
-        step(cell, action, cfg.sim)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(
@@ -291,10 +288,10 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """Restore an agent exactly as saved by save_checkpoint; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, a meta whose step, next episode or RNG state is missing or
-    malformed, a missing or 0-d array member, a network vector that is not
-    float64 of this network's size, and buffer arrays that do not fit the
-    replay ring or hold a transition the ring's check refuses.
+    manifest, a meta whose step, next episode or RNG state is missing,
+    malformed or negative, a missing or 0-d array member, a network vector
+    that is not float64 of this network's size, and buffer arrays that do not
+    fit the replay ring or hold a transition the ring's check refuses.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
@@ -311,9 +308,12 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
         ag = DoubleQAgent(cfg.agent)
         ag.online, ag.target = (qnet.QNetParams(members[net], ag.online.dims) for net in _NETS)
         ag.buffer.load(members)
-        ag.global_step = int(meta["global_step"])
+        ag.global_step, next_episode = int(meta["global_step"]), int(meta["next_episode"])
+        for name, value in (("global_step", ag.global_step), ("next_episode", next_episode)):
+            if value < 0:
+                raise ValueError(f"{CHECKPOINT_FILE} meta {name} must be >= 0, got {value}")
         ag.rng.bit_generator.state = meta["rng_state"]
-        return ag, int(meta["next_episode"])
+        return ag, next_episode
     except KeyError as exc:  # a meta key, or an entry of the RNG state that numpy reads
         raise ValueError(f"{directory}: {CHECKPOINT_FILE} meta lacks {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
@@ -379,8 +379,8 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
             save_checkpoint(os.path.join(out_dir, "checkpoints", f"ep_{ep + 1:04d}"),
                             ag, ep + 1)
 
-    if out_dir is not None:
-        save_checkpoint(os.path.join(out_dir, "final"), ag, cfg.episodes)
+    if out_dir is not None:  # a resume past cfg.episodes trains nothing and keeps its count
+        save_checkpoint(os.path.join(out_dir, "final"), ag, max(start, cfg.episodes))
     return results, ag
 
 

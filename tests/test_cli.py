@@ -92,10 +92,12 @@ class TestBuildConfig:
         ({"profiles_file": 5}, "profiles_file: expected a string, got 5"),
         ({"sim": {"tick_seconds": 30}}, None),  # an integer for a float field
         ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
+        # a validator's message names the key as a word: not episodes, a part of its name
+        ({"baseline_episodes": 0}, "baseline_episodes: baseline_episodes must be >= 1"),
     ], ids=["bool_top_level", "float_for_int", "string_for_int", "float_for_nested_int",
             "bool_for_float", "bool_for_nested_int", "null_for_float", "bool_in_profile",
             "int_for_preload_path", "int_for_profiles_file", "int_for_float",
-            "int_for_kpi_float"])
+            "int_for_kpi_float", "key_named_by_whole_word"])
     def test_number_fields_checked(self, tmp_path, capsys, data, error):
         cfg_path = write_config(tmp_path, {**SMALL, **data})
         code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -141,6 +143,27 @@ class TestCliCommands:
         assert "mean_reward" in report
         for p, content in snapshot.items():
             assert (run_dir / p).read_bytes() == content
+
+    def test_eval_report_names_checkpoint_relative_to_it(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        checkpoint = str(tmp_path / "run" / "final")  # absolute
+        main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        report_dir = tmp_path / "reports" / "eval"
+        assert main(["eval", "--config", cfg_path, "--checkpoint", checkpoint,
+                     "--episodes", "1", "--out", str(report_dir)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads("{" + out.rsplit("{", 1)[1])["checkpoint"] == checkpoint
+        written = json.loads((report_dir / "eval.json").read_text())["checkpoint"]
+        assert written == os.path.join("..", "..", "run", "final")
+        assert os.path.samefile(report_dir / written, checkpoint)
+
+    def test_eval_refuses_no_episodes_before_loading(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        code = main(["eval", "--config", cfg_path, "--checkpoint", str(tmp_path / "missing"),
+                     "--episodes", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --episodes must be >= 1, got 0\n"
 
     def test_eval_deterministic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL)

@@ -49,22 +49,16 @@ class TestEpisodeSeed:
 
 
 class TestRunEpisode:
-    def test_tick_count(self):
-        cfg = ExperimentConfig()
-        calls = []
+    def test_tick_count(self, monkeypatch):
+        # only the demand ticks are stepped: nothing reads a rest tick
         import ranopt.harness as hn
-        orig = hn.step
-
-        def counting(*args, **kw):
-            calls.append(1)
-            return orig(*args, **kw)
-
-        hn.step = counting
-        try:
-            run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
-        finally:
-            hn.step = orig
-        assert len(calls) == 90
+        cfg = ExperimentConfig()
+        calls, orig = [], hn.step
+        monkeypatch.setattr(hn, "step", lambda *args: calls.append(1) or orig(*args))
+        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        assert len(calls) == cfg.steps_demand == 80
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        assert len(calls) == 2 * cfg.steps_demand
 
     def test_states_composed_only_where_an_agent_reads_them(self, monkeypatch):
         import ranopt.harness as hn
@@ -75,7 +69,7 @@ class TestRunEpisode:
         run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
         assert calls == []
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
-        assert calls == list(range(1, cfg.steps_demand + 1))  # no rest tick's
+        assert calls == list(range(1, cfg.steps_demand + 1))
 
     def test_radio_table_built_once_per_agent_episode(self, monkeypatch):
         import ranopt.harness as hn
@@ -196,7 +190,7 @@ class TestTraceContract:
         cfg = small_cfg()
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_episode(cfg, 0, constant_action=SchedulerOption.PROPORTIONAL_FAIR_LOW)
-        assert len(options) == 2 * (cfg.steps_demand + cfg.steps_rest)
+        assert len(options) == 2 * cfg.steps_demand
         assert all(isinstance(option, SchedulerOption) for option in options)
 
     def test_prb_utilization_is_a_float(self, monkeypatch):
@@ -224,9 +218,8 @@ class TestTraceContract:
         cfg = small_cfg()
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg, episodes=1)
-        ticks = cfg.steps_demand + cfg.steps_rest
         assert {name: len(c) for name, c in calls.items()} == {
-            "init_cell_state": 2, "step": 6 * ticks, "compose_kpis": cfg.steps_demand}
+            "init_cell_state": 2, "step": 6 * cfg.steps_demand, "compose_kpis": cfg.steps_demand}
 
 
 class TestTrainExperiment:
@@ -264,6 +257,15 @@ class TestTrainExperiment:
             assert a.mean_reward == b.mean_reward
             assert a.epsilon_end == b.epsilon_end
             assert a.mean_td_error == b.mean_td_error
+
+    def test_resume_past_the_end_keeps_its_count(self, tmp_path):
+        _, trained = train_experiment(small_cfg(episodes=2), out_dir=tmp_path / "run")
+        results, _ = train_experiment(small_cfg(episodes=1), out_dir=tmp_path / "again",
+                                      resume_from=tmp_path / "run" / "final")
+        assert results == []
+        agent, next_episode = load_checkpoint(tmp_path / "again" / "final", small_cfg())
+        assert next_episode == 2
+        assert agent.global_step == trained.global_step
 
     def test_resume_into_same_dir_keeps_history(self, tmp_path):
         train_experiment(small_cfg(episodes=6, checkpoint_every=3), out_dir=tmp_path / "full")
@@ -349,8 +351,8 @@ class TestGoldenGreedy:
     for bit: the states an agent acts on, not only the ones it trains on."""
 
     MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
-    # options stepped over the 6 evaluated episodes, rest ticks included
-    ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
+    # options stepped over the demand ticks of the 6 evaluated episodes
+    ACTIONS = {0: 4, 1: 9, 2: 66, 3: 26, 4: 15}
 
     def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
         import ranopt.harness as hn
@@ -451,9 +453,12 @@ class TestCheckpointRoundtrip:
         ({"rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}}, {},
          "checkpoint.npz meta lacks state$"),
         ({"global_step": "abc"}, {}, "invalid literal for int"),
+        ({"global_step": -5}, {}, "checkpoint.npz meta global_step must be >= 0, got -5$"),
+        ({"next_episode": -1}, {}, "checkpoint.npz meta next_episode must be >= 0, got -1$"),
     ], ids=["format", "manifest", "w1_shape", "target_dtype", "buffer_lengths",
             "states_width", "missing_actions", "scalar_actions", "missing_online",
-            "missing_global_step", "rng_state_without_state", "global_step_not_a_number"])
+            "missing_global_step", "rng_state_without_state", "global_step_not_a_number",
+            "negative_global_step", "negative_next_episode"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
         cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
