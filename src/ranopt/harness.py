@@ -8,13 +8,13 @@ any two runs of the same config reproduce each other exactly. Learning
 state (networks, replay buffer, exploration schedule) is never reset
 between episodes: the control task is continuous.
 
-Nothing reads the rest minutes (no experience, training or reward, and the
-next episode starts from a fresh cell), so a cell is drawn and stepped for
-the demand minutes only; the rest minutes live on in the state's phase
-entries. No state is composed under a constant action, which reads none. An
-agent episode bins its radio once, with radio_table over its drawn rows, and
-composes each tick's state from its row. The baseline suite draws each
-episode's cell once and runs every constant action on a shallow copy of it.
+Rest minutes are simulated (queues keep draining) but produce no experience,
+no training and no reward statistics, so their KPI states are never
+composed; nor are any under a constant action, which reads no state. An
+agent episode bins its radio once, with radio_table over the drawn rows of
+its demand ticks, and composes each demand tick's state from its row. The
+baseline suite draws each episode's cell once and runs every constant
+action on a shallow copy of it.
 """
 
 from __future__ import annotations
@@ -129,36 +129,37 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
 def _draw_cell(cfg: ExperimentConfig, episode_index: int) -> CellState:
     """The episode's cell, its radio and demand drawn from the episode seed."""
     return init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
-                           cfg.steps_demand)
+                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand)
 
 
 def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
                 train: bool = False, cell: CellState | None = None) -> EpisodeResult:
-    """One episode's demand ticks under either the agent's policy or a
-    constant action; its rest ticks affect nothing and are not simulated.
+    """One 90-tick episode under either the agent's policy or a constant action.
 
-    Returns reward statistics over the demand steps. With train set the
-    agent pushes one experience per step and runs one training step per
-    tick once the buffer holds a valid segment. Only an agent composes
-    states: nothing else reads one. cell, when given, is the episode's drawn
-    cell, not yet stepped; the episode runs on a shallow copy, which shares
-    its read-only drawn arrays and leaves it as it was.
+    Returns reward statistics over the demand steps only. With train set the
+    agent pushes one experience per demand step and runs one training step
+    per tick once the buffer holds a valid segment. Only an agent's demand
+    steps compose a state: nothing else reads one. cell, when given, is the
+    episode's drawn cell, not yet stepped; the episode runs on a shallow copy,
+    which shares its read-only drawn arrays and leaves it as it was.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
     if train and agent is None:
         raise ValueError("training requires an agent")
 
+    n_ticks = cfg.steps_demand + cfg.steps_rest
     # step rebinds a cell's queue and PF average, never writes into them
     cell = _draw_cell(cfg, episode_index) if cell is None else copy.copy(cell)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
     action = constant_action
-    if agent is not None:  # each tick's row of the radio's state terms
-        radio = list(zip(*radio_table(cell.rsrp_dbm, cell.spectral_eff)))
+    if agent is not None:  # each demand tick's row of the radio's state terms
+        radio = list(zip(*radio_table(cell.rsrp_dbm[:cfg.steps_demand],
+                                      cell.spectral_eff[:cfg.steps_demand])))
 
     for t in range(cfg.steps_demand):
         if agent is not None:
@@ -168,13 +169,15 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         rewards.append(r)
         if agent is None:
             continue
-        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand,
-                                cfg.steps_demand + cfg.steps_rest, radio[t])
+        next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks, radio[t])
         if train:
             agent.observe(state_vec, int(action), r, next_vec, episode_index)
             if agent.can_train():
                 td_errors.append(agent.train_step())
         state_vec = next_vec
+
+    for _ in range(cfg.steps_rest):  # queues keep draining
+        step(cell, action, cfg.sim)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(

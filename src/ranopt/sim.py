@@ -5,7 +5,7 @@ RSRP levels with a slow shadow-fading component on top; each demand tick
 brings them fresh traffic, the configured MAC scheduler option splits the
 PRB budget over their buffered traffic, and the cell serves whatever the
 channel allows. The whole trajectory is a pure function of (profiles,
-config, seed, ticks).
+config, seed, rest ticks).
 
 No action changes the radio or the demand, so a cell draws its episode's
 noise when it is created: each tick's radio conditions and demand are rows
@@ -108,7 +108,7 @@ class CellState:
     rsrp_dbm: np.ndarray        # effective (base + fading) RSRP
     spectral_eff: np.ndarray    # efficiency at the effective RSRP
     y_mb: np.ndarray            # megabits one PRB carries
-    demand_mb: np.ndarray       # fresh traffic
+    demand_mb: np.ndarray       # fresh traffic, zero on rest ticks
     tick: int = 0               # the next tick to simulate
 
 
@@ -144,20 +144,22 @@ def spectral_efficiency(rsrp_dbm):
     return eff
 
 
-def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, ticks: int) -> CellState:
-    """Fresh cell with empty buffers and its episode of ticks demand ticks drawn.
+def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> CellState:
+    """Fresh cell with empty buffers and its episode drawn: rest holds one
+    flag per tick, and a rest tick brings no demand.
 
     One standard-normal block holds the draws of a tick-by-tick simulation
     in its order: n for the initial fading, at its stationary distribution,
-    then per tick n for the fading innovation and n for demand. Fading
-    draws are skipped without fading, demand draws when no UE's demand
-    varies. Each draw is loc + scale * z, as Generator.normal forms it, and
-    demand is truncated at 0. The drawn arrays are read-only.
+    then per tick n for the fading innovation and, on a demand tick, n for
+    demand. Fading draws are skipped without fading, demand draws when no
+    UE's demand varies. Each draw is loc + scale * z, as Generator.normal
+    forms it, and demand is truncated at 0. The drawn arrays are read-only.
     """
-    n = len(profiles)
+    rest = np.asarray(rest, dtype=bool)
+    n, ticks = len(profiles), rest.size
     means, stds = np.array([(p.demand_mean, p.demand_std) for p in profiles]).T
-    drawn = np.full((ticks + 1, 2), [cfg.rf_jitter_std_db > 0, np.any(stds > 0)])  # fading, demand
-    drawn[0, 1] = False  # row 0, the start, draws no demand
+    drawn = np.full((ticks + 1, 2), cfg.rf_jitter_std_db > 0)  # (fading, demand); row 0: start
+    drawn[:, 1] = np.append(False, ~rest & np.any(stds > 0))
     z = np.zeros((ticks + 1, 2, n))
     z[drawn] = np.random.default_rng(seed).standard_normal(n * int(drawn.sum())).reshape(-1, n)
 
@@ -172,7 +174,7 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, ticks: int)
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
     cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
                      rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * cfg.prb_megabits,
-                     demand_mb=demand)
+                     demand_mb=np.where(rest[:, None], 0.0, demand))
     for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb):
         drawn_array.flags.writeable = False
     return cell

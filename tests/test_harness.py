@@ -49,16 +49,22 @@ class TestEpisodeSeed:
 
 
 class TestRunEpisode:
-    def test_tick_count(self, monkeypatch):
-        # only the demand ticks are stepped: nothing reads a rest tick
-        import ranopt.harness as hn
+    def test_tick_count(self):
         cfg = ExperimentConfig()
-        calls, orig = [], hn.step
-        monkeypatch.setattr(hn, "step", lambda *args: calls.append(1) or orig(*args))
-        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
-        assert len(calls) == cfg.steps_demand == 80
-        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
-        assert len(calls) == 2 * cfg.steps_demand
+        calls = []
+        import ranopt.harness as hn
+        orig = hn.step
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return orig(*args, **kw)
+
+        hn.step = counting
+        try:
+            run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        finally:
+            hn.step = orig
+        assert len(calls) == 90
 
     def test_states_composed_only_where_an_agent_reads_them(self, monkeypatch):
         import ranopt.harness as hn
@@ -69,7 +75,7 @@ class TestRunEpisode:
         run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
         assert calls == []
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
-        assert calls == list(range(1, cfg.steps_demand + 1))
+        assert calls == list(range(1, cfg.steps_demand + 1))  # no rest tick's
 
     def test_radio_table_built_once_per_agent_episode(self, monkeypatch):
         import ranopt.harness as hn
@@ -190,7 +196,7 @@ class TestTraceContract:
         cfg = small_cfg()
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_episode(cfg, 0, constant_action=SchedulerOption.PROPORTIONAL_FAIR_LOW)
-        assert len(options) == 2 * cfg.steps_demand
+        assert len(options) == 2 * (cfg.steps_demand + cfg.steps_rest)
         assert all(isinstance(option, SchedulerOption) for option in options)
 
     def test_prb_utilization_is_a_float(self, monkeypatch):
@@ -218,8 +224,9 @@ class TestTraceContract:
         cfg = small_cfg()
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg, episodes=1)
+        ticks = cfg.steps_demand + cfg.steps_rest
         assert {name: len(c) for name, c in calls.items()} == {
-            "init_cell_state": 2, "step": 6 * cfg.steps_demand, "compose_kpis": cfg.steps_demand}
+            "init_cell_state": 2, "step": 6 * ticks, "compose_kpis": cfg.steps_demand}
 
 
 class TestTrainExperiment:
@@ -351,8 +358,8 @@ class TestGoldenGreedy:
     for bit: the states an agent acts on, not only the ones it trains on."""
 
     MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
-    # options stepped over the demand ticks of the 6 evaluated episodes
-    ACTIONS = {0: 4, 1: 9, 2: 66, 3: 26, 4: 15}
+    # options stepped over the 6 evaluated episodes, rest ticks included
+    ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
 
     def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
         import ranopt.harness as hn

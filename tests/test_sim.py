@@ -121,8 +121,11 @@ class TickCell:
     rng: np.random.Generator
 
 
-def generate_demands(profiles, rng):
-    """Per-UE fresh traffic for one tick: truncated-normal draws."""
+def generate_demands(profiles, rest, rng):
+    """Per-UE fresh traffic for one tick: truncated-normal draws, or zeros at rest."""
+    n = len(profiles)
+    if rest:
+        return np.zeros(n)
     means = np.array([p.demand_mean for p in profiles])
     stds = np.array([p.demand_std for p in profiles])
     draws = rng.normal(means, stds) if np.any(stds > 0) else means.copy()
@@ -144,7 +147,7 @@ def init_tick_cell(profiles, cfg, seed):
                     jitter_db=jitter, pf_avg_mbps=np.full(n, cfg.pf_floor_mbps), rng=rng)
 
 
-def tick_step(state, option, profiles, cfg):
+def tick_step(state, option, profiles, rest, cfg):
     """One minute: fading evolves, demand arrives, PRBs are scheduled,
     traffic is served, buffers and the PF average update."""
     if cfg.rf_jitter_std_db > 0:
@@ -153,7 +156,7 @@ def tick_step(state, option, profiles, cfg):
     rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
     eff = spectral_efficiency(rsrp_eff)
     y = eff * cfg.prb_megabits
-    demands = generate_demands(profiles, state.rng)
+    demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
     alloc = schedule_prbs(option, state, avail, cfg.prb_budget, cfg, y)
     served = np.minimum(avail, alloc * y)
@@ -230,13 +233,20 @@ class TestGenerateDemands:
 
     def test_zero_std_exact_mean(self):
         profiles = [UeProfile(-100.0, 10.0, 0.0), UeProfile(-90.0, 3.5, 0.0)]
-        assert np.array_equal(generate_demands(profiles, np.random.default_rng(0)), [10.0, 3.5])
-        cell = init_cell_state(profiles, SimConfig(), 0, 3)
-        assert np.array_equal(cell.demand_mb, [[10.0, 3.5]] * 3)
+        assert np.array_equal(generate_demands(profiles, False, np.random.default_rng(0)),
+                              [10.0, 3.5])
+        cell = init_cell_state(profiles, SimConfig(), 0, [False, True, False])
+        assert np.array_equal(cell.demand_mb, [[10.0, 3.5], [0.0, 0.0], [10.0, 3.5]])
+
+    def test_rest_all_zero(self):
+        profiles = [UeProfile(-100.0, 10.0, 5.0)]
+        assert np.array_equal(generate_demands(profiles, True, np.random.default_rng(0)), [0.0])
+        assert np.array_equal(init_cell_state(profiles, SimConfig(), 0, [True] * 4).demand_mb,
+                              np.zeros((4, 1)))
 
     def test_law_of_large_numbers(self):
         profiles = [UeProfile(-100.0, 10.0, 2.0)]
-        draws = init_cell_state(profiles, SimConfig(), 123, 10 ** 5).demand_mb
+        draws = init_cell_state(profiles, SimConfig(), 123, np.zeros(10 ** 5, bool)).demand_mb
         assert abs(draws.mean() - 10.0) < 3.0 * 2.0 / math.sqrt(10 ** 5)
         assert draws.min() >= 0.0
 
@@ -402,10 +412,14 @@ PROFILES_LAB = [UeProfile(r, m, sd) for r, m, sd in
 IDLE_LAB = [UeProfile(r, 0.0, 0.0) for r in RSRP_LAB]
 
 
+def demand_ticks(ticks):
+    return np.zeros(ticks, dtype=bool)
+
+
 class TestStep:
     def test_nothing_to_serve(self):
         cfg = SimConfig()
-        st = init_cell_state(IDLE_LAB, cfg, 1, 1)
+        st = init_cell_state(IDLE_LAB, cfg, 1, demand_ticks(1))
         st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
         assert obs.cell_throughput_mbps == 0.0
         assert obs.prb_utilization == 0.0
@@ -414,7 +428,7 @@ class TestStep:
     def test_single_backlogged_ue_gets_full_budget(self):
         cfg = SimConfig()
         for opt in SchedulerOption:
-            st = init_cell_state(IDLE_LAB, cfg, 2, 1)
+            st = init_cell_state(IDLE_LAB, cfg, 2, demand_ticks(1))
             st.queue_mb[1] = 1e9  # far more than one tick can serve
             st, obs = step(st, opt, cfg)
             assert obs.prb_allocation[1] == cfg.prb_budget
@@ -422,7 +436,7 @@ class TestStep:
 
     def test_conservation(self):
         cfg = SimConfig()
-        st = init_cell_state(PROFILES_LAB, cfg, 3, 60)
+        st = init_cell_state(PROFILES_LAB, cfg, 3, np.arange(60) % 9 == 8)
         for t in range(60):
             before = st.queue_mb.copy()
             opt = SchedulerOption(t % 5)
@@ -432,14 +446,15 @@ class TestStep:
             assert np.all(obs.served_mb <= before + obs.demand_mb + 1e-9)
             assert obs.cell_throughput_mbps == pytest.approx(obs.ue_throughput_mbps.sum())
             assert 0.0 <= obs.prb_utilization <= 1.0
+            assert (t % 9 == 8) == (not obs.demand_mb.any())
 
     def test_deterministic_trajectories(self):
         cfg = SimConfig()
         runs = []
         for _ in range(2):
-            st = init_cell_state(PROFILES_LAB, cfg, 12345, 80)
+            st = init_cell_state(PROFILES_LAB, cfg, 12345, np.arange(90) >= 80)
             trace = []
-            for _ in range(80):
+            for _ in range(90):
                 st, obs = step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
                 trace.append(np.concatenate([obs.served_mb, obs.rsrp_dbm,
                                              obs.queue_after_mb, [obs.cell_throughput_mbps]]))
@@ -448,7 +463,7 @@ class TestStep:
 
     def test_pf_average_updates(self):
         cfg = SimConfig(rf_jitter_std_db=0.0)
-        st = init_cell_state([UeProfile(-100.0, 0.0, 0.0)], cfg, 4, 1)
+        st = init_cell_state([UeProfile(-100.0, 0.0, 0.0)], cfg, 4, demand_ticks(1))
         st.queue_mb[0] = 1e9
         before = st.pf_avg_mbps.copy()
         st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
@@ -464,7 +479,7 @@ class TestStep:
         for opt in SchedulerOption:
             tputs, gaps = [], []
             for ep in range(50):
-                st = init_cell_state(PROFILES_LAB, cfg, 1000 + ep, 80)
+                st = init_cell_state(PROFILES_LAB, cfg, 1000 + ep, demand_ticks(80))
                 for _ in range(80):
                     st, obs = step(st, opt, cfg)
                     tputs.append(obs.cell_throughput_mbps)
@@ -477,14 +492,14 @@ class TestStep:
         assert min(mean_gap, key=mean_gap.get) == SchedulerOption.EQUAL_RATE
 
     def test_drawn_episode_read_only(self):
-        st = init_cell_state(PROFILES_LAB, SimConfig(), 6, 3)
+        st = init_cell_state(PROFILES_LAB, SimConfig(), 6, demand_ticks(3))
         for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(st, name)[0, 0] = 1.0
 
     def test_observables_outlive_the_next_tick(self):
         cfg = SimConfig()
-        st = init_cell_state(PROFILES_LAB, cfg, 7, 2)
+        st = init_cell_state(PROFILES_LAB, cfg, 7, demand_ticks(2))
         st, first = step(st, SchedulerOption.EQUAL_RATE, cfg)
         queue = first.queue_after_mb.copy()
         step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
@@ -492,7 +507,7 @@ class TestStep:
 
     def test_episode_end_refused(self):
         cfg = SimConfig()
-        st, _ = step(init_cell_state(PROFILES_LAB, cfg, 5, 1),
+        st, _ = step(init_cell_state(PROFILES_LAB, cfg, 5, demand_ticks(1)),
                      SchedulerOption.EQUAL_RATE, cfg)
         with pytest.raises(IndexError):
             step(st, SchedulerOption.EQUAL_RATE, cfg)
@@ -506,14 +521,16 @@ def same_bits(a, b):
 @st.composite
 def episodes(draw):
     """Profiles of 1..8 UEs (some without variance), fading on or off, and
-    an episode of 1..40 ticks, an option per tick."""
+    an episode of 1..40 ticks: its rest mask and an option per tick."""
     n = draw(st.integers(1, 8))
     profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)),
                           draw(st.floats(0.0, 3000.0)),
                           draw(st.just(0.0) | st.floats(0.0, 2500.0))) for _ in range(n)]
     cfg = SimConfig(rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
-    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=1, max_size=40))
-    return profiles, cfg, draw(st.integers(0, 2 ** 64 - 1)), options
+    ticks = draw(st.integers(1, 40))
+    rest = draw(st.lists(st.booleans(), min_size=ticks, max_size=ticks))
+    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=ticks, max_size=ticks))
+    return profiles, cfg, draw(st.integers(0, 2 ** 64 - 1)), rest, options
 
 
 class TestDrawnEpisode:
@@ -522,17 +539,18 @@ class TestDrawnEpisode:
     @settings(max_examples=150, derandomize=True, deadline=None)
     # every UE without variance: no demand draws at all
     @example(episode=(IDLE_LAB[:2] + [UeProfile(-100.0, 300.0, 0.0)], SimConfig(), 7,
-                      list(SchedulerOption)[:3]))
-    # the default episode's demand ticks
-    @example(episode=(PROFILES_LAB, SimConfig(), 99, [SchedulerOption(t % 5) for t in range(80)]))
+                      [False, True, False], list(SchedulerOption)[:3]))
+    # the default episode shape
+    @example(episode=(PROFILES_LAB, SimConfig(), 99, [t >= 80 for t in range(90)],
+                      [SchedulerOption(t % 5) for t in range(90)]))
     @given(episode=episodes())
     def test_matches_per_tick_reference(self, episode):
-        profiles, cfg, seed, options = episode
-        cell = init_cell_state(profiles, cfg, seed, len(options))
+        profiles, cfg, seed, rest, options = episode
+        cell = init_cell_state(profiles, cfg, seed, rest)
         ref = init_tick_cell(profiles, cfg, seed)
-        for option in options:
+        for option, resting in zip(options, rest):
             cell, obs = step(cell, option, cfg)
-            expected = tick_step(ref, option, profiles, cfg)
+            expected = tick_step(ref, option, profiles, resting, cfg)
             for name in ("demand_mb", "served_mb", "queue_after_mb", "rsrp_dbm",
                          "spectral_eff", "prb_allocation", "active_mask"):
                 assert same_bits(getattr(obs, name), getattr(expected, name)), name
