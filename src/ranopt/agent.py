@@ -56,6 +56,8 @@ class AgentConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_segments < 1:
             raise ValueError("batch_segments must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -116,7 +118,6 @@ class ReplayBuffer:
         self.rewards = np.zeros(capacity)
         self.episode_ids = np.zeros(capacity, dtype=np.int64)
         self.start = self.size = 0
-        self._segment_starts = {}  # n_step -> valid_segment_starts, until the next write
 
     def __len__(self):
         return self.size
@@ -146,7 +147,6 @@ class ReplayBuffer:
             getattr(self, name)[rows] = a[n - keep:]
         self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
         self.size = min(self.size + n, self.capacity)
-        self._segment_starts.clear()
 
     def append(self, state, next_state, action, reward, episode_id) -> None:
         """Append one transition in one row write, refused as extend refuses a batch of one."""
@@ -159,7 +159,6 @@ class ReplayBuffer:
         self.actions[row], self.rewards[row], self.episode_ids[row] = action, reward, episode_id
         self.start = (self.start + (self.size == self.capacity)) % self.capacity
         self.size = min(self.size + 1, self.capacity)
-        self._segment_starts.clear()
 
     def load(self, arrays) -> None:
         """Append the transitions of a mapping of BUFFER_FIELDS arrays, such
@@ -194,34 +193,25 @@ def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
 
 
 def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
-    """Logical indices where n_step consecutive entries share one episode.
-
-    The buffer keeps the read-only result until its next write, so a
-    training tick that checks for a segment and then samples one scans once.
-    """
-    starts = buffer._segment_starts.get(n_step)
-    if starts is not None:
-        return starts
+    """Logical indices where n_step consecutive entries share one episode;
+    one scan of the ring on every call."""
     size = len(buffer)
     if size < n_step:
-        starts = np.empty(0, dtype=np.int64)
-    else:
-        ring = buffer.episode_ids
-        ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
-        run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
-        starts = np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
-    starts.flags.writeable = False
-    buffer._segment_starts[n_step] = starts
-    return starts
+        return np.empty(0, dtype=np.int64)
+    ring = buffer.episode_ids
+    ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
+    run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
+    return np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
-                    rng: np.random.Generator) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray | None:
     """Ring rows of contiguous intra-episode segments, shape (batch, n_step):
-    starts are uniform over the valid ones, with replacement across the batch."""
+    starts are uniform over the valid ones, with replacement across the batch.
+    None, with rng not drawn from, when the buffer holds no such segment."""
     starts = valid_segment_starts(buffer, n_step)
     if starts.size == 0:
-        raise ValueError(f"buffer holds no contiguous segment of length {n_step}")
+        return None
     picks = starts[rng.integers(0, starts.size, size=batch)]
     return buffer.rows(picks[:, None] + np.arange(n_step))
 
@@ -285,16 +275,9 @@ class DoubleQAgent:
         self.global_step += 1
         return action
 
-    def observe(self, state: np.ndarray, action: int, reward: float,
-                next_state: np.ndarray, episode_id: int) -> None:
-        """Append one checked transition to the replay buffer."""
-        self.buffer.append(state, next_state, action, reward, episode_id)
-
-    def can_train(self) -> bool:
-        return valid_segment_starts(self.buffer, self.cfg.n_step).size > 0
-
-    def train_step(self) -> float:
-        """One replayed update; returns the batch mean absolute TD error.
+    def train_step(self) -> float | None:
+        """One replayed update; returns the batch mean absolute TD error, or
+        None, changing nothing, while the buffer holds no n_step segment.
 
         Samples batch_segments segments, forms double-Q targets, ascends the
         sum of (Y - Q) * grad Q over the batch, taken by one batched
@@ -304,6 +287,8 @@ class DoubleQAgent:
         """
         cfg, buf = self.cfg, self.buffer
         rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
+        if rows is None:
+            return None
         targets = double_q_target(buf.rewards[rows], buf.next_states[rows[:, -1]],
                                   self.online, self.target, cfg.gamma)
         td, grad = qnet.backward(self.online, buf.states[rows[:, 0]], buf.actions[rows[:, 0]],

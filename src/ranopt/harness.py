@@ -30,7 +30,8 @@ import numpy as np
 
 from . import kpi, qnet
 from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
-from .kpi import KpiConfig, compose_kpis, radio_table, reward_throughput, reward_ue_gap
+from .kpi import (INITIAL_STATE, KpiConfig, compose_kpis, radio_table, reward_throughput,
+                  reward_ue_gap)
 from .sim import CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
@@ -45,12 +46,6 @@ DEFAULT_PROFILES = [
 
 CURVE_CSV_HEADER = ["episode", "mean_reward", "stderr", "epsilon_end", "mean_td_error"]
 BASELINE_CSV_HEADER = ["action", "mean_reward", "stderr", "episodes"]
-
-# The state before the first tick, what compose_kpis makes of a tick with no
-# active UE: every measurement 0, EQUAL_RATE as the previous action.
-INITIAL_STATE = np.zeros(kpi.STATE_DIM)
-INITIAL_STATE[kpi.STATE_DIM - kpi.N_PHASE - kpi.N_ACTIONS + SchedulerOption.EQUAL_RATE] = 1.0
-INITIAL_STATE.flags.writeable = False
 
 CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 3
@@ -87,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("baseline_episodes must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:  # episode_seed keeps 64 bits: any other would alias
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -138,12 +135,12 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
                 train: bool = False, cell: CellState | None = None) -> EpisodeResult:
     """One 90-tick episode under either the agent's policy or a constant action.
 
-    Returns reward statistics over the demand steps only. With train set the
-    agent pushes one experience per demand step and runs one training step
-    per tick once the buffer holds a valid segment. Only an agent's demand
-    steps compose a state: nothing else reads one. cell, when given, is the
-    episode's drawn cell, not yet stepped; the episode runs on a shallow copy,
-    which shares its read-only drawn arrays and leaves it as it was.
+    Returns reward statistics over the demand steps only. With train set each
+    demand step appends one experience to the agent's buffer and calls
+    train_step, which trains once the buffer holds an n_step segment. Only an
+    agent's demand steps compose a state: nothing else reads one. cell, when
+    given, is the episode's drawn cell, not yet stepped; the episode runs on a
+    shallow copy, which shares its read-only drawn arrays and leaves it as it was.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
@@ -171,9 +168,10 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
             continue
         next_vec = compose_kpis(obs, action, t + 1, cfg.steps_demand, n_ticks, radio[t])
         if train:
-            agent.observe(state_vec, int(action), r, next_vec, episode_index)
-            if agent.can_train():
-                td_errors.append(agent.train_step())
+            agent.buffer.append(state_vec, next_vec, int(action), r, episode_index)
+            td = agent.train_step()
+            if td is not None:
+                td_errors.append(td)
         state_vec = next_vec
 
     for _ in range(cfg.steps_rest):  # queues keep draining
@@ -291,14 +289,18 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """Restore an agent exactly as saved by save_checkpoint; returns (agent, next_episode).
 
     Refuses, naming the directory, a checkpoint of another format or KPI
-    manifest, a meta whose step, next episode or RNG state is missing,
-    malformed or negative, a missing or 0-d array member, a network vector
+    manifest, a meta that is not a JSON object, one whose step or next
+    episode is missing, not a JSON integer or negative, or whose RNG state
+    is missing or malformed, a missing or 0-d array member, a network vector
     that is not float64 of this network's size, and buffer arrays that do not
     fit the replay ring or hold a transition the ring's check refuses.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
         meta = json.loads(str(members.pop("meta", "{}")))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{CHECKPOINT_FILE} meta must be a JSON object, "
+                             f"got {type(meta).__name__}")
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {meta.get('format')}")
         if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
@@ -311,10 +313,14 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
         ag = DoubleQAgent(cfg.agent)
         ag.online, ag.target = (qnet.QNetParams(members[net], ag.online.dims) for net in _NETS)
         ag.buffer.load(members)
-        ag.global_step, next_episode = int(meta["global_step"]), int(meta["next_episode"])
-        for name, value in (("global_step", ag.global_step), ("next_episode", next_episode)):
+        for name in ("global_step", "next_episode"):
+            value = meta[name]
+            if type(value) is not int:  # a JSON integer; a bool is not one
+                raise ValueError(f"{CHECKPOINT_FILE} meta {name} must be an integer, "
+                                 f"got {value!r}")
             if value < 0:
                 raise ValueError(f"{CHECKPOINT_FILE} meta {name} must be >= 0, got {value}")
+        ag.global_step, next_episode = meta["global_step"], meta["next_episode"]
         ag.rng.bit_generator.state = meta["rng_state"]
         return ag, next_episode
     except KeyError as exc:  # a meta key, or an entry of the RNG state that numpy reads

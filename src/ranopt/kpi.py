@@ -148,6 +148,11 @@ _N_HIST = N_CQI_BINS + N_RSRP_BINS + N_RSRQ_BINS + N_TA_BINS
 _RSRP_INNER, _RSRQ_INNER, _TA_INNER = (e[1:-1] for e in (RSRP_BIN_EDGES, RSRQ_BIN_EDGES,
                                                          TA_BIN_EDGES))
 _PREV_ACTION_AT = N_CELL_SCALARS + _N_HIST
+# The state before the first tick, what compose_kpis makes of a tick with no
+# active UE: every measurement 0, EQUAL_RATE as the previous action.
+INITIAL_STATE = np.zeros(STATE_DIM)
+INITIAL_STATE[_PREV_ACTION_AT + SchedulerOption.EQUAL_RATE] = 1.0
+INITIAL_STATE.flags.writeable = False
 # RSRQ's inner edges after _RSRQ_AT edges of -inf, which no value, NaN
 # included, sorts before: searchsorted on them gives an RSRQ value's id.
 _RSRQ_IDS = np.concatenate((np.full(_RSRQ_AT, -np.inf), _RSRQ_INNER))

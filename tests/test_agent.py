@@ -206,7 +206,7 @@ class TestReplayBuffer:
         e = exp(0)
         getattr(e, field)[3] = value
         with pytest.raises(ValueError, match=f"record 0: {field} holds a non-finite value"):
-            agent.observe(**vars(e))
+            push(agent.buffer, e)
         assert len(agent.buffer) == 0
 
     @pytest.mark.parametrize("change, message", [
@@ -216,15 +216,14 @@ class TestReplayBuffer:
         ({"action": -1}, r"record 0: action -1 outside \[0, 5\)"),
         ({"state": np.zeros(57)}, r"buffer arrays .* must be \[n, 58\] states"),
     ], ids=["reward_high", "reward_nan", "action_high", "action_negative", "short_state"])
-    def test_observe_refuses_as_extend(self, change, message):
-        agent = DoubleQAgent(AgentConfig())
-        agent.buffer = ReplayBuffer(capacity=2)
+    def test_append_refuses_as_extend(self, change, message):
+        buf = ReplayBuffer(capacity=2)
         for i in range(2):
-            push(agent.buffer, exp(0, tag=float(i)))
+            push(buf, exp(0, tag=float(i)))
         with pytest.raises(ValueError, match=message):
-            agent.observe(**{**vars(exp(1, tag=5.0)), **change})
+            buf.append(**{**vars(exp(1, tag=5.0)), **change})
         # nothing written: the full ring still holds its oldest entry
-        assert [values(e) for e in agent.buffer] == [values(exp(0, tag=float(i))) for i in range(2)]
+        assert [values(e) for e in buf] == [values(exp(0, tag=float(i))) for i in range(2)]
 
 
 class TestSegments:
@@ -253,18 +252,19 @@ class TestSegments:
             assert len(seg) == 3
             assert len(set(buf.episode_ids[seg].tolist())) == 1
 
-    def test_no_valid_segment_raises(self):
+    def test_no_valid_segment_is_none(self):
         buf = ReplayBuffer()
         push(buf, exp(0))
         push(buf, exp(1))
-        with pytest.raises(ValueError):
-            sample_segments(buf, 2, 1, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert sample_segments(buf, 2, 1, rng) is None
+        assert rng.bit_generator.state == state
 
     def test_starts_kept_until_next_write(self):
         buf = ReplayBuffer(capacity=4)
         preload(buf, [exp(0), exp(0), exp(1)])
-        starts = valid_segment_starts(buf, 2)
-        assert valid_segment_starts(buf, 2) is starts and not starts.flags.writeable
+        assert valid_segment_starts(buf, 2).tolist() == [0]
         assert valid_segment_starts(buf, 1).tolist() == [0, 1, 2]
         push(buf, exp(1))
         assert valid_segment_starts(buf, 2).tolist() == [0, 2]
@@ -381,10 +381,17 @@ class TestDoubleQTarget:
 
 
 class TestTrainStep:
-    def test_empty_buffer_raises(self):
-        agent = DoubleQAgent(AgentConfig())
-        with pytest.raises(ValueError):
-            agent.train_step()
+    @pytest.mark.parametrize("episode_ids", [[], [0, 0, 1, 1]], ids=["empty", "no_segment"])
+    def test_no_segment_trains_nothing(self, episode_ids):
+        agent = DoubleQAgent(AgentConfig(n_step=3))
+        for ep in episode_ids:
+            push(agent.buffer, exp(ep, reward=0.3))
+        before = (agent.online.theta.copy(), agent.target.theta.copy(), agent.global_step,
+                  agent.rng.bit_generator.state)
+        assert agent.train_step() is None
+        assert agent.online.theta.tobytes() == before[0].tobytes()
+        assert agent.target.theta.tobytes() == before[1].tobytes()
+        assert (agent.global_step, agent.rng.bit_generator.state) == before[2:]
 
     def test_zero_td_error_fixpoint(self):
         # constant nets with all outputs equal: Y = r + g*q, set so Y == Q
@@ -392,7 +399,7 @@ class TestTrainStep:
         agent = DoubleQAgent(cfg)
         q = 1.0 / (1.0 - cfg.gamma) * 0.5
         agent.online, agent.target = value_nets([q] * 5, [q] * 5)
-        agent.observe(**vars(exp(0, reward=0.5)))
+        push(agent.buffer, exp(0, reward=0.5))
         before = agent.online.theta.copy()
         td = agent.train_step()
         assert td == pytest.approx(0.0, abs=1e-12)
@@ -401,7 +408,7 @@ class TestTrainStep:
     def test_one_batched_backward(self, monkeypatch):
         cfg = AgentConfig(n_step=1, batch_segments=16)
         agent = DoubleQAgent(cfg)
-        agent.observe(**vars(exp(0, reward=0.3)))
+        push(agent.buffer, exp(0, reward=0.3))
         calls = []
         batched = qnet.backward
         monkeypatch.setattr(qnet, "backward", lambda *args: calls.append(args) or batched(*args))
@@ -411,7 +418,7 @@ class TestTrainStep:
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
         agent = DoubleQAgent(cfg)
-        agent.observe(**vars(exp(0, reward=0.3)))
+        push(agent.buffer, exp(0, reward=0.3))
         before = agent.target.theta.copy()
         agent.train_step()
         assert np.array_equal(agent.target.theta, before)
@@ -419,7 +426,7 @@ class TestTrainStep:
     def test_lr_zero_keeps_online(self):
         cfg = AgentConfig(n_step=1, learning_rate=0.0)
         agent = DoubleQAgent(cfg)
-        agent.observe(**vars(exp(0, reward=0.3)))
+        push(agent.buffer, exp(0, reward=0.3))
         before = agent.online.theta.copy()
         agent.train_step()
         assert np.array_equal(agent.online.theta, before)
@@ -428,7 +435,7 @@ class TestTrainStep:
         cfg = AgentConfig(n_step=1)
         agent = DoubleQAgent(cfg)
         agent.online, agent.target = value_nets([np.inf] * 5, [1.0] * 5)
-        agent.observe(**vars(exp(0, reward=0.3)))
+        push(agent.buffer, exp(0, reward=0.3))
         online, target = agent.online.copy(), agent.target.copy()
         with pytest.raises(FloatingPointError, match="non-finite TD error"):
             agent.train_step()
@@ -443,7 +450,7 @@ class TestTrainStep:
         e = exp(0, tag=0.4, reward=0.8, action=2)
         e.next_state = np.zeros(58)
         e.next_state[1] = 0.9
-        agent.observe(**vars(e))
+        push(agent.buffer, e)
         td = math.inf
         for _ in range(5000):
             td = agent.train_step()

@@ -94,10 +94,15 @@ class TestBuildConfig:
         ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
         # a validator's message names the key as a word: not episodes, a part of its name
         ({"baseline_episodes": 0}, "baseline_episodes: baseline_episodes must be >= 1"),
+        ({"agent": {"seed": -1}}, "agent.seed: seed must be >= 0, got -1"),
+        # episode_seed keeps 64 bits: 2**70 + 5 would replay seed 5, -1 seed 2**64 - 1
+        ({"seed": 2 ** 70 + 5}, rf"seed: seed must lie in \[0, 2\*\*64\), got {2 ** 70 + 5}"),
+        ({"seed": -1}, r"seed: seed must lie in \[0, 2\*\*64\), got -1"),
     ], ids=["bool_top_level", "float_for_int", "string_for_int", "float_for_nested_int",
             "bool_for_float", "bool_for_nested_int", "null_for_float", "bool_in_profile",
             "int_for_preload_path", "int_for_profiles_file", "int_for_float",
-            "int_for_kpi_float", "key_named_by_whole_word"])
+            "int_for_kpi_float", "key_named_by_whole_word", "negative_agent_seed",
+            "seed_past_64_bits", "negative_seed"])
     def test_number_fields_checked(self, tmp_path, capsys, data, error):
         cfg_path = write_config(tmp_path, {**SMALL, **data})
         code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])

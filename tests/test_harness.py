@@ -113,6 +113,15 @@ class TestRunEpisode:
         run_episode(cfg, 1, agent=agent, train=True)
         assert len(agent.buffer) == 2 * cfg.steps_demand
 
+    def test_one_segment_scan_per_training_tick(self, monkeypatch):
+        import ranopt.agent as ag
+        calls, orig = [], ag.valid_segment_starts
+        monkeypatch.setattr(ag, "valid_segment_starts",
+                            lambda *args: calls.append(len(args[0])) or orig(*args))
+        cfg = small_cfg()
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=True)
+        assert calls == list(range(1, cfg.steps_demand + 1))  # once after each append
+
     def test_experiences_tagged_with_episode(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)
@@ -391,12 +400,16 @@ def assert_same_agent(a, b):
 
 def rewrite_checkpoint(directory, meta=None, **arrays):
     """Replace meta keys and members of a saved checkpoint.npz; a meta key
-    or member given as None is left out."""
+    or member given as None is left out, and a meta given as a string
+    replaces the whole meta."""
     path = directory / "checkpoint.npz"
     with np.load(path) as npz:
         members = {name: npz[name] for name in npz.files}
-    meta = {**json.loads(str(members["meta"])), **(meta or {})}
-    members["meta"] = np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
+    if isinstance(meta, str):
+        members["meta"] = np.array(meta)
+    else:
+        meta = {**json.loads(str(members["meta"])), **(meta or {})}
+        members["meta"] = np.array(json.dumps({k: v for k, v in meta.items() if v is not None}))
     members.update(arrays)
     np.savez(path, **{name: a for name, a in members.items() if a is not None})
 
@@ -459,12 +472,18 @@ class TestCheckpointRoundtrip:
         ({"global_step": None}, {}, "checkpoint.npz meta lacks global_step$"),
         ({"rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}}, {},
          "checkpoint.npz meta lacks state$"),
-        ({"global_step": "abc"}, {}, "invalid literal for int"),
+        ({"global_step": "abc"}, {}, "checkpoint.npz meta global_step must be an integer, "
+                                     "got 'abc'$"),
+        ({"next_episode": 1.9}, {}, "meta next_episode must be an integer, got 1.9$"),
+        ({"next_episode": "1"}, {}, "meta next_episode must be an integer, got '1'$"),
+        ({"global_step": True}, {}, "meta global_step must be an integer, got True$"),
+        ("[1, 2]", {}, "checkpoint.npz meta must be a JSON object, got list$"),
         ({"global_step": -5}, {}, "checkpoint.npz meta global_step must be >= 0, got -5$"),
         ({"next_episode": -1}, {}, "checkpoint.npz meta next_episode must be >= 0, got -1$"),
     ], ids=["format", "manifest", "w1_shape", "target_dtype", "buffer_lengths",
             "states_width", "missing_actions", "scalar_actions", "missing_online",
             "missing_global_step", "rng_state_without_state", "global_step_not_a_number",
+            "float_next_episode", "string_next_episode", "bool_global_step", "meta_not_an_object",
             "negative_global_step", "negative_next_episode"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
         cfg, agent = trained
