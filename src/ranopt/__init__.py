@@ -8,8 +8,7 @@ from .harness import (DEFAULT_PROFILES, BaselineRow, EpisodeResult, ExperimentCo
                       run_episode, train_experiment)
 from .kpi import (MANIFEST_SHA256, MANIFEST_VERSION, KpiConfig, compose_kpis, radio_table,
                   reward_throughput, reward_ue_gap)
-from .qnet import (QNetParams, apply_gradient, backward, forward, forward_batch, init_params,
-                   soft_update)
+from .qnet import apply_gradient, backward, forward, forward_batch, init_params, soft_update
 from .sim import (CellState, SchedulerOption, SimConfig, TickObservables, UeProfile,
                   fit_traffic_profiles, init_cell_state, read_traffic_records, schedule_prbs,
                   spectral_efficiency, step)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qnet
-from .qnet import N_ACTIONS, STATE_DIM, QNetParams
+from .qnet import N_ACTIONS, STATE_DIM
 
 REPLAY_CAPACITY = 5000
 # The ring's arrays, named as the checkpoint members that store them.
@@ -233,8 +233,8 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(np.argmax(q_values))
 
 
-def double_q_target(rewards: np.ndarray, s_boot: np.ndarray, online: QNetParams,
-                    target: QNetParams, gamma: float) -> np.ndarray:
+def double_q_target(rewards: np.ndarray, s_boot: np.ndarray, online: np.ndarray,
+                    target: np.ndarray, gamma: float) -> np.ndarray:
     """n-step double-Q targets for segments with (batch, n) rewards, oldest
     first, and (batch, 58) states s_boot after their last transitions.
 
@@ -252,7 +252,7 @@ def double_q_target(rewards: np.ndarray, s_boot: np.ndarray, online: QNetParams,
 
 
 class DoubleQAgent:
-    """Online/target network pair plus replay buffer and exploration schedule."""
+    """Online/target network vectors plus replay buffer and exploration schedule."""
 
     def __init__(self, cfg: AgentConfig):
         self.cfg = cfg

@@ -165,6 +165,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fit_traffic(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     records = read_traffic_records(args.records)
     profiles = fit_traffic_profiles(records, k=args.k, seed=args.seed or 0)
     out = [dataclasses.asdict(p) for p in profiles]

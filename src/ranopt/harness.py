@@ -24,6 +24,7 @@ import copy
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,9 +225,11 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
 def _read_npz(path) -> dict[str, np.ndarray]:
     """The members of an npz archive; refuses, naming path, a file that is not one."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # a handle of its own: np.load leaks the one it opens when the zip is cut short
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             return dict(npz)
-    except (EOFError, TypeError, ValueError):  # empty, a lone .npy, or of no numpy format
+    # empty, a lone .npy, of no numpy format, or a zip archive cut short
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile):
         raise ValueError(f"{path}: not an npz archive") from None
 
 
@@ -277,8 +280,8 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     try:
         # a handle, not a path: np.savez would append ".npz" to the temporary name
         with open(tmp, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), online=ag.online.theta,
-                     target=ag.target.theta, **ag.buffer.arrays())
+            np.savez(fh, meta=np.array(json.dumps(meta)), online=ag.online, target=ag.target,
+                     **ag.buffer.arrays())
         os.replace(tmp, path)
     finally:
         with contextlib.suppress(FileNotFoundError):
@@ -291,9 +294,10 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     Refuses, naming the directory, a checkpoint of another format or KPI
     manifest, a meta that is not a JSON object, one whose step or next
     episode is missing, not a JSON integer or negative, or whose RNG state
-    is missing or malformed, a missing or 0-d array member, a network vector
-    that is not float64 of this network's size, and buffer arrays that do not
-    fit the replay ring or hold a transition the ring's check refuses.
+    is missing or malformed, a missing or 0-d array member, a network member
+    that is not a float64 vector of qnet.N_PARAMS entries, and buffer arrays
+    that do not fit the replay ring or hold a transition the ring's check
+    refuses.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
@@ -310,8 +314,13 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
         if absent:
             raise ValueError(f"{CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; format "
                              f"{CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
+        for net in _NETS:  # qnet trusts its vectors; these come from outside the program
+            theta = members[net]
+            if theta.dtype != np.float64 or theta.shape != (qnet.N_PARAMS,):
+                raise ValueError(f"{CHECKPOINT_FILE} member {net} is {theta.dtype}"
+                                 f"{list(theta.shape)}, expected float64[{qnet.N_PARAMS}]")
         ag = DoubleQAgent(cfg.agent)
-        ag.online, ag.target = (qnet.QNetParams(members[net], ag.online.dims) for net in _NETS)
+        ag.online, ag.target = (members[net] for net in _NETS)
         ag.buffer.load(members)
         for name in ("global_step", "next_episode"):
             value = meta[name]

@@ -213,32 +213,31 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
 
 
 def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
-                  prb_budget: int, cfg: SimConfig, y_mb: np.ndarray) -> np.ndarray:
-    """Integer PRB split over UEs for one tick under the given option, where
-    UE i has avail[i] megabits, its queue and fresh demand, to send at y_mb[i]
-    megabits per PRB; the PF options rank by the state's PF average.
+                  cfg: SimConfig, y_mb: np.ndarray) -> np.ndarray:
+    """Integer split of cfg.prb_budget PRBs over UEs for one tick under the
+    given option, where UE i has avail[i] megabits, its queue and fresh
+    demand, to send at y_mb[i] megabits per PRB; the PF options rank by the
+    state's PF average.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
-    if prb_budget <= 0:
-        raise ValueError(f"prb_budget must be positive, got {prb_budget}")
     if avail.min() < 0:
         raise ValueError("avail must be >= 0")
-    k = np.arange(prb_budget)
+    k = np.arange(cfg.prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         # each UE's whole need, ceil(avail / y) PRBs, best yield first
         need = np.ceil(avail / y_mb - 1e-12)
         valid = (k < need[:, None]) & (avail[:, None] > 1e-12)
-        return _top_budget(np.broadcast_to(y_mb[:, None], valid.shape), valid, prb_budget,
+        return _top_budget(np.broadcast_to(y_mb[:, None], valid.shape), valid, cfg.prb_budget,
                            descending=True)
     served_before = np.minimum(avail[:, None], k * y_mb[:, None])  # megabits before PRB k+1
     valid = served_before < avail[:, None] - 1e-12
     if option == SchedulerOption.EQUAL_RATE:
-        return _top_budget(served_before, valid, prb_budget, descending=False)
+        return _top_budget(served_before, valid, cfg.prb_budget, descending=False)
     if option in PF_ALPHA:
         keys = _pf_keys(served_before, y_mb, state.pf_avg_mbps, PF_ALPHA[option], cfg)
-        return _top_budget(keys, valid, prb_budget, descending=True)
+        return _top_budget(keys, valid, cfg.prb_budget, descending=True)
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
@@ -254,7 +253,7 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     demands, y = state.demand_mb[t], state.y_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, state, avail, cfg.prb_budget, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg, y)
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
@@ -389,7 +388,10 @@ def read_traffic_records(path) -> list[tuple[float, float]]:
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
             try:
-                records.append((float(row[0]), float(row[1])))
+                record = float(row[0]), float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value in {row}") from None
+            if not all(map(math.isfinite, record)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {row}")
+            records.append(record)
     return records

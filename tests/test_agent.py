@@ -9,7 +9,6 @@ from ranopt import qnet
 from ranopt.agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
                           double_q_target, epsilon_at, preload, sample_segments, select_action,
                           valid_segment_starts)
-from ranopt.qnet import QNetParams
 
 
 def exp(ep, tag=0.0, reward=0.0, action=0):
@@ -55,8 +54,7 @@ class ListBuffer:
 def value_nets(online_b2, target_b2):
     """State-independent nets: w1 = b1 = w2 = 0, so Q(s, a) = b2[a]."""
     def net(b2):
-        return QNetParams(np.concatenate([np.zeros(32 * 58 + 32 + 5 * 32), b2]),
-                          (58, 32, 5))
+        return np.concatenate([np.zeros(qnet.N_PARAMS - 5), b2])
     return net(online_b2), net(target_b2)
 
 
@@ -386,11 +384,11 @@ class TestTrainStep:
         agent = DoubleQAgent(AgentConfig(n_step=3))
         for ep in episode_ids:
             push(agent.buffer, exp(ep, reward=0.3))
-        before = (agent.online.theta.copy(), agent.target.theta.copy(), agent.global_step,
+        before = (agent.online.copy(), agent.target.copy(), agent.global_step,
                   agent.rng.bit_generator.state)
         assert agent.train_step() is None
-        assert agent.online.theta.tobytes() == before[0].tobytes()
-        assert agent.target.theta.tobytes() == before[1].tobytes()
+        assert agent.online.tobytes() == before[0].tobytes()
+        assert agent.target.tobytes() == before[1].tobytes()
         assert (agent.global_step, agent.rng.bit_generator.state) == before[2:]
 
     def test_zero_td_error_fixpoint(self):
@@ -400,10 +398,10 @@ class TestTrainStep:
         q = 1.0 / (1.0 - cfg.gamma) * 0.5
         agent.online, agent.target = value_nets([q] * 5, [q] * 5)
         push(agent.buffer, exp(0, reward=0.5))
-        before = agent.online.theta.copy()
+        before = agent.online.copy()
         td = agent.train_step()
         assert td == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(agent.online.theta, before)
+        assert np.allclose(agent.online, before)
 
     def test_one_batched_backward(self, monkeypatch):
         cfg = AgentConfig(n_step=1, batch_segments=16)
@@ -419,17 +417,17 @@ class TestTrainStep:
         cfg = AgentConfig(n_step=1, tau=0.0)
         agent = DoubleQAgent(cfg)
         push(agent.buffer, exp(0, reward=0.3))
-        before = agent.target.theta.copy()
+        before = agent.target.copy()
         agent.train_step()
-        assert np.array_equal(agent.target.theta, before)
+        assert np.array_equal(agent.target, before)
 
     def test_lr_zero_keeps_online(self):
         cfg = AgentConfig(n_step=1, learning_rate=0.0)
         agent = DoubleQAgent(cfg)
         push(agent.buffer, exp(0, reward=0.3))
-        before = agent.online.theta.copy()
+        before = agent.online.copy()
         agent.train_step()
-        assert np.array_equal(agent.online.theta, before)
+        assert np.array_equal(agent.online, before)
 
     def test_non_finite_td_error_leaves_networks(self):
         cfg = AgentConfig(n_step=1)
@@ -439,8 +437,8 @@ class TestTrainStep:
         online, target = agent.online.copy(), agent.target.copy()
         with pytest.raises(FloatingPointError, match="non-finite TD error"):
             agent.train_step()
-        assert agent.online.theta.tobytes() == online.theta.tobytes()
-        assert agent.target.theta.tobytes() == target.theta.tobytes()
+        assert agent.online.tobytes() == online.tobytes()
+        assert agent.target.tobytes() == target.tobytes()
 
     def test_single_transition_convergence(self):
         # one-step regression: learning rate sized for the tiny-input NTK

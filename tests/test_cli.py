@@ -197,6 +197,12 @@ class TestCliCommands:
         assert len(profiles) == 4
         assert profiles[0]["rsrp_dbm"] < profiles[-1]["rsrp_dbm"]
 
+    def test_fit_traffic_refuses_no_clusters_before_reading(self, tmp_path, capsys):
+        code = main(["fit-traffic", "--records", str(tmp_path / "missing.csv"), "--k", "0",
+                     "--out", str(tmp_path / "profiles.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --k must be >= 1, got 0\n"
+
     def test_fit_traffic_profiles_usable_in_config(self, tmp_path):
         profiles = [{"rsrp_dbm": -110.0, "demand_mean": 500.0, "demand_std": 100.0},
                     {"rsrp_dbm": -95.0, "demand_mean": 1500.0, "demand_std": 300.0}]

@@ -11,6 +11,7 @@ from ranopt.agent import AgentConfig, DoubleQAgent, valid_segment_starts
 from ranopt.harness import (BaselineRow, ExperimentConfig, episode_seed, episode_stats,
                             evaluate_checkpoint, load_checkpoint, run_baseline_suite,
                             run_episode, save_checkpoint, train_experiment, write_baseline_csv)
+from ranopt.qnet import layers
 from ranopt.sim import SchedulerOption, UeProfile
 
 
@@ -100,9 +101,9 @@ class TestRunEpisode:
     def test_baseline_never_touches_agent(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)
-        before = agent.online.theta.copy()
+        before = agent.online.copy()
         run_episode(cfg, 0, constant_action=SchedulerOption.MAXIMUM_C_OVER_I)
-        assert np.array_equal(agent.online.theta, before)
+        assert np.array_equal(agent.online, before)
         assert len(agent.buffer) == 0
 
     def test_training_pushes_one_experience_per_demand_step(self):
@@ -245,7 +246,7 @@ class TestTrainExperiment:
         assert results == []
         assert os.listdir(tmp_path / "run" / "final") == ["checkpoint.npz"]
         init = DoubleQAgent(cfg.agent)
-        assert np.array_equal(agent.online.theta, init.online.theta)
+        assert np.array_equal(agent.online, init.online)
 
     def test_curve_length_and_checkpoints(self, tmp_path):
         cfg = small_cfg(episodes=5, checkpoint_every=2)
@@ -332,9 +333,15 @@ class TestTrainExperiment:
             train_experiment(small_cfg(episodes=1, preload_path=str(path)))
         assert str(path) in str(err.value)
 
-    def test_preload_refuses_a_file_of_no_npz_format(self, tmp_path):
-        path = tmp_path / "history.csv"
-        path.write_text("episode_id,action_code,reward\n")
+    @pytest.mark.parametrize("truncated", [False, True], ids=["text", "truncated"])
+    def test_preload_refuses_a_file_of_no_npz_format(self, tmp_path, truncated):
+        path = tmp_path / "history"
+        if truncated:  # an npz cut short, as by a copy that did not finish
+            with open(path, "wb") as fh:
+                np.savez(fh, states=np.full((100, 58), 0.5))
+            path.write_bytes(path.read_bytes()[:20000])
+        else:
+            path.write_text("episode_id,action_code,reward\n")
         with pytest.raises(ValueError, match="not an npz archive") as err:
             train_experiment(small_cfg(episodes=1, preload_path=str(path)))
         assert str(path) in str(err.value)
@@ -358,8 +365,8 @@ class TestGoldenTrajectory:
                                           resume_from=tmp_path / "full" / "checkpoints" / "ep_0002")
         assert [(r.mean_reward.hex(), r.mean_td_error.hex()) for r in full] == self.FULL
         assert [(r.mean_reward.hex(), r.mean_td_error.hex()) for r in resumed] == self.FULL[2:]
-        assert hashlib.sha256(agent.online.theta.tobytes()).hexdigest() == self.ONLINE_SHA256
-        assert hashlib.sha256(agent.target.theta.tobytes()).hexdigest() == self.TARGET_SHA256
+        assert hashlib.sha256(agent.online.tobytes()).hexdigest() == self.ONLINE_SHA256
+        assert hashlib.sha256(agent.target.tobytes()).hexdigest() == self.TARGET_SHA256
 
 
 class TestGoldenGreedy:
@@ -384,8 +391,8 @@ class TestGoldenGreedy:
 
 def assert_same_agent(a, b):
     """Networks, buffer, RNG state and step agree bit for bit and by type."""
-    assert a.online.theta.tobytes() == b.online.theta.tobytes()
-    assert a.target.theta.tobytes() == b.target.theta.tobytes()
+    assert a.online.tobytes() == b.online.tobytes()
+    assert a.target.tobytes() == b.target.tobytes()
     assert a.global_step == b.global_step
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
     assert len(a.buffer) == len(b.buffer)
@@ -461,8 +468,11 @@ class TestCheckpointRoundtrip:
         ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
         # the online vector of a network for 57 inputs: its w1 is (32, 57)
         ({}, {"online": np.zeros(32 * 57 + 32 + 5 * 32 + 5)},
-         r"parameters are float64\[2021\], expected float64\[2053\] for dims \(58, 32, 5\)"),
-        ({}, {"target": np.zeros(2053, dtype=np.float32)}, r"parameters are float32\[2053\]"),
+         r"checkpoint.npz member online is float64\[2021\], expected float64\[2053\]$"),
+        ({}, {"target": np.zeros(2053, dtype=np.float32)},
+         r"member target is float32\[2053\], expected float64\[2053\]$"),
+        ({}, {"online": np.zeros(2052)}, r"member online is float64\[2052\], expected"),
+        ({}, {"target": np.zeros((1, 2053))}, r"member target is float64\[1, 2053\], expected"),
         ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
         ({}, {"states": np.zeros((40, 57))}, r"'states': \[40, 57\]"),
         ({}, {"actions": None}, "checkpoint.npz lacks arrays actions; format 3 holds meta and "
@@ -480,9 +490,10 @@ class TestCheckpointRoundtrip:
         ("[1, 2]", {}, "checkpoint.npz meta must be a JSON object, got list$"),
         ({"global_step": -5}, {}, "checkpoint.npz meta global_step must be >= 0, got -5$"),
         ({"next_episode": -1}, {}, "checkpoint.npz meta next_episode must be >= 0, got -1$"),
-    ], ids=["format", "manifest", "w1_shape", "target_dtype", "buffer_lengths",
-            "states_width", "missing_actions", "scalar_actions", "missing_online",
-            "missing_global_step", "rng_state_without_state", "global_step_not_a_number",
+    ], ids=["format", "manifest", "w1_shape", "target_dtype", "one_short", "row_matrix",
+            "buffer_lengths", "states_width", "missing_actions", "scalar_actions",
+            "missing_online", "missing_global_step", "rng_state_without_state",
+            "global_step_not_a_number",
             "float_next_episode", "string_next_episode", "bool_global_step", "meta_not_an_object",
             "negative_global_step", "negative_next_episode"])
     def test_refuses_mismatch(self, tmp_path, trained, meta, arrays, message):
@@ -499,13 +510,22 @@ class TestCheckpointRoundtrip:
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
         split = {}
         for net in ("online", "target"):
-            p = getattr(agent, net)
-            split.update({f"{net}_w1": p.w1, f"{net}_b1": p.b1, f"{net}_w2": p.w2,
-                          f"{net}_b2": p.b2, net: None})
+            w1, b1, w2, b2 = layers(getattr(agent, net))
+            split.update({f"{net}_w1": w1, f"{net}_b1": b1, f"{net}_w2": w2, f"{net}_b2": b2,
+                          net: None})
         rewrite_checkpoint(tmp_path / "ck", {"format": 2}, **split)
         with pytest.raises(ValueError, match="unsupported checkpoint format 2") as err:
             load_checkpoint(tmp_path / "ck", cfg)
         assert str(tmp_path / "ck") in str(err.value)
+
+    def test_refuses_truncated_file(self, tmp_path, trained):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        path = tmp_path / "ck" / "checkpoint.npz"
+        path.write_bytes(path.read_bytes()[:20000])  # as by a copy that did not finish
+        with pytest.raises(ValueError, match="not an npz archive") as err:
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert str(path) in str(err.value)
 
     def test_bad_reward_named_by_record(self, tmp_path, trained):
         cfg, agent = trained

@@ -5,88 +5,87 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranopt import qnet
-from ranopt.qnet import (HIDDEN_DIM, QNetParams, apply_gradient, backward, forward,
-                         forward_batch, init_params, soft_update)
+from ranopt.qnet import (HIDDEN_DIM, N_PARAMS, apply_gradient, backward, forward,
+                         forward_batch, init_params, layers, soft_update)
 
 
 def net(w1, b1, w2, b2):
-    """A network from its four arrays."""
-    w1, w2 = np.asarray(w1, dtype=float), np.asarray(w2, dtype=float)
-    theta = np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
-    return QNetParams(theta, (w1.shape[1], w1.shape[0], w2.shape[0]))
+    """A network vector from its four arrays."""
+    return np.concatenate([np.ravel(w1), b1, np.ravel(w2), b2])
 
 
 def micro_params():
-    # 2 inputs -> 1 hidden unit -> 2 outputs, small enough to evaluate by hand
-    return net(w1=[[3.0, -1.0]], b1=[0.5], w2=[[-1.5], [2.0]], b2=[0.25, -0.75])
+    # 2 inputs -> 1 hidden unit -> 2 outputs, small enough to evaluate by
+    # hand: every other weight and bias is zero, so the other hidden units
+    # stay at relu(0) = 0 and the other outputs at 0
+    theta = np.zeros(N_PARAMS)
+    w1, b1, w2, b2 = layers(theta)
+    w1[0, :2] = [3.0, -1.0]
+    b1[0] = 0.5
+    w2[:2, 0] = [-1.5, 2.0]
+    b2[:2] = [0.25, -0.75]
+    return theta
+
+
+def micro_state(x):
+    """A 2-entry input of the micro network, zero-padded to a state."""
+    return np.pad(np.asarray(x, dtype=float), (0, 56))
 
 
 class TestLayout:
     def test_views_of_theta_in_order(self):
-        p = init_params(seed=5)
-        parts = (p.w1, p.b1, p.w2, p.b2)
+        theta = init_params(seed=5)
+        parts = layers(theta)
         assert [a.shape for a in parts] == [(32, 58), (32,), (5, 32), (5,)]
-        assert all(np.shares_memory(a, p.theta) for a in parts)
-        assert np.concatenate([a.ravel() for a in parts]).tobytes() == p.theta.tobytes()
-
-    def test_copy_is_independent(self):
-        p = init_params(seed=5)
-        q = p.copy()
-        q.b2[0] = 9.0
-        assert p.b2[0] == 0.0 and q.theta[-5] == 9.0
-
-    def test_wrong_size_or_dtype_refused(self):
-        for theta in (np.zeros(2052), np.zeros(2053, dtype=np.float32), np.zeros((1, 2053))):
-            with pytest.raises(ValueError, match=r"expected float64\[2053\]"):
-                QNetParams(theta, (58, 32, 5))
+        assert all(np.shares_memory(a, theta) for a in parts)
+        assert np.concatenate([a.ravel() for a in parts]).tobytes() == theta.tobytes()
 
 
 class TestInit:
     def test_same_seed_identical(self):
         a, b = init_params(seed=7), init_params(seed=7)
-        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
-        assert not np.array_equal(init_params(0).w1, init_params(1).w1)
+        assert not np.array_equal(layers(init_params(0))[0], layers(init_params(1))[0])
 
     def test_biases_zero(self):
-        p = init_params(seed=3)
-        assert np.all(p.b1 == 0.0) and np.all(p.b2 == 0.0)
+        _, b1, _, b2 = layers(init_params(seed=3))
+        assert np.all(b1 == 0.0) and np.all(b2 == 0.0)
 
     def test_weight_mean_near_zero(self):
-        p = init_params(seed=0)
-        weights = np.concatenate([p.w1.ravel(), p.w2.ravel()])
+        w1, _, w2, _ = layers(init_params(seed=0))
+        weights = np.concatenate([w1.ravel(), w2.ravel()])
         assert abs(weights.mean()) < 0.02
 
     def test_shapes(self):
-        p = init_params()
-        assert p.dims == (58, 32, 5)
+        theta = init_params()
+        assert theta.shape == (N_PARAMS,) == (32 * 58 + 32 + 5 * 32 + 5,)
+        assert theta.dtype == np.float64
 
 
 class TestForward:
     def test_zero_params_zero_output(self):
-        p = init_params()
-        zero = QNetParams(np.zeros_like(p.theta), p.dims)
-        q = forward(zero, np.ones(58))
+        q = forward(np.zeros(N_PARAMS), np.ones(58))
         assert np.all(q == 0.0)
 
     def test_head_linearity(self):
         p = init_params(seed=1)
         s = np.random.default_rng(2).uniform(0, 1, 58)
         q = forward(p, s)
-        doubled = net(p.w1, p.b1, 2.0 * p.w2, 2.0 * p.b2)
+        w1, b1, w2, b2 = layers(p)
+        doubled = net(w1, b1, 2.0 * w2, 2.0 * b2)
         assert np.allclose(forward(doubled, s), 2.0 * q)
 
     def test_micro_network_hand_evaluation(self):
         p = micro_params()
         # z1 = 3*2 - 1*1 + 0.5 = 5.5 -> relu 5.5
         # q = (-1.5*5.5 + 0.25, 2.0*5.5 - 0.75) = (-8.0, 10.25)
-        q = forward(p, np.array([2.0, 1.0]))
-        assert np.allclose(q, [-8.0, 10.25])
+        q = forward(p, micro_state([2.0, 1.0]))
+        assert np.allclose(q, [-8.0, 10.25, 0.0, 0.0, 0.0])
         # negative preactivation: z1 = 3*(-1) - 1*0 + 0.5 = -2.5 -> relu 0
-        q = forward(p, np.array([-1.0, 0.0]))
-        assert np.allclose(q, [0.25, -0.75])
+        q = forward(p, micro_state([-1.0, 0.0]))
+        assert np.allclose(q, [0.25, -0.75, 0.0, 0.0, 0.0])
 
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError):
@@ -102,19 +101,20 @@ class TestForward:
 
 def backward_one(p, state, action):
     """Reference: the gradient of Q(state, action) for one sample, laid out as theta."""
-    z1 = p.w1 @ state + p.b1
-    gw2 = np.zeros_like(p.w2)
-    gb2 = np.zeros_like(p.b2)
+    w1, b1, w2, b2 = layers(p)
+    z1 = w1 @ state + b1
+    gw2 = np.zeros_like(w2)
+    gb2 = np.zeros_like(b2)
     gw2[action] = np.maximum(z1, 0.0)
     gb2[action] = 1.0
-    dz1 = p.w2[action] * (z1 > 0.0)
-    return net(np.outer(dz1, state), dz1, gw2, gb2).theta
+    dz1 = w2[action] * (z1 > 0.0)
+    return net(np.outer(dz1, state), dz1, gw2, gb2)
 
 
 def backward_loop(p, states, actions, weights):
     """Reference for the batched backward: the weighted per-sample gradients
     summed one sample at a time."""
-    total = np.zeros_like(p.theta)
+    total = np.zeros_like(p)
     for state, action, w in zip(states, actions, weights):
         total += w * backward_one(p, state, int(action))
     return total
@@ -132,9 +132,10 @@ def batches(draw):
     n = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p = init_params(seed=draw(st.integers(0, 99)))
-    p.b1[:] = rng.uniform(-0.5, 0.5, HIDDEN_DIM)
+    b1 = layers(p)[1]
+    b1[:] = rng.uniform(-0.5, 0.5, HIDDEN_DIM)
     dead = rng.permutation(HIDDEN_DIM)[:draw(st.integers(0, HIDDEN_DIM))]
-    p.b1[dead] = -100.0  # far below any w1 @ s of a state in [0, 1]^58
+    b1[dead] = -100.0  # far below any w1 @ s of a state in [0, 1]^58
     pool = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
     actions = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
     weight = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0)
@@ -161,26 +162,26 @@ class TestBackward:
         # |params| at |states|, whose hidden layer |w1| @ |s| + |b1| bounds the
         # rounding of z1 (gemm and gemv round it differently); an entry with
         # no terms must match exactly
-        magnitude = QNetParams(np.abs(p.theta), p.dims)
+        magnitude = np.abs(p)
         scale = sum(abs(w) * backward_one(magnitude, np.abs(s), a)
                     for s, a, w in zip(states, actions, td))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_zero_state_w1_gradient_zero(self):
         p = init_params(seed=6)
-        p.b1[:] = 0.3  # keep hidden units live so b1 receives gradient
-        g = QNetParams(unit_td(p, np.zeros((1, 58)), [2])[1], p.dims)
-        assert np.all(g.w1 == 0.0)
-        assert np.any(g.b1 != 0.0)
+        layers(p)[1][:] = 0.3  # keep hidden units live so b1 receives gradient
+        gw1, gb1, _, _ = layers(unit_td(p, np.zeros((1, 58)), [2])[1])
+        assert np.all(gw1 == 0.0)
+        assert np.any(gb1 != 0.0)
 
     def test_nonselected_outputs_zero(self):
         p = init_params(seed=8)
         td, grad = unit_td(p, np.random.default_rng(0).uniform(0, 1, (1, 58)), [3])
-        g = QNetParams(grad, p.dims)
+        _, _, gw2, gb2 = layers(grad)
         for a in range(5):
             if a != 3:
-                assert np.all(g.w2[a] == 0.0) and g.b2[a] == 0.0
-        assert g.b2[3] == td[0] != 0.0
+                assert np.all(gw2[a] == 0.0) and gb2[a] == 0.0
+        assert gb2[3] == td[0] != 0.0
 
     def test_bad_action_raises(self):
         for actions in ([5], [-1], [2.0], [[2]], [1, 2]):
@@ -198,7 +199,7 @@ class TestBackward:
     @pytest.mark.parametrize("b2, target", [(np.inf, 1.0), (0.0, np.nan), (0.0, -np.inf)])
     def test_non_finite_td_error_raises_before_gradient(self, b2, target):
         p = init_params(seed=7)
-        p.b2[:] = b2
+        layers(p)[3][:] = b2
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an inf TD error times a zero weight would warn
             with pytest.raises(FloatingPointError, match="non-finite TD error"):
@@ -214,13 +215,12 @@ class TestBackward:
             a = int(rng.integers(0, 5))
             td, grad = unit_td(p, s[None], [a])
             analytic = grad / td[0]
-            numeric = np.empty_like(p.theta)
-            for i in range(p.theta.size):
-                tp, tm = p.theta.copy(), p.theta.copy()
+            numeric = np.empty_like(p)
+            for i in range(p.size):
+                tp, tm = p.copy(), p.copy()
                 tp[i] += h
                 tm[i] -= h
-                numeric[i] = (forward(QNetParams(tp, p.dims), s)[a]
-                              - forward(QNetParams(tm, p.dims), s)[a]) / (2 * h)
+                numeric[i] = (forward(tp, s)[a] - forward(tm, s)[a]) / (2 * h)
             rel = np.abs(analytic - numeric) / np.maximum.reduce(
                 [np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-6)])
             assert rel.max() < 1e-5
@@ -231,12 +231,12 @@ class TestApplyGradient:
         p = init_params(seed=9)
         _, g = unit_td(p, np.full((1, 58), 0.5), [1])
         q = apply_gradient(p, g, 0.0)
-        assert np.array_equal(q.theta, p.theta)
+        assert np.array_equal(q, p)
 
     def test_grad_equal_params_doubles(self):
         p = init_params(seed=10)
-        q = apply_gradient(p, p.theta, 1.0)
-        assert np.allclose(q.theta, 2.0 * p.theta)
+        q = apply_gradient(p, p, 1.0)
+        assert np.allclose(q, 2.0 * p)
 
     def test_shape_mismatch_raises(self):
         p = init_params()
@@ -245,7 +245,7 @@ class TestApplyGradient:
 
     def test_sgd_step_reduces_td_error(self):
         p = micro_params()
-        s = np.array([2.0, 1.0])
+        s = micro_state([2.0, 1.0])
         target = 1.0
         for _ in range(3):
             _, g = backward(p, s[None], [0], [target])
@@ -259,12 +259,12 @@ class TestSoftUpdate:
     def test_tau_one_copies_online(self):
         t, o = init_params(seed=11), init_params(seed=12)
         out = soft_update(t, o, 1.0)
-        assert np.array_equal(out.theta, o.theta)
+        assert np.array_equal(out, o)
 
     def test_tau_zero_keeps_target(self):
         t, o = init_params(seed=13), init_params(seed=14)
         out = soft_update(t, o, 0.0)
-        assert np.array_equal(out.theta, t.theta)
+        assert np.array_equal(out, t)
 
     def test_tau_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -274,18 +274,18 @@ class TestSoftUpdate:
         online = init_params(seed=15)
         target = init_params(seed=16)
         tau = 0.01
-        d0 = np.linalg.norm(target.theta - online.theta)
+        d0 = np.linalg.norm(target - online)
         for k in (1, 10, 50):
             t = target
             for _ in range(k):
                 t = soft_update(t, online, tau)
-            dk = np.linalg.norm(t.theta - online.theta)
+            dk = np.linalg.norm(t - online)
             expected = (1 - tau) ** k * d0
             assert abs(dk - expected) / expected < 1e-10
 
     def test_affine_in_scaling(self):
         t, o = init_params(seed=17), init_params(seed=18)
         c = 3.0
-        scaled = soft_update(QNetParams(c * t.theta, t.dims), QNetParams(c * o.theta, o.dims), 0.25)
+        scaled = soft_update(c * t, c * o, 0.25)
         plain = soft_update(t, o, 0.25)
-        assert np.allclose(scaled.theta, c * plain.theta)
+        assert np.allclose(scaled, c * plain)

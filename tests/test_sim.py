@@ -31,10 +31,10 @@ def make_state(queues, rsrp, cfg, pf_avg=None):
     )
 
 
-def schedule(option, state, demands, prb_budget, cfg):
+def schedule(option, state, demands, cfg):
     """schedule_prbs at the state's current radio, a PRB carrying cfg.prb_megabits
     at unit efficiency."""
-    return schedule_prbs(option, state, state.queue_mb + demands, prb_budget, cfg,
+    return schedule_prbs(option, state, state.queue_mb + demands, cfg,
                          state.spectral_eff[state.tick] * cfg.prb_megabits)
 
 
@@ -96,9 +96,9 @@ def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
     return alloc
 
 
-def reference_schedule(option, state, demands, prb_budget, cfg):
+def reference_schedule(option, state, demands, cfg):
     """schedule_prbs written as the per-PRB loops above."""
-    avail = state.queue_mb + demands
+    avail, prb_budget = state.queue_mb + demands, cfg.prb_budget
     y = state.spectral_eff[state.tick] * cfg.prb_megabits
     if option == SchedulerOption.EQUAL_RATE:
         return greedy_equal_rate(avail, y, prb_budget)
@@ -158,7 +158,7 @@ def tick_step(state, option, profiles, rest, cfg):
     y = eff * cfg.prb_megabits
     demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
-    alloc = schedule_prbs(option, state, avail, cfg.prb_budget, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg, y)
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
     tput = served / cfg.tick_seconds
@@ -255,20 +255,20 @@ class TestSchedulePrbs:
     def test_equal_rate_symmetric(self):
         cfg = SimConfig(prb_budget=50)
         st = make_state([1e6, 1e6], [-100.0, -100.0], cfg)
-        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 50, cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [25, 25])
 
     def test_max_ci_winner_takes_budget(self):
         cfg = SimConfig(prb_budget=50)
         # efficiencies 2.0 vs 1.0 via rsrp chosen from the channel inverse
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
-        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), 50, cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [50, 0])
 
     def test_equal_rate_matches_brute_force(self):
         cfg = SimConfig(prb_budget=30)
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
-        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), 30, cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         # brute force over all full-budget integer splits: minimize served spread
         best, best_spread = None, None
         for a in range(31):
@@ -282,21 +282,20 @@ class TestSchedulePrbs:
         cfg = SimConfig()
         st = make_state([0.0, 50.0, 0.0, 50.0], RSRP_LAB, cfg)
         for opt in SchedulerOption:
-            alloc = schedule(opt, st, np.zeros(4), cfg.prb_budget, cfg)
+            alloc = schedule(opt, st, np.zeros(4), cfg)
             assert alloc[0] == 0 and alloc[2] == 0
 
     def test_budget_zero_raises(self):
-        cfg = SimConfig()
-        st = make_state([1.0], [-100.0], cfg)
-        with pytest.raises(ValueError):
-            schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(1), 0, cfg)
+        # schedule_prbs reads its budget from a SimConfig, which refuses this one
+        with pytest.raises(ValueError, match="prb_budget must be positive, got 0"):
+            SimConfig(prb_budget=0)
 
     def test_negative_volume_refused(self):
         cfg = SimConfig()
         st = make_state([1.0, 5.0], [-100.0, -100.0], cfg)
         for opt in SchedulerOption:
             with pytest.raises(ValueError, match="avail must be >= 0"):
-                schedule(opt, st, np.array([0.0, -5.5]), cfg.prb_budget, cfg)
+                schedule(opt, st, np.array([0.0, -5.5]), cfg)
 
     def test_budget_respected_under_fuzz(self):
         cfg = SimConfig()
@@ -307,7 +306,7 @@ class TestSchedulePrbs:
                             pf_avg=rng.uniform(0.01, 50, n))
             demands = rng.uniform(0, 2000, n)
             opt = SchedulerOption(int(rng.integers(0, 5)))
-            alloc = schedule(opt, st, demands, cfg.prb_budget, cfg)
+            alloc = schedule(opt, st, demands, cfg)
             assert alloc.sum() <= cfg.prb_budget
             assert np.all(alloc >= 0)
             assert np.all(alloc[(st.queue_mb + demands) <= 1e-12] == 0)
@@ -320,7 +319,7 @@ class TestSchedulePrbs:
                     SchedulerOption.PROPORTIONAL_FAIR_LOW,
                     SchedulerOption.MAXIMUM_C_OVER_I,
                     SchedulerOption.EQUAL_RATE):
-            alloc = schedule(opt, st, np.zeros(2), 1, cfg)
+            alloc = schedule(opt, st, np.zeros(2), cfg)
             assert np.array_equal(alloc, [1, 0])
 
 
@@ -359,7 +358,7 @@ def cells(draw):
             queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
     state = make_state(queue, rsrp_eff, cfg, pf_avg)
-    return state, demands, budget, cfg
+    return state, demands, cfg
 
 
 class TestScheduleKernel:
@@ -369,20 +368,20 @@ class TestScheduleKernel:
     # PF: a first PRB drops either UE's average from 38-40 to about 31, so its
     # next key beats its first (the running-minimum path)
     @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], SimConfig(), pf_avg=[40.0, 38.0]),
-                   np.zeros(2), 5, SimConfig(prb_budget=5)))
+                   np.zeros(2), SimConfig(prb_budget=5)))
     # MAXIMUM_C_OVER_I: the best UE holds exactly 31 PRBs of traffic, and
     # (31 * y) / y rounds up to 31 + 3.6e-15
     @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0], SimConfig()),
-                   np.zeros(2), 40, SimConfig(prb_budget=40)))
+                   np.zeros(2), SimConfig(prb_budget=40)))
     # MAXIMUM_C_OVER_I, 0.05-megabit PRBs: 1e-13 megabits count as no traffic
     @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], SimConfig()),
-                   np.zeros(2), 3, SimConfig(prb_budget=3, prb_megabits=0.05)))
+                   np.zeros(2), SimConfig(prb_budget=3, prb_megabits=0.05)))
     @given(cell=cells())
     def test_matches_reference_loops(self, cell):
-        state, demands, budget, cfg = cell
+        state, demands, cfg = cell
         for option in SchedulerOption:
-            alloc = schedule(option, state, demands, budget, cfg)
-            expected = reference_schedule(option, state, demands, budget, cfg)
+            alloc = schedule(option, state, demands, cfg)
+            expected = reference_schedule(option, state, demands, cfg)
             assert alloc.dtype == expected.dtype
             assert alloc.tolist() == expected.tolist(), option.name
 
@@ -392,12 +391,12 @@ class TestScheduleKernel:
         opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
         # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
         # second and later keys beat UE 1's first, but never come into play
-        assert schedule(opt, state, np.zeros(2), 5, cfg).tolist() == [0, 5]
+        assert schedule(opt, state, np.zeros(2), cfg).tolist() == [0, 5]
 
     def test_max_ci_exact_multiple_takes_need(self):
         cfg = SimConfig(prb_budget=40)
         state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], cfg)
-        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), 40, cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), cfg)
         assert alloc.tolist() == [31, 9]
 
 
@@ -615,3 +614,11 @@ class TestTrafficCsv:
         path.write_text("rsrp_dbm,rrc_volume_mb\n-110,x\n")
         with pytest.raises(ValueError, match=":2"):
             read_traffic_records(path)
+
+    @pytest.mark.parametrize("row", ["-110,nan", "-110,inf", "-inf,300", "NaN,300"])
+    def test_non_finite_value_names_line(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        path.write_text(f"rsrp_dbm,rrc_volume_mb\n-110,250\n{row}\n")
+        with pytest.raises(ValueError, match=":3: non-finite value in") as err:
+            read_traffic_records(path)
+        assert str(err.value).startswith(f"{path}:3:")
