@@ -1,7 +1,8 @@
 """Double-Q learning agent over the five scheduler options.
 
 The replay buffer is a ring of 5,000 transitions in five preallocated arrays,
-the arrays a checkpoint stores; each transition is checked on its way in.
+which a checkpoint stores with each next state kept once; each transition is
+checked on its way in.
 Because learning uses n-step temporal-difference targets, training batches
 are contiguous segments of experience sampled from the buffer; a segment
 never crosses an episode boundary (rest minutes produce no experience at
@@ -24,7 +25,9 @@ from . import qnet
 from .qnet import N_ACTIONS, STATE_DIM
 
 REPLAY_CAPACITY = 5000
-# The ring's arrays, named as the checkpoint members that store them.
+# The ring's arrays, named as the checkpoint members that store them; a
+# checkpoint's next_states keeps only the rows its bool member chained leaves
+# False (ReplayBuffer.packed).
 BUFFER_FIELDS = ("states", "next_states", "actions", "rewards", "episode_ids")
 _DTYPES = (np.float64, np.float64, np.int64, np.float64, np.int64)
 
@@ -100,6 +103,26 @@ def _check_transitions(states, next_states, actions, rewards, episode_ids) -> No
         ][fault])
 
 
+def _unpack(states, stored, chained) -> np.ndarray:
+    """Every entry's next state, in a new array, from the chained flags and
+    next_states rows that ReplayBuffer.packed stores."""
+    states = np.asarray(states)
+    if chained.dtype != bool or chained.shape != (len(states),):
+        raise ValueError(f"member chained is {chained.dtype}{list(chained.shape)}, "
+                         f"expected bool[{len(states)}]: one flag per states row")
+    if chained[-1:].any():
+        raise ValueError("member chained flags the last entry, which has no next entry")
+    if np.count_nonzero(~chained) != len(stored):
+        raise ValueError(f"member chained leaves {np.count_nonzero(~chained)} entries "
+                         f"unchained, but next_states has {len(stored)} rows")
+    if np.shape(stored)[1:] != states.shape[1:]:
+        return stored  # rows of another width: extend refuses the shapes
+    next_states = np.empty(states.shape)
+    next_states[:-1] = states[1:]  # slices, not a masked gather: no third full-size array
+    next_states[~chained] = stored
+    return next_states
+
+
 class ReplayBuffer:
     """Ring of transitions in five preallocated arrays named as BUFFER_FIELDS.
 
@@ -162,9 +185,11 @@ class ReplayBuffer:
 
     def load(self, arrays) -> None:
         """Append the transitions of a mapping of BUFFER_FIELDS arrays, such
-        as the members of a checkpoint.npz. Refuses a missing or 0-d array and
-        more transitions than the ring holds, extend refuses the rest, and
-        nothing is written if one is refused."""
+        as the members of a checkpoint.npz; a member chained, when present,
+        says how next_states is packed (see packed). Refuses a missing or 0-d
+        array, more transitions than the ring holds and a chained that does
+        not fit the arrays; extend refuses the rest, and nothing is written if
+        one is refused."""
         absent = [name for name in BUFFER_FIELDS if np.ndim(arrays.get(name)) == 0]
         if absent:
             raise ValueError(f"lacks arrays {', '.join(absent)}; "
@@ -172,6 +197,8 @@ class ReplayBuffer:
         columns = [arrays[name] for name in BUFFER_FIELDS]
         if max(map(len, columns)) > self.capacity:
             raise ValueError(f"buffer holds more than {self.capacity} transitions")
+        if "chained" in arrays:
+            columns[1] = _unpack(columns[0], columns[1], np.asarray(arrays["chained"]))
         self.extend(*columns)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -183,6 +210,18 @@ class ReplayBuffer:
                 getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
             self.start = 0
         return {name: getattr(self, name)[:self.size] for name in BUFFER_FIELDS}
+
+    def packed(self) -> dict[str, np.ndarray]:
+        """arrays() with each next state stored once: a bool array chained
+        flags entry i whose next state is, bit for bit, entry i + 1's state,
+        and next_states keeps the rows of the other entries, in order. The
+        last entry is never chained; load unpacks."""
+        arrays = self.arrays()
+        states, next_states = arrays["states"], arrays["next_states"]
+        chained = np.zeros(len(states), dtype=bool)
+        # bitwise, not by float ==, which would equate -0.0 with 0.0
+        chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
+        return {**arrays, "next_states": next_states[~chained], "chained": chained}
 
 
 def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
@@ -200,8 +239,11 @@ def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     ring = buffer.episode_ids
     ids = np.concatenate((ring[buffer.start:size], ring[:buffer.start]))  # logical order
-    run = np.concatenate(([0], np.cumsum(ids[1:] != ids[:-1])))  # run of equal ids per entry
-    return np.flatnonzero(run[n_step - 1:] == run[:size - n_step + 1])
+    last = size - n_step + 1  # starts 0..last-1 fit in the ring
+    ok = ids[:last] == ids[n_step - 1:]
+    for j in range(1, n_step - 1):  # every entry of a segment has its first entry's id
+        ok &= ids[j:last + j] == ids[:last]
+    return np.flatnonzero(ok)
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,

@@ -49,9 +49,9 @@ CURVE_CSV_HEADER = ["episode", "mean_reward", "stderr", "epsilon_end", "mean_td_
 BASELINE_CSV_HEADER = ["action", "mean_reward", "stderr", "episodes"]
 
 CHECKPOINT_FILE = "checkpoint.npz"
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 _NETS = ("online", "target")
-_ARRAYS = _NETS + BUFFER_FIELDS
+_ARRAYS = _NETS + BUFFER_FIELDS + ("chained",)
 
 
 @dataclass
@@ -67,7 +67,9 @@ class ExperimentConfig:
     seed: int = 0
     baseline_episodes: int = 50
     checkpoint_every: int = 10
-    preload_path: str | None = None  # an npz of BUFFER_FIELDS arrays to start a fresh ring with
+    # an npz of BUFFER_FIELDS arrays to start a fresh ring with; a checkpoint.npz,
+    # whose next_states are packed with its member chained, qualifies
+    preload_path: str | None = None
 
     def __post_init__(self):
         if self.reward_mode not in kpi.REWARD_MODES:
@@ -235,8 +237,9 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
     """A fresh agent. With cfg.preload_path set, its replay ring first takes
-    the BUFFER_FIELDS arrays of that npz (a saved checkpoint.npz qualifies),
-    refused, naming the file, where a checkpoint's would be.
+    the BUFFER_FIELDS arrays of that npz, unpacked by ReplayBuffer.load when
+    it holds a member chained (a saved checkpoint.npz qualifies), refused,
+    naming the file, where a checkpoint's would be.
 
     The preloaded episode ids are shifted to end at -1, equal ids staying
     equal, so no n-step segment spans a preloaded episode and the run's
@@ -259,13 +262,17 @@ def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
 def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     """Write the agent's whole learning state to directory/checkpoint.npz.
 
-    One uncompressed npz (format 3) holds a JSON meta string (format,
+    One uncompressed npz (format 4) holds a JSON meta string (format,
     global_step, next_episode, RNG state, KPI manifest hash), each network
     as one parameter vector (members online and target) and the replay
-    buffer as its five BUFFER_FIELDS arrays. It is written under a temporary
-    name and renamed into place, so a failed save leaves any earlier
-    checkpoint whole. The same state always gives the same bytes: np.savez
-    dates every member 1980-01-01 and meta holds no timestamp.
+    buffer as ReplayBuffer.packed gives it: the BUFFER_FIELDS arrays, with
+    next_states holding only the rows of entries whose next state is not the
+    following entry's state, and the bool member chained flagging the others.
+    It is written under a temporary name, synced to disk, renamed into place
+    and the rename synced, so a failed save leaves any earlier checkpoint
+    whole and a finished one survives a crash. The same state always gives
+    the same bytes: np.savez dates every member 1980-01-01 and meta holds no
+    timestamp.
     """
     os.makedirs(directory, exist_ok=True)
     meta = {
@@ -281,8 +288,15 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
         # a handle, not a path: np.savez would append ".npz" to the temporary name
         with open(tmp, "wb") as fh:
             np.savez(fh, meta=np.array(json.dumps(meta)), online=ag.online, target=ag.target,
-                     **ag.buffer.arrays())
+                     **ag.buffer.packed())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(directory, os.O_RDONLY)  # the rename lives in the directory
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -296,7 +310,8 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     episode is missing, not a JSON integer or negative, or whose RNG state
     is missing or malformed, a missing or 0-d array member, a network member
     that is not a float64 vector of qnet.N_PARAMS entries, and buffer arrays
-    that do not fit the replay ring or hold a transition the ring's check
+    that ReplayBuffer.load refuses: a chained that does not pack next_states,
+    arrays that do not fit the replay ring, or a transition the ring's check
     refuses.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -187,7 +188,9 @@ class TestReplayBuffer:
         ({"actions": np.array(0)}, "lacks arrays actions;"),
         ({name: np.zeros((5, 58) if "states" in name else 5) for name in BUFFER_FIELDS},
          "buffer holds more than 4 transitions"),
-    ], ids=["missing", "scalar", "over_capacity"])
+        ({"chained": np.array([True, True])}, "member chained flags the last entry"),
+        ({"chained": np.array([True, False])}, "leaves 1 entries unchained, but next_states has 2"),
+    ], ids=["missing", "scalar", "over_capacity", "chained_last", "chained_count"])
     def test_load_refuses_and_writes_nothing(self, change, message):
         arrays = {"states": np.zeros((2, 58)), "next_states": np.zeros((2, 58)),
                   "actions": np.zeros(2, dtype=np.int64), "rewards": np.zeros(2),
@@ -222,6 +225,53 @@ class TestReplayBuffer:
             buf.append(**{**vars(exp(1, tag=5.0)), **change})
         # nothing written: the full ring still holds its oldest entry
         assert [values(e) for e in buf] == [values(exp(0, tag=float(i))) for i in range(2)]
+
+
+def packed_round_trip(buf):
+    """buf.packed() through an npz file and into a fresh ring of the same capacity."""
+    fh = io.BytesIO()
+    np.savez(fh, **buf.packed())
+    fh.seek(0)
+    copy = ReplayBuffer(buf.capacity)
+    with np.load(fh, allow_pickle=False) as npz:
+        copy.load(dict(npz))
+    return copy
+
+
+class TestPacked:
+    # ops: (state is the previous entry's next state, state value, next state
+    # value, column of the value); -0.0 equals 0.0 by float == but not in bits
+    @settings(max_examples=200, deadline=None)
+    @example(capacity=4, ops=[])  # empty ring
+    @example(capacity=1, ops=[(False, 1.0, 2.0, 0), (True, 0.0, 3.0, 0)])
+    @example(capacity=3, ops=[(False, 1.0, 2.0, 5), (True, 0.0, 3.0, 5), (True, 0.0, 0.0, 5),
+                              (True, 0.0, 1.0, 5), (True, 0.0, 2.0, 5)])  # rotated
+    @example(capacity=8, ops=[(False, 1.0, 2.0, 0), (True, 0.0, 3.0, 0), (False, 1.0, 1.0, 0),
+                              (True, 0.0, 2.0, 0)])  # unchained in the middle
+    @example(capacity=8, ops=[(False, 1.0, -0.0, 57), (False, 0.0, 1.0, 57)])
+    @given(capacity=st.integers(1, 8),
+           ops=st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                                  st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                                  st.sampled_from([0, 57])), max_size=12))
+    def test_load_of_packed_is_bitwise_arrays(self, capacity, ops):
+        buf = ReplayBuffer(capacity)
+        next_state = None
+        for i, (chain, s, ns, col) in enumerate(ops):
+            state = next_state if chain and next_state is not None else np.zeros(58)
+            if state is not next_state:
+                state[col] = s
+            next_state = np.zeros(58)
+            next_state[col] = ns
+            buf.append(state, next_state, i % 5, 0.0, 0)
+        packed = buf.packed()
+        states, next_states = buf.arrays()["states"], buf.arrays()["next_states"]
+        chained = [next_states[i].tobytes() == states[i + 1].tobytes()
+                   for i in range(len(buf) - 1)] + [False][:len(buf)]
+        assert packed["chained"].dtype == bool and packed["chained"].tolist() == chained
+        assert packed["next_states"].tobytes() == next_states[~packed["chained"]].tobytes()
+        loaded = packed_round_trip(buf).arrays()
+        for name, a in buf.arrays().items():
+            assert loaded[name].dtype == a.dtype and loaded[name].tobytes() == a.tobytes()
 
 
 class TestSegments:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from ranopt.agent import AgentConfig, DoubleQAgent, valid_segment_starts
-from ranopt.harness import (BaselineRow, ExperimentConfig, episode_seed, episode_stats,
-                            evaluate_checkpoint, load_checkpoint, run_baseline_suite,
-                            run_episode, save_checkpoint, train_experiment, write_baseline_csv)
+from ranopt.harness import (BaselineRow, ExperimentConfig, build_agent, episode_seed,
+                            episode_stats, evaluate_checkpoint, load_checkpoint,
+                            run_baseline_suite, run_episode, save_checkpoint, train_experiment,
+                            write_baseline_csv)
 from ranopt.qnet import layers
 from ranopt.sim import SchedulerOption, UeProfile
 
@@ -306,6 +307,18 @@ class TestTrainExperiment:
         for name, saved in history.items():
             assert getattr(agent.buffer, name)[:len(saved)].tobytes() == saved.tobytes()
 
+    def test_preload_plain_buffer_fields(self, tmp_path):
+        # an npz of the ring's arrays and no member chained: every next state stored
+        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
+        history = earlier.buffer.arrays()
+        np.savez(tmp_path / "history.npz", **history)
+        agent = build_agent(small_cfg(preload_path=str(tmp_path / "history.npz")))
+        history["episode_ids"] = history["episode_ids"] - 1
+        loaded = agent.buffer.arrays()
+        assert loaded.keys() == history.keys()
+        for name, saved in history.items():
+            assert loaded[name].tobytes() == saved.tobytes()
+
     def test_preloaded_episodes_stay_apart_from_the_run(self, tmp_path):
         # a 1-episode run preloaded into another: both runs have an episode 0
         _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
@@ -463,6 +476,23 @@ class TestCheckpointRoundtrip:
         assert nxt == 1
         assert_same_agent(loaded, saved)
 
+    def test_save_syncs_file_before_rename_then_directory(self, tmp_path, trained, monkeypatch):
+        _, agent = trained
+        events, fsync, replace = [], os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: events.append(("fsync", os.fstat(fd)))
+                            or fsync(fd))
+        monkeypatch.setattr(os, "replace", lambda src, dst:
+                            events.append(("replace", os.stat(src))) or replace(src, dst))
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        monkeypatch.undo()
+        assert [event for event, _ in events] == ["fsync", "replace", "fsync"]
+        (_, synced), (_, renamed), (_, directory) = events
+        final = os.stat(tmp_path / "ck" / "checkpoint.npz")
+        # the whole temporary file reached the sync: the same inode, at its final size
+        assert synced.st_ino == renamed.st_ino == final.st_ino
+        assert synced.st_size == final.st_size
+        assert directory.st_ino == os.stat(tmp_path / "ck").st_ino
+
     @pytest.mark.parametrize("meta, arrays, message", [
         ({"format": 1}, {}, "unsupported checkpoint format 1"),
         ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
@@ -475,8 +505,16 @@ class TestCheckpointRoundtrip:
         ({}, {"target": np.zeros((1, 2053))}, r"member target is float64\[1, 2053\], expected"),
         ({}, {"rewards": np.zeros(39)}, "buffer arrays"),
         ({}, {"states": np.zeros((40, 57))}, r"'states': \[40, 57\]"),
-        ({}, {"actions": None}, "checkpoint.npz lacks arrays actions; format 3 holds meta and "
-                                "the arrays online, target, states, .*, episode_ids"),
+        ({}, {"actions": None}, "checkpoint.npz lacks arrays actions; format 4 holds meta and "
+                                "the arrays online, target, states, .*, episode_ids, chained$"),
+        ({}, {"chained": None}, "lacks arrays chained;"),
+        # the fixture's 2 episodes of 20: entries 19 and 39 end an episode, unchained
+        ({}, {"chained": (np.arange(40) % 20 != 19).astype(np.int8)},
+         r"member chained is int8\[40\], expected bool\[40\]"),
+        ({}, {"chained": np.arange(39) % 20 != 19}, r"member chained is bool\[39\], expected"),
+        ({}, {"chained": np.arange(40) != 19}, "member chained flags the last entry"),
+        ({}, {"chained": ~np.isin(np.arange(40), [5, 19, 39])},
+         "member chained leaves 3 entries unchained, but next_states has 2 rows$"),
         ({}, {"actions": np.array(0)}, "lacks arrays actions;"),
         ({}, {"online": None}, "lacks arrays online;"),
         ({"global_step": None}, {}, "checkpoint.npz meta lacks global_step$"),
@@ -491,7 +529,9 @@ class TestCheckpointRoundtrip:
         ({"global_step": -5}, {}, "checkpoint.npz meta global_step must be >= 0, got -5$"),
         ({"next_episode": -1}, {}, "checkpoint.npz meta next_episode must be >= 0, got -1$"),
     ], ids=["format", "manifest", "w1_shape", "target_dtype", "one_short", "row_matrix",
-            "buffer_lengths", "states_width", "missing_actions", "scalar_actions",
+            "buffer_lengths", "states_width", "missing_actions", "missing_chained",
+            "chained_not_bool", "chained_short", "chained_last", "chained_count",
+            "scalar_actions",
             "missing_online", "missing_global_step", "rng_state_without_state",
             "global_step_not_a_number",
             "float_next_episode", "string_next_episode", "bool_global_step", "meta_not_an_object",
@@ -515,6 +555,16 @@ class TestCheckpointRoundtrip:
                           net: None})
         rewrite_checkpoint(tmp_path / "ck", {"format": 2}, **split)
         with pytest.raises(ValueError, match="unsupported checkpoint format 2") as err:
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert str(tmp_path / "ck") in str(err.value)
+
+    def test_refuses_format_3(self, tmp_path, trained):
+        # format 3 stored every next state, and no member chained
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        rewrite_checkpoint(tmp_path / "ck", {"format": 3}, chained=None,
+                           next_states=agent.buffer.arrays()["next_states"])
+        with pytest.raises(ValueError, match="unsupported checkpoint format 3") as err:
             load_checkpoint(tmp_path / "ck", cfg)
         assert str(tmp_path / "ck") in str(err.value)
 
@@ -542,9 +592,20 @@ class TestCheckpointRoundtrip:
         states = np.array([e.state for e in agent.buffer])
         states[5, 11] = np.nan
         rewrite_checkpoint(tmp_path / "ck", states=states)
-        with pytest.raises(ValueError, match="record 5: state holds a non-finite value") as err:
+        # record 4 is chained: its next state is the stored state of record 5
+        with pytest.raises(ValueError, match="record 4: next_state holds a non-finite") as err:
             load_checkpoint(tmp_path / "ck", cfg)
         assert str(tmp_path / "ck") in str(err.value)
+
+    def test_non_finite_stored_next_state_named_by_record(self, tmp_path, trained):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        with np.load(tmp_path / "ck" / "checkpoint.npz") as npz:
+            stored = npz["next_states"].copy()  # rows of the unchained entries 19 and 39
+        stored[0, 3] = np.inf
+        rewrite_checkpoint(tmp_path / "ck", next_states=stored)
+        with pytest.raises(ValueError, match="record 19: next_state holds a non-finite value"):
+            load_checkpoint(tmp_path / "ck", cfg)
 
     def test_evaluate_checkpoint_deterministic(self, tmp_path):
         cfg = small_cfg(episodes=2)
