@@ -55,7 +55,7 @@ class AgentConfig:
             raise ValueError(f"n_step must lie in [1, 10], got {self.n_step}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # a NaN fails too
             raise ValueError("learning_rate must be >= 0")
         if self.batch_segments < 1:
             raise ValueError("batch_segments must be >= 1")
@@ -187,7 +187,8 @@ class ReplayBuffer:
         """Append the transitions of a mapping of BUFFER_FIELDS arrays, such
         as the members of a checkpoint.npz; a member chained, when present,
         says how next_states is packed (see packed). Refuses a missing or 0-d
-        array, more transitions than the ring holds and a chained that does
+        array, more transitions than the ring holds, actions or episode ids
+        not of an integer type that int64 holds and a chained that does
         not fit the arrays; extend refuses the rest, and nothing is written if
         one is refused."""
         absent = [name for name in BUFFER_FIELDS if np.ndim(arrays.get(name)) == 0]
@@ -197,6 +198,10 @@ class ReplayBuffer:
         columns = [arrays[name] for name in BUFFER_FIELDS]
         if max(map(len, columns)) > self.capacity:
             raise ValueError(f"buffer holds more than {self.capacity} transitions")
+        for name in ("actions", "episode_ids"):  # the ring's cast would round or wrap others
+            dtype = np.asarray(arrays[name]).dtype
+            if not (np.issubdtype(dtype, np.integer) and np.can_cast(dtype, np.int64)):
+                raise ValueError(f"member {name} is {dtype}, expected integers that int64 holds")
         if "chained" in arrays:
             columns[1] = _unpack(columns[0], columns[1], np.asarray(arrays["chained"]))
         self.extend(*columns)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -34,10 +35,18 @@ _ACCEPTS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 
 
 def _check_value(f: dataclasses.Field, value, key: str) -> None:
-    """Refuse a value not of the field's annotated type; a bool is no number."""
+    """Refuse a value not of the field's annotated type; a bool is no number,
+    and NaN, an infinity (JSON files may hold them) or an integer past a
+    float's range no float."""
     accepts = _ACCEPTS.get(f.type)
     if accepts and (isinstance(value, bool) or not isinstance(value, accepts[0])):
         raise ConfigError(f"{key}: expected {accepts[1]}, got {value!r}")
+    try:
+        finite = f.type != "float" or math.isfinite(value)
+    except OverflowError:  # an integer too large to convert to a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
 
 
 def _build_section(cls, data, path: str, **parsed):

@@ -249,13 +249,12 @@ def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
     if cfg.preload_path:
         members = _read_npz(cfg.preload_path)
         try:
-            ids = members.get("episode_ids")
-            if np.ndim(ids) == 1 and ids.size:  # any other is empty or refused by load
-                ids = np.asarray(ids, dtype=np.int64)  # the cast the ring makes
-                members["episode_ids"] = ids - ids.max() - 1
             ag.buffer.load(members)
         except ValueError as exc:
             raise ValueError(f"{cfg.preload_path}: {exc}") from None
+        ids = ag.buffer.episode_ids[:len(ag.buffer)]  # a fresh ring: rows in logical order
+        if ids.size:
+            ids[:] = ids - ids.max() - 1
     return ag
 
 
@@ -311,8 +310,8 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     is missing or malformed, a missing or 0-d array member, a network member
     that is not a float64 vector of qnet.N_PARAMS entries, and buffer arrays
     that ReplayBuffer.load refuses: a chained that does not pack next_states,
-    arrays that do not fit the replay ring, or a transition the ring's check
-    refuses.
+    actions or episode ids that are not integers, arrays that do not fit the
+    replay ring, or a transition the ring's check refuses.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
@@ -349,7 +348,7 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
         return ag, next_episode
     except KeyError as exc:  # a meta key, or an entry of the RNG state that numpy reads
         raise ValueError(f"{directory}: {CHECKPOINT_FILE} meta lacks {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:  # overflow: an RNG state too large
         raise ValueError(f"{directory}: {exc}") from None
 
 

@@ -76,31 +76,19 @@ TA_KM_BASE = 0.3
 
 def build_manifest() -> list[tuple[int, str, str, float, float]]:
     """The frozen state layout: (index, name, group, min_bound, max_bound) rows."""
-    rows = []
-    idx = 0
-    for name, bound in _CELL_SCALARS:
-        rows.append((idx, name, "cell_scalar", 0.0, bound))
-        idx += 1
-    for i in range(N_CQI_BINS):
-        rows.append((idx, f"cqi_bin_{i + 1:02d}", "cqi_hist", 0.0, 4.0))
-        idx += 1
-    for i in range(N_RSRP_BINS):
-        lo, hi = RSRP_BIN_EDGES[i], RSRP_BIN_EDGES[i + 1]
-        rows.append((idx, f"rsrp_bin_{lo:.0f}_{hi:.0f}", "rsrp_hist", 0.0, 4.0))
-        idx += 1
-    for i in range(N_RSRQ_BINS):
-        rows.append((idx, f"rsrq_bin_{i + 1}", "rsrq_hist", 0.0, 4.0))
-        idx += 1
-    for i in range(N_TA_BINS):
-        rows.append((idx, f"ta_bin_{i + 1}", "ta_hist", 0.0, 4.0))
-        idx += 1
-    for opt in SchedulerOption:
-        rows.append((idx, f"prev_action_{opt.name.lower()}", "prev_action", 0.0, 1.0))
-        idx += 1
-    rows.append((idx, "episode_step_fraction", "phase", 0.0, 1.0))
-    rows.append((idx + 1, "rest_flag", "phase", 0.0, 1.0))
+    groups = {
+        "cell_scalar": _CELL_SCALARS,
+        "cqi_hist": [(f"cqi_bin_{i:02d}", 4.0) for i in range(1, N_CQI_BINS + 1)],
+        "rsrp_hist": [(f"rsrp_bin_{lo:.0f}_{hi:.0f}", 4.0)
+                      for lo, hi in zip(RSRP_BIN_EDGES[:-1], RSRP_BIN_EDGES[1:])],
+        "rsrq_hist": [(f"rsrq_bin_{i}", 4.0) for i in range(1, N_RSRQ_BINS + 1)],
+        "ta_hist": [(f"ta_bin_{i}", 4.0) for i in range(1, N_TA_BINS + 1)],
+        "prev_action": [(f"prev_action_{opt.name.lower()}", 1.0) for opt in SchedulerOption],
+        "phase": [("episode_step_fraction", 1.0), ("rest_flag", 1.0)],
+    }
+    rows = [(name, group, bound) for group, entries in groups.items() for name, bound in entries]
     assert len(rows) == STATE_DIM
-    return rows
+    return [(i, name, group, 0.0, bound) for i, (name, group, bound) in enumerate(rows)]
 
 
 def manifest_text() -> str:
@@ -136,7 +124,7 @@ class KpiConfig:
 
     def __post_init__(self):
         for name in ("reward_throughput_bound_mbps", "reward_gap_bound_mbps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # a NaN fails too
                 raise ValueError(f"{name} must be positive")
 
 

@@ -11,9 +11,12 @@ No action changes the radio or the demand, so a cell draws its episode's
 noise when it is created: each tick's radio conditions and demand are rows
 of arrays, and a tick only schedules and serves.
 
+The scheduler's internals, the tick length and the fading persistence are
+module constants, as a vendor fixes them: a config sets only the PRB budget
+and the fading innovation.
+
 Units: traffic volumes in megabits, rates in Mbit/s, radio conditions in dBm.
-One PRB carries prb_megabits * efficiency megabits per tick (180 kHz * 60 s
-* 1 bit/s/Hz = 10.8 Mbit at unit spectral efficiency).
+One PRB carries PRB_MEGABITS * efficiency megabits per tick.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ PF_ALPHA = {
     SchedulerOption.PROPORTIONAL_FAIR_MEDIUM: 1.0,
     SchedulerOption.PROPORTIONAL_FAIR_LOW: 0.5,
 }
+# One tick is one minute, so a PRB carries 180 kHz * 60 s * 1 bit/s/Hz =
+# 10.8 megabits per tick at unit spectral efficiency.
+TICK_SECONDS = 60.0
+PRB_MEGABITS = 10.8
+PF_EMA = 0.2            # smoothing of the per-UE served-rate average
+PF_FLOOR_MBPS = 0.01    # keeps the PF denominator positive
+RF_JITTER_RHO = 0.95    # AR(1) persistence of the fading component
 
 
 @dataclass
@@ -65,35 +75,25 @@ class UeProfile:
     def __post_init__(self):
         if not RSRP_MIN_DBM <= self.rsrp_dbm <= RSRP_MAX_DBM:
             raise ValueError(f"rsrp_dbm {self.rsrp_dbm} outside [{RSRP_MIN_DBM}, {RSRP_MAX_DBM}]")
-        if self.demand_mean < 0:
+        if not self.demand_mean >= 0:  # a NaN fails too
             raise ValueError(f"demand_mean must be >= 0, got {self.demand_mean}")
-        if self.demand_std < 0:
+        if not self.demand_std >= 0:
             raise ValueError(f"demand_std must be >= 0, got {self.demand_std}")
 
 
 @dataclass
 class SimConfig:
-    """Cell-level knobs; defaults model a 20 MHz-like cell."""
+    """The cell's two settable knobs, defaults for a 20 MHz-like cell; the
+    rest of the cell model is the module constants."""
 
     prb_budget: int = 100
-    prb_megabits: float = 10.8     # megabits per PRB-tick at unit efficiency
-    tick_seconds: float = 60.0
-    pf_ema: float = 0.2            # smoothing of the per-UE served-rate average
-    pf_floor_mbps: float = 0.01    # keeps the PF denominator positive
-    rf_jitter_std_db: float = 1.0  # per-tick shadow-fading innovation
-    rf_jitter_rho: float = 0.95    # AR(1) persistence of the fading component
+    rf_jitter_std_db: float = 1.0  # per-tick shadow-fading innovation; 0 fixes the radio
 
     def __post_init__(self):
         if self.prb_budget <= 0:
             raise ValueError(f"prb_budget must be positive, got {self.prb_budget}")
-        if not 0.0 < self.pf_ema <= 1.0:
-            raise ValueError(f"pf_ema must lie in (0, 1], got {self.pf_ema}")
-        if self.pf_floor_mbps <= 0:
-            raise ValueError("pf_floor_mbps must be positive")
-        if self.rf_jitter_std_db < 0:
+        if not self.rf_jitter_std_db >= 0:  # a NaN fails too
             raise ValueError("rf_jitter_std_db must be >= 0")
-        if not 0.0 <= self.rf_jitter_rho < 1.0:
-            raise ValueError(f"rf_jitter_rho must lie in [0, 1), got {self.rf_jitter_rho}")
 
 
 @dataclass
@@ -164,16 +164,16 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     z[drawn] = np.random.default_rng(seed).standard_normal(n * int(drawn.sum())).reshape(-1, n)
 
     scale = np.full((ticks + 1, 1), cfg.rf_jitter_std_db)
-    scale[0] = cfg.rf_jitter_std_db / math.sqrt(1.0 - cfg.rf_jitter_rho ** 2)
+    scale[0] = cfg.rf_jitter_std_db / math.sqrt(1.0 - RF_JITTER_RHO ** 2)
     # AR(1) in Python floats, one multiply and one add per step as numpy rounds them
-    ar1 = np.frompyfunc(lambda prev, innov: cfg.rf_jitter_rho * prev + innov, 2, 1)
+    ar1 = np.frompyfunc(lambda prev, innov: RF_JITTER_RHO * prev + innov, 2, 1)
     fading = ar1.accumulate((0.0 + scale * z[:, 0]).astype(object), axis=0)[1:].astype(float)
     rsrp = np.clip(np.array([p.rsrp_dbm for p in profiles]) + fading, RSRP_MIN_DBM, RSRP_MAX_DBM)
     eff = spectral_efficiency(rsrp)
     # a UE without variance gets exactly its mean
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
-    cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, cfg.pf_floor_mbps),
-                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * cfg.prb_megabits,
+    cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, PF_FLOOR_MBPS),
+                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * PRB_MEGABITS,
                      demand_mb=np.where(rest[:, None], 0.0, demand))
     for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb):
         drawn_array.flags.writeable = False
@@ -195,7 +195,7 @@ def _top_budget(keys, valid, budget, descending):
     return np.bincount(ue[order[:budget]], minlength=keys.shape[0])
 
 
-def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
+def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
     """Proportional-fair keys eff / avg**alpha, where the smoothed rate avg
     counts the PRBs the UE got earlier in the tick.
 
@@ -203,12 +203,11 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha, cfg):
     key; the greedy choice then keeps serving that UE, which a running
     minimum along k reproduces.
     """
-    base_avg = np.maximum(pf_avg_mbps, cfg.pf_floor_mbps)
-    virtual = np.maximum(cfg.pf_floor_mbps,
-                         (1.0 - cfg.pf_ema) * base_avg[:, None]
-                         + cfg.pf_ema * served_before / cfg.tick_seconds)
+    base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
+    virtual = np.maximum(PF_FLOOR_MBPS,
+                         (1.0 - PF_EMA) * base_avg[:, None] + PF_EMA * served_before / TICK_SECONDS)
     virtual[:, 0] = base_avg
-    eff = y_mb / cfg.prb_megabits
+    eff = y_mb / PRB_MEGABITS
     return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
 
 
@@ -236,7 +235,7 @@ def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
     if option == SchedulerOption.EQUAL_RATE:
         return _top_budget(served_before, valid, cfg.prb_budget, descending=False)
     if option in PF_ALPHA:
-        keys = _pf_keys(served_before, y_mb, state.pf_avg_mbps, PF_ALPHA[option], cfg)
+        keys = _pf_keys(served_before, y_mb, state.pf_avg_mbps, PF_ALPHA[option])
         return _top_budget(keys, valid, cfg.prb_budget, descending=True)
     raise ValueError(f"unknown scheduler option {option!r}")
 
@@ -259,9 +258,9 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     state.queue_mb = avail - served
     state.tick = t + 1
 
-    tput = served / cfg.tick_seconds
-    state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,
-                                   (1.0 - cfg.pf_ema) * state.pf_avg_mbps + cfg.pf_ema * tput)
+    tput = served / TICK_SECONDS
+    state.pf_avg_mbps = np.maximum(PF_FLOOR_MBPS,
+                                   (1.0 - PF_EMA) * state.pf_avg_mbps + PF_EMA * tput)
 
     obs = TickObservables(
         demand_mb=demands,

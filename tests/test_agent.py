@@ -190,7 +190,14 @@ class TestReplayBuffer:
          "buffer holds more than 4 transitions"),
         ({"chained": np.array([True, True])}, "member chained flags the last entry"),
         ({"chained": np.array([True, False])}, "leaves 1 entries unchained, but next_states has 2"),
-    ], ids=["missing", "scalar", "over_capacity", "chained_last", "chained_count"])
+        # a cast to the ring's int64 would load 1.9 as 1 and NaN as -2**63
+        ({"actions": np.array([1.9, 0.0])}, "member actions is float64, expected integers"),
+        ({"episode_ids": np.array([np.nan, 0.0])}, "member episode_ids is float64, expected"),
+        ({"episode_ids": np.array([2 ** 64 - 1, 0], dtype=np.uint64)},
+         "member episode_ids is uint64, expected integers that int64 holds"),
+        ({"actions": np.array([True, False])}, "member actions is bool, expected integers"),
+    ], ids=["missing", "scalar", "over_capacity", "chained_last", "chained_count",
+            "float_actions", "nan_episode_ids", "uint64_episode_ids", "bool_actions"])
     def test_load_refuses_and_writes_nothing(self, change, message):
         arrays = {"states": np.zeros((2, 58)), "next_states": np.zeros((2, 58)),
                   "actions": np.zeros(2, dtype=np.int64), "rewards": np.zeros(2),

@@ -1,11 +1,15 @@
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
+from ranopt.agent import AgentConfig
 from ranopt.cli import ConfigError, build_config, load_config_file, main, resolved_config_dict
+from ranopt.kpi import KpiConfig
+from ranopt.sim import SimConfig, UeProfile
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -33,13 +37,16 @@ class TestBuildConfig:
     def test_unknown_nested_key(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="agent.learningrate"):
             build_config({"agent": {"learningrate": 0.1}})
-        # the UE count, the episode framing, the manifest hash and the state
-        # bounds are not set by a config
-        for key in ("n_ues", "manifest_sha256", "volume_bound_mb"):
-            cfg_path = write_config(tmp_path, {"kpi": {key: 1}})
+        # the UE count, the episode framing, the manifest hash, the state
+        # bounds and the cell model's constants are not set by a config
+        for section, key in [("kpi", "n_ues"), ("kpi", "manifest_sha256"),
+                             ("kpi", "volume_bound_mb"), ("sim", "tick_seconds"),
+                             ("sim", "prb_megabits"), ("sim", "pf_ema"),
+                             ("sim", "pf_floor_mbps"), ("sim", "rf_jitter_rho")]:
+            cfg_path = write_config(tmp_path, {section: {key: 1}})
             code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
             assert code == 1
-            assert f"kpi.{key}: unknown key" in capsys.readouterr().err
+            assert f"{section}.{key}: unknown key" in capsys.readouterr().err
 
     def test_gamma_invariant_names_key(self):
         with pytest.raises(ConfigError, match="agent.gamma"):
@@ -90,7 +97,7 @@ class TestBuildConfig:
         # a path that is not a string: open() would take an integer as a file descriptor
         ({"preload_path": 5}, "preload_path: expected a string or null, got 5"),
         ({"profiles_file": 5}, "profiles_file: expected a string, got 5"),
-        ({"sim": {"tick_seconds": 30}}, None),  # an integer for a float field
+        ({"sim": {"rf_jitter_std_db": 2}}, None),  # an integer for a float field
         ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
         # a validator's message names the key as a word: not episodes, a part of its name
         ({"baseline_episodes": 0}, "baseline_episodes: baseline_episodes must be >= 1"),
@@ -98,11 +105,23 @@ class TestBuildConfig:
         # episode_seed keeps 64 bits: 2**70 + 5 would replay seed 5, -1 seed 2**64 - 1
         ({"seed": 2 ** 70 + 5}, rf"seed: seed must lie in \[0, 2\*\*64\), got {2 ** 70 + 5}"),
         ({"seed": -1}, r"seed: seed must lie in \[0, 2\*\*64\), got -1"),
+        # JSON files may hold NaN and the infinities; no float field takes them
+        ({"profiles": [{"rsrp_dbm": -100, "demand_mean": math.nan, "demand_std": 1}]},
+         r"profiles\[0\].demand_mean: expected a finite number, got nan"),
+        ({"agent": {"learning_rate": math.inf}},
+         "agent.learning_rate: expected a finite number, got inf"),
+        ({"sim": {"rf_jitter_std_db": -math.inf}},
+         "sim.rf_jitter_std_db: expected a finite number, got -inf"),
+        ({"kpi": {"reward_gap_bound_mbps": math.nan}},
+         "kpi.reward_gap_bound_mbps: expected a finite number, got nan"),
+        ({"kpi": {"reward_throughput_bound_mbps": 10 ** 400}},
+         "kpi.reward_throughput_bound_mbps: expected a finite number, got 10{400}"),
     ], ids=["bool_top_level", "float_for_int", "string_for_int", "float_for_nested_int",
             "bool_for_float", "bool_for_nested_int", "null_for_float", "bool_in_profile",
             "int_for_preload_path", "int_for_profiles_file", "int_for_float",
             "int_for_kpi_float", "key_named_by_whole_word", "negative_agent_seed",
-            "seed_past_64_bits", "negative_seed"])
+            "seed_past_64_bits", "negative_seed", "nan_in_profile", "inf_for_agent_float",
+            "minus_inf_for_sim_float", "nan_for_kpi_float", "int_past_float_range"])
     def test_number_fields_checked(self, tmp_path, capsys, data, error):
         cfg_path = write_config(tmp_path, {**SMALL, **data})
         code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
@@ -115,6 +134,21 @@ class TestBuildConfig:
         else:
             assert code == 1
             assert re.fullmatch(f"error: {error}\n", err)
+
+    # what the CLI refuses first, the validators refuse too, for callers that build configs
+    @pytest.mark.parametrize("make, message", [
+        (lambda: AgentConfig(learning_rate=math.nan), "learning_rate must be >= 0"),
+        (lambda: SimConfig(rf_jitter_std_db=math.nan), "rf_jitter_std_db must be >= 0"),
+        (lambda: KpiConfig(reward_throughput_bound_mbps=math.nan),
+         "reward_throughput_bound_mbps must be positive"),
+        (lambda: KpiConfig(reward_gap_bound_mbps=math.nan), "reward_gap_bound_mbps must be"),
+        (lambda: UeProfile(-100.0, math.nan, 1.0), "demand_mean must be >= 0, got nan"),
+        (lambda: UeProfile(-100.0, 1.0, math.nan), "demand_std must be >= 0, got nan"),
+    ], ids=["learning_rate", "rf_jitter_std_db", "reward_throughput_bound",
+            "reward_gap_bound", "demand_mean", "demand_std"])
+    def test_validators_refuse_nan(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestCliCommands:

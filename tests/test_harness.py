@@ -335,7 +335,10 @@ class TestTrainExperiment:
         ({"actions": None}, r"lacks arrays actions; it must hold the arrays states, .*episode_ids"),
         ({"rewards": np.array([0.1, 2.0, 0.3])}, r"record 1: reward 2\.0 outside \[-1, 1\]"),
         ({"states": np.array([[0.5] * 57 + [np.inf]] * 3)}, "record 0: state holds a non-finite"),
-    ], ids=["missing_member", "bad_reward", "non_finite_state"])
+        ({"actions": np.array([1.9, 0.0, 1.0])}, "member actions is float64, expected integers"),
+        ({"episode_ids": np.array([np.nan, 0.0, 0.0])}, "member episode_ids is float64"),
+    ], ids=["missing_member", "bad_reward", "non_finite_state", "float_actions",
+            "nan_episode_ids"])
     def test_preload_refuses_bad_file(self, tmp_path, arrays, message):
         members = {"states": np.full((3, 58), 0.5), "next_states": np.full((3, 58), 0.5),
                    "actions": np.array([0, 1, 2]), "rewards": np.array([0.1, 0.2, 0.3]),
@@ -516,10 +519,14 @@ class TestCheckpointRoundtrip:
         ({}, {"chained": ~np.isin(np.arange(40), [5, 19, 39])},
          "member chained leaves 3 entries unchained, but next_states has 2 rows$"),
         ({}, {"actions": np.array(0)}, "lacks arrays actions;"),
+        ({}, {"actions": np.full(40, 1.9)}, "member actions is float64, expected integers"),
+        ({}, {"episode_ids": np.full(40, np.nan)}, "member episode_ids is float64, expected"),
         ({}, {"online": None}, "lacks arrays online;"),
         ({"global_step": None}, {}, "checkpoint.npz meta lacks global_step$"),
         ({"rng_state": {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}}, {},
          "checkpoint.npz meta lacks state$"),
+        ({"rng_state": {"bit_generator": "PCG64", "state": {"state": 2 ** 200, "inc": 1},
+                        "has_uint32": 0, "uinteger": 0}}, {}, "too large to convert"),
         ({"global_step": "abc"}, {}, "checkpoint.npz meta global_step must be an integer, "
                                      "got 'abc'$"),
         ({"next_episode": 1.9}, {}, "meta next_episode must be an integer, got 1.9$"),
@@ -531,8 +538,9 @@ class TestCheckpointRoundtrip:
     ], ids=["format", "manifest", "w1_shape", "target_dtype", "one_short", "row_matrix",
             "buffer_lengths", "states_width", "missing_actions", "missing_chained",
             "chained_not_bool", "chained_short", "chained_last", "chained_count",
-            "scalar_actions",
+            "scalar_actions", "float_actions", "nan_episode_ids",
             "missing_online", "missing_global_step", "rng_state_without_state",
+            "rng_state_overflow",
             "global_step_not_a_number",
             "float_next_episode", "string_next_episode", "bool_global_step", "meta_not_an_object",
             "negative_global_step", "negative_next_episode"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ranopt.sim import (PF_ALPHA, RSRP_MAX_DBM, RSRP_MIN_DBM, CellState, SchedulerOption,
+from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER_RHO,
+                        RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
                         SimConfig, TickObservables, UeProfile, fit_traffic_profiles,
                         init_cell_state, read_traffic_records, schedule_prbs,
                         spectral_efficiency, step)
@@ -14,28 +15,27 @@ from ranopt.sim import (PF_ALPHA, RSRP_MAX_DBM, RSRP_MIN_DBM, CellState, Schedul
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
 
-def make_state(queues, rsrp, cfg, pf_avg=None):
+def make_state(queues, rsrp, pf_avg=None, prb_mb=PRB_MEGABITS):
     """A cell at its first tick: the given queues, effective RSRP and PF
-    averages, and no fresh demand."""
+    averages, a PRB carrying prb_mb megabits at unit efficiency, and no
+    fresh demand."""
     n = len(queues)
     rsrp = np.array([rsrp], dtype=float)
     eff = spectral_efficiency(rsrp)
     return CellState(
         queue_mb=np.array(queues, dtype=float),
         pf_avg_mbps=np.array(pf_avg, dtype=float) if pf_avg is not None
-        else np.full(n, cfg.pf_floor_mbps),
+        else np.full(n, PF_FLOOR_MBPS),
         rsrp_dbm=rsrp,
         spectral_eff=eff,
-        y_mb=eff * cfg.prb_megabits,
+        y_mb=eff * prb_mb,
         demand_mb=np.zeros((1, n)),
     )
 
 
 def schedule(option, state, demands, cfg):
-    """schedule_prbs at the state's current radio, a PRB carrying cfg.prb_megabits
-    at unit efficiency."""
-    return schedule_prbs(option, state, state.queue_mb + demands, cfg,
-                         state.spectral_eff[state.tick] * cfg.prb_megabits)
+    """schedule_prbs at the state's current radio and PRB yield."""
+    return schedule_prbs(option, state, state.queue_mb + demands, cfg, state.y_mb[state.tick])
 
 
 # --- reference schedulers: one greedy choice per PRB --------------------------
@@ -73,14 +73,14 @@ def ranked_fill(avail_mb, y_mb, budget, order):
     return alloc
 
 
-def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
+def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha):
     """Per-PRB proportional fair: rank by eff / avg**alpha, updating the
     smoothed rate with the allocation made so far this tick."""
     n = avail_mb.size
-    eff = y_mb / cfg.prb_megabits
+    eff = y_mb / PRB_MEGABITS
     alloc = np.zeros(n, dtype=np.int64)
     served = np.zeros(n)
-    base_avg = np.maximum(pf_avg_mbps, cfg.pf_floor_mbps)
+    base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
     virtual = base_avg.copy()
     for _ in range(budget):
         can_use = served < avail_mb - 1e-12
@@ -90,21 +90,20 @@ def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha, cfg):
         i = int(np.argmax(key))  # first maximum = lowest UE index on ties
         alloc[i] += 1
         served[i] = min(avail_mb[i], alloc[i] * y_mb[i])
-        virtual[i] = max(cfg.pf_floor_mbps,
-                         (1.0 - cfg.pf_ema) * base_avg[i]
-                         + cfg.pf_ema * served[i] / cfg.tick_seconds)
+        virtual[i] = max(PF_FLOOR_MBPS,
+                         (1.0 - PF_EMA) * base_avg[i] + PF_EMA * served[i] / TICK_SECONDS)
     return alloc
 
 
 def reference_schedule(option, state, demands, cfg):
     """schedule_prbs written as the per-PRB loops above."""
     avail, prb_budget = state.queue_mb + demands, cfg.prb_budget
-    y = state.spectral_eff[state.tick] * cfg.prb_megabits
+    y = state.y_mb[state.tick]
     if option == SchedulerOption.EQUAL_RATE:
         return greedy_equal_rate(avail, y, prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         return ranked_fill(avail, y, prb_budget, np.lexsort((np.arange(avail.size), -y)))
-    return proportional_fair(avail, y, prb_budget, state.pf_avg_mbps, PF_ALPHA[option], cfg)
+    return proportional_fair(avail, y, prb_budget, state.pf_avg_mbps, PF_ALPHA[option])
 
 
 # --- reference simulator: the noise drawn tick by tick ------------------------
@@ -139,12 +138,12 @@ def init_tick_cell(profiles, cfg, seed):
     n = len(profiles)
     rng = np.random.default_rng(seed)
     if cfg.rf_jitter_std_db > 0:
-        stat_std = cfg.rf_jitter_std_db / math.sqrt(1.0 - cfg.rf_jitter_rho ** 2)
+        stat_std = cfg.rf_jitter_std_db / math.sqrt(1.0 - RF_JITTER_RHO ** 2)
         jitter = rng.normal(0.0, stat_std, size=n)
     else:
         jitter = np.zeros(n)
     return TickCell(queue_mb=np.zeros(n), base_rsrp_dbm=np.array([p.rsrp_dbm for p in profiles]),
-                    jitter_db=jitter, pf_avg_mbps=np.full(n, cfg.pf_floor_mbps), rng=rng)
+                    jitter_db=jitter, pf_avg_mbps=np.full(n, PF_FLOOR_MBPS), rng=rng)
 
 
 def tick_step(state, option, profiles, rest, cfg):
@@ -152,18 +151,18 @@ def tick_step(state, option, profiles, rest, cfg):
     traffic is served, buffers and the PF average update."""
     if cfg.rf_jitter_std_db > 0:
         innov = state.rng.normal(0.0, cfg.rf_jitter_std_db, size=state.jitter_db.size)
-        state.jitter_db = cfg.rf_jitter_rho * state.jitter_db + innov
+        state.jitter_db = RF_JITTER_RHO * state.jitter_db + innov
     rsrp_eff = np.clip(state.base_rsrp_dbm + state.jitter_db, RSRP_MIN_DBM, RSRP_MAX_DBM)
     eff = spectral_efficiency(rsrp_eff)
-    y = eff * cfg.prb_megabits
+    y = eff * PRB_MEGABITS
     demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
     alloc = schedule_prbs(option, state, avail, cfg, y)
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
-    tput = served / cfg.tick_seconds
-    state.pf_avg_mbps = np.maximum(cfg.pf_floor_mbps,
-                                   (1.0 - cfg.pf_ema) * state.pf_avg_mbps + cfg.pf_ema * tput)
+    tput = served / TICK_SECONDS
+    state.pf_avg_mbps = np.maximum(PF_FLOOR_MBPS,
+                                   (1.0 - PF_EMA) * state.pf_avg_mbps + PF_EMA * tput)
     return TickObservables(
         demand_mb=demands, served_mb=served, queue_after_mb=state.queue_mb.copy(),
         ue_throughput_mbps=tput, cell_throughput_mbps=float(tput.sum()), spectral_eff=eff,
@@ -254,20 +253,20 @@ class TestGenerateDemands:
 class TestSchedulePrbs:
     def test_equal_rate_symmetric(self):
         cfg = SimConfig(prb_budget=50)
-        st = make_state([1e6, 1e6], [-100.0, -100.0], cfg)
+        st = make_state([1e6, 1e6], [-100.0, -100.0])
         alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [25, 25])
 
     def test_max_ci_winner_takes_budget(self):
         cfg = SimConfig(prb_budget=50)
         # efficiencies 2.0 vs 1.0 via rsrp chosen from the channel inverse
-        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
+        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)])
         alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [50, 0])
 
     def test_equal_rate_matches_brute_force(self):
         cfg = SimConfig(prb_budget=30)
-        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], cfg)
+        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)])
         alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         # brute force over all full-budget integer splits: minimize served spread
         best, best_spread = None, None
@@ -280,7 +279,7 @@ class TestSchedulePrbs:
 
     def test_never_allocates_without_traffic(self):
         cfg = SimConfig()
-        st = make_state([0.0, 50.0, 0.0, 50.0], RSRP_LAB, cfg)
+        st = make_state([0.0, 50.0, 0.0, 50.0], RSRP_LAB)
         for opt in SchedulerOption:
             alloc = schedule(opt, st, np.zeros(4), cfg)
             assert alloc[0] == 0 and alloc[2] == 0
@@ -292,7 +291,7 @@ class TestSchedulePrbs:
 
     def test_negative_volume_refused(self):
         cfg = SimConfig()
-        st = make_state([1.0, 5.0], [-100.0, -100.0], cfg)
+        st = make_state([1.0, 5.0], [-100.0, -100.0])
         for opt in SchedulerOption:
             with pytest.raises(ValueError, match="avail must be >= 0"):
                 schedule(opt, st, np.array([0.0, -5.5]), cfg)
@@ -302,7 +301,7 @@ class TestSchedulePrbs:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n = int(rng.integers(1, 6))
-            st = make_state(rng.uniform(0, 5000, n), rng.uniform(-135, -45, n), cfg,
+            st = make_state(rng.uniform(0, 5000, n), rng.uniform(-135, -45, n),
                             pf_avg=rng.uniform(0.01, 50, n))
             demands = rng.uniform(0, 2000, n)
             opt = SchedulerOption(int(rng.integers(0, 5)))
@@ -313,7 +312,7 @@ class TestSchedulePrbs:
 
     def test_pf_tie_breaks_lowest_index(self):
         cfg = SimConfig(prb_budget=1)
-        st = make_state([1e6, 1e6], [-100.0, -100.0], cfg, pf_avg=[1.0, 1.0])
+        st = make_state([1e6, 1e6], [-100.0, -100.0], pf_avg=[1.0, 1.0])
         for opt in (SchedulerOption.PROPORTIONAL_FAIR_HIGH,
                     SchedulerOption.PROPORTIONAL_FAIR_MEDIUM,
                     SchedulerOption.PROPORTIONAL_FAIR_LOW,
@@ -326,12 +325,12 @@ class TestSchedulePrbs:
 # radio levels and averages shared between UEs, so that keys tie exactly
 TIED_RSRP = [-130.0, -115.0, -105.0, -94.0, -60.0]
 TIED_PF_AVG = [0.001, 0.01, 1.0, 7.5, 40.0]
-Y_105 = spectral_efficiency(-105.0) * SimConfig().prb_megabits  # megabits per PRB at -105 dBm
+Y_105 = spectral_efficiency(-105.0) * PRB_MEGABITS  # megabits per PRB at -105 dBm
 
 
 @st.composite
 def cells(draw):
-    """A cell of 1..8 UEs, a budget of 1..119 PRBs and this tick's demands.
+    """A cell of 1..8 UEs, a budget of 1..119 PRBs, a PRB size and this tick's demands.
 
     Each UE has no traffic, a backlog of a whole number of PRBs (no fresh
     demand), or arbitrary buffered and fresh traffic.
@@ -339,7 +338,7 @@ def cells(draw):
     n = draw(st.integers(1, 8))
     budget = draw(st.integers(1, 119))
     # a PRB of under 1 megabit gives a queue of 1e-13 a need of ceil(avail / y - 1e-12) = 1
-    cfg = SimConfig(prb_budget=budget, prb_megabits=draw(st.sampled_from([10.8, 1.0, 0.05])))
+    prb_mb = draw(st.sampled_from([PRB_MEGABITS, 1.0, 0.05]))
 
     def per_ue(strategy):
         return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
@@ -348,7 +347,7 @@ def cells(draw):
     jitter = per_ue(st.sampled_from([0.0, 1.5]) | st.floats(-4.0, 4.0))
     pf_avg = per_ue(st.sampled_from(TIED_PF_AVG) | st.floats(0.0, 60.0))
     rsrp_eff = np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)
-    y = spectral_efficiency(rsrp_eff) * cfg.prb_megabits
+    y = spectral_efficiency(rsrp_eff) * prb_mb
     queue, demands = np.zeros(n), np.zeros(n)
     for i in range(n):
         kind = draw(st.sampled_from(["none", "whole_prbs", "any"]))
@@ -357,8 +356,9 @@ def cells(draw):
         elif kind == "any":
             queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
-    state = make_state(queue, rsrp_eff, cfg, pf_avg)
-    return state, demands, cfg
+    # the kernel takes y_mb as given, so the PRB size reaches it through the state's yields
+    state = make_state(queue, rsrp_eff, pf_avg, prb_mb)
+    return state, demands, SimConfig(prb_budget=budget)
 
 
 class TestScheduleKernel:
@@ -367,15 +367,15 @@ class TestScheduleKernel:
     @settings(max_examples=300, derandomize=True, deadline=None)
     # PF: a first PRB drops either UE's average from 38-40 to about 31, so its
     # next key beats its first (the running-minimum path)
-    @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], SimConfig(), pf_avg=[40.0, 38.0]),
+    @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0]),
                    np.zeros(2), SimConfig(prb_budget=5)))
     # MAXIMUM_C_OVER_I: the best UE holds exactly 31 PRBs of traffic, and
     # (31 * y) / y rounds up to 31 + 3.6e-15
-    @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0], SimConfig()),
+    @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0]),
                    np.zeros(2), SimConfig(prb_budget=40)))
     # MAXIMUM_C_OVER_I, 0.05-megabit PRBs: 1e-13 megabits count as no traffic
-    @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], SimConfig()),
-                   np.zeros(2), SimConfig(prb_budget=3, prb_megabits=0.05)))
+    @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], prb_mb=0.05),
+                   np.zeros(2), SimConfig(prb_budget=3)))
     @given(cell=cells())
     def test_matches_reference_loops(self, cell):
         state, demands, cfg = cell
@@ -387,7 +387,7 @@ class TestScheduleKernel:
 
     def test_pf_first_prb_raises_next_key(self):
         cfg = SimConfig(prb_budget=5)
-        state = make_state([1e6, 1e6], [-105.0, -105.0], cfg, pf_avg=[40.0, 38.0])
+        state = make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0])
         opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
         # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
         # second and later keys beat UE 1's first, but never come into play
@@ -395,7 +395,7 @@ class TestScheduleKernel:
 
     def test_max_ci_exact_multiple_takes_need(self):
         cfg = SimConfig(prb_budget=40)
-        state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], cfg)
+        state = make_state([31 * Y_105, 1e6], [-105.0, -115.0])
         alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), cfg)
         assert alloc.tolist() == [31, 9]
 
