@@ -184,17 +184,12 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def load(self, arrays) -> None:
-        """Append the transitions of a mapping of BUFFER_FIELDS arrays, such
-        as the members of a checkpoint.npz; a member chained, when present,
-        says how next_states is packed (see packed). Refuses a missing or 0-d
-        array, more transitions than the ring holds, actions or episode ids
-        not of an integer type that int64 holds and a chained that does
-        not fit the arrays; extend refuses the rest, and nothing is written if
-        one is refused."""
-        absent = [name for name in BUFFER_FIELDS if np.ndim(arrays.get(name)) == 0]
-        if absent:
-            raise ValueError(f"lacks arrays {', '.join(absent)}; "
-                             f"it must hold the arrays {', '.join(BUFFER_FIELDS)}")
+        """Append the transitions of a mapping as packed gives it: the members
+        of the checkpoint.npz of a directory that a resume, an eval or a preload
+        names, as load_checkpoint finds them present and not 0-d. Refuses more
+        transitions than the ring holds, actions or episode ids not of an integer
+        type that int64 holds and a chained that does not fit the arrays; extend
+        refuses the rest, and nothing is written if one is refused."""
         columns = [arrays[name] for name in BUFFER_FIELDS]
         if max(map(len, columns)) > self.capacity:
             raise ValueError(f"buffer holds more than {self.capacity} transitions")
@@ -202,8 +197,7 @@ class ReplayBuffer:
             dtype = np.asarray(arrays[name]).dtype
             if not (np.issubdtype(dtype, np.integer) and np.can_cast(dtype, np.int64)):
                 raise ValueError(f"member {name} is {dtype}, expected integers that int64 holds")
-        if "chained" in arrays:
-            columns[1] = _unpack(columns[0], columns[1], np.asarray(arrays["chained"]))
+        columns[1] = _unpack(columns[0], columns[1], np.asarray(arrays["chained"]))
         self.extend(*columns)
 
     def arrays(self) -> dict[str, np.ndarray]:

@@ -3,7 +3,9 @@
 Configs are JSON files mirroring ExperimentConfig. Every omitted key takes
 its documented default, unknown keys are rejected, and the fully resolved
 config is echoed before anything runs so a run can be reproduced from its
-own log. Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+own log. A checkpoint is a directory holding one checkpoint.npz: train
+--resume, eval --checkpoint and a config's preload_path each name one.
+Exit codes: 0 success, 1 config/validation error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ def _parse_profiles(data, path: str) -> list[UeProfile]:
     return [_build_section(UeProfile, entry, f"{path}[{i}]") for i, entry in enumerate(data)]
 
 
+def _read_json(path):
+    """A JSON file's value, {} for an empty one; refuses, naming it, one not UTF-8 JSON."""
+    try:
+        with open(path) as fh:
+            text = fh.read().strip()
+        return json.loads(text) if text else {}
+    except ValueError as exc:  # not UTF-8 or not JSON, or an integer past int()'s digit limit
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def build_config(data: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a raw config mapping into an ExperimentConfig.
 
@@ -108,8 +120,7 @@ def build_config(data: dict, seed_override: int | None = None) -> ExperimentConf
     elif "profiles_file" in data:
         if not isinstance(path := data.pop("profiles_file"), str):  # not a file descriptor
             raise ConfigError(f"profiles_file: expected a string, got {path!r}")
-        with open(path) as fh:
-            profiles = _parse_profiles(json.load(fh), "profiles_file")
+        profiles = _parse_profiles(_read_json(path), "profiles_file")
     if seed_override is not None:
         data["seed"] = seed_override
     return _build_section(ExperimentConfig, data, "", ue_profiles=profiles)
@@ -122,10 +133,7 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config_file(path, seed_override: int | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read().strip()
-    data = json.loads(text) if text else {}
-    return build_config(data, seed_override=seed_override)
+    return build_config(_read_json(path), seed_override=seed_override)
 
 
 def _echo(cfg: ExperimentConfig) -> None:
@@ -227,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process

@@ -67,8 +67,7 @@ class ExperimentConfig:
     seed: int = 0
     baseline_episodes: int = 50
     checkpoint_every: int = 10
-    # an npz of BUFFER_FIELDS arrays to start a fresh ring with; a checkpoint.npz,
-    # whose next_states are packed with its member chained, qualifies
+    # a checkpoint directory, as --resume names one, whose replay ring a fresh run starts with
     preload_path: str | None = None
 
     def __post_init__(self):
@@ -236,24 +235,21 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 
 def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
-    """A fresh agent. With cfg.preload_path set, its replay ring first takes
-    the BUFFER_FIELDS arrays of that npz, unpacked by ReplayBuffer.load when
-    it holds a member chained (a saved checkpoint.npz qualifies), refused,
-    naming the file, where a checkpoint's would be.
+    """A fresh agent. With cfg.preload_path set, its replay ring is that of
+    the checkpoint directory named there, read by load_checkpoint as a resume is.
 
     The preloaded episode ids are shifted to end at -1, equal ids staying
     equal, so no n-step segment spans a preloaded episode and the run's
-    first episode, 0.
+    first episode, 0; ids that the shift would wrap are refused.
     """
     ag = DoubleQAgent(cfg.agent)
     if cfg.preload_path:
-        members = _read_npz(cfg.preload_path)
-        try:
-            ag.buffer.load(members)
-        except ValueError as exc:
-            raise ValueError(f"{cfg.preload_path}: {exc}") from None
+        ag.buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer
         ids = ag.buffer.episode_ids[:len(ag.buffer)]  # a fresh ring: rows in logical order
         if ids.size:
+            if int(ids.max()) - int(ids.min()) >= 2 ** 63:  # the shift would wrap
+                raise ValueError(f"{cfg.preload_path}: episode ids {ids.min()} to {ids.max()} "
+                                 f"do not fit int64 once shifted to end at -1")
             ids[:] = ids - ids.max() - 1
     return ag
 

@@ -179,13 +179,10 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4)
         preload(buf, [exp(0, tag=float(i)) for i in range(6)])  # rotates the ring
         copy = ReplayBuffer(capacity=4)
-        copy.load({name: a.copy() for name, a in buf.arrays().items()})
+        copy.load(buf.packed())
         assert [values(e) for e in copy] == [values(e) for e in buf]
 
     @pytest.mark.parametrize("change, message", [
-        ({"rewards": None},
-         "lacks arrays rewards; it must hold the arrays states, .*, episode_ids"),
-        ({"actions": np.array(0)}, "lacks arrays actions;"),
         ({name: np.zeros((5, 58) if "states" in name else 5) for name in BUFFER_FIELDS},
          "buffer holds more than 4 transitions"),
         ({"chained": np.array([True, True])}, "member chained flags the last entry"),
@@ -196,15 +193,16 @@ class TestReplayBuffer:
         ({"episode_ids": np.array([2 ** 64 - 1, 0], dtype=np.uint64)},
          "member episode_ids is uint64, expected integers that int64 holds"),
         ({"actions": np.array([True, False])}, "member actions is bool, expected integers"),
-    ], ids=["missing", "scalar", "over_capacity", "chained_last", "chained_count",
+    ], ids=["over_capacity", "chained_last", "chained_count",
             "float_actions", "nan_episode_ids", "uint64_episode_ids", "bool_actions"])
     def test_load_refuses_and_writes_nothing(self, change, message):
         arrays = {"states": np.zeros((2, 58)), "next_states": np.zeros((2, 58)),
                   "actions": np.zeros(2, dtype=np.int64), "rewards": np.zeros(2),
-                  "episode_ids": np.zeros(2, dtype=np.int64), **change}
+                  "episode_ids": np.zeros(2, dtype=np.int64), "chained": np.zeros(2, dtype=bool),
+                  **change}
         buf = ReplayBuffer(capacity=4)
         with pytest.raises(ValueError, match=message):
-            buf.load({name: a for name, a in arrays.items() if a is not None})
+            buf.load(arrays)
         assert len(buf) == 0
 
     @pytest.mark.parametrize("field", ["state", "next_state"])

@@ -8,6 +8,7 @@ import pytest
 
 from ranopt.agent import AgentConfig
 from ranopt.cli import ConfigError, build_config, load_config_file, main, resolved_config_dict
+from ranopt.harness import load_checkpoint
 from ranopt.kpi import KpiConfig
 from ranopt.sim import SimConfig, UeProfile
 
@@ -77,7 +78,7 @@ class TestBuildConfig:
     def test_resolved_dict_round_trips(self):
         # a value off its default in every section
         cfg = build_config({
-            "episodes": 7, "reward_mode": "ue_gap", "preload_path": "history.npz",
+            "episodes": 7, "reward_mode": "ue_gap", "preload_path": "run/final",
             "profiles": [{"rsrp_dbm": -110.0, "demand_mean": 5.0, "demand_std": 1.0}],
             "agent": {"n_step": 4}, "sim": {"prb_budget": 50},
             "kpi": {"reward_gap_bound_mbps": 7.5}})
@@ -134,6 +135,25 @@ class TestBuildConfig:
         else:
             assert code == 1
             assert re.fullmatch(f"error: {error}\n", err)
+
+    # a file that does not decode as UTF-8, and an integer literal of more than
+    # 4,300 digits, which json refuses, raise a plain ValueError
+    @pytest.mark.parametrize("in_profiles_file, text, error", [
+        (False, b'{"seed": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 "),
+        (True, b'[{"rsrp_dbm": 1' + b"0" * 5000 + b', "demand_mean": 1, "demand_std": 1}]',
+         "Exceeds the limit (4300 "),
+        (False, b'{"episodes": 2}\xff', ""),
+    ], ids=["oversized_integer", "oversized_integer_in_profiles_file", "not_utf8"])
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, in_profiles_file, text,
+                                               error):
+        path = tmp_path / "data.json"
+        path.write_bytes(text)
+        cfg_path = str(path)
+        if in_profiles_file:
+            cfg_path = write_config(tmp_path, {**SMALL, "profiles_file": cfg_path})
+        code = main(["baseline", "--config", cfg_path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {error}")
 
     # what the CLI refuses first, the validators refuse too, for callers that build configs
     @pytest.mark.parametrize("make, message", [
@@ -215,6 +235,28 @@ class TestCliCommands:
             out = capsys.readouterr().out
             means.append(json.loads("{" + out.rsplit("{", 1)[1])["mean_reward"])
         assert means[0] == means[1]
+
+    def test_train_preloads_an_earlier_runs_final_checkpoint(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "earlier")]) == 0
+        final = tmp_path / "earlier" / "final"
+        preloaded = write_config(tmp_path, {**SMALL, "preload_path": str(final)}, "pre.json")
+        assert main(["train", "--config", preloaded, "--out", str(tmp_path / "run")]) == 0
+        cfg = load_config_file(cfg_path)
+        earlier = load_checkpoint(final, cfg)[0].buffer.arrays()
+        ring = load_checkpoint(tmp_path / "run" / "final", cfg)[0].buffer.arrays()
+        n = len(earlier["rewards"])
+        assert len(ring["rewards"]) == 2 * n
+        earlier["episode_ids"] = earlier["episode_ids"] - SMALL["episodes"]  # to end at -1
+        for name, saved in earlier.items():
+            assert ring[name][:n].tobytes() == saved.tobytes()
+        # the checkpoint file in place of its directory fails as --resume of the file does
+        npz = str(final / "checkpoint.npz")
+        capsys.readouterr()
+        code = main(["train", "--config", write_config(tmp_path, {**SMALL, "preload_path": npz}),
+                     "--out", str(tmp_path / "file")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Not a directory" in err and npz in err
 
     def test_fit_traffic(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

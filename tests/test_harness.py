@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,16 @@ def small_cfg(**over):
                     baseline_episodes=4)
     defaults.update(over)
     return ExperimentConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def earlier_run(tmp_path_factory):
+    """The checkpoint directory of a 1-episode run of seed 5, which preloads
+    name, and that run's agent."""
+    directory = tmp_path_factory.mktemp("earlier")
+    _, agent = train_experiment(small_cfg(episodes=1, seed=5))
+    save_checkpoint(directory, agent, next_episode=1)
+    return directory, agent
 
 
 class TestEpisodeStats:
@@ -295,11 +306,9 @@ class TestTrainExperiment:
                          resume_from=run / "checkpoints" / "ep_0003")
         assert (run / "curve.csv").read_bytes() == (tmp_path / "full" / "curve.csv").read_bytes()
 
-    def test_preload_feeds_buffer(self, tmp_path):
-        # from a saved checkpoint.npz, the file a preload is most often made from
-        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
-        save_checkpoint(tmp_path / "ck", earlier, next_episode=1)
-        cfg = small_cfg(episodes=1, preload_path=str(tmp_path / "ck" / "checkpoint.npz"))
+    def test_preload_feeds_buffer(self, earlier_run):
+        directory, earlier = earlier_run
+        cfg = small_cfg(episodes=1, preload_path=str(directory))
         _, agent = train_experiment(cfg)
         history = earlier.buffer.arrays()
         history["episode_ids"] = history["episode_ids"] - 1  # episode 0 of that run is -1 here
@@ -307,23 +316,19 @@ class TestTrainExperiment:
         for name, saved in history.items():
             assert getattr(agent.buffer, name)[:len(saved)].tobytes() == saved.tobytes()
 
-    def test_preload_plain_buffer_fields(self, tmp_path):
-        # an npz of the ring's arrays and no member chained: every next state stored
-        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
-        history = earlier.buffer.arrays()
-        np.savez(tmp_path / "history.npz", **history)
-        agent = build_agent(small_cfg(preload_path=str(tmp_path / "history.npz")))
-        history["episode_ids"] = history["episode_ids"] - 1
-        loaded = agent.buffer.arrays()
-        assert loaded.keys() == history.keys()
-        for name, saved in history.items():
-            assert loaded[name].tobytes() == saved.tobytes()
+    def test_preload_plain_buffer_fields(self, tmp_path, earlier_run):
+        # the npz of BUFFER_FIELDS arrays that a preload once read, now a directory's
+        # checkpoint.npz: no meta pins the layout of its states
+        _, earlier = earlier_run
+        (tmp_path / "history").mkdir()
+        np.savez(tmp_path / "history" / "checkpoint.npz", **earlier.buffer.arrays())
+        with pytest.raises(ValueError, match="unsupported checkpoint format None$") as err:
+            build_agent(small_cfg(preload_path=str(tmp_path / "history")))
+        assert str(tmp_path / "history") in str(err.value)
 
-    def test_preloaded_episodes_stay_apart_from_the_run(self, tmp_path):
+    def test_preloaded_episodes_stay_apart_from_the_run(self, earlier_run):
         # a 1-episode run preloaded into another: both runs have an episode 0
-        _, earlier = train_experiment(small_cfg(episodes=1, seed=5))
-        save_checkpoint(tmp_path / "ck", earlier, next_episode=1)
-        cfg = small_cfg(episodes=1, preload_path=str(tmp_path / "ck" / "checkpoint.npz"))
+        cfg = small_cfg(episodes=1, preload_path=str(earlier_run[0]))
         _, agent = train_experiment(cfg)
         starts = valid_segment_starts(agent.buffer, cfg.agent.n_step)
         boundary = cfg.steps_demand  # logical index of the run's first transition
@@ -331,27 +336,32 @@ class TestTrainExperiment:
         assert not np.any((starts < boundary) & (starts + cfg.agent.n_step > boundary))
         assert set(agent.buffer.episode_ids[:boundary].tolist()) == {-1}
 
-    @pytest.mark.parametrize("arrays, message", [
-        ({"actions": None}, r"lacks arrays actions; it must hold the arrays states, .*episode_ids"),
-        ({"rewards": np.array([0.1, 2.0, 0.3])}, r"record 1: reward 2\.0 outside \[-1, 1\]"),
-        ({"states": np.array([[0.5] * 57 + [np.inf]] * 3)}, "record 0: state holds a non-finite"),
-        ({"actions": np.array([1.9, 0.0, 1.0])}, "member actions is float64, expected integers"),
-        ({"episode_ids": np.array([np.nan, 0.0, 0.0])}, "member episode_ids is float64"),
+    # the earlier run's 20 transitions, entry 19 the one unchained
+    @pytest.mark.parametrize("meta, arrays, message", [
+        ({}, {"actions": None}, "checkpoint.npz lacks arrays actions; format 4 holds meta and "
+                                "the arrays online, target, states, .*, episode_ids, chained$"),
+        ({}, {"rewards": np.array([0.1, 2.0] + [0.3] * 18)}, r"record 1: reward 2\.0 outside"),
+        ({}, {"states": np.array([[0.5] * 57 + [np.inf]] * 20)},
+         "record 0: state holds a non-finite"),
+        ({}, {"actions": np.array([1.9] + [0.0] * 19)}, "member actions is float64, expected"),
+        ({}, {"episode_ids": np.array([np.nan] + [0.0] * 19)}, "member episode_ids is float64"),
+        ({"format": 99}, {}, "unsupported checkpoint format 99$"),
+        ({"manifest_sha256": "0" * 64}, {}, f"checkpoint written for KPI manifest {'0' * 64}"),
     ], ids=["missing_member", "bad_reward", "non_finite_state", "float_actions",
-            "nan_episode_ids"])
-    def test_preload_refuses_bad_file(self, tmp_path, arrays, message):
-        members = {"states": np.full((3, 58), 0.5), "next_states": np.full((3, 58), 0.5),
-                   "actions": np.array([0, 1, 2]), "rewards": np.array([0.1, 0.2, 0.3]),
-                   "episode_ids": np.zeros(3, dtype=np.int64), **arrays}
-        path = tmp_path / "history.npz"
-        np.savez(path, **{name: a for name, a in members.items() if a is not None})
+            "nan_episode_ids", "format", "manifest"])
+    def test_preload_refuses_bad_file(self, tmp_path, earlier_run, meta, arrays, message):
+        directory = tmp_path / "ck"
+        shutil.copytree(earlier_run[0], directory)
+        rewrite_checkpoint(directory, meta, **arrays)
         with pytest.raises(ValueError, match=message) as err:
-            train_experiment(small_cfg(episodes=1, preload_path=str(path)))
-        assert str(path) in str(err.value)
+            train_experiment(small_cfg(episodes=1, preload_path=str(directory)))
+        assert str(directory) in str(err.value)
 
     @pytest.mark.parametrize("truncated", [False, True], ids=["text", "truncated"])
     def test_preload_refuses_a_file_of_no_npz_format(self, tmp_path, truncated):
-        path = tmp_path / "history"
+        directory = tmp_path / "ck"
+        directory.mkdir()
+        path = directory / "checkpoint.npz"
         if truncated:  # an npz cut short, as by a copy that did not finish
             with open(path, "wb") as fh:
                 np.savez(fh, states=np.full((100, 58), 0.5))
@@ -359,8 +369,18 @@ class TestTrainExperiment:
         else:
             path.write_text("episode_id,action_code,reward\n")
         with pytest.raises(ValueError, match="not an npz archive") as err:
-            train_experiment(small_cfg(episodes=1, preload_path=str(path)))
-        assert str(path) in str(err.value)
+            train_experiment(small_cfg(episodes=1, preload_path=str(directory)))
+        assert str(directory) in str(err.value)
+
+    def test_preload_refuses_episode_ids_the_shift_would_wrap(self, tmp_path, earlier_run):
+        # shifted to end at -1, the earlier episode's ids would wrap to 2**63 - 1
+        directory = tmp_path / "ck"
+        shutil.copytree(earlier_run[0], directory)
+        rewrite_checkpoint(directory, episode_ids=np.array([-2 ** 63] * 10 + [0] * 10))
+        with pytest.raises(ValueError) as err:
+            build_agent(small_cfg(preload_path=str(directory)))
+        assert str(err.value) == (f"{directory}: episode ids {-2 ** 63} to 0 do not fit int64 "
+                                  "once shifted to end at -1")
 
 
 class TestGoldenTrajectory:
