@@ -8,8 +8,9 @@ channel allows. The whole trajectory is a pure function of (profiles,
 config, seed, rest ticks).
 
 No action changes the radio or the demand, so a cell draws its episode's
-noise when it is created: each tick's radio conditions and demand are rows
-of arrays, and a tick only schedules and serves.
+noise when it is created: each tick's radio conditions, demand and PRB-yield
+grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
+a tick only schedules and serves.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -75,10 +77,12 @@ class UeProfile:
     def __post_init__(self):
         if not RSRP_MIN_DBM <= self.rsrp_dbm <= RSRP_MAX_DBM:
             raise ValueError(f"rsrp_dbm {self.rsrp_dbm} outside [{RSRP_MIN_DBM}, {RSRP_MAX_DBM}]")
-        if not self.demand_mean >= 0:  # a NaN fails too
-            raise ValueError(f"demand_mean must be >= 0, got {self.demand_mean}")
-        if not self.demand_std >= 0:
-            raise ValueError(f"demand_std must be >= 0, got {self.demand_std}")
+        for name in ("demand_mean", "demand_std"):
+            value = getattr(self, name)
+            if not value >= 0:  # a NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -90,6 +94,9 @@ class SimConfig:
     rf_jitter_std_db: float = 1.0  # per-tick shadow-fading innovation; 0 fixes the radio
 
     def __post_init__(self):
+        # the budget is the width of the cell's drawn PRB-yield grid
+        if isinstance(self.prb_budget, bool) or not isinstance(self.prb_budget, numbers.Integral):
+            raise ValueError(f"prb_budget must be an integer, got {self.prb_budget!r}")
         if self.prb_budget <= 0:
             raise ValueError(f"prb_budget must be positive, got {self.prb_budget}")
         if not self.rf_jitter_std_db >= 0:  # a NaN fails too
@@ -99,9 +106,10 @@ class SimConfig:
 @dataclass
 class CellState:
     """Mutable simulator truth for one cell. Its episode is drawn at
-    creation into read-only arrays: row t of each (ticks, n_ues) array is
-    what tick t sees. step rebinds the queue and PF average, never writes
-    into them, so a shallow copy of a fresh cell runs the same episode."""
+    creation into read-only arrays: row t of each (ticks, n_ues) array, and
+    of the (ticks, n_ues, prb_budget) PRB-yield grid, is what tick t sees.
+    step rebinds the queue and PF average, never writes into them, so a
+    shallow copy of a fresh cell runs the same episode."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
@@ -109,6 +117,7 @@ class CellState:
     spectral_eff: np.ndarray    # efficiency at the effective RSRP
     y_mb: np.ndarray            # megabits one PRB carries
     demand_mb: np.ndarray       # fresh traffic, zero on rest ticks
+    prb_grid_mb: np.ndarray     # [t, i, k]: megabits k PRBs carry, k * y_mb[t, i]
     tick: int = 0               # the next tick to simulate
 
 
@@ -153,7 +162,8 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     then per tick n for the fading innovation and, on a demand tick, n for
     demand. Fading draws are skipped without fading, demand draws when no
     UE's demand varies. Each draw is loc + scale * z, as Generator.normal
-    forms it, and demand is truncated at 0. The drawn arrays are read-only.
+    forms it, and demand is truncated at 0. The PRB-yield grid is drawn for
+    cfg.prb_budget PRBs. The drawn arrays are read-only.
     """
     rest = np.asarray(rest, dtype=bool)
     n, ticks = len(profiles), rest.size
@@ -172,10 +182,13 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     eff = spectral_efficiency(rsrp)
     # a UE without variance gets exactly its mean
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
+    y = eff * PRB_MEGABITS
     cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, PF_FLOOR_MBPS),
-                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=eff * PRB_MEGABITS,
-                     demand_mb=np.where(rest[:, None], 0.0, demand))
-    for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb):
+                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=y,
+                     demand_mb=np.where(rest[:, None], 0.0, demand),
+                     prb_grid_mb=np.arange(cfg.prb_budget) * y[:, :, None])
+    for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb,
+                        cell.prb_grid_mb):
         drawn_array.flags.writeable = False
     return cell
 
@@ -183,16 +196,17 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
 def _top_budget(keys, valid, budget, descending):
     """PRBs per UE from an (n_ues, k) grid whose entry k is the key of the
     UE's (k+1)-th PRB: counts of the first `budget` valid entries in
-    (key, UE index, k) order, best key first.
+    (key, UE index, k) order, best key first. Serves EQUAL_RATE and the PF
+    options; MAXIMUM_C_OVER_I fills by rank instead.
 
     This is the per-PRB greedy choice (ties to the lowest UE index) as long
     as no UE's keys get better along k: a UE's next PRB is then never
     preferred to one it got earlier, so greedy heads merge in sorted order.
     """
-    ue, k = np.nonzero(valid)  # row-major, so already in (UE index, k) order
-    key = keys[ue, k]
+    flat = np.flatnonzero(valid)  # row-major, so already in (UE index, k) order
+    key = keys.take(flat)
     order = np.argsort(-key if descending else key, kind="stable")
-    return np.bincount(ue[order[:budget]], minlength=keys.shape[0])
+    return np.bincount(flat[order[:budget]] // keys.shape[1], minlength=keys.shape[0])
 
 
 def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
@@ -211,31 +225,47 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
     return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
 
 
+def _ranked_fill(avail, y_mb, budget):
+    """MAXIMUM_C_OVER_I: UEs in order of yield, best first, each take their
+    whole need of ceil(avail / y) PRBs, capped by what the budget has left.
+    A UE without traffic takes none."""
+    need = np.ceil(avail / y_mb - 1e-12).tolist()
+    has_traffic = (avail > 1e-12).tolist()
+    alloc, left = [0] * len(need), budget
+    # a stable sort, so equal yields go to the lowest UE index first
+    for i in sorted(range(len(need)), key=y_mb.tolist().__getitem__, reverse=True):
+        if has_traffic[i] and left > 0:
+            alloc[i] = min(need[i], left)
+            left -= alloc[i]
+    return np.array(alloc, dtype=np.int64)
+
+
 def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
-                  cfg: SimConfig, y_mb: np.ndarray) -> np.ndarray:
+                  cfg: SimConfig, y_mb: np.ndarray, grid_mb: np.ndarray) -> np.ndarray:
     """Integer split of cfg.prb_budget PRBs over UEs for one tick under the
     given option, where UE i has avail[i] megabits, its queue and fresh
-    demand, to send at y_mb[i] megabits per PRB; the PF options rank by the
-    state's PF average.
+    demand, to send at y_mb[i] megabits per PRB, and grid_mb[i, k] =
+    k * y_mb[i] are the megabits its first k PRBs carry; the PF options
+    rank by the state's PF average.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
+    if grid_mb.shape[1] != cfg.prb_budget:
+        raise ValueError(f"cell drawn for prb_budget {grid_mb.shape[1]}, "
+                         f"stepped with prb_budget {cfg.prb_budget}")
     if avail.min() < 0:
         raise ValueError("avail must be >= 0")
-    k = np.arange(cfg.prb_budget)
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
-        # each UE's whole need, ceil(avail / y) PRBs, best yield first
-        need = np.ceil(avail / y_mb - 1e-12)
-        valid = (k < need[:, None]) & (avail[:, None] > 1e-12)
-        return _top_budget(np.broadcast_to(y_mb[:, None], valid.shape), valid, cfg.prb_budget,
-                           descending=True)
-    served_before = np.minimum(avail[:, None], k * y_mb[:, None])  # megabits before PRB k+1
-    valid = served_before < avail[:, None] - 1e-12
+        return _ranked_fill(avail, y_mb, cfg.prb_budget)
+    # a PRB is useful while the UE has traffic left; the megabits served before
+    # it, min(avail, k * y), are then k * y, since avail - 1e-12 never rounds
+    # above avail
+    valid = grid_mb < (avail - 1e-12)[:, None]
     if option == SchedulerOption.EQUAL_RATE:
-        return _top_budget(served_before, valid, cfg.prb_budget, descending=False)
+        return _top_budget(grid_mb, valid, cfg.prb_budget, descending=False)
     if option in PF_ALPHA:
-        keys = _pf_keys(served_before, y_mb, state.pf_avg_mbps, PF_ALPHA[option])
+        keys = _pf_keys(grid_mb, y_mb, state.pf_avg_mbps, PF_ALPHA[option])
         return _top_budget(keys, valid, cfg.prb_budget, descending=True)
     raise ValueError(f"unknown scheduler option {option!r}")
 
@@ -252,7 +282,7 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     demands, y = state.demand_mb[t], state.y_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, state, avail, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg, y, state.prb_grid_mb[t])
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served

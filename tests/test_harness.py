@@ -216,9 +216,13 @@ class TestTraceContract:
         monkeypatch.setattr(sim, "schedule_prbs", lambda *args: options.append(args[0])
                             or orig(*args))
         cfg = small_cfg()
+        ticks = cfg.steps_demand + cfg.steps_rest
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
-        run_episode(cfg, 0, constant_action=SchedulerOption.PROPORTIONAL_FAIR_LOW)
-        assert len(options) == 2 * (cfg.steps_demand + cfg.steps_rest)
+        # every option, MAXIMUM_C_OVER_I's ranked fill too, is one traced call per tick
+        for option in SchedulerOption:
+            run_episode(cfg, 0, constant_action=option)
+        assert len(options) == 6 * ticks
+        assert options[ticks:] == [o for o in SchedulerOption for _ in range(ticks)]
         assert all(isinstance(option, SchedulerOption) for option in options)
 
     def test_prb_utilization_is_a_float(self, monkeypatch):

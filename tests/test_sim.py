@@ -15,27 +15,31 @@ from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
 
-def make_state(queues, rsrp, pf_avg=None, prb_mb=PRB_MEGABITS):
+def make_state(queues, rsrp, pf_avg=None, prb_mb=PRB_MEGABITS, budget=SimConfig().prb_budget):
     """A cell at its first tick: the given queues, effective RSRP and PF
-    averages, a PRB carrying prb_mb megabits at unit efficiency, and no
-    fresh demand."""
+    averages, a PRB carrying prb_mb megabits at unit efficiency, no fresh
+    demand, and its PRB-yield grid drawn for budget PRBs."""
     n = len(queues)
     rsrp = np.array([rsrp], dtype=float)
     eff = spectral_efficiency(rsrp)
+    y = eff * prb_mb
     return CellState(
         queue_mb=np.array(queues, dtype=float),
         pf_avg_mbps=np.array(pf_avg, dtype=float) if pf_avg is not None
         else np.full(n, PF_FLOOR_MBPS),
         rsrp_dbm=rsrp,
         spectral_eff=eff,
-        y_mb=eff * prb_mb,
+        y_mb=y,
         demand_mb=np.zeros((1, n)),
+        prb_grid_mb=np.arange(budget) * y[:, :, None],
     )
 
 
 def schedule(option, state, demands, cfg):
-    """schedule_prbs at the state's current radio and PRB yield."""
-    return schedule_prbs(option, state, state.queue_mb + demands, cfg, state.y_mb[state.tick])
+    """schedule_prbs at the state's current radio, PRB yield and yield grid."""
+    t = state.tick
+    return schedule_prbs(option, state, state.queue_mb + demands, cfg, state.y_mb[t],
+                         state.prb_grid_mb[t])
 
 
 # --- reference schedulers: one greedy choice per PRB --------------------------
@@ -157,7 +161,7 @@ def tick_step(state, option, profiles, rest, cfg):
     y = eff * PRB_MEGABITS
     demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
-    alloc = schedule_prbs(option, state, avail, cfg, y)
+    alloc = schedule_prbs(option, state, avail, cfg, y, np.arange(cfg.prb_budget) * y[:, None])
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
     tput = served / TICK_SECONDS
@@ -198,6 +202,15 @@ class TestUeProfile:
             UeProfile(rsrp_dbm=-100.0, demand_mean=-1.0, demand_std=0.0)
         with pytest.raises(ValueError):
             UeProfile(rsrp_dbm=-100.0, demand_mean=1.0, demand_std=-0.5)
+
+    # an infinite mean runs endless queues; an infinite std makes inf * 0 on undrawn rows
+    @pytest.mark.parametrize("mean, std, message", [
+        (math.inf, 1.0, "demand_mean must be finite, got inf"),
+        (1.0, math.inf, "demand_std must be finite, got inf"),
+    ], ids=["demand_mean", "demand_std"])
+    def test_infinite_demand_refused(self, mean, std, message):
+        with pytest.raises(ValueError, match=message):
+            UeProfile(rsrp_dbm=-100.0, demand_mean=mean, demand_std=std)
 
 
 class TestSpectralEfficiency:
@@ -253,20 +266,20 @@ class TestGenerateDemands:
 class TestSchedulePrbs:
     def test_equal_rate_symmetric(self):
         cfg = SimConfig(prb_budget=50)
-        st = make_state([1e6, 1e6], [-100.0, -100.0])
+        st = make_state([1e6, 1e6], [-100.0, -100.0], budget=50)
         alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [25, 25])
 
     def test_max_ci_winner_takes_budget(self):
         cfg = SimConfig(prb_budget=50)
         # efficiencies 2.0 vs 1.0 via rsrp chosen from the channel inverse
-        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)])
+        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], budget=50)
         alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), cfg)
         assert np.array_equal(alloc, [50, 0])
 
     def test_equal_rate_matches_brute_force(self):
         cfg = SimConfig(prb_budget=30)
-        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)])
+        st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], budget=30)
         alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
         # brute force over all full-budget integer splits: minimize served spread
         best, best_spread = None, None
@@ -288,6 +301,24 @@ class TestSchedulePrbs:
         # schedule_prbs reads its budget from a SimConfig, which refuses this one
         with pytest.raises(ValueError, match="prb_budget must be positive, got 0"):
             SimConfig(prb_budget=0)
+
+    # the budget is the width of the drawn PRB-yield grid
+    @pytest.mark.parametrize("budget", [100.5, True], ids=["float", "bool"])
+    def test_budget_not_an_integer_refused(self, budget):
+        with pytest.raises(ValueError, match=f"prb_budget must be an integer, got {budget!r}"):
+            SimConfig(prb_budget=budget)
+
+    def test_budget_other_than_the_drawn_grid_refused(self):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(prb_budget=50), 8, demand_ticks(2))
+        state = make_state([1.0, 5.0], [-100.0, -100.0], budget=50)
+        for option in SchedulerOption:
+            with pytest.raises(ValueError, match="drawn for prb_budget 50, stepped with "
+                                                 "prb_budget 100"):
+                step(cell, option, SimConfig())
+            with pytest.raises(ValueError, match="drawn for prb_budget 50, stepped with "
+                                                 "prb_budget 40"):
+                schedule(option, state, np.zeros(2), SimConfig(prb_budget=40))
+        assert cell.tick == 0
 
     def test_negative_volume_refused(self):
         cfg = SimConfig()
@@ -312,7 +343,7 @@ class TestSchedulePrbs:
 
     def test_pf_tie_breaks_lowest_index(self):
         cfg = SimConfig(prb_budget=1)
-        st = make_state([1e6, 1e6], [-100.0, -100.0], pf_avg=[1.0, 1.0])
+        st = make_state([1e6, 1e6], [-100.0, -100.0], pf_avg=[1.0, 1.0], budget=1)
         for opt in (SchedulerOption.PROPORTIONAL_FAIR_HIGH,
                     SchedulerOption.PROPORTIONAL_FAIR_MEDIUM,
                     SchedulerOption.PROPORTIONAL_FAIR_LOW,
@@ -357,7 +388,7 @@ def cells(draw):
             queue[i] = draw(st.sampled_from([0.0, 1e-13, 1e-12]) | st.floats(0.0, 3000.0))
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
     # the kernel takes y_mb as given, so the PRB size reaches it through the state's yields
-    state = make_state(queue, rsrp_eff, pf_avg, prb_mb)
+    state = make_state(queue, rsrp_eff, pf_avg, prb_mb, budget)
     return state, demands, SimConfig(prb_budget=budget)
 
 
@@ -367,15 +398,25 @@ class TestScheduleKernel:
     @settings(max_examples=300, derandomize=True, deadline=None)
     # PF: a first PRB drops either UE's average from 38-40 to about 31, so its
     # next key beats its first (the running-minimum path)
-    @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0]),
+    @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5),
                    np.zeros(2), SimConfig(prb_budget=5)))
     # MAXIMUM_C_OVER_I: the best UE holds exactly 31 PRBs of traffic, and
     # (31 * y) / y rounds up to 31 + 3.6e-15
-    @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0]),
+    @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0], budget=40),
                    np.zeros(2), SimConfig(prb_budget=40)))
     # MAXIMUM_C_OVER_I, 0.05-megabit PRBs: 1e-13 megabits count as no traffic
-    @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], prb_mb=0.05),
+    @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], prb_mb=0.05, budget=3),
                    np.zeros(2), SimConfig(prb_budget=3)))
+    # MAXIMUM_C_OVER_I, tied yields: UE 0 takes its whole need of 5 PRBs
+    # before UE 1 gets the last one
+    @example(cell=(make_state([5 * Y_105, 3 * Y_105, 1e6], [-105.0, -105.0, -115.0], budget=6),
+                   np.zeros(3), SimConfig(prb_budget=6)))
+    # MAXIMUM_C_OVER_I: the best UE needs more than the whole budget
+    @example(cell=(make_state([1e6, 50.0], [-94.0, -115.0], budget=20),
+                   np.zeros(2), SimConfig(prb_budget=20)))
+    # a budget of 1, the best UE without traffic
+    @example(cell=(make_state([1e-13, 2 * Y_105, 1e6], [-60.0, -105.0, -105.0], budget=1),
+                   np.zeros(3), SimConfig(prb_budget=1)))
     @given(cell=cells())
     def test_matches_reference_loops(self, cell):
         state, demands, cfg = cell
@@ -387,7 +428,7 @@ class TestScheduleKernel:
 
     def test_pf_first_prb_raises_next_key(self):
         cfg = SimConfig(prb_budget=5)
-        state = make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0])
+        state = make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5)
         opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
         # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
         # second and later keys beat UE 1's first, but never come into play
@@ -395,7 +436,7 @@ class TestScheduleKernel:
 
     def test_max_ci_exact_multiple_takes_need(self):
         cfg = SimConfig(prb_budget=40)
-        state = make_state([31 * Y_105, 1e6], [-105.0, -115.0])
+        state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], budget=40)
         alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), cfg)
         assert alloc.tolist() == [31, 9]
 
@@ -492,7 +533,7 @@ class TestStep:
 
     def test_drawn_episode_read_only(self):
         st = init_cell_state(PROFILES_LAB, SimConfig(), 6, demand_ticks(3))
-        for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb"):
+        for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb", "prb_grid_mb"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(st, name)[0, 0] = 1.0
 
@@ -519,13 +560,15 @@ def same_bits(a, b):
 
 @st.composite
 def episodes(draw):
-    """Profiles of 1..8 UEs (some without variance), fading on or off, and
-    an episode of 1..40 ticks: its rest mask and an option per tick."""
+    """Profiles of 1..8 UEs (some without variance), a budget of 1..120 PRBs,
+    fading on or off, and an episode of 1..40 ticks: its rest mask and an
+    option per tick."""
     n = draw(st.integers(1, 8))
     profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)),
                           draw(st.floats(0.0, 3000.0)),
                           draw(st.just(0.0) | st.floats(0.0, 2500.0))) for _ in range(n)]
-    cfg = SimConfig(rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
+    cfg = SimConfig(prb_budget=draw(st.just(100) | st.integers(1, 120)),
+                    rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
     ticks = draw(st.integers(1, 40))
     rest = draw(st.lists(st.booleans(), min_size=ticks, max_size=ticks))
     options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=ticks, max_size=ticks))
@@ -547,9 +590,12 @@ class TestDrawnEpisode:
         profiles, cfg, seed, rest, options = episode
         cell = init_cell_state(profiles, cfg, seed, rest)
         ref = init_tick_cell(profiles, cfg, seed)
-        for option, resting in zip(options, rest):
+        for t, (option, resting) in enumerate(zip(options, rest)):
             cell, obs = step(cell, option, cfg)
             expected = tick_step(ref, option, profiles, resting, cfg)
+            # the drawn grid against the yield the reference drew this tick
+            assert same_bits(cell.prb_grid_mb[t], np.arange(cfg.prb_budget)
+                             * (expected.spectral_eff * PRB_MEGABITS)[:, None])
             for name in ("demand_mb", "served_mb", "queue_after_mb", "rsrp_dbm",
                          "spectral_eff", "prb_allocation", "active_mask"):
                 assert same_bits(getattr(obs, name), getattr(expected, name)), name
