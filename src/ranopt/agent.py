@@ -9,7 +9,10 @@ never crosses an episode boundary (rest minutes produce no experience at
 all, so the gap between episodes is structural). Targets follow the double-Q
 rule: the online network picks the bootstrap action, the slowly tracking
 target network evaluates it, and after every training step the target
-network takes a small Polyak step toward the online one.
+network takes a small Polyak step toward the online one. A step evaluates
+the online network once, on its segments' first states and bootstrap states
+stacked as rows, and takes both the bootstrap action and the TD errors from
+that pass; the target network's pass is the only other one.
 
 The control task is continuous; there is no terminal state and no done flag
 anywhere in the update.
@@ -17,6 +20,7 @@ anywhere in the update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,15 +163,20 @@ class ReplayBuffer:
 
     def extend(self, states, next_states, actions, rewards, episode_ids) -> None:
         """Append BUFFER_FIELDS arrays, oldest first; only the most recent
-        `capacity` entries survive, and nothing is written if one is refused."""
+        `capacity` entries survive, and nothing is written if one is refused.
+        Each array is written in at most two slice copies: the run up to the
+        ring's end, then the wrapped rest from row 0."""
         columns = [np.asarray(a, dtype=t) for a, t in
                    zip((states, next_states, actions, rewards, episode_ids), _DTYPES)]
         _check_transitions(*columns)
         n = len(columns[0])
         keep = min(n, self.capacity)
-        rows = self.rows(self.size + np.arange(n - keep, n))
+        first = (self.start + self.size + n - keep) % self.capacity  # row of the first kept entry
+        run = min(keep, self.capacity - first)
         for name, a in zip(BUFFER_FIELDS, columns):
-            getattr(self, name)[rows] = a[n - keep:]
+            ring, kept = getattr(self, name), a[n - keep:]
+            ring[first:first + run] = kept[:run]
+            ring[:keep - run] = kept[run:]
         self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
         self.size = min(self.size + n, self.capacity)
 
@@ -242,7 +251,7 @@ def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
     ok = ids[:last] == ids[n_step - 1:]
     for j in range(1, n_step - 1):  # every entry of a segment has its first entry's id
         ok &= ids[j:last + j] == ids[:last]
-    return np.flatnonzero(ok)
+    return ok.nonzero()[0]
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
@@ -271,21 +280,20 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     q_values = np.asarray(q_values)
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(0, q_values.size))
-    return int(np.argmax(q_values))
+    return int(q_values.argmax())
 
 
-def double_q_target(rewards: np.ndarray, s_boot: np.ndarray, online: np.ndarray,
-                    target: np.ndarray, gamma: float) -> np.ndarray:
+def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndarray,
+                    gamma: float) -> np.ndarray:
     """n-step double-Q targets for segments with (batch, n) rewards, oldest
-    first, and (batch, 58) states s_boot after their last transitions.
+    first, from the two networks' (batch, N_ACTIONS) action values at the
+    states after their last transitions.
 
-    Sums the n discounted rewards, then bootstraps at s_boot: the online
-    network chooses the action, the target network scores it, discounted by
-    gamma**n.
+    Sums the n discounted rewards, then bootstraps: the online network
+    chooses the action, the target network scores it, discounted by gamma**n.
     """
     batch, n = np.shape(rewards)
-    a_star = qnet.forward_batch(online, s_boot).argmax(axis=1)
-    q_boot = qnet.forward_batch(target, s_boot)[np.arange(batch), a_star]
+    q_boot = q_target[np.arange(batch), q_online.argmax(axis=1)]
     ret = np.zeros(batch)
     for i in range(n):  # reward by reward: the summation order fixes the rounding
         ret += gamma ** i * rewards[:, i]
@@ -308,8 +316,12 @@ class DoubleQAgent:
         return epsilon_at(self.global_step, self.cfg)
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """Pick an option; training-mode calls advance the exploration schedule."""
+        """Pick an option; training-mode calls advance the exploration schedule.
+        Raises FloatingPointError on a non-finite action value, before the
+        schedule or the RNG moves."""
         q = qnet.forward(self.online, state)
+        if not all(map(math.isfinite, q.tolist())):
+            raise FloatingPointError(f"non-finite Q-value in {q.tolist()}")
         if greedy:
             return select_action(q, 0.0, self.rng)
         action = select_action(q, self.epsilon, self.rng)
@@ -320,20 +332,29 @@ class DoubleQAgent:
         """One replayed update; returns the batch mean absolute TD error, or
         None, changing nothing, while the buffer holds no n_step segment.
 
-        Samples batch_segments segments, forms double-Q targets, ascends the
-        sum of (Y - Q) * grad Q over the batch, taken by one batched
-        qnet.backward, at the learning rate averaged over the batch, then
-        Polyak-updates the target network. Raises FloatingPointError on a
-        non-finite TD error, before either network changes.
+        Samples batch_segments segments and evaluates the online network
+        once, on their first states and their bootstrap states stacked as
+        rows: that pass gives the double-Q action choice and the TD errors,
+        and qnet.backward differentiates it; the target network scores the
+        bootstrap states in a second pass. Ascends the sum of (Y - Q) *
+        grad Q over the batch at the learning rate averaged over the batch,
+        then Polyak-updates the target network. Raises FloatingPointError on
+        a non-finite TD error, before either network changes.
         """
         cfg, buf = self.cfg, self.buffer
         rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
         if rows is None:
             return None
-        targets = double_q_target(buf.rewards[rows], buf.next_states[rows[:, -1]],
-                                  self.online, self.target, cfg.gamma)
-        td, grad = qnet.backward(self.online, buf.states[rows[:, 0]], buf.actions[rows[:, 0]],
-                                 targets)
-        self.online = qnet.apply_gradient(self.online, grad, cfg.learning_rate / len(rows))
+        batch = len(rows)
+        stacked = np.empty((2 * batch, STATE_DIM))  # first states, then bootstrap states
+        states, s_boot = stacked[:batch], stacked[batch:]
+        buf.states.take(rows[:, 0], axis=0, out=states)
+        buf.next_states.take(rows[:, -1], axis=0, out=s_boot)
+        hidden, q = qnet.forward_batch(self.online, stacked)
+        targets = double_q_target(buf.rewards[rows], q[batch:],
+                                  qnet.forward_batch(self.target, s_boot)[1], cfg.gamma)
+        td, grad = qnet.backward(self.online, states, hidden[:batch], q[:batch],
+                                 buf.actions[rows[:, 0]], targets)
+        self.online = qnet.apply_gradient(self.online, grad, cfg.learning_rate / batch)
         self.target = qnet.soft_update(self.target, self.online, cfg.tau)
-        return float(np.mean(np.abs(td)))
+        return float(np.add.reduce(np.abs(td))) / batch

@@ -179,26 +179,29 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_epi
     active = obs.active_mask
     n_ues = active.size
     n_active = np.count_nonzero(active)
+    tputs, eff = obs.ue_throughput_mbps, obs.spectral_eff
+    if n_active < n_ues:  # the active UEs' entries; all of them need no copy
+        tputs, eff, hist_ids, rsrq_radio = (a[active] for a in (tputs, eff, hist_ids, rsrq_radio))
     cell_tput = obs.cell_throughput_mbps
     util = obs.prb_utilization
     mean_se, worst, gap, harmonic = 0.0, 0.0, 0.0, 0.0
     if n_active:
-        tputs = obs.ue_throughput_mbps[active]
-        lo, hi = tputs.min(), tputs.max()
-        mean_se, worst, gap = obs.spectral_eff[active].sum() / n_active, lo, hi - lo
+        lo, hi = np.minimum.reduce(tputs), np.maximum.reduce(tputs)
+        mean_se, worst, gap = np.add.reduce(eff) / n_active, lo, hi - lo
         if lo > 0:  # every active UE served; a NaN makes the minimum NaN
-            harmonic = n_active / (1.0 / tputs).sum()
-    cce = np.count_nonzero(obs.prb_allocation > 0) / n_ues
+            harmonic = n_active / np.add.reduce(1.0 / tputs)
+    cce = np.count_nonzero(obs.prb_allocation) / n_ues  # allocations are counts >= 0
     bitrate = cell_tput / util if util > 0 else 0.0
     values = np.zeros(STATE_DIM)
     np.divide((cell_tput, mean_se, util, cce, bitrate, n_active, harmonic, worst, gap,
-               obs.queue_after_mb.sum() / n_ues, obs.served_mb.sum(), obs.demand_mb.sum()),
+               np.add.reduce(obs.queue_after_mb) / n_ues, np.add.reduce(obs.served_mb),
+               np.add.reduce(obs.demand_mb)),
               CELL_SCALAR_BOUNDS, out=values[:N_CELL_SCALARS])
     values[_ACTIVE_UE_COUNT] = n_active / n_ues
 
     # histograms count active UEs only, then normalize by the UE population
-    rsrq = (-3.0 - 8.5 * util) - rsrq_radio[active]
-    bins = np.concatenate((hist_ids[active].ravel(), _RSRQ_IDS.searchsorted(rsrq, "right")))
+    rsrq = (-3.0 - 8.5 * util) - rsrq_radio
+    bins = np.concatenate((hist_ids.ravel(), _RSRQ_IDS.searchsorted(rsrq, "right")))
     np.divide(np.bincount(bins, minlength=_N_HIST), n_ues,
               out=values[N_CELL_SCALARS:_PREV_ACTION_AT])
 

@@ -11,6 +11,11 @@ knows this layout. A gradient is a vector of the same layout, so an SGD step
 and a Polyak step are each one vector expression and a checkpoint stores one
 array per network.
 
+A learner step evaluates the online network once: forward_batch returns the
+hidden activations with the action values, and backward differentiates that
+pass instead of running its own, so one pass over stacked rows serves every
+online value a step reads.
+
 The output head is linear: action values are unbounded regression targets,
 so a squashing head could not represent bootstrapped targets above 1.
 """
@@ -51,51 +56,73 @@ def forward(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
     if state.shape != (STATE_DIM,):
         raise ValueError(f"state has shape {state.shape}, expected ({STATE_DIM},)")
     w1, b1, w2, b2 = layers(theta)
-    return w2 @ np.maximum(w1 @ state + b1, 0.0) + b2
+    hidden = w1.dot(state)
+    hidden += b1
+    q = w2.dot(np.maximum(hidden, 0.0, out=hidden))
+    q += b2
+    return q
 
 
-def forward_batch(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Action values for a (batch, STATE_DIM) matrix of states."""
+def forward_batch(theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pass over a (batch, STATE_DIM) matrix of states: its hidden
+    activations relu(states @ w1.T + b1), (batch, HIDDEN_DIM), and its action
+    values, (batch, N_ACTIONS). backward differentiates such a pass.
+
+    The BLAS kernel blocks its products by the batch size, so a pass over
+    stacked batches rounds each row as the separate passes do only at some
+    sizes.
+    """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ValueError(f"states have shape {states.shape}, expected (n, {STATE_DIM})")
     w1, b1, w2, b2 = layers(theta)
-    return np.maximum(states @ w1.T + b1, 0.0) @ w2.T + b2
+    hidden = states.dot(w1.T)
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    q = hidden.dot(w2.T)
+    q += b2
+    return hidden, q
 
 
-def backward(theta: np.ndarray, states: np.ndarray, actions: np.ndarray,
-             targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TD errors of a batch and the gradient they weight, from one forward pass.
+def backward(theta: np.ndarray, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
+             actions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TD errors of a batch and the gradient they weight, from the batch's
+    forward pass: hidden and q as forward_batch(theta, states) gives them.
 
     For a (batch, STATE_DIM) matrix of states and (batch,) actions and
-    targets, returns td = targets - Q(states, actions) and
+    targets, returns td = targets - q[b, actions[b]] and
     sum_b td[b] * dQ(states[b], actions[b]) / dtheta as a vector laid out as
-    theta. Only the selected outputs contribute, so w2/b2 rows of actions the
-    batch never took are zero. The caller scales the gradient by the
-    learning rate. Raises FloatingPointError on a non-finite TD error,
-    before any gradient product is formed.
+    theta. No network is evaluated here, so a caller that needs other action
+    values too forms them in the same pass. Only the selected outputs
+    contribute, so w2/b2 rows of actions the batch never took are zero. The
+    caller scales the gradient by the learning rate. Raises
+    FloatingPointError on a non-finite TD error, before any gradient product
+    is formed.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ValueError(f"states have shape {states.shape}, expected (n, {STATE_DIM})")
     n = len(states)
+    if np.shape(hidden) != (n, HIDDEN_DIM) or np.shape(q) != (n, N_ACTIONS):
+        raise ValueError(f"a pass of hidden {np.shape(hidden)} and q {np.shape(q)} is not "
+                         f"that of {n} states: expected ({n}, {HIDDEN_DIM}) and ({n}, {N_ACTIONS})")
     actions, targets = np.asarray(actions), np.asarray(targets, dtype=np.float64)
     if targets.shape != (n,):
         raise ValueError(f"targets have shape {targets.shape}, expected ({n},)")
     if (actions.shape != (n,) or actions.dtype.kind not in "iu"
-            or not np.all((0 <= actions) & (actions < N_ACTIONS))):
+            or not np.logical_and.reduce((0 <= actions) & (actions < N_ACTIONS))):
         raise ValueError(f"actions must be {n} integers in [0, {N_ACTIONS}), got {actions}")
-    w1, b1, w2, b2 = layers(theta)
-    z1 = states @ w1.T + b1
-    hidden = np.maximum(z1, 0.0)
-    td = targets - (hidden @ w2.T + b2)[np.arange(n), actions]
-    if not np.isfinite(td).all():
+    picked = np.arange(n), actions
+    td = targets - q[picked]
+    if not np.logical_and.reduce(np.isfinite(td)):
         raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
+    w2 = layers(theta)[2]
     wa = np.zeros((n, N_ACTIONS))  # each TD error at its sample's action
-    wa[np.arange(n), actions] = td
-    dz1 = (wa @ w2) * (z1 > 0.0)
-    return td, np.concatenate([(dz1.T @ states).ravel(), dz1.sum(axis=0),
-                               (wa.T @ hidden).ravel(), wa.sum(axis=0)])
+    wa[picked] = td
+    dz1 = wa.dot(w2)
+    dz1 *= hidden > 0.0  # relu's derivative: hidden > 0 exactly where its input is
+    return td, np.concatenate((dz1.T.dot(states).ravel(), np.add.reduce(dz1, axis=0),
+                               wa.T.dot(hidden).ravel(), np.add.reduce(wa, axis=0)))
 
 
 def apply_gradient(theta: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:

@@ -99,8 +99,10 @@ class SimConfig:
             raise ValueError(f"prb_budget must be an integer, got {self.prb_budget!r}")
         if self.prb_budget <= 0:
             raise ValueError(f"prb_budget must be positive, got {self.prb_budget}")
-        if not self.rf_jitter_std_db >= 0:  # a NaN fails too
-            raise ValueError("rf_jitter_std_db must be >= 0")
+        # an infinite innovation would make the drawn RSRP NaN
+        if not 0 <= self.rf_jitter_std_db < math.inf:  # a NaN fails too
+            raise ValueError(f"rf_jitter_std_db must be >= 0 and finite, "
+                             f"got {self.rf_jitter_std_db}")
 
 
 @dataclass
@@ -144,8 +146,8 @@ def spectral_efficiency(rsrp_dbm):
     Shannon curve min(0.6 * log2(1 + sinr), 4.8).
     """
     rsrp = np.asarray(rsrp_dbm, dtype=np.float64)
-    if np.any(rsrp < RSRP_MIN_DBM) or np.any(rsrp > RSRP_MAX_DBM):
-        raise ValueError(f"rsrp_dbm outside [{RSRP_MIN_DBM}, {RSRP_MAX_DBM}]: {rsrp_dbm}")
+    if not ((RSRP_MIN_DBM <= rsrp) & (rsrp <= RSRP_MAX_DBM)).all():  # a NaN fails both
+        raise ValueError(f"rsrp_dbm outside [{RSRP_MIN_DBM}, {RSRP_MAX_DBM}] or NaN: {rsrp_dbm}")
     sinr_db = np.clip(rsrp + SINR_OFFSET_DB, SINR_FLOOR_DB, SINR_CEIL_DB)
     eff = np.minimum(EFF_SCALE * np.log2(1.0 + 10.0 ** (sinr_db / 10.0)), EFF_CAP)
     if np.isscalar(rsrp_dbm):
@@ -203,9 +205,11 @@ def _top_budget(keys, valid, budget, descending):
     as no UE's keys get better along k: a UE's next PRB is then never
     preferred to one it got earlier, so greedy heads merge in sorted order.
     """
-    flat = np.flatnonzero(valid)  # row-major, so already in (UE index, k) order
+    flat = valid.ravel().nonzero()[0]  # row-major, so already in (UE index, k) order
     key = keys.take(flat)
-    order = np.argsort(-key if descending else key, kind="stable")
+    if descending:
+        np.negative(key, out=key)
+    order = key.argsort(kind="stable")
     return np.bincount(flat[order[:budget]] // keys.shape[1], minlength=keys.shape[0])
 
 
@@ -218,11 +222,14 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
     minimum along k reproduces.
     """
     base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
-    virtual = np.maximum(PF_FLOOR_MBPS,
-                         (1.0 - PF_EMA) * base_avg[:, None] + PF_EMA * served_before / TICK_SECONDS)
-    virtual[:, 0] = base_avg
-    eff = y_mb / PRB_MEGABITS
-    return np.minimum.accumulate(eff[:, None] / virtual ** alpha, axis=1)
+    keys = np.multiply(served_before, PF_EMA)  # the smoothed rate, then the key, in place
+    keys /= TICK_SECONDS
+    keys += ((1.0 - PF_EMA) * base_avg)[:, None]
+    np.maximum(keys, PF_FLOOR_MBPS, out=keys)
+    keys[:, 0] = base_avg
+    keys **= alpha
+    np.divide((y_mb / PRB_MEGABITS)[:, None], keys, out=keys)
+    return np.minimum.accumulate(keys, axis=1, out=keys)
 
 
 def _ranked_fill(avail, y_mb, budget):
@@ -254,7 +261,7 @@ def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
     if grid_mb.shape[1] != cfg.prb_budget:
         raise ValueError(f"cell drawn for prb_budget {grid_mb.shape[1]}, "
                          f"stepped with prb_budget {cfg.prb_budget}")
-    if avail.min() < 0:
+    if np.minimum.reduce(avail) < 0:
         raise ValueError("avail must be >= 0")
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         return _ranked_fill(avail, y_mb, cfg.prb_budget)
@@ -289,19 +296,20 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
     state.tick = t + 1
 
     tput = served / TICK_SECONDS
-    state.pf_avg_mbps = np.maximum(PF_FLOOR_MBPS,
-                                   (1.0 - PF_EMA) * state.pf_avg_mbps + PF_EMA * tput)
+    pf_avg = (1.0 - PF_EMA) * state.pf_avg_mbps  # a new array: the old one is never written
+    pf_avg += PF_EMA * tput
+    state.pf_avg_mbps = np.maximum(pf_avg, PF_FLOOR_MBPS, out=pf_avg)
 
     obs = TickObservables(
         demand_mb=demands,
         served_mb=served,
         queue_after_mb=state.queue_mb,
         ue_throughput_mbps=tput,
-        cell_throughput_mbps=float(tput.sum()),
+        cell_throughput_mbps=float(np.add.reduce(tput)),
         spectral_eff=state.spectral_eff[t],
         rsrp_dbm=state.rsrp_dbm[t],
         prb_allocation=alloc,
-        prb_utilization=float(alloc.sum()) / cfg.prb_budget,
+        prb_utilization=float(np.add.reduce(alloc)) / cfg.prb_budget,
         active_mask=active,
     )
     return state, obs

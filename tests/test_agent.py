@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 
@@ -181,6 +182,25 @@ class TestReplayBuffer:
         copy = ReplayBuffer(capacity=4)
         copy.load(buf.packed())
         assert [values(e) for e in copy] == [values(e) for e in buf]
+
+    @pytest.mark.parametrize("pushed, extended", [(5, 6), (3, 11), (8, 3)],
+                             ids=["across_the_wrap", "more_than_capacity", "full_ring"])
+    def test_extend_writes_ring_rows_in_order(self, pushed, extended):
+        def entries(ks):
+            """Transition k: states tagged k and k + 0.5, action k % 5, reward k / 100, id k."""
+            states = np.zeros((len(ks), 58))
+            states[:, 0] = ks
+            return states, states + 0.5, ks % 5, ks / 100.0, ks
+        buf = ReplayBuffer(capacity=8)
+        for e in zip(*entries(np.arange(pushed))):
+            buf.append(*e)
+        buf.extend(*entries(np.arange(pushed, pushed + extended)))
+        # entry k lands in ring row k % 8; the 8 most recent survive
+        kept = np.arange(max(0, pushed + extended - 8), pushed + extended)
+        assert len(buf) == len(kept) and buf.start == kept[0] % 8
+        for name, want in zip(BUFFER_FIELDS, entries(kept)):
+            got = getattr(buf, name)[kept % 8]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("change, message", [
         ({name: np.zeros((5, 58) if "states" in name else 5) for name in BUFFER_FIELDS},
@@ -395,8 +415,10 @@ class TestSegments:
 
 def target_of(segment, online, target, gamma):
     """double_q_target for one segment of transitions, as a batch of one."""
+    s_boot = segment[-1].next_state[None]
     y = double_q_target(np.array([[e.reward for e in segment]]),
-                        segment[-1].next_state[None], online, target, gamma)
+                        qnet.forward_batch(online, s_boot)[1],
+                        qnet.forward_batch(target, s_boot)[1], gamma)
     assert y.shape == (1,)
     return y[0]
 
@@ -462,11 +484,19 @@ class TestTrainStep:
         cfg = AgentConfig(n_step=1, batch_segments=16)
         agent = DoubleQAgent(cfg)
         push(agent.buffer, exp(0, reward=0.3))
-        calls = []
-        batched = qnet.backward
+        calls, passes = [], []
+        batched, forward_batch = qnet.backward, qnet.forward_batch
         monkeypatch.setattr(qnet, "backward", lambda *args: calls.append(args) or batched(*args))
+        monkeypatch.setattr(qnet, "forward_batch",
+                            lambda theta, states: passes.append((theta, states.shape))
+                            or forward_batch(theta, states))
+        online, target = agent.online, agent.target
         agent.train_step()
         assert [args[1].shape for args in calls] == [(16, 58)]
+        # two passes: the online network on first and bootstrap states stacked,
+        # then the target network on the bootstrap states
+        assert [(theta is online, theta is target, shape) for theta, shape in passes] == [
+            (True, False, (32, 58)), (False, True, (16, 58))]
 
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
@@ -512,6 +542,110 @@ class TestTrainStep:
         assert td < 1e-3
 
 
+def reference_forward_batch(theta, states):
+    """qnet.forward_batch's action values as the three-pass step formed them."""
+    w1, b1, w2, b2 = qnet.layers(theta)
+    return np.maximum(states @ w1.T + b1, 0.0) @ w2.T + b2
+
+
+def reference_backward(theta, states, actions, targets):
+    """qnet.backward as it was before it took its pass: its own forward of the
+    states, then the TD errors and their gradient."""
+    w1, b1, w2, b2 = qnet.layers(theta)
+    n = len(states)
+    z1 = states @ w1.T + b1
+    hidden = np.maximum(z1, 0.0)
+    td = targets - (hidden @ w2.T + b2)[np.arange(n), actions]
+    if not np.isfinite(td).all():
+        raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
+    wa = np.zeros((n, qnet.N_ACTIONS))
+    wa[np.arange(n), actions] = td
+    dz1 = (wa @ w2) * (z1 > 0.0)
+    return td, np.concatenate([(dz1.T @ states).ravel(), dz1.sum(axis=0),
+                               (wa.T @ hidden).ravel(), wa.sum(axis=0)])
+
+
+def reference_train_step(agent):
+    """The three-pass learner step: the online and the target network each
+    score the bootstrap states, then backward runs its own forward pass of
+    the first states."""
+    cfg, buf = agent.cfg, agent.buffer
+    rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, agent.rng)
+    if rows is None:
+        return None
+    batch, n = rows.shape
+    s_boot = buf.next_states[rows[:, -1]]
+    a_star = reference_forward_batch(agent.online, s_boot).argmax(axis=1)
+    q_boot = reference_forward_batch(agent.target, s_boot)[np.arange(batch), a_star]
+    rewards = buf.rewards[rows]
+    ret = np.zeros(batch)
+    for i in range(n):
+        ret += cfg.gamma ** i * rewards[:, i]
+    td, grad = reference_backward(agent.online, buf.states[rows[:, 0]], buf.actions[rows[:, 0]],
+                                  ret + cfg.gamma ** n * q_boot)
+    agent.online = agent.online + cfg.learning_rate / batch * grad
+    agent.target = (1.0 - cfg.tau) * agent.target + cfg.tau * agent.online
+    return float(np.mean(np.abs(td)))
+
+
+def warm_agent(**overrides):
+    """An agent at the default config, but for overrides, whose ring is full:
+    63 episodes of 80 chained transitions, the last cut short."""
+    agent = DoubleQAgent(AgentConfig(**overrides))
+    rng = np.random.default_rng(11)
+    n = agent.buffer.capacity
+    states = rng.random((n + 1, 58))
+    agent.buffer.extend(states[:-1], states[1:], rng.integers(0, 5, n), rng.uniform(-1, 1, n),
+                        np.arange(n) // 80)
+    return agent
+
+
+class TestTrainStepMatchesReference:
+    """train_step against the three-pass step it replaced, kept here as the oracle."""
+
+    def test_bitwise_over_300_steps_at_the_default_config(self):
+        agent = warm_agent()
+        reference = copy.deepcopy(agent)
+        for _ in range(300):
+            td = agent.train_step()
+            assert td.hex() == reference_train_step(reference).hex()
+            assert agent.online.tobytes() == reference.online.tobytes()
+            assert agent.target.tobytes() == reference.target.tobytes()
+            assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    # the BLAS kernel blocks a stacked pass by its row count, so at some batch
+    # sizes its rows round apart from separate passes; one step then stays
+    # within this bound relative to the mean |TD| (at least 1) and to the
+    # largest weight update, plus one unit in the last place of each weight
+    # for the rounding of the update itself
+    REL_BOUND = 1e-12
+
+    @pytest.mark.parametrize("batch_segments", [1, 3, 32])
+    def test_one_step_at_other_batch_sizes(self, batch_segments):
+        agent = warm_agent(batch_segments=batch_segments)
+        reference = copy.deepcopy(agent)
+        rows = sample_segments(agent.buffer, agent.cfg.n_step, batch_segments,
+                               copy.deepcopy(agent.rng))
+        stacked = np.concatenate((agent.buffer.states[rows[:, 0]],
+                                  agent.buffer.next_states[rows[:, -1]]))
+        whole = qnet.forward_batch(agent.online, stacked)
+        parts = [qnet.forward_batch(agent.online, half) for half in np.split(stacked, 2)]
+        stacks_bitwise = all(a.tobytes() == np.concatenate(b).tobytes()
+                             for a, b in zip(whole, zip(*parts)))
+        online, target = agent.online, agent.target
+        td, want = agent.train_step(), reference_train_step(reference)
+        assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
+        if stacks_bitwise:
+            assert td.hex() == want.hex()
+            assert agent.online.tobytes() == reference.online.tobytes()
+            assert agent.target.tobytes() == reference.target.tobytes()
+        assert abs(td - want) <= self.REL_BOUND * max(1.0, abs(want))
+        for got, ref, before in ((agent.online, reference.online, online),
+                                 (agent.target, reference.target, target)):
+            bound = self.REL_BOUND * np.abs(ref - before).max() + np.spacing(np.abs(ref))
+            assert np.all(np.abs(got - ref) <= bound)
+
+
 class TestActGreedy:
     def test_greedy_deterministic_and_schedule_frozen(self):
         agent = DoubleQAgent(AgentConfig(seed=3))
@@ -528,3 +662,14 @@ class TestActGreedy:
         agent.act(s)
         assert agent.global_step == 1
         assert agent.epsilon < e0
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    @pytest.mark.parametrize("state_value, b2", [(np.nan, 0.0), (0.5, np.inf), (0.5, -np.inf)],
+                             ids=["nan_state", "inf_q", "minus_inf_q"])
+    def test_non_finite_q_value_raises(self, greedy, state_value, b2):
+        agent = DoubleQAgent(AgentConfig(seed=5))
+        qnet.layers(agent.online)[3][1] = b2  # -inf is never the greedy choice
+        before = agent.global_step, agent.rng.bit_generator.state
+        with pytest.raises(FloatingPointError, match="non-finite Q-value"):
+            agent.act(np.full(58, state_value), greedy=greedy)
+        assert (agent.global_step, agent.rng.bit_generator.state) == before

@@ -225,9 +225,35 @@ class TestComposeKpis:
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
+def loaded_tick(active):
+    """A loaded tick of the four default UEs in which the UEs flagged in
+    active have traffic; an idle UE is sent nothing and holds no queue."""
+    active = np.array(active)
+    served = np.where(active, [310.0, 420.5, 1180.25, 2950.0], 0.0)
+    alloc = np.where(active, [30, 25, 20, 25], 0)
+    return make_obs(
+        demand_mb=np.where(active, [500.0, 610.0, 1400.5, 2600.0], 0.0),
+        served_mb=served,
+        queue_after_mb=np.where(active, [190.0, 189.5, 220.25, 0.0], 0.0),
+        ue_throughput_mbps=served / 60.0,
+        cell_throughput_mbps=float(served.sum() / 60.0),
+        spectral_eff=np.array([0.31, 0.52, 1.1, 2.7]),
+        rsrp_dbm=np.array([-115.0, -110.0, -105.0, -94.0]),
+        prb_allocation=alloc,
+        prb_utilization=float(alloc.sum()) / 100.0,
+        active_mask=active,
+    )
+
+
 class TestComposeMatchesReference:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @example(obs=make_obs(), prev_action=SchedulerOption.EQUAL_RATE, step_in_episode=0)
+    @example(obs=loaded_tick([True] * 4), prev_action=SchedulerOption.MAXIMUM_C_OVER_I,
+             step_in_episode=17)
+    @example(obs=loaded_tick([True, False, True, True]),
+             prev_action=SchedulerOption.PROPORTIONAL_FAIR_LOW, step_in_episode=80)
+    @example(obs=loaded_tick([False] * 4), prev_action=SchedulerOption.EQUAL_RATE,
+             step_in_episode=95)
     @given(obs=observables(), prev_action=st.sampled_from(SchedulerOption),
            step_in_episode=st.integers(0, 100))
     def test_bit_equal(self, obs, prev_action, step_in_episode):

@@ -94,9 +94,11 @@ class TestForward:
     def test_batch_matches_single(self):
         p = init_params(seed=4)
         states = np.random.default_rng(5).uniform(0, 1, size=(6, 58))
-        batch = forward_batch(p, states)
+        hidden, batch = forward_batch(p, states)
+        w1, b1, _, _ = layers(p)
         for i in range(6):
             assert np.allclose(batch[i], forward(p, states[i]))
+            assert np.allclose(hidden[i], np.maximum(w1 @ states[i] + b1, 0.0))
 
 
 def backward_one(p, state, action):
@@ -141,13 +143,13 @@ def batches(draw):
     weight = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-10.0, 10.0)
     weights = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
     states = rng.uniform(0.0, 1.0, (n, 58))
-    return p, states, actions, forward_batch(p, states)[np.arange(n), actions] + weights
+    return p, states, actions, forward_batch(p, states)[1][np.arange(n), actions] + weights
 
 
 def unit_td(p, states, actions):
     """backward at targets one above Q, so that td is about 1."""
-    q = forward_batch(p, states)[np.arange(len(states)), actions]
-    return backward(p, states, actions, q + 1.0)
+    hidden, q = forward_batch(p, states)
+    return backward(p, states, hidden, q, actions, q[np.arange(len(states)), actions] + 1.0)
 
 
 class TestBackward:
@@ -155,7 +157,7 @@ class TestBackward:
     @given(batch=batches())
     def test_matches_per_sample_sum(self, batch):
         p, states, actions, targets = batch
-        td, got = backward(p, states, actions, targets)
+        td, got = backward(p, states, *forward_batch(p, states), actions, targets)
         assert np.allclose(td, targets - q_of(p, states, actions), rtol=0.0, atol=1e-12)
         want = backward_loop(p, states, actions, td)
         # rtol 1e-12 of each entry's magnitude: the gradient of a network of
@@ -186,15 +188,23 @@ class TestBackward:
     def test_bad_action_raises(self):
         for actions in ([5], [-1], [2.0], [[2]], [1, 2]):
             with pytest.raises(ValueError, match="actions"):
-                backward(init_params(), np.zeros((1, 58)), actions, [1.0])
+                backward(init_params(), np.zeros((1, 58)), np.zeros((1, 32)), np.zeros((1, 5)),
+                         actions, [1.0])
 
     def test_bad_shapes_raise(self):
+        pass_of_two = np.zeros((2, 32)), np.zeros((2, 5))
         for states in (np.zeros(58), np.zeros((2, 57)), np.zeros((1, 2, 58))):
             with pytest.raises(ValueError, match="states"):
-                backward(init_params(), states, [0, 0], [1.0, 1.0])
+                backward(init_params(), states, *pass_of_two, [0, 0], [1.0, 1.0])
         for targets in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
             with pytest.raises(ValueError, match="targets"):
-                backward(init_params(), np.zeros((2, 58)), [0, 1], targets)
+                backward(init_params(), np.zeros((2, 58)), *pass_of_two, [0, 1], targets)
+        # a pass of other rows, or of another layer width, is not the states' pass
+        for hidden, q in ((np.zeros((3, 32)), np.zeros((3, 5))),
+                          (np.zeros((2, 5)), np.zeros((2, 5))),
+                          (np.zeros((2, 32)), np.zeros((2, 32)))):
+            with pytest.raises(ValueError, match="pass"):
+                backward(init_params(), np.zeros((2, 58)), hidden, q, [0, 1], [1.0, 1.0])
 
     @pytest.mark.parametrize("b2, target", [(np.inf, 1.0), (0.0, np.nan), (0.0, -np.inf)])
     def test_non_finite_td_error_raises_before_gradient(self, b2, target):
@@ -203,7 +213,8 @@ class TestBackward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an inf TD error times a zero weight would warn
             with pytest.raises(FloatingPointError, match="non-finite TD error"):
-                backward(p, np.full((2, 58), 0.5), [0, 1], [target, 1.0])
+                states = np.full((2, 58), 0.5)
+                backward(p, states, *forward_batch(p, states), [0, 1], [target, 1.0])
 
     def test_matches_finite_differences(self):
         # spot version of the acceptance gradient check, through a batch of one
@@ -248,7 +259,7 @@ class TestApplyGradient:
         s = micro_state([2.0, 1.0])
         target = 1.0
         for _ in range(3):
-            _, g = backward(p, s[None], [0], [target])
+            _, g = backward(p, s[None], *forward_batch(p, s[None]), [0], [target])
             p = apply_gradient(p, g, 0.05)
         q_before = -8.0
         q_after = forward(p, s)[0]

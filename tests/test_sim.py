@@ -239,6 +239,14 @@ class TestSpectralEfficiency:
         with pytest.raises(ValueError):
             spectral_efficiency(-10.0)
 
+    # a NaN fails every comparison, so a check for values out of range passes it
+    @pytest.mark.parametrize("rsrp, shown", [(math.nan, "nan"),
+                                             ([-100.0, math.nan], r"\[-100.0, nan\]")],
+                             ids=["scalar", "array"])
+    def test_nan_raises_naming_the_value(self, rsrp, shown):
+        with pytest.raises(ValueError, match=rf"outside \[-140.0, -40.0\] or NaN: {shown}"):
+            spectral_efficiency(rsrp)
+
 
 class TestGenerateDemands:
     """The demand init_cell_state draws, and the reference draws it matches."""
@@ -307,6 +315,13 @@ class TestSchedulePrbs:
     def test_budget_not_an_integer_refused(self, budget):
         with pytest.raises(ValueError, match=f"prb_budget must be an integer, got {budget!r}"):
             SimConfig(prb_budget=budget)
+
+    # an infinite innovation turned the drawn RSRP NaN and the served megabits with it
+    @pytest.mark.parametrize("std", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_jitter_refused(self, std):
+        with pytest.raises(ValueError, match=f"rf_jitter_std_db must be >= 0 and finite, "
+                                             f"got {std}"):
+            SimConfig(rf_jitter_std_db=std)
 
     def test_budget_other_than_the_drawn_grid_refused(self):
         cell = init_cell_state(PROFILES_LAB, SimConfig(prb_budget=50), 8, demand_ticks(2))
