@@ -1,8 +1,11 @@
 """Double-Q learning agent over the five scheduler options.
 
-The replay buffer is a ring of 5,000 transitions in five preallocated arrays,
-which a checkpoint stores with each next state kept once; each transition is
-checked on its way in.
+The replay buffer is a ring of 5,000 transitions that stores each state
+once, in memory as in a checkpoint: an entry whose next state is the
+following entry's state is flagged chained, and only the other entries keep
+a next state of their own (in a training episode, its last). A load takes
+over the arrays a checkpoint holds as they are; each transition is checked
+on its way in.
 Because learning uses n-step temporal-difference targets, training batches
 are contiguous segments of experience sampled from the buffer; a segment
 never crosses an episode boundary (rest minutes produce no experience at
@@ -29,11 +32,13 @@ from . import qnet
 from .qnet import N_ACTIONS, STATE_DIM
 
 REPLAY_CAPACITY = 5000
-# The ring's arrays, named as the checkpoint members that store them; a
-# checkpoint's next_states keeps only the rows its bool member chained leaves
-# False (ReplayBuffer.packed).
+# The transition fields as extend takes them and arrays() gives them, named as
+# the checkpoint members that store them; the ring keeps next_states only for
+# the entries its bool array chained leaves False (ReplayBuffer).
 BUFFER_FIELDS = ("states", "next_states", "actions", "rewards", "episode_ids")
 _DTYPES = (np.float64, np.float64, np.int64, np.float64, np.int64)
+# The arrays the ring holds, one row per entry.
+_RING_FIELDS = ("states", "actions", "rewards", "episode_ids", "chained")
 
 
 @dataclass
@@ -90,15 +95,30 @@ def _transition_ok(states, next_states, actions, rewards) -> list:
             (-1.0 <= rewards) & (rewards <= 1.0), (0 <= actions) & (actions < N_ACTIONS)]
 
 
-def _check_transitions(states, next_states, actions, rewards, episode_ids) -> None:
+def _check_transitions(states, next_states, actions, rewards, episode_ids,
+                       chained=None) -> None:
     """Refuse BUFFER_FIELDS arrays unless every transition has finite states,
-    a reward in [-1, 1] and a valid action; names a bad one as "record i"."""
-    shapes = {name: list(np.shape(a)) for name, a in
-              zip(BUFFER_FIELDS, (states, next_states, actions, rewards, episode_ids))}
+    a reward in [-1, 1] and a valid action; names a bad one as "record i".
+
+    With chained, a bool array with one flag per states row, next_states
+    holds only the rows of the entries it leaves False, as ReplayBuffer.packed
+    gives them; a flagged entry's next state is the following entry's state.
+    """
+    next_shape = np.shape(next_states)
+    if chained is not None and next_shape[1:] == np.shape(states)[1:]:
+        next_shape = np.shape(states)  # one next state per entry, as the arrays stand for
+    shapes = {name: list(shape) for name, shape in zip(BUFFER_FIELDS, (
+        np.shape(states), next_shape, np.shape(actions), np.shape(rewards), np.shape(episode_ids)))}
     n = len(rewards)
     if shapes != dict(zip(BUFFER_FIELDS, [[n, STATE_DIM]] * 2 + [[n]] * 3)):
         raise ValueError(f"buffer arrays {shapes} must be [n, {STATE_DIM}] states and n others")
-    ok = np.array(_transition_ok(states, next_states, actions, rewards))
+    ok = _transition_ok(states, next_states, actions, rewards)
+    if chained is not None:
+        next_ok = np.zeros(n, dtype=bool)
+        next_ok[:-1] = ok[0][1:]
+        next_ok[~chained] = ok[1]
+        ok[1] = next_ok
+    ok = np.array(ok)
     if not ok.all():
         i, fault = divmod(int(np.argmin(ok.T)), len(ok))  # first bad record, its first fault
         raise ValueError(f"record {i}: " + [
@@ -107,32 +127,28 @@ def _check_transitions(states, next_states, actions, rewards, episode_ids) -> No
         ][fault])
 
 
-def _unpack(states, stored, chained) -> np.ndarray:
-    """Every entry's next state, in a new array, from the chained flags and
-    next_states rows that ReplayBuffer.packed stores."""
-    states = np.asarray(states)
-    if chained.dtype != bool or chained.shape != (len(states),):
-        raise ValueError(f"member chained is {chained.dtype}{list(chained.shape)}, "
-                         f"expected bool[{len(states)}]: one flag per states row")
-    if chained[-1:].any():
-        raise ValueError("member chained flags the last entry, which has no next entry")
-    if np.count_nonzero(~chained) != len(stored):
-        raise ValueError(f"member chained leaves {np.count_nonzero(~chained)} entries "
-                         f"unchained, but next_states has {len(stored)} rows")
-    if np.shape(stored)[1:] != states.shape[1:]:
-        return stored  # rows of another width: extend refuses the shapes
-    next_states = np.empty(states.shape)
-    next_states[:-1] = states[1:]  # slices, not a masked gather: no third full-size array
-    next_states[~chained] = stored
-    return next_states
+def _ring_of(a: np.ndarray, capacity: int) -> np.ndarray:
+    """a as a ring array of capacity rows: a itself when it has that many
+    and is writable, else a copy in the first rows of zeroed ones."""
+    if len(a) == capacity and a.flags.writeable:
+        return a
+    ring = np.zeros((capacity, *a.shape[1:]), dtype=a.dtype)
+    ring[:len(a)] = a
+    return ring
 
 
 class ReplayBuffer:
-    """Ring of transitions in five preallocated arrays named as BUFFER_FIELDS.
+    """Ring of transitions, each state stored once, in the layout of a checkpoint.
 
-    Logical entry i (0 is the oldest) sits in row (start + i) % capacity;
-    writing to a full ring overwrites its oldest entries, so start > 0 only
-    when the ring is full.
+    Logical entry i (0 is the oldest) sits in row (start + i) % capacity of
+    the arrays states, actions, rewards, episode_ids and chained, capacity
+    rows each; writing to a full ring overwrites its oldest entries, so
+    start > 0 only when the ring is full. chained flags an entry whose next
+    state is, bit for bit, the following entry's state, which the following
+    row holds; the dict stored maps the ring row of every other entry, and
+    of those only, to its next state. The newest entry is never chained: an
+    append or an extend flags it when the state that follows it arrives.
+    next_states_at reads the next states of ring rows.
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
@@ -140,10 +156,11 @@ class ReplayBuffer:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.states = np.zeros((capacity, STATE_DIM))
-        self.next_states = np.zeros((capacity, STATE_DIM))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.episode_ids = np.zeros(capacity, dtype=np.int64)
+        self.chained = np.zeros(capacity, dtype=bool)
+        self.stored: dict[int, np.ndarray] = {}  # ring row -> next state, unchained rows only
         self.start = self.size = 0
 
     def __len__(self):
@@ -154,26 +171,66 @@ class ReplayBuffer:
         rows of the ring, valid until the ring is next written or rotated."""
         for j in self.rows(np.arange(self.size)).tolist():
             yield Experience(state=self.states[j], action=int(self.actions[j]),
-                             reward=float(self.rewards[j]), next_state=self.next_states[j],
+                             reward=float(self.rewards[j]), next_state=self._next_state(j),
                              episode_id=int(self.episode_ids[j]))
 
     def rows(self, logical) -> np.ndarray:
         """Ring rows of logical positions."""
         return (self.start + logical) % self.capacity
 
+    def _next_state(self, row: int) -> np.ndarray:
+        """The next state of the entry in a ring row."""
+        return self.states[(row + 1) % self.capacity] if self.chained[row] else self.stored[row]
+
+    def next_states_at(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The next states of the entries in ring rows, a 1-D integer array, as
+        rows of out or of a new array: a chained entry's from the following row
+        of states, any other's from the stored ones."""
+        # wrap: the row after the ring's last is row 0
+        out = self.states.take(rows + 1, axis=0, out=out, mode="wrap")
+        chained = self.chained[rows].tolist()
+        if not all(chained):
+            for i, row in enumerate(rows.tolist()):
+                if not chained[i]:
+                    out[i] = self.stored[row]
+        return out
+
+    def _chain_newest(self, state: np.ndarray) -> None:
+        """Flag the newest entry chained if state, the state of the entry that
+        follows it, equals its next state bit for bit. Called before that entry
+        is written, which rewrites the flag if it overwrites the newest entry."""
+        newest = (self.start + self.size - 1) % self.capacity
+        # bit for bit, as the int64 views in extend: float == would equate -0.0 with 0.0
+        if self.size and state.tobytes() == self.stored[newest].tobytes():
+            self.chained[newest] = True
+            del self.stored[newest]
+
     def extend(self, states, next_states, actions, rewards, episode_ids) -> None:
         """Append BUFFER_FIELDS arrays, oldest first; only the most recent
         `capacity` entries survive, and nothing is written if one is refused.
-        Each array is written in at most two slice copies: the run up to the
-        ring's end, then the wrapped rest from row 0."""
+        Each ring array is written in at most two slice copies: the run up to
+        the ring's end, then the wrapped rest from row 0."""
         columns = [np.asarray(a, dtype=t) for a, t in
                    zip((states, next_states, actions, rewards, episode_ids), _DTYPES)]
         _check_transitions(*columns)
-        n = len(columns[0])
+        states, next_states, actions, rewards, episode_ids = columns
+        n = len(states)
+        if n == 0:
+            return
+        chained = np.zeros(n, dtype=bool)
+        # bitwise, by int64 views: float == would equate -0.0 with 0.0
+        chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
+        self._chain_newest(states[0])
         keep = min(n, self.capacity)
         first = (self.start + self.size + n - keep) % self.capacity  # row of the first kept entry
         run = min(keep, self.capacity - first)
-        for name, a in zip(BUFFER_FIELDS, columns):
+        # drop the next states of the entries about to be overwritten, then keep the new ones
+        self.stored = {row: s for row, s in self.stored.items()
+                       if (row - first) % self.capacity >= keep}
+        unchained = np.flatnonzero(~chained[n - keep:])
+        self.stored.update(zip(((first + unchained) % self.capacity).tolist(),
+                               next_states[n - keep:][unchained]))
+        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids, chained)):
             ring, kept = getattr(self, name), a[n - keep:]
             ring[first:first + run] = kept[:run]
             ring[:keep - run] = kept[run:]
@@ -181,24 +238,36 @@ class ReplayBuffer:
         self.size = min(self.size + n, self.capacity)
 
     def append(self, state, next_state, action, reward, episode_id) -> None:
-        """Append one transition in one row write, refused as extend refuses a batch of one."""
+        """Append one transition, refused as extend refuses a batch of one."""
         if not (np.shape(state) == np.shape(next_state) == (STATE_DIM,)
                 and all(_transition_ok(state, next_state, action, reward))):
             _check_transitions(*(np.asarray([a], dtype=t) for a, t in
                                  zip((state, next_state, action, reward, episode_id), _DTYPES)))
         row = (self.start + self.size) % self.capacity
-        self.states[row], self.next_states[row] = state, next_state
+        self.states[row] = state
+        self._chain_newest(self.states[row])
+        self.stored[row] = np.array(next_state, dtype=np.float64)
+        self.chained[row] = False
         self.actions[row], self.rewards[row], self.episode_ids[row] = action, reward, episode_id
         self.start = (self.start + (self.size == self.capacity)) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def load(self, arrays) -> None:
-        """Append the transitions of a mapping as packed gives it: the members
-        of the checkpoint.npz of a directory that a resume, an eval or a preload
-        names, as load_checkpoint finds them present and not 0-d. Refuses more
-        transitions than the ring holds, actions or episode ids not of an integer
-        type that int64 holds and a chained that does not fit the arrays; extend
-        refuses the rest, and nothing is written if one is refused."""
+        """Fill an empty ring with the transitions of a mapping as packed
+        gives it: the members of the checkpoint.npz of a directory that a
+        resume, an eval or a preload names, as load_checkpoint finds them
+        present and not 0-d. Refuses more transitions than the ring holds,
+        actions or episode ids not of an integer type that int64 holds, a
+        chained that does not fit the arrays and a transition that extend
+        would refuse; nothing is written if one is refused.
+
+        The ring takes the arrays over, cast to its dtypes, without a copy
+        when they fill it, and keeps the next_states rows as its stored next
+        states: give it arrays of their own, as np.load returns them, not the
+        views of a ring that packed returns.
+        """
+        if self.size:
+            raise ValueError("load fills an empty ring")
         columns = [arrays[name] for name in BUFFER_FIELDS]
         if max(map(len, columns)) > self.capacity:
             raise ValueError(f"buffer holds more than {self.capacity} transitions")
@@ -206,30 +275,52 @@ class ReplayBuffer:
             dtype = np.asarray(arrays[name]).dtype
             if not (np.issubdtype(dtype, np.integer) and np.can_cast(dtype, np.int64)):
                 raise ValueError(f"member {name} is {dtype}, expected integers that int64 holds")
-        columns[1] = _unpack(columns[0], columns[1], np.asarray(arrays["chained"]))
-        self.extend(*columns)
+        chained, n, n_stored = np.asarray(arrays["chained"]), len(columns[0]), len(columns[1])
+        if chained.dtype != bool or chained.shape != (n,):
+            raise ValueError(f"member chained is {chained.dtype}{list(chained.shape)}, "
+                             f"expected bool[{n}]: one flag per states row")
+        if chained[-1:].any():
+            raise ValueError("member chained flags the last entry, which has no next entry")
+        if np.count_nonzero(~chained) != n_stored:
+            raise ValueError(f"member chained leaves {np.count_nonzero(~chained)} entries "
+                             f"unchained, but next_states has {n_stored} rows")
+        states, next_states, actions, rewards, episode_ids = (
+            np.ascontiguousarray(a, dtype=t) for a, t in zip(columns, _DTYPES))
+        _check_transitions(states, next_states, actions, rewards, episode_ids, chained)
+        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids, chained)):
+            setattr(self, name, _ring_of(a, self.capacity))
+        self.stored = dict(zip(np.flatnonzero(~chained).tolist(), next_states))
+        self.size = n
+
+    def _rotate(self) -> None:
+        """Move the oldest entry to row 0, rotating the ring in place one array at a time."""
+        if self.start:
+            for name in _RING_FIELDS:
+                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
+            self.stored = {(row - self.start) % self.capacity: s for row, s in self.stored.items()}
+            self.start = 0
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The entries as BUFFER_FIELDS arrays in logical order, as views of
-        the ring: rotates the ring in place, one array at a time, so that the
-        oldest entry sits in row 0."""
-        if self.start:
-            for name in BUFFER_FIELDS:
-                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
-            self.start = 0
-        return {name: getattr(self, name)[:self.size] for name in BUFFER_FIELDS}
+        """The entries as BUFFER_FIELDS arrays in logical order: views of the
+        rotated ring (see packed), but for next_states, a new array that holds
+        every entry's next state."""
+        packed = self.packed()
+        del packed["chained"]
+        return {**packed, "next_states": self.next_states_at(np.arange(self.size))}
 
     def packed(self) -> dict[str, np.ndarray]:
-        """arrays() with each next state stored once: a bool array chained
-        flags entry i whose next state is, bit for bit, entry i + 1's state,
-        and next_states keeps the rows of the other entries, in order. The
-        last entry is never chained; load unpacks."""
-        arrays = self.arrays()
-        states, next_states = arrays["states"], arrays["next_states"]
-        chained = np.zeros(len(states), dtype=bool)
-        # bitwise, not by float ==, which would equate -0.0 with 0.0
-        chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
-        return {**arrays, "next_states": next_states[~chained], "chained": chained}
+        """The ring as a checkpoint stores it: BUFFER_FIELDS arrays in logical
+        order plus the bool array chained, each a view of the ring, rotated
+        in place so that the oldest entry sits in row 0; next_states is a new
+        array of the stored next states of the entries chained leaves False,
+        in order. The last entry is never chained; load adopts the arrays."""
+        self._rotate()
+        n = self.size
+        unchained = np.flatnonzero(~self.chained[:n]).tolist()
+        stored = np.array([self.stored[row] for row in unchained]).reshape(-1, STATE_DIM)
+        return {"states": self.states[:n], "next_states": stored, "actions": self.actions[:n],
+                "rewards": self.rewards[:n], "episode_ids": self.episode_ids[:n],
+                "chained": self.chained[:n]}
 
 
 def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
@@ -349,7 +440,7 @@ class DoubleQAgent:
         stacked = np.empty((2 * batch, STATE_DIM))  # first states, then bootstrap states
         states, s_boot = stacked[:batch], stacked[batch:]
         buf.states.take(rows[:, 0], axis=0, out=states)
-        buf.next_states.take(rows[:, -1], axis=0, out=s_boot)
+        buf.next_states_at(rows[:, -1], out=s_boot)
         hidden, q = qnet.forward_batch(self.online, stacked)
         targets = double_q_target(buf.rewards[rows], q[batch:],
                                   qnet.forward_batch(self.target, s_boot)[1], cfg.gamma)

@@ -260,14 +260,15 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     One uncompressed npz (format 4) holds a JSON meta string (format,
     global_step, next_episode, RNG state, KPI manifest hash), each network
     as one parameter vector (members online and target) and the replay
-    buffer as ReplayBuffer.packed gives it: the BUFFER_FIELDS arrays, with
-    next_states holding only the rows of entries whose next state is not the
-    following entry's state, and the bool member chained flagging the others.
-    It is written under a temporary name, synced to disk, renamed into place
-    and the rename synced, so a failed save leaves any earlier checkpoint
-    whole and a finished one survives a crash. The same state always gives
-    the same bytes: np.savez dates every member 1980-01-01 and meta holds no
-    timestamp.
+    buffer as ReplayBuffer.packed gives it, the ring's own layout: the
+    BUFFER_FIELDS arrays, with next_states holding only the rows of entries
+    whose next state is not the following entry's state, and the bool member
+    chained flagging the others, as the ring flagged them when each entry's
+    successor arrived. It is written under a temporary name, synced to disk,
+    renamed into place and the rename synced, so a failed save leaves any
+    earlier checkpoint whole and a finished one survives a crash. The same
+    state always gives the same bytes: np.savez dates every member 1980-01-01
+    and meta holds no timestamp.
     """
     os.makedirs(directory, exist_ok=True)
     meta = {
@@ -307,7 +308,9 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     that is not a float64 vector of qnet.N_PARAMS entries, and buffer arrays
     that ReplayBuffer.load refuses: a chained that does not pack next_states,
     actions or episode ids that are not integers, arrays that do not fit the
-    replay ring, or a transition the ring's check refuses.
+    replay ring, or a transition the ring's check refuses. The agent's ring
+    takes over the buffer arrays that np.load read, each next state still
+    stored once: nothing unpacks them or copies a full ring.
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
@@ -370,7 +373,9 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
     a crash) plus checkpoints/ep_NNNN/ directories and a final/ checkpoint
     directory, each holding one checkpoint.npz. A run that resumes at episode
     k keeps the rows of an existing curve.csv for episodes before k and drops
-    the rest, so resuming into the same out_dir continues one curve.
+    the rest, so resuming into the same out_dir continues one curve; a row
+    that does not start with an episode number is refused, naming the file
+    and the line, before anything is written.
     """
     if resume_from is not None:
         ag, start = load_checkpoint(resume_from, cfg)
@@ -385,9 +390,17 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
         kept = []
         if os.path.exists(curve_path):
             with open(curve_path, newline="") as fh:
-                # a row without its newline was torn by a crash mid-write
-                kept = [row for row in fh.readlines()[1:]
-                        if row.endswith("\n") and int(row.split(",", 1)[0]) < start]
+                rows = fh.readlines()[1:]
+            for line, row in enumerate(rows, start=2):
+                if not row.endswith("\n"):  # torn by a crash mid-write
+                    continue
+                try:
+                    episode = int(row.split(",", 1)[0])
+                except ValueError:
+                    raise ValueError(f"{curve_path} line {line}: {row.rstrip()!r} does not "
+                                     f"start with an episode number") from None
+                if episode < start:
+                    kept.append(row)
         with open(curve_path, "w", newline="") as fh:
             fh.write(",".join(CURVE_CSV_HEADER) + "\n")
             fh.writelines(kept)

@@ -199,7 +199,8 @@ class TestReplayBuffer:
         kept = np.arange(max(0, pushed + extended - 8), pushed + extended)
         assert len(buf) == len(kept) and buf.start == kept[0] % 8
         for name, want in zip(BUFFER_FIELDS, entries(kept)):
-            got = getattr(buf, name)[kept % 8]
+            got = (buf.next_states_at(kept % 8) if name == "next_states"
+                   else getattr(buf, name)[kept % 8])
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("change, message", [
@@ -297,6 +298,181 @@ class TestPacked:
         loaded = packed_round_trip(buf).arrays()
         for name, a in buf.arrays().items():
             assert loaded[name].dtype == a.dtype and loaded[name].tobytes() == a.tobytes()
+
+
+def reference_unpack(states, stored, chained):
+    """Every entry's next state, in a new array, from the chained flags and
+    next_states rows that a packed ring stores."""
+    next_states = np.empty(states.shape)
+    next_states[:-1] = states[1:]
+    next_states[~chained] = stored
+    return next_states
+
+
+class ReferenceRing:
+    """The replay ring as it was before it stored each state once, kept as
+    the oracle: five full arrays named as BUFFER_FIELDS, packed() flags the
+    chained entries by a bitwise compare of the whole ring, and load unpacks
+    and appends. It takes only valid transitions: it checks none."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.states = np.zeros((capacity, 58))
+        self.next_states = np.zeros((capacity, 58))
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.rewards = np.zeros(capacity)
+        self.episode_ids = np.zeros(capacity, dtype=np.int64)
+        self.start = self.size = 0
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        for j in self.rows(np.arange(self.size)).tolist():
+            yield Experience(state=self.states[j], action=int(self.actions[j]),
+                             reward=float(self.rewards[j]), next_state=self.next_states[j],
+                             episode_id=int(self.episode_ids[j]))
+
+    def rows(self, logical):
+        return (self.start + logical) % self.capacity
+
+    def extend(self, *arrays):
+        columns = [np.asarray(a, dtype=t) for a, t in
+                   zip(arrays, (np.float64, np.float64, np.int64, np.float64, np.int64))]
+        n = len(columns[0])
+        keep = min(n, self.capacity)
+        first = (self.start + self.size + n - keep) % self.capacity
+        run = min(keep, self.capacity - first)
+        for name, a in zip(BUFFER_FIELDS, columns):
+            ring, kept = getattr(self, name), a[n - keep:]
+            ring[first:first + run] = kept[:run]
+            ring[:keep - run] = kept[run:]
+        self.start = (self.start + max(0, self.size + n - self.capacity)) % self.capacity
+        self.size = min(self.size + n, self.capacity)
+
+    def append(self, *transition):
+        self.extend(*([a] for a in transition))
+
+    def load(self, arrays):
+        columns = [arrays[name] for name in BUFFER_FIELDS]
+        columns[1] = reference_unpack(columns[0], columns[1], arrays["chained"])
+        self.extend(*columns)
+
+    def arrays(self):
+        if self.start:
+            for name in BUFFER_FIELDS:
+                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
+            self.start = 0
+        return {name: getattr(self, name)[:self.size] for name in BUFFER_FIELDS}
+
+    def packed(self):
+        arrays = self.arrays()
+        states, next_states = arrays["states"], arrays["next_states"]
+        chained = np.zeros(len(states), dtype=bool)
+        chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
+        return {**arrays, "next_states": next_states[~chained], "chained": chained}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def bits(e):
+    """An Experience as exactly comparable values, types included."""
+    return (e.state.dtype, e.state.tobytes(), e.next_state.dtype, e.next_state.tobytes(),
+            type(e.action), e.action, type(e.reward), e.reward.hex(), type(e.episode_id),
+            e.episode_id)
+
+
+# a state: zeros but for one value in column 0 or 57; -0.0 differs from 0.0 only in bits
+VECTOR = st.tuples(st.sampled_from([0, 57]), st.sampled_from([0.0, -0.0, 1.0]))
+# (state is the previous transition's next state, state, next state, action, reward, episode id)
+TRANSITION = st.tuples(st.booleans(), VECTOR, VECTOR, st.integers(0, 4),
+                       st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.integers(0, 2))
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), TRANSITION),
+    st.tuples(st.just("extend"), st.lists(TRANSITION, max_size=8)),
+    st.tuples(st.just("load")),
+    st.tuples(st.just("sample"), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 16))),
+    max_size=14)
+
+
+class TestRingMatchesReference:
+    """The ring against ReferenceRing over random sequences of appends,
+    extends, packed() round trips through an npz file and sampled segments."""
+
+    @staticmethod
+    def vector(spec):
+        column, value = spec
+        v = np.zeros(58)
+        v[column] = value
+        return v
+
+    def transitions(self, specs, previous):
+        """Transition arrays of specs; previous is the last next state given to the rings."""
+        out = []
+        for follow, state, next_state, action, reward, episode_id in specs:
+            state = previous.copy() if follow and previous is not None else self.vector(state)
+            previous = self.vector(next_state)
+            out.append((state, previous, action, reward, episode_id))
+        return out, previous
+
+    def assert_same(self, buf, ref):
+        assert [bits(e) for e in buf] == [bits(e) for e in ref]
+        rows = buf.rows(np.arange(len(buf)))
+        assert same_bits(buf.next_states_at(rows), ref.next_states[rows])
+        # each state once: a next state is stored for the unchained entries only
+        assert sorted(buf.stored) == sorted(rows[~buf.chained[rows]].tolist())
+        assert not buf.chained[rows[-1:]].any()
+
+    @settings(max_examples=200, deadline=None)
+    @example(capacity=3, ops=[("append", (False, (0, 1.0), (0, 0.0), 0, 0.0, 0))]
+             + [("append", (True, (0, 0.0), (57, 1.0), 1, 0.5, 0))] * 4
+             + [("load",), ("append", (True, (0, 0.0), (0, 1.0), 2, 1.0, 1))])  # wraps
+    @example(capacity=1, ops=[("append", (False, (0, 1.0), (0, 0.0), 0, 0.0, 0)),
+                              ("append", (True, (0, 0.0), (0, 1.0), 1, 0.0, 0)),
+                              ("load",), ("extend", [(True, (0, 0.0), (0, 0.0), 2, 0.0, 1)] * 3)])
+    @example(capacity=4, ops=[("extend", [(False, (0, 1.0), (0, 0.0), 0, 0.0, 0),
+                                          (True, (0, 0.0), (0, 1.0), 1, 0.0, 1),
+                                          (True, (0, 0.0), (57, 0.0), 2, 0.0, 2)]),
+                              ("sample", 1, 4, 7), ("load",)])  # one-entry episodes
+    @example(capacity=4, ops=[("append", (False, (57, 1.0), (57, -0.0), 0, 0.0, 0)),
+                              ("append", (False, (57, 0.0), (0, 1.0), 1, 0.0, 0)),
+                              ("extend", [(False, (0, 1.0), (57, 0.0), 2, 0.0, 0),
+                                          (False, (57, -0.0), (0, 0.0), 3, 0.0, 0)]),
+                              ("load",)])  # a next state of -0.0 before a state of 0.0
+    @given(capacity=st.integers(1, 6), ops=OPS)
+    def test_ring_is_bitwise_the_reference(self, capacity, ops):
+        buf, ref = ReplayBuffer(capacity), ReferenceRing(capacity)
+        previous = None
+        for op, *args in ops:
+            if op == "append":
+                (transition,), previous = self.transitions(args, previous)
+                buf.append(*transition)
+                ref.append(*transition)
+            elif op == "extend":
+                batch, previous = self.transitions(args[0], previous)
+                columns = [np.array(c) for c in zip(*batch)] if batch else [
+                    np.zeros((0, 58)), np.zeros((0, 58)), [], [], []]
+                buf.extend(*columns)
+                ref.extend(*columns)
+            elif op == "load":
+                packed, want = buf.packed(), ref.packed()
+                assert packed.keys() == want.keys()
+                assert all(same_bits(packed[name], want[name]) for name in want)
+                buf, ref = packed_round_trip(buf), ReferenceRing(capacity)
+                ref.load(want)
+            else:
+                n_step, batch, seed = args
+                rows = sample_segments(buf, n_step, batch, np.random.default_rng(seed))
+                want = sample_segments(ref, n_step, batch, np.random.default_rng(seed))
+                assert (rows is None) == (want is None)
+                if rows is not None:
+                    assert same_bits(rows, want)
+                    assert same_bits(buf.next_states_at(rows[:, -1]), ref.next_states[rows[:, -1]])
+            self.assert_same(buf, ref)
+        arrays, want = buf.arrays(), ref.arrays()
+        assert all(same_bits(arrays[name], want[name]) for name in BUFFER_FIELDS)
 
 
 class TestSegments:
@@ -407,7 +583,7 @@ class TestSegments:
         assert rows.shape == (batch, n_step)
         for r, seg in zip(rows, segments):
             assert buf.states[r].tolist() == [e.state.tolist() for e in seg]
-            assert buf.next_states[r].tolist() == [e.next_state.tolist() for e in seg]
+            assert buf.next_states_at(r).tolist() == [e.next_state.tolist() for e in seg]
             assert buf.actions[r].tolist() == [e.action for e in seg]
             assert buf.rewards[r].tolist() == [e.reward for e in seg]
             assert buf.episode_ids[r].tolist() == [e.episode_id for e in seg]
@@ -574,7 +750,7 @@ def reference_train_step(agent):
     if rows is None:
         return None
     batch, n = rows.shape
-    s_boot = buf.next_states[rows[:, -1]]
+    s_boot = buf.next_states_at(rows[:, -1])
     a_star = reference_forward_batch(agent.online, s_boot).argmax(axis=1)
     q_boot = reference_forward_batch(agent.target, s_boot)[np.arange(batch), a_star]
     rewards = buf.rewards[rows]
@@ -627,7 +803,7 @@ class TestTrainStepMatchesReference:
         rows = sample_segments(agent.buffer, agent.cfg.n_step, batch_segments,
                                copy.deepcopy(agent.rng))
         stacked = np.concatenate((agent.buffer.states[rows[:, 0]],
-                                  agent.buffer.next_states[rows[:, -1]]))
+                                  agent.buffer.next_states_at(rows[:, -1])))
         whole = qnet.forward_batch(agent.online, stacked)
         parts = [qnet.forward_batch(agent.online, half) for half in np.split(stacked, 2)]
         stacks_bitwise = all(a.tobytes() == np.concatenate(b).tobytes()

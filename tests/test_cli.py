@@ -299,6 +299,21 @@ class TestCliCommands:
                      str(tmp_path / "missing"), "--episodes", "1"])
         assert code == 2
 
+    def test_resume_refuses_a_curve_row_without_an_episode_number(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+        curve = out / "curve.csv"
+        curve.write_text(curve.read_text() + "x garbage\n")  # after the header and 2 rows
+        files = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        code = main(["train", "--config", cfg_path, "--out", str(out),
+                     "--resume", str(out / "checkpoints" / "ep_0002")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {curve} line 4: 'x garbage' does not start with an episode number\n")
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == files
+
     def test_echo_refeed_reproduces_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL)
         main(["train", "--config", cfg_path, "--out", str(tmp_path / "a")])

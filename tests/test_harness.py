@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -317,8 +318,9 @@ class TestTrainExperiment:
         history = earlier.buffer.arrays()
         history["episode_ids"] = history["episode_ids"] - 1  # episode 0 of that run is -1 here
         assert len(agent.buffer) == 2 * cfg.steps_demand
+        ring = agent.buffer.arrays()
         for name, saved in history.items():
-            assert getattr(agent.buffer, name)[:len(saved)].tobytes() == saved.tobytes()
+            assert ring[name][:len(saved)].tobytes() == saved.tobytes()
 
     def test_preload_plain_buffer_fields(self, tmp_path, earlier_run):
         # the npz of BUFFER_FIELDS arrays that a preload once read, now a directory's
@@ -638,6 +640,50 @@ class TestCheckpointRoundtrip:
         rewrite_checkpoint(tmp_path / "ck", next_states=stored)
         with pytest.raises(ValueError, match="record 19: next_state holds a non-finite value"):
             load_checkpoint(tmp_path / "ck", cfg)
+
+    @pytest.fixture(scope="class")
+    def full_ring(self, tmp_path_factory):
+        """The checkpoint directory of an agent whose ring is full as the
+        benchmark's warm one is: 63 episodes of 80 transitions, chained within
+        an episode, the first 40 overwritten; entry 39 + 80 k ends an episode."""
+        agent = DoubleQAgent(AgentConfig())
+        rng = np.random.default_rng(3)
+        for ep in range(63):
+            states = rng.random((81, 58))
+            agent.buffer.extend(states[:-1], states[1:], rng.integers(0, 5, 80),
+                                rng.uniform(-1, 1, 80), np.full(80, ep))
+        directory = tmp_path_factory.mktemp("full") / "ck"
+        save_checkpoint(directory, agent, next_episode=63)
+        return directory
+
+    @pytest.mark.parametrize("k", [1, 62])
+    def test_non_finite_stored_row_k_named_as_the_kth_unchained_record(self, tmp_path,
+                                                                       full_ring, k):
+        shutil.copytree(full_ring, tmp_path / "ck")
+        with np.load(tmp_path / "ck" / "checkpoint.npz") as npz:
+            stored = npz["next_states"].copy()
+        assert len(stored) == 63
+        stored[k, 0] = np.nan
+        rewrite_checkpoint(tmp_path / "ck", next_states=stored)
+        with pytest.raises(ValueError, match=f"record {39 + 80 * k}: next_state holds a "
+                                             f"non-finite value$"):
+            load_checkpoint(tmp_path / "ck", small_cfg())
+
+    def test_load_memory_is_bounded_by_the_file(self, full_ring):
+        size = os.path.getsize(full_ring / "checkpoint.npz")
+        tracemalloc.start()
+        try:
+            agent, _ = load_checkpoint(full_ring, small_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size
+        buf = agent.buffer
+        assert len(buf) == buf.capacity == 5000
+        # every state once: the ring's arrays and its stored next states, no second ring
+        held = (sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
+                + sum(row.nbytes for row in buf.stored.values()))
+        assert held <= 2.6e6
 
     def test_evaluate_checkpoint_deterministic(self, tmp_path):
         cfg = small_cfg(episodes=2)
