@@ -1,11 +1,11 @@
 """Double-Q learning agent over the five scheduler options.
 
 The replay buffer is a ring of 5,000 transitions that stores each state
-once, in memory as in a checkpoint: an entry whose next state is the
-following entry's state is flagged chained, and only the other entries keep
-a next state of their own (in a training episode, its last). A load takes
-over the arrays a checkpoint holds as they are; each transition is checked
-on its way in.
+once: an entry whose next state is the following entry's state is chained,
+and only the other entries keep a next state of their own (in a training
+episode, its last), so which entries keep one is the whole record of the
+chain. A load takes over the arrays a checkpoint holds as they are; each
+transition is checked on its way in.
 Because learning uses n-step temporal-difference targets, training batches
 are contiguous segments of experience sampled from the buffer; a segment
 never crosses an episode boundary (rest minutes produce no experience at
@@ -32,13 +32,12 @@ from . import qnet
 from .qnet import N_ACTIONS, STATE_DIM
 
 REPLAY_CAPACITY = 5000
-# The transition fields as extend takes them and arrays() gives them, named as
-# the checkpoint members that store them; the ring keeps next_states only for
-# the entries its bool array chained leaves False (ReplayBuffer).
+# The transition fields as extend takes them, named as the checkpoint members
+# that store them; the ring keeps next_states only for its unchained entries.
 BUFFER_FIELDS = ("states", "next_states", "actions", "rewards", "episode_ids")
 _DTYPES = (np.float64, np.float64, np.int64, np.float64, np.int64)
 # The arrays the ring holds, one row per entry.
-_RING_FIELDS = ("states", "actions", "rewards", "episode_ids", "chained")
+_RING_FIELDS = ("states", "actions", "rewards", "episode_ids")
 
 
 @dataclass
@@ -138,17 +137,18 @@ def _ring_of(a: np.ndarray, capacity: int) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """Ring of transitions, each state stored once, in the layout of a checkpoint.
+    """Ring of transitions, each state stored once.
 
     Logical entry i (0 is the oldest) sits in row (start + i) % capacity of
-    the arrays states, actions, rewards, episode_ids and chained, capacity
-    rows each; writing to a full ring overwrites its oldest entries, so
-    start > 0 only when the ring is full. chained flags an entry whose next
-    state is, bit for bit, the following entry's state, which the following
-    row holds; the dict stored maps the ring row of every other entry, and
-    of those only, to its next state. The newest entry is never chained: an
-    append or an extend flags it when the state that follows it arrives.
-    next_states_at reads the next states of ring rows.
+    the arrays states, actions, rewards and episode_ids, capacity rows each;
+    writing to a full ring overwrites its oldest entries, so start > 0 only
+    when the ring is full. An entry is chained when its next state is, bit
+    for bit, the following entry's state, which the following row holds;
+    the dict stored maps the ring row of every other entry, and of those
+    only, to its next state, so an entry is chained exactly when its row is
+    not a key of stored. The newest entry is never chained: an append or an
+    extend chains it when the state that follows it arrives. next_states_at
+    reads the next states of ring rows.
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY):
@@ -159,7 +159,6 @@ class ReplayBuffer:
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.episode_ids = np.zeros(capacity, dtype=np.int64)
-        self.chained = np.zeros(capacity, dtype=bool)
         self.stored: dict[int, np.ndarray] = {}  # ring row -> next state, unchained rows only
         self.start = self.size = 0
 
@@ -171,16 +170,13 @@ class ReplayBuffer:
         rows of the ring, valid until the ring is next written or rotated."""
         for j in self.rows(np.arange(self.size)).tolist():
             yield Experience(state=self.states[j], action=int(self.actions[j]),
-                             reward=float(self.rewards[j]), next_state=self._next_state(j),
+                             reward=float(self.rewards[j]),
+                             next_state=self.stored.get(j, self.states[(j + 1) % self.capacity]),
                              episode_id=int(self.episode_ids[j]))
 
     def rows(self, logical) -> np.ndarray:
         """Ring rows of logical positions."""
         return (self.start + logical) % self.capacity
-
-    def _next_state(self, row: int) -> np.ndarray:
-        """The next state of the entry in a ring row."""
-        return self.states[(row + 1) % self.capacity] if self.chained[row] else self.stored[row]
 
     def next_states_at(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The next states of the entries in ring rows, a 1-D integer array, as
@@ -188,21 +184,18 @@ class ReplayBuffer:
         of states, any other's from the stored ones."""
         # wrap: the row after the ring's last is row 0
         out = self.states.take(rows + 1, axis=0, out=out, mode="wrap")
-        chained = self.chained[rows].tolist()
-        if not all(chained):
-            for i, row in enumerate(rows.tolist()):
-                if not chained[i]:
-                    out[i] = self.stored[row]
+        for i, row in enumerate(rows.tolist()):
+            if row in self.stored:
+                out[i] = self.stored[row]
         return out
 
     def _chain_newest(self, state: np.ndarray) -> None:
-        """Flag the newest entry chained if state, the state of the entry that
-        follows it, equals its next state bit for bit. Called before that entry
-        is written, which rewrites the flag if it overwrites the newest entry."""
+        """Chain the newest entry, dropping its stored next state, if state, the
+        state of the entry that follows it, equals that next state bit for bit.
+        Called before that entry is written."""
         newest = (self.start + self.size - 1) % self.capacity
         # bit for bit, as the int64 views in extend: float == would equate -0.0 with 0.0
         if self.size and state.tobytes() == self.stored[newest].tobytes():
-            self.chained[newest] = True
             del self.stored[newest]
 
     def extend(self, states, next_states, actions, rewards, episode_ids) -> None:
@@ -230,7 +223,7 @@ class ReplayBuffer:
         unchained = np.flatnonzero(~chained[n - keep:])
         self.stored.update(zip(((first + unchained) % self.capacity).tolist(),
                                next_states[n - keep:][unchained]))
-        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids, chained)):
+        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids)):
             ring, kept = getattr(self, name), a[n - keep:]
             ring[first:first + run] = kept[:run]
             ring[:keep - run] = kept[run:]
@@ -247,7 +240,6 @@ class ReplayBuffer:
         self.states[row] = state
         self._chain_newest(self.states[row])
         self.stored[row] = np.array(next_state, dtype=np.float64)
-        self.chained[row] = False
         self.actions[row], self.rewards[row], self.episode_ids[row] = action, reward, episode_id
         self.start = (self.start + (self.size == self.capacity)) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -262,8 +254,9 @@ class ReplayBuffer:
         would refuse; nothing is written if one is refused.
 
         The ring takes the arrays over, cast to its dtypes, without a copy
-        when they fill it, and keeps the next_states rows as its stored next
-        states: give it arrays of their own, as np.load returns them, not the
+        when they fill it, and keeps the next_states rows as the stored next
+        states of the entries chained leaves False; chained itself is not
+        kept. Give it arrays of their own, as np.load returns them, not the
         views of a ring that packed returns.
         """
         if self.size:
@@ -287,7 +280,7 @@ class ReplayBuffer:
         states, next_states, actions, rewards, episode_ids = (
             np.ascontiguousarray(a, dtype=t) for a, t in zip(columns, _DTYPES))
         _check_transitions(states, next_states, actions, rewards, episode_ids, chained)
-        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids, chained)):
+        for name, a in zip(_RING_FIELDS, (states, actions, rewards, episode_ids)):
             setattr(self, name, _ring_of(a, self.capacity))
         self.stored = dict(zip(np.flatnonzero(~chained).tolist(), next_states))
         self.size = n
@@ -300,27 +293,22 @@ class ReplayBuffer:
             self.stored = {(row - self.start) % self.capacity: s for row, s in self.stored.items()}
             self.start = 0
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The entries as BUFFER_FIELDS arrays in logical order: views of the
-        rotated ring (see packed), but for next_states, a new array that holds
-        every entry's next state."""
-        packed = self.packed()
-        del packed["chained"]
-        return {**packed, "next_states": self.next_states_at(np.arange(self.size))}
-
     def packed(self) -> dict[str, np.ndarray]:
         """The ring as a checkpoint stores it: BUFFER_FIELDS arrays in logical
-        order plus the bool array chained, each a view of the ring, rotated
-        in place so that the oldest entry sits in row 0; next_states is a new
-        array of the stored next states of the entries chained leaves False,
-        in order. The last entry is never chained; load adopts the arrays."""
+        order, views of the ring rotated in place so that the oldest entry
+        sits in row 0, but for next_states, a new array of the stored next
+        states in order; and a new bool array chained, one flag per entry,
+        False for the entries that stored holds. The last entry is never
+        chained; load adopts the arrays."""
         self._rotate()
         n = self.size
-        unchained = np.flatnonzero(~self.chained[:n]).tolist()
+        unchained = sorted(self.stored)
+        chained = np.ones(n, dtype=bool)
+        chained[unchained] = False
         stored = np.array([self.stored[row] for row in unchained]).reshape(-1, STATE_DIM)
         return {"states": self.states[:n], "next_states": stored, "actions": self.actions[:n],
                 "rewards": self.rewards[:n], "episode_ids": self.episode_ids[:n],
-                "chained": self.chained[:n]}
+                "chained": chained}
 
 
 def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:

@@ -163,7 +163,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
     for t in range(cfg.steps_demand):
         if agent is not None:
             action = SchedulerOption(agent.act(state_vec, greedy=not train))
-        cell, obs = step(cell, action, cfg.sim)
+        cell, obs = step(cell, action)
         r = _reward_for(obs, cfg.reward_mode, cfg.kpi)
         rewards.append(r)
         if agent is None:
@@ -177,7 +177,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         state_vec = next_vec
 
     for _ in range(cfg.steps_rest):  # queues keep draining
-        step(cell, action, cfg.sim)
+        step(cell, action)
 
     mean, stderr = episode_stats(rewards)
     return EpisodeResult(
@@ -260,15 +260,15 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
     One uncompressed npz (format 4) holds a JSON meta string (format,
     global_step, next_episode, RNG state, KPI manifest hash), each network
     as one parameter vector (members online and target) and the replay
-    buffer as ReplayBuffer.packed gives it, the ring's own layout: the
-    BUFFER_FIELDS arrays, with next_states holding only the rows of entries
-    whose next state is not the following entry's state, and the bool member
-    chained flagging the others, as the ring flagged them when each entry's
-    successor arrived. It is written under a temporary name, synced to disk,
-    renamed into place and the rename synced, so a failed save leaves any
-    earlier checkpoint whole and a finished one survives a crash. The same
-    state always gives the same bytes: np.savez dates every member 1980-01-01
-    and meta holds no timestamp.
+    buffer as ReplayBuffer.packed gives it: the BUFFER_FIELDS arrays, with
+    next_states holding only the rows of entries whose next state is not the
+    following entry's state, and the bool member chained flagging the
+    others, the entries the ring stores no next state for. It is written
+    under a temporary name, synced to disk, renamed into place and the
+    rename synced, so a failed save leaves any earlier checkpoint whole and
+    a finished one survives a crash. The same state always gives the same
+    bytes: np.savez dates every member 1980-01-01 and meta holds no
+    timestamp.
     """
     os.makedirs(directory, exist_ok=True)
     meta = {

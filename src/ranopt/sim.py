@@ -10,7 +10,8 @@ config, seed, rest ticks).
 No action changes the radio or the demand, so a cell draws its episode's
 noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
-a tick only schedules and serves.
+a tick only schedules and serves. The grid's width is the cell's PRB budget,
+so a config is read only when a cell is drawn.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -109,9 +110,10 @@ class SimConfig:
 class CellState:
     """Mutable simulator truth for one cell. Its episode is drawn at
     creation into read-only arrays: row t of each (ticks, n_ues) array, and
-    of the (ticks, n_ues, prb_budget) PRB-yield grid, is what tick t sees.
-    step rebinds the queue and PF average, never writes into them, so a
-    shallow copy of a fresh cell runs the same episode."""
+    of the (ticks, n_ues, prb_budget) PRB-yield grid, is what tick t sees;
+    the grid's width is the only record of the PRB budget. step rebinds the
+    queue and PF average, never writes into them, so a shallow copy of a
+    fresh cell runs the same episode."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
@@ -247,49 +249,46 @@ def _ranked_fill(avail, y_mb, budget):
     return np.array(alloc, dtype=np.int64)
 
 
-def schedule_prbs(option: SchedulerOption, state: CellState, avail: np.ndarray,
-                  cfg: SimConfig, y_mb: np.ndarray, grid_mb: np.ndarray) -> np.ndarray:
-    """Integer split of cfg.prb_budget PRBs over UEs for one tick under the
-    given option, where UE i has avail[i] megabits, its queue and fresh
-    demand, to send at y_mb[i] megabits per PRB, and grid_mb[i, k] =
-    k * y_mb[i] are the megabits its first k PRBs carry; the PF options
-    rank by the state's PF average.
+def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
+                  grid_mb: np.ndarray, pf_avg_mbps: np.ndarray) -> np.ndarray:
+    """Integer split of one tick's PRBs over UEs under the given option,
+    where UE i has avail[i] megabits, its queue and fresh demand, to send at
+    y_mb[i] megabits per PRB, and grid_mb[i, k] = k * y_mb[i] are the
+    megabits its first k PRBs carry: the grid's width is the PRB budget.
+    The PF options rank by the per-UE smoothed rates pf_avg_mbps.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
-    if grid_mb.shape[1] != cfg.prb_budget:
-        raise ValueError(f"cell drawn for prb_budget {grid_mb.shape[1]}, "
-                         f"stepped with prb_budget {cfg.prb_budget}")
     if np.minimum.reduce(avail) < 0:
         raise ValueError("avail must be >= 0")
+    budget = grid_mb.shape[1]
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
-        return _ranked_fill(avail, y_mb, cfg.prb_budget)
+        return _ranked_fill(avail, y_mb, budget)
     # a PRB is useful while the UE has traffic left; the megabits served before
     # it, min(avail, k * y), are then k * y, since avail - 1e-12 never rounds
     # above avail
     valid = grid_mb < (avail - 1e-12)[:, None]
     if option == SchedulerOption.EQUAL_RATE:
-        return _top_budget(grid_mb, valid, cfg.prb_budget, descending=False)
+        return _top_budget(grid_mb, valid, budget, descending=False)
     if option in PF_ALPHA:
-        keys = _pf_keys(grid_mb, y_mb, state.pf_avg_mbps, PF_ALPHA[option])
-        return _top_budget(keys, valid, cfg.prb_budget, descending=True)
+        keys = _pf_keys(grid_mb, y_mb, pf_avg_mbps, PF_ALPHA[option])
+        return _top_budget(keys, valid, budget, descending=True)
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
-def step(state: CellState, option: SchedulerOption, cfg: SimConfig
-         ) -> tuple[CellState, TickObservables]:
-    """Advance the cell by one minute, the next row of its drawn episode;
-    mutates and returns the state.
+def step(state: CellState, option: SchedulerOption) -> tuple[CellState, TickObservables]:
+    """Advance the cell by one minute, the next row of its drawn episode,
+    over the PRB budget it was drawn for; mutates and returns the state.
 
     Order within a tick: demand arrives, PRBs are scheduled, traffic is
     served, buffers and the PF average update.
     """
     t = state.tick
-    demands, y = state.demand_mb[t], state.y_mb[t]
+    demands, y, grid = state.demand_mb[t], state.y_mb[t], state.prb_grid_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, state, avail, cfg, y, state.prb_grid_mb[t])
+    alloc = schedule_prbs(option, avail, y, grid, state.pf_avg_mbps)
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
@@ -309,7 +308,7 @@ def step(state: CellState, option: SchedulerOption, cfg: SimConfig
         spectral_eff=state.spectral_eff[t],
         rsrp_dbm=state.rsrp_dbm[t],
         prb_allocation=alloc,
-        prb_utilization=float(np.add.reduce(alloc)) / cfg.prb_budget,
+        prb_utilization=float(np.add.reduce(alloc)) / grid.shape[1],
         active_mask=active,
     )
     return state, obs

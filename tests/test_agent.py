@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,24 @@ class TestReplayBuffer:
         assert len(buf) == len(items) == 5000
         assert items[0].state[0] == 1.0  # first pushed item evicted
         assert items[4999].state[0] == 5000.0
+
+    def test_iteration_builds_no_next_state_array(self):
+        # iteration yields views of the ring one entry at a time: a list of a full
+        # ring costs its Experience objects, not a copy of 5,000 next states (2.3 MB)
+        buf = ReplayBuffer()
+        rng = np.random.default_rng(4)
+        for ep in range(50):
+            states = rng.random((101, 58))
+            buf.extend(states[:-1], states[1:], rng.integers(0, 5, 100),
+                       rng.uniform(-1, 1, 100), np.full(100, ep))
+        tracemalloc.start()
+        try:
+            entries = list(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == buf.capacity == 5000
+        assert peak <= 3e6
 
     def test_iteration_order(self):
         buf = ReplayBuffer(capacity=10)
@@ -289,15 +308,16 @@ class TestPacked:
             next_state = np.zeros(58)
             next_state[col] = ns
             buf.append(state, next_state, i % 5, 0.0, 0)
-        packed = buf.packed()
-        states, next_states = buf.arrays()["states"], buf.arrays()["next_states"]
-        chained = [next_states[i].tobytes() == states[i + 1].tobytes()
-                   for i in range(len(buf) - 1)] + [False][:len(buf)]
+        packed, entries = buf.packed(), list(buf)
+        chained = [a.next_state.tobytes() == b.state.tobytes()
+                   for a, b in zip(entries, entries[1:])] + [False][:len(buf)]
         assert packed["chained"].dtype == bool and packed["chained"].tolist() == chained
-        assert packed["next_states"].tobytes() == next_states[~packed["chained"]].tobytes()
-        loaded = packed_round_trip(buf).arrays()
-        for name, a in buf.arrays().items():
-            assert loaded[name].dtype == a.dtype and loaded[name].tobytes() == a.tobytes()
+        assert packed["next_states"].tobytes() == b"".join(
+            e.next_state.tobytes() for e, c in zip(entries, chained) if not c)
+        loaded = packed_round_trip(buf)
+        assert [bits(e) for e in loaded] == [bits(e) for e in entries]
+        again = loaded.packed()
+        assert all(same_bits(a, again[name]) for name, a in packed.items())
 
 
 def reference_unpack(states, stored, chained):
@@ -365,12 +385,18 @@ class ReferenceRing:
             self.start = 0
         return {name: getattr(self, name)[:self.size] for name in BUFFER_FIELDS}
 
-    def packed(self):
-        arrays = self.arrays()
-        states, next_states = arrays["states"], arrays["next_states"]
-        chained = np.zeros(len(states), dtype=bool)
+    def chained(self):
+        """Flags of the entries, oldest first, whose next state is, bit for
+        bit, the following entry's state."""
+        rows = self.rows(np.arange(self.size))
+        states, next_states = self.states[rows], self.next_states[rows]
+        chained = np.zeros(self.size, dtype=bool)
         chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
-        return {**arrays, "next_states": next_states[~chained], "chained": chained}
+        return chained
+
+    def packed(self):
+        arrays, chained = self.arrays(), self.chained()
+        return {**arrays, "next_states": arrays["next_states"][~chained], "chained": chained}
 
 
 def same_bits(a, b):
@@ -422,8 +448,7 @@ class TestRingMatchesReference:
         rows = buf.rows(np.arange(len(buf)))
         assert same_bits(buf.next_states_at(rows), ref.next_states[rows])
         # each state once: a next state is stored for the unchained entries only
-        assert sorted(buf.stored) == sorted(rows[~buf.chained[rows]].tolist())
-        assert not buf.chained[rows[-1:]].any()
+        assert sorted(buf.stored) == sorted(rows[~ref.chained()].tolist())
 
     @settings(max_examples=200, deadline=None)
     @example(capacity=3, ops=[("append", (False, (0, 1.0), (0, 0.0), 0, 0.0, 0))]
@@ -471,8 +496,8 @@ class TestRingMatchesReference:
                     assert same_bits(rows, want)
                     assert same_bits(buf.next_states_at(rows[:, -1]), ref.next_states[rows[:, -1]])
             self.assert_same(buf, ref)
-        arrays, want = buf.arrays(), ref.arrays()
-        assert all(same_bits(arrays[name], want[name]) for name in BUFFER_FIELDS)
+        packed, want = buf.packed(), ref.packed()
+        assert all(same_bits(packed[name], want[name]) for name in want)
 
 
 class TestSegments:
@@ -572,10 +597,8 @@ class TestSegments:
             assert [values(e) for e in buf] == [values(e) for e in ref.items]
             assert valid_segment_starts(buf, n_step).tolist() == ref.valid_segment_starts(n_step)
             if save:
-                arrays = buf.arrays()
-                assert [list(t) for t in zip(*(arrays[f].tolist() for f in BUFFER_FIELDS))] == [
-                    [e.state.tolist(), e.next_state.tolist(), e.action, e.reward, e.episode_id]
-                    for e in ref.items]
+                assert [values(e) for e in packed_round_trip(buf)] == [
+                    values(e) for e in ref.items]
         if not ref.valid_segment_starts(n_step):
             return
         rows = sample_segments(buf, n_step, batch, np.random.default_rng(seed))

@@ -243,13 +243,13 @@ class TestCliCommands:
         preloaded = write_config(tmp_path, {**SMALL, "preload_path": str(final)}, "pre.json")
         assert main(["train", "--config", preloaded, "--out", str(tmp_path / "run")]) == 0
         cfg = load_config_file(cfg_path)
-        earlier = load_checkpoint(final, cfg)[0].buffer.arrays()
-        ring = load_checkpoint(tmp_path / "run" / "final", cfg)[0].buffer.arrays()
-        n = len(earlier["rewards"])
-        assert len(ring["rewards"]) == 2 * n
-        earlier["episode_ids"] = earlier["episode_ids"] - SMALL["episodes"]  # to end at -1
-        for name, saved in earlier.items():
-            assert ring[name][:n].tobytes() == saved.tobytes()
+        earlier = list(load_checkpoint(final, cfg)[0].buffer)
+        ring = list(load_checkpoint(tmp_path / "run" / "final", cfg)[0].buffer)
+        assert len(ring) == 2 * len(earlier)
+        for e, r in zip(earlier, ring):  # the earlier run's ids shifted to end at -1
+            assert (r.state.tobytes(), r.next_state.tobytes(), r.action, r.reward.hex(),
+                    r.episode_id) == (e.state.tobytes(), e.next_state.tobytes(), e.action,
+                                      e.reward.hex(), e.episode_id - SMALL["episodes"])
         # the checkpoint file in place of its directory fails as --resume of the file does
         npz = str(final / "checkpoint.npz")
         capsys.readouterr()

@@ -15,7 +15,7 @@ from ranopt.harness import (BaselineRow, ExperimentConfig, build_agent, episode_
                             run_baseline_suite, run_episode, save_checkpoint, train_experiment,
                             write_baseline_csv)
 from ranopt.qnet import layers
-from ranopt.sim import SchedulerOption, UeProfile
+from ranopt.sim import CellState, SchedulerOption, UeProfile
 
 
 def small_cfg(**over):
@@ -226,6 +226,22 @@ class TestTraceContract:
         assert options[ticks:] == [o for o in SchedulerOption for _ in range(ticks)]
         assert all(isinstance(option, SchedulerOption) for option in options)
 
+    def test_step_takes_the_cell_and_the_option(self, monkeypatch):
+        import ranopt.harness as hn
+        calls, orig = [], hn.step
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(hn, "step", recording)
+        cfg = small_cfg()
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        run_episode(cfg, 0, constant_action=SchedulerOption.MAXIMUM_C_OVER_I)
+        assert len(calls) == 2 * (cfg.steps_demand + cfg.steps_rest)
+        assert all(len(args) == 2 and not kwargs and isinstance(args[0], CellState)
+                   and isinstance(args[1], SchedulerOption) for args, kwargs in calls)
+
     def test_prb_utilization_is_a_float(self, monkeypatch):
         import ranopt.harness as hn
         kinds, orig = set(), hn.step
@@ -315,19 +331,20 @@ class TestTrainExperiment:
         directory, earlier = earlier_run
         cfg = small_cfg(episodes=1, preload_path=str(directory))
         _, agent = train_experiment(cfg)
-        history = earlier.buffer.arrays()
-        history["episode_ids"] = history["episode_ids"] - 1  # episode 0 of that run is -1 here
+        history = entries(earlier.buffer, id_shift=-1)  # episode 0 of that run is -1 here
         assert len(agent.buffer) == 2 * cfg.steps_demand
-        ring = agent.buffer.arrays()
-        for name, saved in history.items():
-            assert ring[name][:len(saved)].tobytes() == saved.tobytes()
+        assert entries(agent.buffer)[:len(history)] == history
 
     def test_preload_plain_buffer_fields(self, tmp_path, earlier_run):
         # the npz of BUFFER_FIELDS arrays that a preload once read, now a directory's
         # checkpoint.npz: no meta pins the layout of its states
         _, earlier = earlier_run
         (tmp_path / "history").mkdir()
-        np.savez(tmp_path / "history" / "checkpoint.npz", **earlier.buffer.arrays())
+        ring = list(earlier.buffer)
+        np.savez(tmp_path / "history" / "checkpoint.npz",
+                 states=[e.state for e in ring], next_states=[e.next_state for e in ring],
+                 actions=[e.action for e in ring], rewards=[e.reward for e in ring],
+                 episode_ids=[e.episode_id for e in ring])
         with pytest.raises(ValueError, match="unsupported checkpoint format None$") as err:
             build_agent(small_cfg(preload_path=str(tmp_path / "history")))
         assert str(tmp_path / "history") in str(err.value)
@@ -410,6 +427,40 @@ class TestGoldenTrajectory:
         assert hashlib.sha256(agent.online.tobytes()).hexdigest() == self.ONLINE_SHA256
         assert hashlib.sha256(agent.target.tobytes()).hexdigest() == self.TARGET_SHA256
 
+    # the final checkpoint of the full run, member by member in file order: name,
+    # dtype, shape and the sha256 of the bytes, the derived chained member too
+    MEMBERS = [
+        ("online", "<f8", (2053,), ONLINE_SHA256),
+        ("target", "<f8", (2053,), TARGET_SHA256),
+        ("states", "<f8", (80, 58),
+         "04d7e6076c598701296aea584e6d207ad07a4947a6fd41371b6d1af4cee46a23"),
+        ("next_states", "<f8", (4, 58),
+         "c0980316867202852b8f3c50a6960b8d46c84ddc328305f7a9ad5c04758bfe7f"),
+        ("actions", "<i8", (80,),
+         "67c0e313ae4fbba65bd7557ced7bde6808b20ae5125633a97daee3552d221494"),
+        ("rewards", "<f8", (80,),
+         "f7d142aba0ce8f28bb332f8d94dacd6b57e30d3641aad459d60dbdaeb080eafe"),
+        ("episode_ids", "<i8", (80,),
+         "adabfe7c2b27638ededd355dd1fd2d3e48b89aa97316311e03de07a09207f87d"),
+        ("chained", "|b1", (80,),
+         "053083a964830fe711078c9196d67ecf6128500107600ba07106c72c6d4e461e"),
+    ]
+    META = ('{"format": 4, "global_step": 80, "next_episode": 4, "rng_state": '
+            '{"bit_generator": "PCG64", "state": {"state": '
+            '269888344183754091051158475920208949210, "inc": '
+            '159503441853545908714793740543692941767}, "has_uint32": 0, "uinteger": '
+            '3801858237}, "manifest_sha256": '
+            '"7488f6a5ed743b7d75150ab0b3cdb0ee451b2d733289f99a9af7a9f3ca7b5945"}')
+
+    def test_final_checkpoint_members(self, tmp_path):
+        cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
+        train_experiment(cfg, out_dir=tmp_path)
+        with np.load(tmp_path / "final" / "checkpoint.npz", allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        assert str(members.pop("meta")) == self.META
+        assert [(name, a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+                for name, a in members.items()] == self.MEMBERS
+
 
 class TestGoldenGreedy:
     """Greedy evaluation of a seeded short run's final checkpoint, pinned bit
@@ -424,11 +475,18 @@ class TestGoldenGreedy:
         cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
         train_experiment(cfg, out_dir=tmp_path)
         stepped, orig = [], hn.step
-        monkeypatch.setattr(hn, "step", lambda cell, option, c: stepped.append(int(option))
-                            or orig(cell, option, c))
+        monkeypatch.setattr(hn, "step", lambda cell, option: stepped.append(int(option))
+                            or orig(cell, option))
         mean, stderr = evaluate_checkpoint(cfg, tmp_path / "final", episodes=6, first_episode=4)
         assert (mean.hex(), stderr.hex()) == (self.MEAN, self.STDERR)
         assert Counter(stepped) == self.ACTIONS
+
+
+def entries(buf, id_shift=0):
+    """A ring's entries, oldest first, as exactly comparable values, their
+    episode ids shifted by id_shift."""
+    return [(e.state.tobytes(), e.next_state.tobytes(), e.action, e.reward.hex(),
+             e.episode_id + id_shift) for e in buf]
 
 
 def assert_same_agent(a, b):
@@ -597,7 +655,7 @@ class TestCheckpointRoundtrip:
         cfg, agent = trained
         save_checkpoint(tmp_path / "ck", agent, next_episode=2)
         rewrite_checkpoint(tmp_path / "ck", {"format": 3}, chained=None,
-                           next_states=agent.buffer.arrays()["next_states"])
+                           next_states=np.array([e.next_state for e in agent.buffer]))
         with pytest.raises(ValueError, match="unsupported checkpoint format 3") as err:
             load_checkpoint(tmp_path / "ck", cfg)
         assert str(tmp_path / "ck") in str(err.value)

@@ -35,11 +35,11 @@ def make_state(queues, rsrp, pf_avg=None, prb_mb=PRB_MEGABITS, budget=SimConfig(
     )
 
 
-def schedule(option, state, demands, cfg):
-    """schedule_prbs at the state's current radio, PRB yield and yield grid."""
+def schedule(option, state, demands):
+    """schedule_prbs at the state's current radio, PRB yield, yield grid and PF average."""
     t = state.tick
-    return schedule_prbs(option, state, state.queue_mb + demands, cfg, state.y_mb[t],
-                         state.prb_grid_mb[t])
+    return schedule_prbs(option, state.queue_mb + demands, state.y_mb[t], state.prb_grid_mb[t],
+                         state.pf_avg_mbps)
 
 
 # --- reference schedulers: one greedy choice per PRB --------------------------
@@ -99,9 +99,9 @@ def proportional_fair(avail_mb, y_mb, budget, pf_avg_mbps, alpha):
     return alloc
 
 
-def reference_schedule(option, state, demands, cfg):
+def reference_schedule(option, state, demands):
     """schedule_prbs written as the per-PRB loops above."""
-    avail, prb_budget = state.queue_mb + demands, cfg.prb_budget
+    avail, prb_budget = state.queue_mb + demands, state.prb_grid_mb.shape[2]
     y = state.y_mb[state.tick]
     if option == SchedulerOption.EQUAL_RATE:
         return greedy_equal_rate(avail, y, prb_budget)
@@ -161,7 +161,8 @@ def tick_step(state, option, profiles, rest, cfg):
     y = eff * PRB_MEGABITS
     demands = generate_demands(profiles, rest, state.rng)
     avail = state.queue_mb + demands
-    alloc = schedule_prbs(option, state, avail, cfg, y, np.arange(cfg.prb_budget) * y[:, None])
+    alloc = schedule_prbs(option, avail, y, np.arange(cfg.prb_budget) * y[:, None],
+                          state.pf_avg_mbps)
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
     tput = served / TICK_SECONDS
@@ -273,22 +274,19 @@ class TestGenerateDemands:
 
 class TestSchedulePrbs:
     def test_equal_rate_symmetric(self):
-        cfg = SimConfig(prb_budget=50)
         st = make_state([1e6, 1e6], [-100.0, -100.0], budget=50)
-        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2))
         assert np.array_equal(alloc, [25, 25])
 
     def test_max_ci_winner_takes_budget(self):
-        cfg = SimConfig(prb_budget=50)
         # efficiencies 2.0 vs 1.0 via rsrp chosen from the channel inverse
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], budget=50)
-        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2), cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, st, np.zeros(2))
         assert np.array_equal(alloc, [50, 0])
 
     def test_equal_rate_matches_brute_force(self):
-        cfg = SimConfig(prb_budget=30)
         st = make_state([1e6, 1e6], [_rsrp_for_eff(2.0), _rsrp_for_eff(1.0)], budget=30)
-        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2), cfg)
+        alloc = schedule(SchedulerOption.EQUAL_RATE, st, np.zeros(2))
         # brute force over all full-budget integer splits: minimize served spread
         best, best_spread = None, None
         for a in range(31):
@@ -299,14 +297,13 @@ class TestSchedulePrbs:
         assert tuple(alloc) == best == (10, 20)
 
     def test_never_allocates_without_traffic(self):
-        cfg = SimConfig()
         st = make_state([0.0, 50.0, 0.0, 50.0], RSRP_LAB)
         for opt in SchedulerOption:
-            alloc = schedule(opt, st, np.zeros(4), cfg)
+            alloc = schedule(opt, st, np.zeros(4))
             assert alloc[0] == 0 and alloc[2] == 0
 
     def test_budget_zero_raises(self):
-        # schedule_prbs reads its budget from a SimConfig, which refuses this one
+        # a cell's grid is drawn for a SimConfig's budget, and a SimConfig refuses this one
         with pytest.raises(ValueError, match="prb_budget must be positive, got 0"):
             SimConfig(prb_budget=0)
 
@@ -323,24 +320,11 @@ class TestSchedulePrbs:
                                              f"got {std}"):
             SimConfig(rf_jitter_std_db=std)
 
-    def test_budget_other_than_the_drawn_grid_refused(self):
-        cell = init_cell_state(PROFILES_LAB, SimConfig(prb_budget=50), 8, demand_ticks(2))
-        state = make_state([1.0, 5.0], [-100.0, -100.0], budget=50)
-        for option in SchedulerOption:
-            with pytest.raises(ValueError, match="drawn for prb_budget 50, stepped with "
-                                                 "prb_budget 100"):
-                step(cell, option, SimConfig())
-            with pytest.raises(ValueError, match="drawn for prb_budget 50, stepped with "
-                                                 "prb_budget 40"):
-                schedule(option, state, np.zeros(2), SimConfig(prb_budget=40))
-        assert cell.tick == 0
-
     def test_negative_volume_refused(self):
-        cfg = SimConfig()
         st = make_state([1.0, 5.0], [-100.0, -100.0])
         for opt in SchedulerOption:
             with pytest.raises(ValueError, match="avail must be >= 0"):
-                schedule(opt, st, np.array([0.0, -5.5]), cfg)
+                schedule(opt, st, np.array([0.0, -5.5]))
 
     def test_budget_respected_under_fuzz(self):
         cfg = SimConfig()
@@ -351,20 +335,19 @@ class TestSchedulePrbs:
                             pf_avg=rng.uniform(0.01, 50, n))
             demands = rng.uniform(0, 2000, n)
             opt = SchedulerOption(int(rng.integers(0, 5)))
-            alloc = schedule(opt, st, demands, cfg)
+            alloc = schedule(opt, st, demands)
             assert alloc.sum() <= cfg.prb_budget
             assert np.all(alloc >= 0)
             assert np.all(alloc[(st.queue_mb + demands) <= 1e-12] == 0)
 
     def test_pf_tie_breaks_lowest_index(self):
-        cfg = SimConfig(prb_budget=1)
         st = make_state([1e6, 1e6], [-100.0, -100.0], pf_avg=[1.0, 1.0], budget=1)
         for opt in (SchedulerOption.PROPORTIONAL_FAIR_HIGH,
                     SchedulerOption.PROPORTIONAL_FAIR_MEDIUM,
                     SchedulerOption.PROPORTIONAL_FAIR_LOW,
                     SchedulerOption.MAXIMUM_C_OVER_I,
                     SchedulerOption.EQUAL_RATE):
-            alloc = schedule(opt, st, np.zeros(2), cfg)
+            alloc = schedule(opt, st, np.zeros(2))
             assert np.array_equal(alloc, [1, 0])
 
 
@@ -404,7 +387,7 @@ def cells(draw):
             demands[i] = draw(st.just(0.0) | st.floats(0.0, 1500.0))
     # the kernel takes y_mb as given, so the PRB size reaches it through the state's yields
     state = make_state(queue, rsrp_eff, pf_avg, prb_mb, budget)
-    return state, demands, SimConfig(prb_budget=budget)
+    return state, demands
 
 
 class TestScheduleKernel:
@@ -414,45 +397,43 @@ class TestScheduleKernel:
     # PF: a first PRB drops either UE's average from 38-40 to about 31, so its
     # next key beats its first (the running-minimum path)
     @example(cell=(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5),
-                   np.zeros(2), SimConfig(prb_budget=5)))
+                   np.zeros(2)))
     # MAXIMUM_C_OVER_I: the best UE holds exactly 31 PRBs of traffic, and
     # (31 * y) / y rounds up to 31 + 3.6e-15
     @example(cell=(make_state([31 * Y_105, 1e6], [-105.0, -115.0], budget=40),
-                   np.zeros(2), SimConfig(prb_budget=40)))
+                   np.zeros(2)))
     # MAXIMUM_C_OVER_I, 0.05-megabit PRBs: 1e-13 megabits count as no traffic
     @example(cell=(make_state([1e-13, 1e6], [-115.0, -130.0], prb_mb=0.05, budget=3),
-                   np.zeros(2), SimConfig(prb_budget=3)))
+                   np.zeros(2)))
     # MAXIMUM_C_OVER_I, tied yields: UE 0 takes its whole need of 5 PRBs
     # before UE 1 gets the last one
     @example(cell=(make_state([5 * Y_105, 3 * Y_105, 1e6], [-105.0, -105.0, -115.0], budget=6),
-                   np.zeros(3), SimConfig(prb_budget=6)))
+                   np.zeros(3)))
     # MAXIMUM_C_OVER_I: the best UE needs more than the whole budget
     @example(cell=(make_state([1e6, 50.0], [-94.0, -115.0], budget=20),
-                   np.zeros(2), SimConfig(prb_budget=20)))
+                   np.zeros(2)))
     # a budget of 1, the best UE without traffic
     @example(cell=(make_state([1e-13, 2 * Y_105, 1e6], [-60.0, -105.0, -105.0], budget=1),
-                   np.zeros(3), SimConfig(prb_budget=1)))
+                   np.zeros(3)))
     @given(cell=cells())
     def test_matches_reference_loops(self, cell):
-        state, demands, cfg = cell
+        state, demands = cell
         for option in SchedulerOption:
-            alloc = schedule(option, state, demands, cfg)
-            expected = reference_schedule(option, state, demands, cfg)
+            alloc = schedule(option, state, demands)
+            expected = reference_schedule(option, state, demands)
             assert alloc.dtype == expected.dtype
             assert alloc.tolist() == expected.tolist(), option.name
 
     def test_pf_first_prb_raises_next_key(self):
-        cfg = SimConfig(prb_budget=5)
         state = make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5)
         opt = SchedulerOption.PROPORTIONAL_FAIR_MEDIUM
         # UE 1 ranks first and, its average lowered, keeps every PRB; UE 0's
         # second and later keys beat UE 1's first, but never come into play
-        assert schedule(opt, state, np.zeros(2), cfg).tolist() == [0, 5]
+        assert schedule(opt, state, np.zeros(2)).tolist() == [0, 5]
 
     def test_max_ci_exact_multiple_takes_need(self):
-        cfg = SimConfig(prb_budget=40)
         state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], budget=40)
-        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2), cfg)
+        alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2))
         assert alloc.tolist() == [31, 9]
 
 
@@ -475,7 +456,7 @@ class TestStep:
     def test_nothing_to_serve(self):
         cfg = SimConfig()
         st = init_cell_state(IDLE_LAB, cfg, 1, demand_ticks(1))
-        st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
+        st, obs = step(st, SchedulerOption.EQUAL_RATE)
         assert obs.cell_throughput_mbps == 0.0
         assert obs.prb_utilization == 0.0
         assert not obs.active_mask.any()
@@ -485,7 +466,7 @@ class TestStep:
         for opt in SchedulerOption:
             st = init_cell_state(IDLE_LAB, cfg, 2, demand_ticks(1))
             st.queue_mb[1] = 1e9  # far more than one tick can serve
-            st, obs = step(st, opt, cfg)
+            st, obs = step(st, opt)
             assert obs.prb_allocation[1] == cfg.prb_budget
             assert obs.prb_utilization == 1.0
 
@@ -495,7 +476,7 @@ class TestStep:
         for t in range(60):
             before = st.queue_mb.copy()
             opt = SchedulerOption(t % 5)
-            st, obs = step(st, opt, cfg)
+            st, obs = step(st, opt)
             assert np.allclose(before + obs.demand_mb - obs.served_mb, obs.queue_after_mb)
             assert np.all(obs.served_mb >= 0)
             assert np.all(obs.served_mb <= before + obs.demand_mb + 1e-9)
@@ -510,7 +491,7 @@ class TestStep:
             st = init_cell_state(PROFILES_LAB, cfg, 12345, np.arange(90) >= 80)
             trace = []
             for _ in range(90):
-                st, obs = step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
+                st, obs = step(st, SchedulerOption.MAXIMUM_C_OVER_I)
                 trace.append(np.concatenate([obs.served_mb, obs.rsrp_dbm,
                                              obs.queue_after_mb, [obs.cell_throughput_mbps]]))
             runs.append(np.array(trace))
@@ -521,7 +502,7 @@ class TestStep:
         st = init_cell_state([UeProfile(-100.0, 0.0, 0.0)], cfg, 4, demand_ticks(1))
         st.queue_mb[0] = 1e9
         before = st.pf_avg_mbps.copy()
-        st, obs = step(st, SchedulerOption.EQUAL_RATE, cfg)
+        st, obs = step(st, SchedulerOption.EQUAL_RATE)
         expected = 0.8 * before[0] + 0.2 * obs.ue_throughput_mbps[0]
         assert st.pf_avg_mbps[0] == pytest.approx(expected)
 
@@ -536,7 +517,7 @@ class TestStep:
             for ep in range(50):
                 st = init_cell_state(PROFILES_LAB, cfg, 1000 + ep, demand_ticks(80))
                 for _ in range(80):
-                    st, obs = step(st, opt, cfg)
+                    st, obs = step(st, opt)
                     tputs.append(obs.cell_throughput_mbps)
                     act = obs.ue_throughput_mbps[obs.active_mask]
                     if act.size:
@@ -555,17 +536,17 @@ class TestStep:
     def test_observables_outlive_the_next_tick(self):
         cfg = SimConfig()
         st = init_cell_state(PROFILES_LAB, cfg, 7, demand_ticks(2))
-        st, first = step(st, SchedulerOption.EQUAL_RATE, cfg)
+        st, first = step(st, SchedulerOption.EQUAL_RATE)
         queue = first.queue_after_mb.copy()
-        step(st, SchedulerOption.MAXIMUM_C_OVER_I, cfg)
+        step(st, SchedulerOption.MAXIMUM_C_OVER_I)
         assert same_bits(first.queue_after_mb, queue)
 
     def test_episode_end_refused(self):
         cfg = SimConfig()
         st, _ = step(init_cell_state(PROFILES_LAB, cfg, 5, demand_ticks(1)),
-                     SchedulerOption.EQUAL_RATE, cfg)
+                     SchedulerOption.EQUAL_RATE)
         with pytest.raises(IndexError):
-            step(st, SchedulerOption.EQUAL_RATE, cfg)
+            step(st, SchedulerOption.EQUAL_RATE)
 
 
 def same_bits(a, b):
@@ -606,13 +587,13 @@ class TestDrawnEpisode:
         cell = init_cell_state(profiles, cfg, seed, rest)
         ref = init_tick_cell(profiles, cfg, seed)
         for t, (option, resting) in enumerate(zip(options, rest)):
-            cell, obs = step(cell, option, cfg)
+            cell, obs = step(cell, option)
             expected = tick_step(ref, option, profiles, resting, cfg)
             # the drawn grid against the yield the reference drew this tick
             assert same_bits(cell.prb_grid_mb[t], np.arange(cfg.prb_budget)
                              * (expected.spectral_eff * PRB_MEGABITS)[:, None])
             for name in ("demand_mb", "served_mb", "queue_after_mb", "rsrp_dbm",
-                         "spectral_eff", "prb_allocation", "active_mask"):
+                         "spectral_eff", "prb_allocation", "prb_utilization", "active_mask"):
                 assert same_bits(getattr(obs, name), getattr(expected, name)), name
             assert same_bits(cell.pf_avg_mbps, ref.pf_avg_mbps)
             assert obs.cell_throughput_mbps.hex() == expected.cell_throughput_mbps.hex()
