@@ -151,16 +151,21 @@ class ReplayBuffer:
     reads the next states of ring rows.
     """
 
-    def __init__(self, capacity: int = REPLAY_CAPACITY):
+    def __init__(self, capacity: int = REPLAY_CAPACITY, arrays=None):
+        """An empty ring, or, given arrays, the ring load makes of them,
+        built around them with no zeroed ring made first."""
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
+        self.stored: dict[int, np.ndarray] = {}  # ring row -> next state, unchained rows only
+        self.start = self.size = 0
+        if arrays is not None:
+            self.load(arrays)
+            return
         self.states = np.zeros((capacity, STATE_DIM))
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
         self.episode_ids = np.zeros(capacity, dtype=np.int64)
-        self.stored: dict[int, np.ndarray] = {}  # ring row -> next state, unchained rows only
-        self.start = self.size = 0
 
     def __len__(self):
         return self.size
@@ -382,11 +387,12 @@ def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndar
 class DoubleQAgent:
     """Online/target network vectors plus replay buffer and exploration schedule."""
 
-    def __init__(self, cfg: AgentConfig):
+    def __init__(self, cfg: AgentConfig, buffer: ReplayBuffer | None = None):
+        """A fresh agent; its replay ring is buffer, when given, else an empty one."""
         self.cfg = cfg
         self.online = qnet.init_params(seed=cfg.seed)
         self.target = self.online.copy()
-        self.buffer = ReplayBuffer(REPLAY_CAPACITY)
+        self.buffer = ReplayBuffer(REPLAY_CAPACITY) if buffer is None else buffer
         self.rng = np.random.default_rng([cfg.seed, 1])
         self.global_step = 0
 

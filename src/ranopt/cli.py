@@ -152,8 +152,8 @@ def cmd_train(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = load_config_file(args.config, seed_override=args.seed)
     _echo(cfg)
+    os.makedirs(args.out, exist_ok=True)  # an --out that is a file is refused before the suite runs
     rows = harness.run_baseline_suite(cfg)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "baseline.csv")
     harness.write_baseline_csv(path, rows)
     for r in rows:
@@ -168,12 +168,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     cfg = load_config_file(args.config, seed_override=args.seed)
     _echo(cfg)
+    if args.out:  # an --out that is a file is refused before the checkpoint is read
+        os.makedirs(args.out, exist_ok=True)
     mean, stderr = harness.evaluate_checkpoint(cfg, args.checkpoint, args.episodes)
     report = {"checkpoint": args.checkpoint, "episodes": args.episodes,
               "mean_reward": mean, "stderr": stderr}
     print(json.dumps(report, indent=2))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         # relative to the report, so the file does not depend on where the tree lives
         report["checkpoint"] = os.path.relpath(args.checkpoint, args.out)
         with open(os.path.join(args.out, "eval.json"), "w") as fh:

@@ -13,14 +13,14 @@ no training and no reward statistics, so their KPI states are never
 composed; nor are any under a constant action, which reads no state. An
 agent episode bins its radio once, with radio_table over the drawn rows of
 its demand ticks, and composes each demand tick's state from its row. The
-baseline suite draws each episode's cell once and runs every constant
-action on a shallow copy of it.
+baseline suite draws each episode's cell once and steps a block of episodes
+as one cell of rows, a row for each constant action in each episode, all in
+one step a tick; a block holds at most BASELINE_BLOCK_EPISODES episodes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import json
 import math
 import os
@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kpi, qnet
-from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent
+from . import kpi, qnet, sim
+from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent, ReplayBuffer
 from .kpi import (INITIAL_STATE, KpiConfig, compose_kpis, radio_table, reward_throughput,
                   reward_ue_gap)
-from .sim import CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, step
+from .sim import (CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, stack_cells,
+                  step)
 
 # Default UE population: radio conditions from the lab placements, traffic
 # sized so that the cell runs just past capacity on an average minute and
@@ -52,6 +53,9 @@ CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 4
 _NETS = ("online", "target")
 _ARRAYS = _NETS + BUFFER_FIELDS + ("chained",)
+# Episodes the baseline suite steps together: memory grows with it, not with
+# the suite's length.
+BASELINE_BLOCK_EPISODES = 10
 
 
 @dataclass
@@ -134,15 +138,13 @@ def _draw_cell(cfg: ExperimentConfig, episode_index: int) -> CellState:
 def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
-                train: bool = False, cell: CellState | None = None) -> EpisodeResult:
+                train: bool = False) -> EpisodeResult:
     """One 90-tick episode under either the agent's policy or a constant action.
 
     Returns reward statistics over the demand steps only. With train set each
     demand step appends one experience to the agent's buffer and calls
     train_step, which trains once the buffer holds an n_step segment. Only an
-    agent's demand steps compose a state: nothing else reads one. cell, when
-    given, is the episode's drawn cell, not yet stepped; the episode runs on a
-    shallow copy, which shares its read-only drawn arrays and leaves it as it was.
+    agent's demand steps compose a state: nothing else reads one.
     """
     if (agent is None) == (constant_action is None):
         raise ValueError("provide exactly one of agent or constant_action")
@@ -150,8 +152,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         raise ValueError("training requires an agent")
 
     n_ticks = cfg.steps_demand + cfg.steps_rest
-    # step rebinds a cell's queue and PF average, never writes into them
-    cell = _draw_cell(cfg, episode_index) if cell is None else copy.copy(cell)
+    cell = _draw_cell(cfg, episode_index)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
@@ -197,25 +198,41 @@ class BaselineRow:
     episodes: int
 
 
+def _block_means(cfg: ExperimentConfig, episodes: range, options: list) -> np.ndarray:
+    """Each option's mean reward in each episode, (options, episodes), the
+    episodes stepped together as one cell of rows. A row's rewards lie along
+    its own ticks, so its mean adds them in run_episode's order."""
+    cell = stack_cells((_draw_cell(cfg, ep) for ep in episodes), len(options))
+    rewards = np.empty((len(options), len(episodes), cfg.steps_demand))
+    for t in range(cfg.steps_demand):
+        cell, obs = sim.step(cell, options)
+        rewards[..., t] = _reward_for(obs, cfg.reward_mode, cfg.kpi)
+    for _ in range(cfg.steps_rest):  # queues keep draining
+        sim.step(cell, options)
+    return rewards.mean(axis=-1)
+
+
 def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
                        first_episode: int = 0) -> list[BaselineRow]:
     """Evaluate all five constant actions on identical episode seeds, each
     episode's cell drawn once and run under every option.
 
-    Rows come back sorted best-first under the configured reward mode.
+    Episodes run in blocks of at most BASELINE_BLOCK_EPISODES, so memory
+    does not grow with the suite. stack_cells makes a block one cell of
+    five option rows per episode, and each tick steps every row at once,
+    through sim.step rather than this module's step, which takes one-row
+    cells only: one schedule_prbs call per option. The means are
+    run_episode's, bit for bit. Rows come back sorted best-first under the
+    configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
-    means = {option: [] for option in SchedulerOption}
-    for ep in range(first_episode, first_episode + n_eps):
-        cell = _draw_cell(cfg, ep)
-        for option, option_means in means.items():
-            option_means.append(run_episode(cfg, ep, constant_action=option,
-                                            cell=cell).mean_reward)
-    rows = []
-    for option, option_means in means.items():
-        mean, stderr = episode_stats(option_means)
-        rows.append(BaselineRow(action=option, mean_reward=mean, stderr=stderr,
-                                episodes=n_eps))
+    options = list(SchedulerOption)
+    end = first_episode + n_eps
+    means = np.concatenate([_block_means(cfg, range(ep, min(ep + BASELINE_BLOCK_EPISODES, end)),
+                                         options)
+                            for ep in range(first_episode, end, BASELINE_BLOCK_EPISODES)], axis=1)
+    rows = [BaselineRow(option, *episode_stats(option_means), episodes=n_eps)
+            for option, option_means in zip(options, means)]
     rows.sort(key=lambda r: -r.mean_reward)
     return rows
 
@@ -242,16 +259,16 @@ def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
     equal, so no n-step segment spans a preloaded episode and the run's
     first episode, 0; ids that the shift would wrap are refused.
     """
-    ag = DoubleQAgent(cfg.agent)
-    if cfg.preload_path:
-        ag.buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer
-        ids = ag.buffer.episode_ids[:len(ag.buffer)]  # a fresh ring: rows in logical order
-        if ids.size:
-            if int(ids.max()) - int(ids.min()) >= 2 ** 63:  # the shift would wrap
-                raise ValueError(f"{cfg.preload_path}: episode ids {ids.min()} to {ids.max()} "
-                                 f"do not fit int64 once shifted to end at -1")
-            ids[:] = ids - ids.max() - 1
-    return ag
+    if not cfg.preload_path:
+        return DoubleQAgent(cfg.agent)
+    buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer
+    ids = buffer.episode_ids[:len(buffer)]  # a fresh ring: rows in logical order
+    if ids.size:
+        if int(ids.max()) - int(ids.min()) >= 2 ** 63:  # the shift would wrap
+            raise ValueError(f"{cfg.preload_path}: episode ids {ids.min()} to {ids.max()} "
+                             f"do not fit int64 once shifted to end at -1")
+        ids[:] = ids - ids.max() - 1
+    return DoubleQAgent(cfg.agent, buffer)
 
 
 def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
@@ -332,9 +349,8 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
             if theta.dtype != np.float64 or theta.shape != (qnet.N_PARAMS,):
                 raise ValueError(f"{CHECKPOINT_FILE} member {net} is {theta.dtype}"
                                  f"{list(theta.shape)}, expected float64[{qnet.N_PARAMS}]")
-        ag = DoubleQAgent(cfg.agent)
+        ag = DoubleQAgent(cfg.agent, ReplayBuffer(arrays=members))
         ag.online, ag.target = (members[net] for net in _NETS)
-        ag.buffer.load(members)
         for name in ("global_step", "next_episode"):
             value = meta[name]
             if type(value) is not int:  # a JSON integer; a bool is not one

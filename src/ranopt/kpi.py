@@ -216,20 +216,30 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_epi
 REWARD_MODES = ("cell_throughput", "ue_gap")
 
 
-def reward_throughput(obs: TickObservables, cfg: KpiConfig) -> float:
-    """Cell throughput normalized by the operating bound, clipped to [-1, 1]."""
-    # np.clip's result, NaN kept, without its cost on a scalar
-    return min(max(obs.cell_throughput_mbps / cfg.reward_throughput_bound_mbps, -1.0), 1.0)
+def _clip_unit(x):
+    """np.clip(x, -1, 1), NaN kept: a float for a float, without np.clip's
+    cost on a scalar, and an array for an array."""
+    if isinstance(x, float):
+        return min(max(x, -1.0), 1.0)
+    return np.minimum(np.maximum(x, -1.0), 1.0)
 
 
-def reward_ue_gap(obs: TickObservables, cfg: KpiConfig) -> float:
-    """Fairness reward: min minus max active-UE throughput, normalized, clipped.
+def reward_throughput(obs: TickObservables, cfg: KpiConfig):
+    """Cell throughput normalized by the operating bound, clipped to [-1, 1]:
+    a float for a one-row tick, an array of one reward per row for a tick
+    of rows."""
+    return _clip_unit(obs.cell_throughput_mbps / cfg.reward_throughput_bound_mbps)
+
+
+def reward_ue_gap(obs: TickObservables, cfg: KpiConfig):
+    """Fairness reward: min minus max active-UE throughput, normalized,
+    clipped; one per row, as reward_throughput gives them.
 
     Always <= 0; exactly 0 when every active UE saw the same throughput.
-    Zero active UEs scores 0 by convention.
+    Zero active UEs scores 0 by convention: their masked min and max are
+    +inf and -inf, whose difference the cap at 0 turns into 0.
     """
-    tputs = obs.ue_throughput_mbps[obs.active_mask]
-    if tputs.size == 0:
-        return 0.0
-    raw = float(tputs.min() - tputs.max())
-    return min(max(raw / cfg.reward_gap_bound_mbps, -1.0), 1.0)
+    tputs, active = obs.ue_throughput_mbps, obs.active_mask
+    lo = np.minimum.reduce(tputs, -1, where=active, initial=np.inf)
+    hi = np.maximum.reduce(tputs, -1, where=active, initial=-np.inf)
+    return _clip_unit(np.minimum(lo - hi, 0.0) / cfg.reward_gap_bound_mbps)

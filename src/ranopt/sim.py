@@ -11,7 +11,8 @@ No action changes the radio or the demand, so a cell draws its episode's
 noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
-so a config is read only when a cell is drawn.
+so a config is read only when a cell is drawn. Cells of one shape stack into
+one cell of rows, blocks of options over episodes, that a tick steps at once.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -108,12 +109,19 @@ class SimConfig:
 
 @dataclass
 class CellState:
-    """Mutable simulator truth for one cell. Its episode is drawn at
-    creation into read-only arrays: row t of each (ticks, n_ues) array, and
-    of the (ticks, n_ues, prb_budget) PRB-yield grid, is what tick t sees;
-    the grid's width is the only record of the PRB budget. step rebinds the
-    queue and PF average, never writes into them, so a shallow copy of a
-    fresh cell runs the same episode."""
+    """Mutable simulator truth for one cell, or for a block of rows of
+    cells stepped together. Its episode is drawn at creation into read-only
+    arrays: row t of each (ticks, n_ues) array, and of the (ticks, n_ues,
+    prb_budget) PRB-yield grid, is what tick t sees; the grid's width is the
+    only record of the PRB budget. step rebinds the queue and PF average,
+    never writes into them, so a shallow copy of a fresh cell runs the same
+    episode.
+
+    A cell of rows, as stack_cells makes it, holds E episodes: each drawn
+    array has the episode axis second, (ticks, E, n_ues[, prb_budget]), and
+    the queue and PF average are (blocks, E, n_ues), one block of E rows for
+    each option step is given. Every block reads the same drawn arrays, so
+    nothing drawn is held per option."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
@@ -127,7 +135,9 @@ class CellState:
 
 @dataclass
 class TickObservables:
-    """Everything measurable about one tick, before KPI composition."""
+    """Everything measurable about one tick, before KPI composition. For a
+    cell of rows, each field has the rows' shape, the drawn ones
+    (demand_mb, spectral_eff, rsrp_dbm) that of the episodes they share."""
 
     demand_mb: np.ndarray
     served_mb: np.ndarray
@@ -155,6 +165,12 @@ def spectral_efficiency(rsrp_dbm):
     if np.isscalar(rsrp_dbm):
         return float(eff)
     return eff
+
+
+def _prb_grid(y_mb, budget):
+    """The PRB-yield grid of yields y_mb: [..., k] = k * y_mb[...], the
+    megabits k PRBs carry, for k below the budget."""
+    return np.arange(budget) * y_mb[..., None]
 
 
 def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> CellState:
@@ -190,63 +206,106 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, PF_FLOOR_MBPS),
                      rsrp_dbm=rsrp, spectral_eff=eff, y_mb=y,
                      demand_mb=np.where(rest[:, None], 0.0, demand),
-                     prb_grid_mb=np.arange(cfg.prb_budget) * y[:, :, None])
+                     prb_grid_mb=_prb_grid(y, cfg.prb_budget))
     for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb,
                         cell.prb_grid_mb):
         drawn_array.flags.writeable = False
     return cell
 
 
-def _top_budget(keys, valid, budget, descending):
-    """PRBs per UE from an (n_ues, k) grid whose entry k is the key of the
-    UE's (k+1)-th PRB: counts of the first `budget` valid entries in
-    (key, UE index, k) order, best key first. Serves EQUAL_RATE and the PF
-    options; MAXIMUM_C_OVER_I fills by rank instead.
+def stack_cells(cells, blocks: int) -> CellState:
+    """One cell of blocks x E rows over E fresh cells of one shape: row
+    (b, e) starts as cell e and runs its episode. Each drawn array is the
+    cells' arrays stacked along a new second axis, (ticks, E, ...), held once
+    per episode and read by every block; the queue and PF average are
+    (blocks, E, n_ues). step takes one option per block.
+
+    cells may be an iterator: the grid is rebuilt from the stacked yields,
+    as each cell drew it, for the cells' one budget, so no cell's grid
+    outlives its turn.
+    """
+    arrays = {name: [] for name in ("queue_mb", "pf_avg_mbps", "rsrp_dbm", "spectral_eff",
+                                    "y_mb", "demand_mb")}
+    for cell in cells:
+        for name, stacked in arrays.items():
+            stacked.append(getattr(cell, name))
+    fresh = {name: np.repeat(np.stack(arrays.pop(name))[None], blocks, axis=0)
+             for name in ("queue_mb", "pf_avg_mbps")}
+    drawn = {name: np.stack(stacked, axis=1) for name, stacked in arrays.items()}
+    drawn["prb_grid_mb"] = _prb_grid(drawn["y_mb"], cell.prb_grid_mb.shape[-1])
+    for drawn_array in drawn.values():
+        drawn_array.flags.writeable = False
+    return CellState(**fresh, **drawn)
+
+
+def _top_budget(keys, valid, budget):
+    """PRBs per UE from (..., n_ues, k) keys whose entry k is the key of the
+    UE's (k+1)-th PRB: for each row, counts of its first `budget` valid
+    entries in (key, UE index, k) order, least key first. Serves EQUAL_RATE
+    and the PF options; MAXIMUM_C_OVER_I fills by rank instead.
 
     This is the per-PRB greedy choice (ties to the lowest UE index) as long
-    as no UE's keys get better along k: a UE's next PRB is then never
-    preferred to one it got earlier, so greedy heads merge in sorted order.
+    as no UE's keys fall along k: a UE's next PRB is then never preferred to
+    one it got earlier, so greedy heads merge in sorted order. Each row is
+    sorted once, its invalid entries keyed +inf so that they sort last and
+    drop out of its first `budget`; one bincount over indices offset by row
+    counts every row.
     """
-    flat = valid.ravel().nonzero()[0]  # row-major, so already in (UE index, k) order
-    key = keys.take(flat)
-    if descending:
-        np.negative(key, out=key)
-    order = key.argsort(kind="stable")
-    return np.bincount(flat[order[:budget]] // keys.shape[1], minlength=keys.shape[0])
+    n, k = keys.shape[-2:]
+    ranked = np.where(valid, keys, np.inf).reshape(-1, n * k)
+    first = ranked.argsort(kind="stable")[:, :budget]
+    if len(first) > 1:  # an index into the flattened rows, whose // k is row * n + UE
+        first += np.arange(0, ranked.size, n * k)[:, None]
+    taken = first[valid.take(first)]
+    taken //= k
+    return np.bincount(taken, minlength=len(first) * n).reshape(valid.shape[:-1])
 
 
 def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
-    """Proportional-fair keys eff / avg**alpha, where the smoothed rate avg
-    counts the PRBs the UE got earlier in the tick.
+    """Proportional-fair keys -eff / avg**alpha, negated so that the best
+    PRB sorts first, where the smoothed rate avg counts the PRBs the UE got
+    earlier in the tick. alpha is a Python scalar: numpy takes a scalar
+    exponent of 0.5 as a square root, which an array exponent is not.
 
     A first PRB can lower avg below the UE's average and so raise its next
     key; the greedy choice then keeps serving that UE, which a running
-    minimum along k reproduces.
+    maximum of the negated keys along k reproduces.
     """
     base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
     keys = np.multiply(served_before, PF_EMA)  # the smoothed rate, then the key, in place
     keys /= TICK_SECONDS
-    keys += ((1.0 - PF_EMA) * base_avg)[:, None]
+    keys += ((1.0 - PF_EMA) * base_avg)[..., None]
     np.maximum(keys, PF_FLOOR_MBPS, out=keys)
-    keys[:, 0] = base_avg
+    keys[..., 0] = base_avg
     keys **= alpha
-    np.divide((y_mb / PRB_MEGABITS)[:, None], keys, out=keys)
-    return np.minimum.accumulate(keys, axis=1, out=keys)
+    np.divide((y_mb / -PRB_MEGABITS)[..., None], keys, out=keys)
+    return np.maximum.accumulate(keys, axis=-1, out=keys)
 
 
 def _ranked_fill(avail, y_mb, budget):
-    """MAXIMUM_C_OVER_I: UEs in order of yield, best first, each take their
-    whole need of ceil(avail / y) PRBs, capped by what the budget has left.
-    A UE without traffic takes none."""
-    need = np.ceil(avail / y_mb - 1e-12).tolist()
-    has_traffic = (avail > 1e-12).tolist()
-    alloc, left = [0] * len(need), budget
-    # a stable sort, so equal yields go to the lowest UE index first
-    for i in sorted(range(len(need)), key=y_mb.tolist().__getitem__, reverse=True):
-        if has_traffic[i] and left > 0:
-            alloc[i] = min(need[i], left)
-            left -= alloc[i]
-    return np.array(alloc, dtype=np.int64)
+    """MAXIMUM_C_OVER_I: in each row, UEs in order of yield, best first, each
+    take their whole need of ceil(avail / y) PRBs, capped by what the budget
+    has left. A UE without traffic takes none.
+
+    Ranked by a stable sort, so equal yields go to the lowest UE index
+    first. A UE takes the budget spent once it is served, capped at the
+    budget, less that spent before it: the sums are exact while below the
+    budget, and one that reaches it rounds to no less.
+    """
+    order = np.negative(y_mb).argsort(kind="stable")
+    if order.ndim > 1:  # an index into the flattened rows
+        order += np.arange(0, y_mb.size, y_mb.shape[-1]).reshape(order.shape[:-1] + (1,))
+    need = np.divide(avail, y_mb)
+    need -= 1e-12
+    np.ceil(need, out=need)
+    # spent[..., r + 1]: the budget spent once the UE of rank r is served
+    spent = np.zeros(avail.shape[:-1] + (avail.shape[-1] + 1,))
+    np.add.accumulate(np.where(avail > 1e-12, need, 0.0).take(order), axis=-1,
+                      out=spent[..., 1:])
+    np.minimum(spent, budget, out=spent)
+    alloc = np.empty(avail.shape, dtype=np.int64)
+    alloc.put(order, spent[..., 1:] - spent[..., :-1])
+    return alloc
 
 
 def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
@@ -257,29 +316,38 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     megabits its first k PRBs carry: the grid's width is the PRB budget.
     The PF options rank by the per-UE smoothed rates pf_avg_mbps.
 
+    Each argument may carry leading row axes, (..., n_ues) and, for the
+    grid, (..., n_ues, budget): every row is scheduled on its own under the
+    one option, and the split has avail's shape.
+
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
-    if np.minimum.reduce(avail) < 0:
+    if np.minimum.reduce(avail, axis=None) < 0:
         raise ValueError("avail must be >= 0")
-    budget = grid_mb.shape[1]
+    budget = grid_mb.shape[-1]
     if option == SchedulerOption.MAXIMUM_C_OVER_I:
         return _ranked_fill(avail, y_mb, budget)
     # a PRB is useful while the UE has traffic left; the megabits served before
     # it, min(avail, k * y), are then k * y, since avail - 1e-12 never rounds
     # above avail
-    valid = grid_mb < (avail - 1e-12)[:, None]
+    valid = grid_mb < (avail - 1e-12)[..., None]
     if option == SchedulerOption.EQUAL_RATE:
-        return _top_budget(grid_mb, valid, budget, descending=False)
+        return _top_budget(grid_mb, valid, budget)
     if option in PF_ALPHA:
-        keys = _pf_keys(grid_mb, y_mb, pf_avg_mbps, PF_ALPHA[option])
-        return _top_budget(keys, valid, budget, descending=True)
+        return _top_budget(_pf_keys(grid_mb, y_mb, pf_avg_mbps, PF_ALPHA[option]), valid, budget)
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
-def step(state: CellState, option: SchedulerOption) -> tuple[CellState, TickObservables]:
-    """Advance the cell by one minute, the next row of its drawn episode,
+def step(state: CellState, option) -> tuple[CellState, TickObservables]:
+    """Advance the cell by one minute, the next row of its drawn episodes,
     over the PRB budget it was drawn for; mutates and returns the state.
+
+    option is one SchedulerOption for every row of the cell, or a sequence
+    of them, one for each block of rows along the queue's first axis: each
+    block is scheduled with one schedule_prbs call. A one-row cell's
+    observables hold its cell throughput and utilization as floats, a
+    cell of rows as arrays of the rows' shape.
 
     Order within a tick: demand arrives, PRBs are scheduled, traffic is
     served, buffers and the PF average update.
@@ -288,7 +356,13 @@ def step(state: CellState, option: SchedulerOption) -> tuple[CellState, TickObse
     demands, y, grid = state.demand_mb[t], state.y_mb[t], state.prb_grid_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    alloc = schedule_prbs(option, avail, y, grid, state.pf_avg_mbps)
+    if avail.ndim > y.ndim:  # a block axis over the drawn rows
+        alloc = np.empty(avail.shape, dtype=np.int64)
+        for block, block_option in enumerate(option):
+            alloc[block] = schedule_prbs(block_option, avail[block], y, grid,
+                                         state.pf_avg_mbps[block])
+    else:
+        alloc = schedule_prbs(option, avail, y, grid, state.pf_avg_mbps)
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
@@ -299,16 +373,20 @@ def step(state: CellState, option: SchedulerOption) -> tuple[CellState, TickObse
     pf_avg += PF_EMA * tput
     state.pf_avg_mbps = np.maximum(pf_avg, PF_FLOOR_MBPS, out=pf_avg)
 
+    # each row's sums run along its own contiguous UE axis, as a 1-d sum does
+    cell_tput, used = np.add.reduce(tput, axis=-1), np.add.reduce(alloc, axis=-1)
+    if alloc.ndim == 1:  # one row: floats
+        cell_tput, used = float(cell_tput), float(used)
     obs = TickObservables(
         demand_mb=demands,
         served_mb=served,
         queue_after_mb=state.queue_mb,
         ue_throughput_mbps=tput,
-        cell_throughput_mbps=float(np.add.reduce(tput)),
+        cell_throughput_mbps=cell_tput,
         spectral_eff=state.spectral_eff[t],
         rsrp_dbm=state.rsrp_dbm[t],
         prb_allocation=alloc,
-        prb_utilization=float(np.add.reduce(alloc)) / grid.shape[1],
+        prb_utilization=used / grid.shape[-1],
         active_mask=active,
     )
     return state, obs

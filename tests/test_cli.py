@@ -293,6 +293,26 @@ class TestCliCommands:
         assert code == 1
         assert "agent.gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, work", [
+        (["baseline"], "run_baseline_suite"),
+        (["eval", "--checkpoint", "ck", "--episodes", "1"], "evaluate_checkpoint"),
+    ], ids=["baseline", "eval"])
+    def test_out_that_is_a_file_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        command, work):
+        import ranopt.harness as hn
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(hn, work, refuse)
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "outfile"
+        out.write_text("not a directory")
+        code = main([command[0], "--config", cfg_path, "--out", str(out), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(out)!r}\n"
+        assert out.read_text() == "not a directory"
+
     def test_runtime_error_exit_code_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL)
         code = main(["eval", "--config", cfg_path, "--checkpoint",

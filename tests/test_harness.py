@@ -14,6 +14,7 @@ from ranopt.harness import (BaselineRow, ExperimentConfig, build_agent, episode_
                             episode_stats, evaluate_checkpoint, load_checkpoint,
                             run_baseline_suite, run_episode, save_checkpoint, train_experiment,
                             write_baseline_csv)
+from ranopt.kpi import REWARD_MODES
 from ranopt.qnet import layers
 from ranopt.sim import CellState, SchedulerOption, UeProfile
 
@@ -102,15 +103,6 @@ class TestRunEpisode:
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         assert shapes == [(cfg.steps_demand, len(cfg.ue_profiles))]
 
-    def test_given_cell_left_as_it_was(self):
-        import ranopt.harness as hn
-        cfg = small_cfg()
-        cell = hn._draw_cell(cfg, 1)
-        for option in (SchedulerOption.EQUAL_RATE, SchedulerOption.MAXIMUM_C_OVER_I):
-            res = run_episode(cfg, 1, constant_action=option, cell=cell)
-            assert cell.tick == 0 and not cell.queue_mb.any()
-            assert res == run_episode(cfg, 1, constant_action=option)
-
     def test_baseline_never_touches_agent(self):
         cfg = small_cfg()
         agent = DoubleQAgent(cfg.agent)
@@ -186,16 +178,36 @@ class TestBaselineSuite:
 
     def test_each_seed_drawn_once(self, monkeypatch):
         import ranopt.harness as hn
-        cfg = small_cfg()
-        alone = {option: [run_episode(cfg, 2 + i, constant_action=option).mean_reward
-                          for i in range(cfg.baseline_episodes)] for option in SchedulerOption}
+        n_eps = hn.BASELINE_BLOCK_EPISODES + 2  # a full block and part of a second
         drawn, orig = [], hn.init_cell_state
         monkeypatch.setattr(hn, "init_cell_state", lambda *args: drawn.append(args[2])
                             or orig(*args))
-        rows = run_baseline_suite(cfg, first_episode=2)
-        assert drawn == [episode_seed(cfg.seed, 2 + i) for i in range(cfg.baseline_episodes)]
-        for row in rows:
-            assert row.mean_reward.hex() == episode_stats(alone[row.action])[0].hex()
+        for mode in REWARD_MODES:
+            cfg = small_cfg(reward_mode=mode, baseline_episodes=n_eps)
+            alone = {option: [run_episode(cfg, 2 + i, constant_action=option).mean_reward
+                              for i in range(n_eps)] for option in SchedulerOption}
+            drawn.clear()
+            rows = run_baseline_suite(cfg, first_episode=2)
+            assert drawn == [episode_seed(cfg.seed, 2 + i) for i in range(n_eps)]
+            assert sorted(row.action for row in rows) == list(SchedulerOption)
+            for row in rows:
+                mean, stderr = episode_stats(alone[row.action])
+                assert (row.mean_reward.hex(), row.stderr.hex()) == (mean.hex(), stderr.hex())
+                assert row.episodes == n_eps
+
+    def test_memory_does_not_grow_with_the_suite(self):
+        import ranopt.harness as hn
+        run_baseline_suite(small_cfg(), episodes=1)  # first-call allocations out of the way
+        peaks = []
+        for blocks in (1, 3):
+            tracemalloc.start()
+            try:
+                run_baseline_suite(small_cfg(), episodes=blocks * hn.BASELINE_BLOCK_EPISODES)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block's stacked episodes are held at a time
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_throughput_best_is_max_ci(self):
         cfg = ExperimentConfig(baseline_episodes=10)
@@ -268,8 +280,39 @@ class TestTraceContract:
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg, episodes=1)
         ticks = cfg.steps_demand + cfg.steps_rest
+        # the suite steps its cell of option rows through sim.step: only one-row
+        # cells pass this module's step
         assert {name: len(c) for name, c in calls.items()} == {
-            "init_cell_state": 2, "step": 6 * ticks, "compose_kpis": cfg.steps_demand}
+            "init_cell_state": 2, "step": ticks, "compose_kpis": cfg.steps_demand}
+
+    def test_a_tracer_of_the_globals_reads_scalars(self, monkeypatch):
+        """Wrapped as a tracer wraps them, schedule_prbs named by its first
+        argument and step's utilization read by float(), the agent's episode
+        and a suite of two blocks run: every schedule_prbs call is of one
+        option, and only one-row cells pass harness.step."""
+        import ranopt.harness as hn
+        import ranopt.sim as sim
+        names, utilizations = [], []
+        schedule, harness_step = sim.schedule_prbs, hn.step
+
+        def traced_schedule(*args, **kwargs):
+            names.append(SchedulerOption(args[0] if args else kwargs["option"]).name)
+            return schedule(*args, **kwargs)
+
+        def traced_step(*args, **kwargs):
+            result = harness_step(*args, **kwargs)
+            utilizations.append(float(result[1].prb_utilization))
+            return result
+
+        monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
+        monkeypatch.setattr(hn, "step", traced_step)
+        cfg = small_cfg(baseline_episodes=hn.BASELINE_BLOCK_EPISODES + 1)
+        ticks = cfg.steps_demand + cfg.steps_rest
+        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
+        run_baseline_suite(cfg)
+        assert len(utilizations) == ticks
+        # each block's tick: one call per option, whatever the block's episode count
+        assert names[ticks:] == [o.name for _ in range(2 * ticks) for o in SchedulerOption]
 
 
 class TestTrainExperiment:
@@ -742,6 +785,18 @@ class TestCheckpointRoundtrip:
         held = (sum(a.nbytes for a in vars(buf).values() if isinstance(a, np.ndarray))
                 + sum(row.nbytes for row in buf.stored.values()))
         assert held <= 2.6e6
+
+    def test_load_builds_the_ring_around_the_files_arrays(self, full_ring):
+        size = os.path.getsize(full_ring / "checkpoint.npz")
+        tracemalloc.start()
+        try:
+            agent, _ = load_checkpoint(full_ring, small_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the arrays np.load read and the checks' masks; no zeroed ring made and thrown away
+        assert peak <= 1.5 * size
+        assert len(agent.buffer) == 5000
 
     def test_evaluate_checkpoint_deterministic(self, tmp_path):
         cfg = small_cfg(episodes=2)

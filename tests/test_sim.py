@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
                         SimConfig, TickObservables, UeProfile, fit_traffic_profiles,
                         init_cell_state, read_traffic_records, schedule_prbs,
-                        spectral_efficiency, step)
+                        spectral_efficiency, stack_cells, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
@@ -368,6 +369,11 @@ def cells(draw):
     budget = draw(st.integers(1, 119))
     # a PRB of under 1 megabit gives a queue of 1e-13 a need of ceil(avail / y - 1e-12) = 1
     prb_mb = draw(st.sampled_from([PRB_MEGABITS, 1.0, 0.05]))
+    return draw_cell(draw, n, budget, prb_mb)
+
+
+def draw_cell(draw, n, budget, prb_mb):
+    """A state of n UEs and this tick's demands, as cells() describes them."""
 
     def per_ue(strategy):
         return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
@@ -388,6 +394,17 @@ def cells(draw):
     # the kernel takes y_mb as given, so the PRB size reaches it through the state's yields
     state = make_state(queue, rsrp_eff, pf_avg, prb_mb, budget)
     return state, demands
+
+
+@st.composite
+def row_cells(draw):
+    """1..3 cells of one shape, each a row: 1..12 UEs, so that sums over
+    more than 8 UEs unroll, a budget of 1..120 PRBs and one PRB size; UEs
+    without traffic and tied yields as in cells()."""
+    n = draw(st.integers(1, 12))
+    budget = draw(st.integers(1, 120))
+    prb_mb = draw(st.sampled_from([PRB_MEGABITS, 1.0, 0.05]))
+    return [draw_cell(draw, n, budget, prb_mb) for _ in range(draw(st.integers(1, 3)))]
 
 
 class TestScheduleKernel:
@@ -435,6 +452,28 @@ class TestScheduleKernel:
         state = make_state([31 * Y_105, 1e6], [-105.0, -115.0], budget=40)
         alloc = schedule(SchedulerOption.MAXIMUM_C_OVER_I, state, np.zeros(2))
         assert alloc.tolist() == [31, 9]
+
+
+class TestRowKernel:
+    """schedule_prbs over stacked rows: each row as if scheduled alone."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    # 12 UEs in two rows, one of them tied at one yield, the other without traffic
+    @example(rows=[(make_state([1e6] * 12, [-105.0] * 12, budget=120), np.zeros(12)),
+                   (make_state([0.0] * 12, RSRP_LAB * 3, budget=120), np.zeros(12))])
+    @given(rows=row_cells())
+    def test_each_row_is_the_row_alone_and_the_reference(self, rows):
+        avail = np.stack([state.queue_mb + demands for state, demands in rows])
+        y, grid = (np.stack([getattr(state, name)[0] for state, _ in rows])
+                   for name in ("y_mb", "prb_grid_mb"))
+        pf_avg = np.stack([state.pf_avg_mbps for state, _ in rows])
+        for option in SchedulerOption:
+            alloc = schedule_prbs(option, avail, y, grid, pf_avg)
+            assert alloc.shape == avail.shape
+            for row, (state, demands) in zip(alloc, rows):
+                alone = schedule(option, state, demands)
+                assert same_bits(row, alone), option.name
+                assert row.tolist() == reference_schedule(option, state, demands).tolist()
 
 
 def _rsrp_for_eff(eff):
@@ -508,22 +547,22 @@ class TestStep:
 
     def test_constant_option_ordering(self):
         # construction property: max C/I tops raw throughput, equal rate
-        # minimizes the throughput spread, over 50 matched 80-tick runs
-        cfg = SimConfig()
-        mean_tput = {}
-        mean_gap = {}
-        for opt in SchedulerOption:
-            tputs, gaps = [], []
-            for ep in range(50):
-                st = init_cell_state(PROFILES_LAB, cfg, 1000 + ep, demand_ticks(80))
-                for _ in range(80):
-                    st, obs = step(st, opt)
-                    tputs.append(obs.cell_throughput_mbps)
-                    act = obs.ue_throughput_mbps[obs.active_mask]
-                    if act.size:
-                        gaps.append(act.max() - act.min())
-            mean_tput[opt] = np.mean(tputs)
-            mean_gap[opt] = np.mean(gaps)
+        # minimizes the throughput spread, over 50 matched 80-tick runs,
+        # stepped as one cell of a row per option and episode
+        options = list(SchedulerOption)
+        st = stack_cells((init_cell_state(PROFILES_LAB, SimConfig(), 1000 + ep, demand_ticks(80))
+                          for ep in range(50)), len(options))
+        tputs, gaps, gap_ticks = np.zeros(5), np.zeros(5), np.zeros(5)
+        for _ in range(80):
+            st, obs = step(st, options)
+            tputs += obs.cell_throughput_mbps.sum(axis=1)
+            active, tput = obs.active_mask, obs.ue_throughput_mbps
+            gap = (np.where(active, tput, -np.inf).max(axis=2)
+                   - np.where(active, tput, np.inf).min(axis=2))
+            gaps += np.where(active.any(axis=2), gap, 0.0).sum(axis=1)
+            gap_ticks += active.any(axis=2).sum(axis=1)
+        mean_tput = dict(zip(options, tputs / (50 * 80)))
+        mean_gap = dict(zip(options, gaps / gap_ticks))
         assert max(mean_tput, key=mean_tput.get) == SchedulerOption.MAXIMUM_C_OVER_I
         assert min(mean_gap, key=mean_gap.get) == SchedulerOption.EQUAL_RATE
 
@@ -597,6 +636,56 @@ class TestDrawnEpisode:
                 assert same_bits(getattr(obs, name), getattr(expected, name)), name
             assert same_bits(cell.pf_avg_mbps, ref.pf_avg_mbps)
             assert obs.cell_throughput_mbps.hex() == expected.cell_throughput_mbps.hex()
+
+
+@st.composite
+def stacked_episodes(draw):
+    """1..3 episodes of one shape, as stack_cells takes them: profiles of
+    1..12 UEs, a budget of 1..120 PRBs, fading on or off, 1..8 ticks and
+    their rest mask, and one option for each of 1..5 blocks."""
+    n = draw(st.integers(1, 12))
+    profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)),
+                          draw(st.floats(0.0, 3000.0)),
+                          draw(st.just(0.0) | st.floats(0.0, 2500.0))) for _ in range(n)]
+    cfg = SimConfig(prb_budget=draw(st.integers(1, 120)),
+                    rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
+    rest = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3))
+    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=1, max_size=5))
+    return profiles, cfg, rest, seeds, options
+
+
+class TestStackedCells:
+    """step over a cell of option blocks by episode rows, row by row against
+    each episode's one-row cell under the block's option."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    # the suite's shape: every option over two episodes of the lab UEs
+    @example(episode=(PROFILES_LAB, SimConfig(), [t >= 8 for t in range(10)], [3, 4],
+                      list(SchedulerOption)))
+    @given(episode=stacked_episodes())
+    def test_each_row_steps_as_its_cell_alone(self, episode):
+        profiles, cfg, rest, seeds, options = episode
+        cells = [init_cell_state(profiles, cfg, seed, rest) for seed in seeds]
+        stacked = stack_cells(iter(cells), len(options))  # an iterator, as the suite passes one
+        for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb", "prb_grid_mb"):
+            assert same_bits(getattr(stacked, name), np.stack([getattr(c, name) for c in cells], 1))
+            assert not getattr(stacked, name).flags.writeable
+        alone = [[copy.copy(c) for c in cells] for _ in options]
+        for _ in rest:
+            stacked, obs = step(stacked, options)
+            for b, option in enumerate(options):
+                for e, cell in enumerate(alone[b]):
+                    _, expected = step(cell, option)
+                    for name in ("served_mb", "queue_after_mb", "ue_throughput_mbps",
+                                 "prb_allocation", "active_mask"):
+                        assert same_bits(getattr(obs, name)[b, e], getattr(expected, name)), name
+                    for name in ("demand_mb", "spectral_eff", "rsrp_dbm"):
+                        assert same_bits(getattr(obs, name)[e], getattr(expected, name)), name
+                    assert obs.cell_throughput_mbps[b, e].hex() == \
+                        expected.cell_throughput_mbps.hex()
+                    assert obs.prb_utilization[b, e] == expected.prb_utilization
+                    assert same_bits(stacked.pf_avg_mbps[b, e], cell.pf_avg_mbps)
 
 
 class TestFitTrafficProfiles:
