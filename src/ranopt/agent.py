@@ -42,6 +42,8 @@ _RING_FIELDS = ("states", "actions", "rewards", "episode_ids")
 
 @dataclass
 class AgentConfig:
+    """Learning and exploration settings; the seed is the run's, which DoubleQAgent takes."""
+
     gamma: float = 0.95
     epsilon_start: float = 1.0
     epsilon_min: float = 0.1
@@ -50,7 +52,6 @@ class AgentConfig:
     tau: float = 0.01
     learning_rate: float = 1e-3
     batch_segments: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -67,8 +68,6 @@ class AgentConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_segments < 1:
             raise ValueError("batch_segments must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -387,13 +386,14 @@ def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndar
 class DoubleQAgent:
     """Online/target network vectors plus replay buffer and exploration schedule."""
 
-    def __init__(self, cfg: AgentConfig, buffer: ReplayBuffer | None = None):
-        """A fresh agent; its replay ring is buffer, when given, else an empty one."""
+    def __init__(self, cfg: AgentConfig, buffer: ReplayBuffer | None = None, seed: int = 0):
+        """A fresh agent; its replay ring is buffer, when given, else an empty one.
+        seed sets both networks, init_params(seed), and the RNG, default_rng([seed, 1])."""
         self.cfg = cfg
-        self.online = qnet.init_params(seed=cfg.seed)
+        self.online = qnet.init_params(seed)
         self.target = self.online.copy()
         self.buffer = ReplayBuffer(REPLAY_CAPACITY) if buffer is None else buffer
-        self.rng = np.random.default_rng([cfg.seed, 1])
+        self.rng = np.random.default_rng([seed, 1])
         self.global_step = 0
 
     @property

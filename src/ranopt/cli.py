@@ -136,13 +136,15 @@ def load_config_file(path, seed_override: int | None = None) -> ExperimentConfig
     return build_config(_read_json(path), seed_override=seed_override)
 
 
-def _echo(cfg: ExperimentConfig) -> None:
+def _load_and_echo(args) -> ExperimentConfig:
+    """The config of --config and --seed, echoed before anything runs."""
+    cfg = load_config_file(args.config, seed_override=args.seed)
     print(json.dumps(resolved_config_dict(cfg), indent=2))
+    return cfg
 
 
 def cmd_train(args) -> int:
-    cfg = load_config_file(args.config, seed_override=args.seed)
-    _echo(cfg)
+    cfg = _load_and_echo(args)
     results, _ = harness.train_experiment(cfg, out_dir=args.out,
                                           resume_from=args.resume, verbose=True)
     print(f"wrote {os.path.join(args.out, 'curve.csv')} ({len(results)} episodes)")
@@ -150,8 +152,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg = load_config_file(args.config, seed_override=args.seed)
-    _echo(cfg)
+    cfg = _load_and_echo(args)
     os.makedirs(args.out, exist_ok=True)  # an --out that is a file is refused before the suite runs
     rows = harness.run_baseline_suite(cfg)
     path = os.path.join(args.out, "baseline.csv")
@@ -166,8 +167,7 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
-    cfg = load_config_file(args.config, seed_override=args.seed)
-    _echo(cfg)
+    cfg = _load_and_echo(args)
     if args.out:  # an --out that is a file is refused before the checkpoint is read
         os.makedirs(args.out, exist_ok=True)
     mean, stderr = harness.evaluate_checkpoint(cfg, args.checkpoint, args.episodes)
@@ -185,8 +185,10 @@ def cmd_eval(args) -> int:
 def cmd_fit_traffic(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     records = read_traffic_records(args.records)
-    profiles = fit_traffic_profiles(records, k=args.k, seed=args.seed or 0)
+    profiles = fit_traffic_profiles(records, k=args.k, seed=args.seed)
     out = [dataclasses.asdict(p) for p in profiles]
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=2)
@@ -200,32 +202,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ranopt",
         description="Train and evaluate a scheduler-selection agent on a simulated cell.")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_seed = "the run's seed, in place of the config's: it seeds the episodes"
 
     p = sub.add_parser("train", help="run training episodes, write curve and checkpoints")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help=run_seed + ", the agent's initial networks and its exploration")
     p.add_argument("--resume", default=None, help="checkpoint directory to resume from")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="evaluate the five constant actions")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help=run_seed)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--episodes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--episodes", type=int, default=10,
+                   help="evaluate episodes 0..N-1, the first episodes a training run trains on")
+    p.add_argument("--seed", type=int, default=None, help=run_seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fit-traffic", help="cluster session records into UE profiles")
     p.add_argument("--records", required=True)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seeds the k-means++ initial centers")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_traffic)
     return parser

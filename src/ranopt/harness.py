@@ -68,7 +68,7 @@ class ExperimentConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     kpi: KpiConfig = field(default_factory=KpiConfig)
-    seed: int = 0
+    seed: int = 0  # the run's one seed: its episodes, and its agent's networks and stream
     baseline_episodes: int = 50
     checkpoint_every: int = 10
     # a checkpoint directory, as --resume names one, whose replay ring a fresh run starts with
@@ -139,7 +139,8 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
                 agent: DoubleQAgent | None = None,
                 constant_action: SchedulerOption | None = None,
                 train: bool = False) -> EpisodeResult:
-    """One 90-tick episode under either the agent's policy or a constant action.
+    """One episode, cfg.steps_demand demand ticks then cfg.steps_rest rest
+    ticks, under either the agent's policy or a constant action.
 
     Returns reward statistics over the demand steps only. With train set each
     demand step appends one experience to the agent's buffer and calls
@@ -252,23 +253,22 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 
 def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
-    """A fresh agent. With cfg.preload_path set, its replay ring is that of
-    the checkpoint directory named there, read by load_checkpoint as a resume is.
+    """A fresh agent of the run's seed. With cfg.preload_path set, its replay
+    ring is that of the checkpoint directory named there, read by
+    load_checkpoint as a resume is.
 
     The preloaded episode ids are shifted to end at -1, equal ids staying
     equal, so no n-step segment spans a preloaded episode and the run's
     first episode, 0; ids that the shift would wrap are refused.
     """
-    if not cfg.preload_path:
-        return DoubleQAgent(cfg.agent)
-    buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer
-    ids = buffer.episode_ids[:len(buffer)]  # a fresh ring: rows in logical order
-    if ids.size:
+    buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer if cfg.preload_path else None
+    if buffer:  # not None and not empty
+        ids = buffer.episode_ids[:len(buffer)]  # a fresh ring: rows in logical order
         if int(ids.max()) - int(ids.min()) >= 2 ** 63:  # the shift would wrap
             raise ValueError(f"{cfg.preload_path}: episode ids {ids.min()} to {ids.max()} "
                              f"do not fit int64 once shifted to end at -1")
         ids[:] = ids - ids.max() - 1
-    return DoubleQAgent(cfg.agent, buffer)
+    return DoubleQAgent(cfg.agent, buffer, cfg.seed)
 
 
 def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:

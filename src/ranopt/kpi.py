@@ -37,8 +37,6 @@ import numpy as np
 
 from .sim import EFF_CAP, SchedulerOption, TickObservables
 
-MANIFEST_VERSION = "v1"
-
 N_CELL_SCALARS = 12
 N_CQI_BINS = 15
 N_RSRP_BINS = 8

@@ -450,22 +450,22 @@ def fit_traffic_profiles(records, k: int = 4, seed: int = 0) -> list[UeProfile]:
         raise ValueError("records must not be empty")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError(f"records must be (n, 2) pairs, got shape {data.shape}")
-    distinct = np.unique(data, axis=0)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > distinct.shape[0]:
-        raise ValueError(f"k={k} exceeds the {distinct.shape[0]} distinct records")
 
     mu = data.mean(axis=0)
     sd = data.std(axis=0)
     sd[sd == 0] = 1.0
     z = (data - mu) / sd
+    # distinct as the clustering sees them: records that standardize to one point are one
+    distinct = np.unique(z, axis=0)
+    if k > distinct.shape[0]:
+        raise ValueError(f"k={k} exceeds the {distinct.shape[0]} distinct records")
 
     rng = np.random.default_rng(seed)
-    z_distinct = (distinct - mu) / sd
     assign, best_inertia = None, None
     for _ in range(10):  # restarts guard against local optima
-        cand_assign, inertia = _lloyd(z, _kmeanspp_init(z_distinct, k, rng), k)
+        cand_assign, inertia = _lloyd(z, _kmeanspp_init(distinct, k, rng), k)
         if best_inertia is None or inertia < best_inertia:
             assign, best_inertia = cand_assign, inertia
 

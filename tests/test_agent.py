@@ -77,6 +77,21 @@ class TestAgentConfig:
             AgentConfig(**bad)
 
 
+class TestSeed:
+    def test_default_agent_is_the_seed_0_agent(self):
+        # perfbench/run.py builds its warm checkpoint from this call
+        agent = DoubleQAgent(AgentConfig())
+        assert agent.online.tobytes() == agent.target.tobytes() == qnet.init_params(0).tobytes()
+        assert agent.rng.bit_generator.state == np.random.default_rng([0, 1]).bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 2 ** 40, 2 ** 64 - 1])
+    def test_seed_sets_networks_and_stream(self, seed):
+        agent = DoubleQAgent(AgentConfig(), seed=seed)
+        assert agent.online.tobytes() == agent.target.tobytes() == qnet.init_params(seed).tobytes()
+        assert (agent.rng.bit_generator.state
+                == np.random.default_rng([seed, 1]).bit_generator.state)
+
+
 class TestEpsilonSchedule:
     def test_starts_at_one(self):
         assert epsilon_at(0, AgentConfig()) == 1.0
@@ -726,9 +741,8 @@ class TestTrainStep:
 
     def test_single_transition_convergence(self):
         # one-step regression: learning rate sized for the tiny-input NTK
-        cfg = AgentConfig(n_step=1, batch_segments=4, seed=2,
-                          learning_rate=0.01, tau=0.1)
-        agent = DoubleQAgent(cfg)
+        cfg = AgentConfig(n_step=1, batch_segments=4, learning_rate=0.01, tau=0.1)
+        agent = DoubleQAgent(cfg, seed=2)
         e = exp(0, tag=0.4, reward=0.8, action=2)
         e.next_state = np.zeros(58)
         e.next_state[1] = 0.9
@@ -847,7 +861,7 @@ class TestTrainStepMatchesReference:
 
 class TestActGreedy:
     def test_greedy_deterministic_and_schedule_frozen(self):
-        agent = DoubleQAgent(AgentConfig(seed=3))
+        agent = DoubleQAgent(AgentConfig(), seed=3)
         s = np.random.default_rng(7).uniform(0, 1, 58)
         step_before = agent.global_step
         actions = {agent.act(s, greedy=True) for _ in range(10)}
@@ -855,7 +869,7 @@ class TestActGreedy:
         assert agent.global_step == step_before
 
     def test_training_act_advances_schedule(self):
-        agent = DoubleQAgent(AgentConfig(seed=4))
+        agent = DoubleQAgent(AgentConfig(), seed=4)
         s = np.zeros(58)
         e0 = agent.epsilon
         agent.act(s)
@@ -866,7 +880,7 @@ class TestActGreedy:
     @pytest.mark.parametrize("state_value, b2", [(np.nan, 0.0), (0.5, np.inf), (0.5, -np.inf)],
                              ids=["nan_state", "inf_q", "minus_inf_q"])
     def test_non_finite_q_value_raises(self, greedy, state_value, b2):
-        agent = DoubleQAgent(AgentConfig(seed=5))
+        agent = DoubleQAgent(AgentConfig(), seed=5)
         qnet.layers(agent.online)[3][1] = b2  # -inf is never the greedy choice
         before = agent.global_step, agent.rng.bit_generator.state
         with pytest.raises(FloatingPointError, match="non-finite Q-value"):

@@ -102,7 +102,8 @@ class TestBuildConfig:
         ({"kpi": {"reward_throughput_bound_mbps": 40}}, None),
         # a validator's message names the key as a word: not episodes, a part of its name
         ({"baseline_episodes": 0}, "baseline_episodes: baseline_episodes must be >= 1"),
-        ({"agent": {"seed": -1}}, "agent.seed: seed must be >= 0, got -1"),
+        # the run's seed is the agent's: the agent section has none of its own
+        ({"agent": {"seed": -1}}, "agent.seed: unknown key"),
         # episode_seed keeps 64 bits: 2**70 + 5 would replay seed 5, -1 seed 2**64 - 1
         ({"seed": 2 ** 70 + 5}, rf"seed: seed must lie in \[0, 2\*\*64\), got {2 ** 70 + 5}"),
         ({"seed": -1}, r"seed: seed must lie in \[0, 2\*\*64\), got -1"),
@@ -278,6 +279,24 @@ class TestCliCommands:
                      "--out", str(tmp_path / "profiles.json")])
         assert code == 1
         assert capsys.readouterr().err == "error: --k must be >= 1, got 0\n"
+
+    def test_fit_traffic_refuses_a_negative_seed_before_reading(self, tmp_path, capsys):
+        code = main(["fit-traffic", "--records", str(tmp_path / "missing.csv"), "--seed", "-1",
+                     "--out", str(tmp_path / "profiles.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+    def test_train_runs_of_one_seed_write_the_same_bytes(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        trees = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["train", "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 0
+            trees.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert sorted(trees[0]) == ["checkpoints/ep_0002/checkpoint.npz", "curve.csv",
+                                    "final/checkpoint.npz"]
+        assert trees[0] == trees[1]
 
     def test_fit_traffic_profiles_usable_in_config(self, tmp_path):
         profiles = [{"rsrp_dbm": -110.0, "demand_mean": 500.0, "demand_std": 100.0},

@@ -15,7 +15,7 @@ from ranopt.harness import (BaselineRow, ExperimentConfig, build_agent, episode_
                             run_baseline_suite, run_episode, save_checkpoint, train_experiment,
                             write_baseline_csv)
 from ranopt.kpi import REWARD_MODES
-from ranopt.qnet import layers
+from ranopt.qnet import init_params, layers
 from ranopt.sim import CellState, SchedulerOption, UeProfile
 
 
@@ -377,6 +377,19 @@ class TestTrainExperiment:
         history = entries(earlier.buffer, id_shift=-1)  # episode 0 of that run is -1 here
         assert len(agent.buffer) == 2 * cfg.steps_demand
         assert entries(agent.buffer)[:len(history)] == history
+
+    @pytest.mark.parametrize("preload", [False, True], ids=["fresh", "preloaded"])
+    def test_build_agent_takes_the_run_seed(self, earlier_run, preload):
+        # the run's seed, 7, not that of the run the ring comes from, 5
+        cfg = small_cfg(seed=7, preload_path=str(earlier_run[0]) if preload else None)
+        agent = build_agent(cfg)
+        assert agent.online.tobytes() == agent.target.tobytes() == init_params(7).tobytes()
+        assert agent.rng.bit_generator.state == np.random.default_rng([7, 1]).bit_generator.state
+        assert len(agent.buffer) == (cfg.steps_demand if preload else 0)
+
+    def test_runs_of_two_seeds_start_from_different_networks(self):
+        one, two = (build_agent(small_cfg(seed=seed)) for seed in (1, 2))
+        assert one.online.tobytes() != two.online.tobytes()
 
     def test_preload_plain_buffer_fields(self, tmp_path, earlier_run):
         # the npz of BUFFER_FIELDS arrays that a preload once read, now a directory's

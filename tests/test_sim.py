@@ -720,6 +720,14 @@ class TestFitTrafficProfiles:
         with pytest.raises(ValueError):
             fit_traffic_profiles([(-100.0, 1.0), (-100.0, 1.0)], k=2)
 
+    def test_k_counts_records_distinct_once_standardized(self):
+        # 5.0 and its next float standardize to one point: two distinct, not three
+        records = [(-100.0, 5.0), (-100.0, 5.000000000000001), (-100.0, 3000.0)]
+        with pytest.raises(ValueError, match="^k=3 exceeds the 2 distinct records$"):
+            fit_traffic_profiles(records, k=3)
+        low, high = fit_traffic_profiles(records, k=2)
+        assert sorted([low.demand_mean, high.demand_mean]) == pytest.approx([5.0, 3000.0])
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         records = [(rng.normal(-105, 8), rng.uniform(0, 1000)) for _ in range(60)]
