@@ -356,6 +356,22 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
     return max(cfg.epsilon_min, cfg.epsilon_start * cfg.epsilon_decay ** step)
 
 
+def action_values(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """qnet.forward of one state or of (..., STATE_DIM) states; raises
+    FloatingPointError, naming the values, on a non-finite one in any row."""
+    q = qnet.forward(theta, states)
+    if not all(map(math.isfinite, q.ravel().tolist())):
+        raise FloatingPointError(f"non-finite Q-value in {q.tolist()}")
+    return q
+
+
+def greedy_options(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The greedy option of each of (..., STATE_DIM) states under the network
+    vector theta, (...): the first of the best action values, as act picks
+    with greedy set. Raises FloatingPointError on a non-finite action value."""
+    return action_values(theta, states).argmax(axis=-1)
+
+
 def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Greedy with probability 1 - epsilon (ties to the lowest index), else uniform."""
     if not 0.0 <= epsilon <= 1.0:
@@ -404,9 +420,7 @@ class DoubleQAgent:
         """Pick an option; training-mode calls advance the exploration schedule.
         Raises FloatingPointError on a non-finite action value, before the
         schedule or the RNG moves."""
-        q = qnet.forward(self.online, state)
-        if not all(map(math.isfinite, q.tolist())):
-            raise FloatingPointError(f"non-finite Q-value in {q.tolist()}")
+        q = action_values(self.online, state)
         if greedy:
             return select_action(q, 0.0, self.rng)
         action = select_action(q, self.epsilon, self.rng)

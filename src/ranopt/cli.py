@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--episodes", type=int, default=10,
-                   help="evaluate episodes 0..N-1, the first episodes a training run trains on")
+                   help="evaluate episodes 0..N-1, the first episodes a training run trains "
+                        "on; they are evaluated together, in blocks of up to "
+                        f"{harness.BASELINE_BLOCK_EPISODES} episodes, one row each")
     p.add_argument("--seed", type=int, default=None, help=run_seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -12,15 +12,19 @@ Rest minutes are simulated (queues keep draining) but produce no experience,
 no training and no reward statistics, so their KPI states are never
 composed; nor are any under a constant action, which reads no state. An
 agent episode bins its radio once, with radio_table over the drawn rows of
-its demand ticks, and composes each demand tick's state from its row. The
-baseline suite draws each episode's cell once and steps a block of episodes
-as one cell of rows, a row for each constant action in each episode, all in
-one step a tick; a block holds at most BASELINE_BLOCK_EPISODES episodes.
+its demand ticks, and composes each demand tick's state from its row.
+
+Evaluation and the baseline suite step rows: run_rows draws each episode's
+cell once and steps a block of at most BASELINE_BLOCK_EPISODES episodes as
+one cell of rows, in one sim.step a tick, a row per episode under the greedy
+policy and a row per constant action and episode in the suite. Only
+training's one-row cells pass this module's step.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kpi, qnet, sim
-from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent, ReplayBuffer
+from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent, ReplayBuffer, greedy_options
 from .kpi import (INITIAL_STATE, KpiConfig, compose_kpis, radio_table, reward_throughput,
                   reward_ue_gap)
 from .sim import (CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, stack_cells,
@@ -53,8 +57,8 @@ CHECKPOINT_FILE = "checkpoint.npz"
 CHECKPOINT_FORMAT = 4
 _NETS = ("online", "target")
 _ARRAYS = _NETS + BUFFER_FIELDS + ("chained",)
-# Episodes the baseline suite steps together: memory grows with it, not with
-# the suite's length.
+# Episodes run_rows steps together: memory grows with it, not with the
+# number of episodes evaluated.
 BASELINE_BLOCK_EPISODES = 10
 
 
@@ -199,18 +203,46 @@ class BaselineRow:
     episodes: int
 
 
-def _block_means(cfg: ExperimentConfig, episodes: range, options: list) -> np.ndarray:
-    """Each option's mean reward in each episode, (options, episodes), the
-    episodes stepped together as one cell of rows. A row's rewards lie along
-    its own ticks, so its mean adds them in run_episode's order."""
-    cell = stack_cells((_draw_cell(cfg, ep) for ep in episodes), len(options))
-    rewards = np.empty((len(options), len(episodes), cfg.steps_demand))
-    for t in range(cfg.steps_demand):
-        cell, obs = sim.step(cell, options)
-        rewards[..., t] = _reward_for(obs, cfg.reward_mode, cfg.kpi)
-    for _ in range(cfg.steps_rest):  # queues keep draining
-        sim.step(cell, options)
-    return rewards.mean(axis=-1)
+def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
+    """Each row's mean demand reward, (blocks, len(episodes)), the episodes
+    stepped in lock-step: in blocks of at most BASELINE_BLOCK_EPISODES, each
+    block's cells drawn once and stacked into one cell of rows, one
+    sim.step a tick.
+
+    policy is a sequence of constant options, a block of rows for each, or
+    a callable that maps the states of one block of rows, (1, E, STATE_DIM),
+    to their (1, E) options, asked every demand tick; only a callable's
+    rows compose their states. Rest ticks step each row's last option. A
+    row's rewards lie along its own ticks, so its mean adds them in
+    run_episode's order, and its states and rewards are those of its
+    episode run alone.
+    """
+    reads_states = callable(policy)
+    blocks = 1 if reads_states else len(policy)
+
+    def run_block(block: range) -> np.ndarray:  # nothing of a block outlives its turn
+        cell = stack_cells((_draw_cell(cfg, ep) for ep in block), blocks)
+        rewards = np.empty((blocks, len(block), cfg.steps_demand))
+        if reads_states:  # each demand tick's radio state terms, one block of rows
+            ids, rsrq_radio = radio_table(cell.rsrp_dbm[:cfg.steps_demand, None],
+                                          cell.spectral_eff[:cfg.steps_demand, None])
+            states = np.broadcast_to(INITIAL_STATE, (1, len(block)) + INITIAL_STATE.shape)
+        else:
+            options = np.array(policy)[:, None]  # a column: one option per block
+        for t in range(cfg.steps_demand):
+            if reads_states:
+                options = policy(states)
+            cell, obs = sim.step(cell, options)
+            rewards[..., t] = _reward_for(obs, cfg.reward_mode, cfg.kpi)
+            if reads_states:
+                states = compose_kpis(obs, options, t + 1, cfg.steps_demand,
+                                      cfg.steps_demand + cfg.steps_rest, (ids[t], rsrq_radio[t]))
+        for _ in range(cfg.steps_rest):  # queues keep draining
+            sim.step(cell, options)
+        return rewards.mean(axis=-1)
+
+    return np.concatenate([run_block(episodes[start:start + BASELINE_BLOCK_EPISODES])
+                           for start in range(0, len(episodes), BASELINE_BLOCK_EPISODES)], axis=1)
 
 
 def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
@@ -218,20 +250,14 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
     """Evaluate all five constant actions on identical episode seeds, each
     episode's cell drawn once and run under every option.
 
-    Episodes run in blocks of at most BASELINE_BLOCK_EPISODES, so memory
-    does not grow with the suite. stack_cells makes a block one cell of
-    five option rows per episode, and each tick steps every row at once,
-    through sim.step rather than this module's step, which takes one-row
-    cells only: one schedule_prbs call per option. The means are
-    run_episode's, bit for bit. Rows come back sorted best-first under the
-    configured reward mode.
+    run_rows steps a block of episodes as one cell of five option rows per
+    episode, each tick one schedule_prbs call per option, so memory does not
+    grow with the suite. The means are run_episode's, bit for bit. Rows come
+    back sorted best-first under the configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
     options = list(SchedulerOption)
-    end = first_episode + n_eps
-    means = np.concatenate([_block_means(cfg, range(ep, min(ep + BASELINE_BLOCK_EPISODES, end)),
-                                         options)
-                            for ep in range(first_episode, end, BASELINE_BLOCK_EPISODES)], axis=1)
+    means = run_rows(cfg, range(first_episode, first_episode + n_eps), options)
     rows = [BaselineRow(option, *episode_stats(option_means), episodes=n_eps)
             for option, option_means in zip(options, means)]
     rows.sort(key=lambda r: -r.mean_reward)
@@ -443,8 +469,15 @@ def train_experiment(cfg: ExperimentConfig, out_dir=None,
 
 def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_dir, episodes: int,
                         first_episode: int = 0) -> tuple[float, float]:
-    """Greedy (epsilon = 0) evaluation of a saved policy; returns (mean, stderr)."""
-    ag, _ = load_checkpoint(checkpoint_dir, cfg)
-    means = [run_episode(cfg, first_episode + i, agent=ag, train=False).mean_reward
-             for i in range(episodes)]
-    return episode_stats(means)
+    """Greedy (epsilon = 0) evaluation of a saved policy; returns (mean, stderr).
+
+    The checkpoint is loaded and checked whole, and only its online network
+    kept. run_rows steps the episodes together, in blocks, one row each:
+    greedy_options scores a block's states in one pass, each row as act
+    would score it alone, so the statistics are those of per-episode
+    run_episode calls, bit for bit.
+    """
+    theta = load_checkpoint(checkpoint_dir, cfg)[0].online
+    means = run_rows(cfg, range(first_episode, first_episode + episodes),
+                     functools.partial(greedy_options, theta))
+    return episode_stats(means[0])

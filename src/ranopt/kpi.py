@@ -6,10 +6,11 @@ composed from the tick observables, with every entry min-max normalized into
 per episode: radio_table gives each tick's CQI, RSRP and timing-advance
 histogram ids and RSRQ's radio term, and compose_kpis adds a tick's cell
 scalars, its RSRQ bins (they depend on the utilization) and the histogram
-counts of its active UEs. The layout (12 cell scalars, 15 CQI bins, 8 RSRP
-bins, 8 RSRQ bins, 8 timing-advance bins, 5 previous-action indicators and
-2 episode-phase entries) is frozen in a versioned manifest so that recorded
-experience stays interpretable across runs. The manifest also fixes the
+counts of its active UEs, for one row or for a tick of rows at once. The
+layout (12 cell scalars, 15 CQI bins, 8 RSRP bins, 8 RSRQ bins, 8
+timing-advance bins, 5 previous-action indicators and 2 episode-phase
+entries) is frozen in a versioned manifest so that recorded experience
+stays interpretable across runs. The manifest also fixes the
 state's normalization bounds: the 12 cell scalars are divided by its bound
 column (the active-UE count, like the histograms, by the UE count), so a
 checkpoint's manifest hash pins what every state entry means. A config sets
@@ -142,6 +143,8 @@ INITIAL_STATE.flags.writeable = False
 # RSRQ's inner edges after _RSRQ_AT edges of -inf, which no value, NaN
 # included, sorts before: searchsorted on them gives an RSRQ value's id.
 _RSRQ_IDS = np.concatenate((np.full(_RSRQ_AT, -np.inf), _RSRQ_INNER))
+# The previous-action entries of each option.
+_ONE_HOT = np.eye(N_ACTIONS)
 
 
 def radio_table(rsrp_dbm, spectral_eff) -> tuple[np.ndarray, np.ndarray]:
@@ -163,16 +166,42 @@ def radio_table(rsrp_dbm, spectral_eff) -> tuple[np.ndarray, np.ndarray]:
     return ids, 8.5 * (1.0 - (rsrp + 140.0) / 100.0)
 
 
-def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_episode: int,
+def _tput_stats(tputs):
+    """Harmonic-mean, worst and best-less-worst throughput over the UE axis
+    of (..., m) throughputs of active UEs, each (...); the harmonic mean is
+    0 where a throughput is not above 0. A row's sum runs along its own
+    contiguous entries, as a 1-d sum does."""
+    lo, hi = np.minimum.reduce(tputs, axis=-1), np.maximum.reduce(tputs, axis=-1)
+    served = lo > 0  # every active UE served; a NaN makes the minimum NaN
+    # one row's flag is a numpy bool, whose truth costs far less than any()
+    if served.all() if served.ndim else served:
+        harmonic = tputs.shape[-1] / np.add.reduce(1.0 / tputs, axis=-1)
+    else:
+        harmonic = np.zeros(lo.shape)
+        if served.ndim and served.any():
+            harmonic[served] = tputs.shape[-1] / np.add.reduce(1.0 / tputs[served], axis=-1)
+    return harmonic, lo, hi - lo
+
+
+def compose_kpis(obs: TickObservables, prev_action, step_in_episode: int,
                  demand_steps: int, episode_steps: int,
                  radio: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Build the 58-entry state vector for one tick. Pure function of its inputs.
+    """Build the 58-entry state vector of each row of a tick. Pure function
+    of its inputs.
 
-    The episode framing (demand_steps of episode_steps ticks) sets the phase
-    entries; the UE count is the length of the observables' arrays. radio is
+    The observables may be one row's, (n_ues,) arrays, or a tick of rows',
+    (..., n_ues): the drawn ones and radio broadcast against the rows, and
+    prev_action is then one option per row. Returns (58,) for one row,
+    (..., 58) for rows, each row as it would be composed alone. The episode
+    framing (demand_steps of episode_steps ticks) sets the phase entries;
+    the UE count is the length of the observables' UE axis. radio is
     radio_table of the tick's RSRP and efficiency, obs.rsrp_dbm and
     obs.spectral_eff.
     """
+    if obs.active_mask.ndim > 1:
+        return _compose_rows(obs, prev_action, step_in_episode, demand_steps, episode_steps,
+                             radio)
+    # one row, a training tick's state: float arithmetic, fewer numpy calls
     hist_ids, rsrq_radio = radio
     active = obs.active_mask
     n_ues = active.size
@@ -208,6 +237,63 @@ def compose_kpis(obs: TickObservables, prev_action: SchedulerOption, step_in_epi
     values[-1] = 1.0 if step_in_episode >= demand_steps else 0.0
     # the one clamp of every entry: np.clip's result, NaN and -0.0 kept, the
     # bound first so that maximum keeps a -0.0 entry
+    return np.minimum(1.0, np.maximum(0.0, values, out=values), out=values)
+
+
+def _compose_rows(obs: TickObservables, prev_actions, step_in_episode: int,
+                  demand_steps: int, episode_steps: int,
+                  radio: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """compose_kpis of (..., n_ues) rows: each row's state the bits that
+    compose_kpis gives the row alone, its sums reduced along its own UE
+    axis."""
+    hist_ids, rsrq_radio = radio
+    active, tputs, eff, demand = (obs.active_mask, obs.ue_throughput_mbps, obs.spectral_eff,
+                                  obs.demand_mb)
+    rows_shape, n_ues = active.shape[:-1], active.shape[-1]
+    if eff.shape != active.shape:  # drawn rows that the rows of several blocks share
+        eff, demand = (np.broadcast_to(a, active.shape) for a in (eff, demand))
+    if hist_ids.shape[:-1] != active.shape:
+        hist_ids = np.broadcast_to(hist_ids, active.shape + hist_ids.shape[-1:])
+    # each row's sums along its own contiguous UE axis, as a 1-d sum runs;
+    # the counts are exact in floats
+    queue, served, demand, granted, n_active, eff_sum = np.add.reduce(np.array(
+        (obs.queue_after_mb, obs.served_mb, demand, obs.prb_allocation != 0, active, eff)),
+        axis=-1)
+    # every row as if all its UEs were active, then each other row alone: a
+    # partly active row reduces its active entries alone, as a 1-d sum does
+    stats = (eff_sum / n_ues, *_tput_stats(tputs))
+    partial = np.count_nonzero(active) < active.size
+    if partial:
+        stats = np.array(stats)
+        for row in map(tuple, np.argwhere(n_active < n_ues).tolist()):
+            ues = active[row]
+            stats[(slice(None),) + row] = ((np.add.reduce(eff[row][ues]) / n_active[row],
+                                            *_tput_stats(tputs[row][ues]))
+                                           if n_active[row] else 0.0)
+    mean_se, harmonic, worst, gap = stats
+    cell_tput, util = obs.cell_throughput_mbps, obs.prb_utilization
+    with np.errstate(over="ignore"):  # a tiny load's bitrate is inf, as a float division's
+        bitrate = np.divide(cell_tput, util, out=np.zeros(rows_shape), where=util > 0)
+    values = np.zeros(rows_shape + (STATE_DIM,))
+    np.divide(np.array((cell_tput, mean_se, util, granted / n_ues, bitrate, n_active, harmonic,
+                        worst, gap, queue / n_ues, served, demand))
+              .reshape(N_CELL_SCALARS, -1).T, CELL_SCALAR_BOUNDS,
+              out=values.reshape(-1, STATE_DIM)[:, :N_CELL_SCALARS])
+    values[..., _ACTIVE_UE_COUNT] = n_active / n_ues
+
+    # histograms count active UEs only, then normalize by the UE population;
+    # each row's bins are offset past the rows before it
+    rsrq = (-3.0 - 8.5 * util)[..., None] - rsrq_radio
+    ids = np.concatenate((hist_ids, _RSRQ_IDS.searchsorted(rsrq, "right")[..., None]), axis=-1)
+    n_rows = values.size // STATE_DIM
+    ids += np.arange(0, n_rows * _N_HIST, _N_HIST).reshape(rows_shape + (1, 1))
+    np.divide(np.bincount((ids[active] if partial else ids).ravel(), minlength=n_rows * _N_HIST)
+              .reshape(rows_shape + (_N_HIST,)), n_ues,
+              out=values[..., N_CELL_SCALARS:_PREV_ACTION_AT])
+
+    values[..., _PREV_ACTION_AT:_PREV_ACTION_AT + N_ACTIONS] = _ONE_HOT[prev_actions]
+    values[..., -2] = min(step_in_episode / episode_steps, 1.0)
+    values[..., -1] = 1.0 if step_in_episode >= demand_steps else 0.0
     return np.minimum(1.0, np.maximum(0.0, values, out=values), out=values)
 
 

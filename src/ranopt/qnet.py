@@ -11,6 +11,9 @@ knows this layout. A gradient is a vector of the same layout, so an SGD step
 and a Polyak step are each one vector expression and a checkpoint stores one
 array per network.
 
+forward scores one state or a stack of them, each row the same bits as
+alone; greedy evaluation scores its episodes' states together with it.
+
 A learner step evaluates the online network once: forward_batch returns the
 hidden activations with the action values, and backward differentiates that
 pass instead of running its own, so one pass over stacked rows serves every
@@ -50,17 +53,30 @@ def init_params(seed: int = 0) -> np.ndarray:
     return np.concatenate([w1, np.zeros(HIDDEN_DIM), w2, np.zeros(N_ACTIONS)])
 
 
-def forward(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Action values for one state: w2 @ relu(w1 @ s + b1) + b2."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (STATE_DIM,):
-        raise ValueError(f"state has shape {state.shape}, expected ({STATE_DIM},)")
+def forward(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Action values w2 @ relu(w1 @ s + b1) + b2 of one state, (STATE_DIM,)
+    -> (N_ACTIONS,), or of each of (..., STATE_DIM) states -> (..., N_ACTIONS).
+
+    Each state is its own matrix-vector product, so a state's values are
+    the same bits alone or among others, which a matrix product over
+    stacked states does not promise (see forward_batch).
+    """
+    states = np.ascontiguousarray(states, dtype=np.float64)  # as BLAS takes it
+    if states.shape[-1:] != (STATE_DIM,):
+        raise ValueError(f"states have shape {states.shape}, expected (..., {STATE_DIM})")
     w1, b1, w2, b2 = layers(theta)
-    hidden = w1.dot(state)
+    # one state's ndarray.dot gives matmul's bits for less call overhead
+    product = np.ndarray.dot if states.ndim == 1 else _stacked_dot
+    hidden = product(w1, states)
     hidden += b1
-    q = w2.dot(np.maximum(hidden, 0.0, out=hidden))
+    q = product(w2, np.maximum(hidden, 0.0, out=hidden))
     q += b2
     return q
+
+
+def _stacked_dot(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """w @ x of each of (..., k) vectors xs, one matrix-vector product each."""
+    return np.matmul(w, xs[..., None])[..., 0]
 
 
 def forward_batch(theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

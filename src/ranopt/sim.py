@@ -12,7 +12,8 @@ noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
 so a config is read only when a cell is drawn. Cells of one shape stack into
-one cell of rows, blocks of options over episodes, that a tick steps at once.
+one cell of rows, blocks over episodes, that a tick steps at once under one
+option per row.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -218,21 +219,30 @@ def stack_cells(cells, blocks: int) -> CellState:
     (b, e) starts as cell e and runs its episode. Each drawn array is the
     cells' arrays stacked along a new second axis, (ticks, E, ...), held once
     per episode and read by every block; the queue and PF average are
-    (blocks, E, n_ues). step takes one option per block.
+    (blocks, E, n_ues). step takes one option per row.
 
     cells may be an iterator: the grid is rebuilt from the stacked yields,
     as each cell drew it, for the cells' one budget, so no cell's grid
-    outlives its turn.
+    outlives its turn. Refuses no cells, and cells whose PRB budgets, UE
+    counts or tick counts differ, naming both shapes.
     """
     arrays = {name: [] for name in ("queue_mb", "pf_avg_mbps", "rsrp_dbm", "spectral_eff",
                                     "y_mb", "demand_mb")}
-    for cell in cells:
+    shape = None
+    for i, cell in enumerate(cells):
+        if shape is None:
+            shape = cell.prb_grid_mb.shape
+        elif cell.prb_grid_mb.shape != shape:
+            raise ValueError(f"stack_cells needs cells of one (ticks, UEs, PRBs) shape: cell 0 "
+                             f"has {shape}, cell {i} {cell.prb_grid_mb.shape}")
         for name, stacked in arrays.items():
             stacked.append(getattr(cell, name))
+    if shape is None:
+        raise ValueError("stack_cells needs at least one cell, got none")
     fresh = {name: np.repeat(np.stack(arrays.pop(name))[None], blocks, axis=0)
              for name in ("queue_mb", "pf_avg_mbps")}
     drawn = {name: np.stack(stacked, axis=1) for name, stacked in arrays.items()}
-    drawn["prb_grid_mb"] = _prb_grid(drawn["y_mb"], cell.prb_grid_mb.shape[-1])
+    drawn["prb_grid_mb"] = _prb_grid(drawn["y_mb"], shape[-1])
     for drawn_array in drawn.values():
         drawn_array.flags.writeable = False
     return CellState(**fresh, **drawn)
@@ -310,10 +320,11 @@ def _ranked_fill(avail, y_mb, budget):
 
 def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
                   grid_mb: np.ndarray, pf_avg_mbps: np.ndarray) -> np.ndarray:
-    """Integer split of one tick's PRBs over UEs under the given option,
-    where UE i has avail[i] megabits, its queue and fresh demand, to send at
-    y_mb[i] megabits per PRB, and grid_mb[i, k] = k * y_mb[i] are the
-    megabits its first k PRBs carry: the grid's width is the PRB budget.
+    """Integer split of one tick's PRBs over UEs under the given option (a
+    SchedulerOption or its integer code), where UE i has avail[i] megabits,
+    its queue and fresh demand, to send at y_mb[i] megabits per PRB, and
+    grid_mb[i, k] = k * y_mb[i] are the megabits its first k PRBs carry:
+    the grid's width is the PRB budget.
     The PF options rank by the per-UE smoothed rates pf_avg_mbps.
 
     Each argument may carry leading row axes, (..., n_ues) and, for the
@@ -339,15 +350,36 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
+def _schedule_rows(options, avail, y, grid, pf_avg):
+    """PRBs of a cell of (blocks, E) rows under options, one per row or a
+    column of one per block. A block whose rows all hold one option is
+    scheduled on its views; otherwise each option present, in
+    SchedulerOption order, is scheduled on its rows gathered. Either way a
+    schedule_prbs call takes one option, as its integer code, so that no
+    enum is built per call; schedule_prbs refuses an unknown code."""
+    alloc = np.empty(avail.shape, dtype=np.int64)
+    if options.shape[1] == 1 or (options == options[:, :1]).all():  # no drawn row copied
+        for b, code in enumerate(options[:, 0].tolist()):
+            alloc[b] = schedule_prbs(code, avail[b], y, grid, pf_avg[b])
+        return alloc
+    # row (b, e) reads the drawn rows of episode e
+    ys, grids = (np.broadcast_to(a, avail.shape + a.shape[2:]) for a in (y, grid))
+    for code in sorted(set(options.ravel().tolist())):
+        rows = np.broadcast_to(options == code, avail.shape[:-1])
+        alloc[rows] = schedule_prbs(code, avail[rows], ys[rows], grids[rows], pf_avg[rows])
+    return alloc
+
+
 def step(state: CellState, option) -> tuple[CellState, TickObservables]:
     """Advance the cell by one minute, the next row of its drawn episodes,
     over the PRB budget it was drawn for; mutates and returns the state.
 
-    option is one SchedulerOption for every row of the cell, or a sequence
-    of them, one for each block of rows along the queue's first axis: each
-    block is scheduled with one schedule_prbs call. A one-row cell's
-    observables hold its cell throughput and utilization as floats, a
-    cell of rows as arrays of the rows' shape.
+    option is one SchedulerOption for every row of the cell, or, for a cell
+    of (blocks, E) rows, an integer ndarray of one option per row, (blocks,
+    E), or of one per block, (blocks, 1). Each schedule_prbs call takes
+    the rows of one block or of one option present, under that option. A
+    one-row cell's observables hold its cell throughput and utilization as
+    floats, a cell of rows as arrays of the rows' shape.
 
     Order within a tick: demand arrives, PRBs are scheduled, traffic is
     served, buffers and the PF average update.
@@ -356,13 +388,14 @@ def step(state: CellState, option) -> tuple[CellState, TickObservables]:
     demands, y, grid = state.demand_mb[t], state.y_mb[t], state.prb_grid_mb[t]
     avail = state.queue_mb + demands
     active = avail > 1e-12
-    if avail.ndim > y.ndim:  # a block axis over the drawn rows
-        alloc = np.empty(avail.shape, dtype=np.int64)
-        for block, block_option in enumerate(option):
-            alloc[block] = schedule_prbs(block_option, avail[block], y, grid,
-                                         state.pf_avg_mbps[block])
-    else:
+    if not isinstance(option, np.ndarray):
         alloc = schedule_prbs(option, avail, y, grid, state.pf_avg_mbps)
+    elif (option.ndim == avail.ndim - 1 == 2 and len(option) == len(avail)
+          and option.shape[1] in (1, avail.shape[1])):
+        alloc = _schedule_rows(option, avail, y, grid, state.pf_avg_mbps)
+    else:
+        raise ValueError(f"options of shape {option.shape} are not one per row of "
+                         f"{avail.shape[:-1]} rows")
 
     served = np.minimum(avail, alloc * y)
     state.queue_mb = avail - served
@@ -444,6 +477,10 @@ def fit_traffic_profiles(records, k: int = 4, seed: int = 0) -> list[UeProfile]:
     inertia wins). Each profile carries its cluster's mean RSRP, mean volume
     and within-cluster volume standard deviation; profiles come back sorted
     by RSRP ascending.
+
+    Refuses, naming the first bad record, a record with a non-finite value
+    and one with a value of magnitude above sqrt(max float / (8 n)) for n
+    records, the bound below which the standardization cannot overflow.
     """
     data = np.asarray(records, dtype=np.float64)
     if data.size == 0:
@@ -452,6 +489,14 @@ def fit_traffic_profiles(records, k: int = 4, seed: int = 0) -> list[UeProfile]:
         raise ValueError(f"records must be (n, 2) pairs, got shape {data.shape}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    # squared deviations of at most (2 * limit)**2 each sum to at most max float / 2
+    limit = math.sqrt(np.finfo(np.float64).max / (8 * len(data)))
+    for fault, bad in (("a non-finite value", ~np.isfinite(data)),
+                       (f"a value of magnitude above {limit:.3g}, too large to standardize",
+                        np.abs(data) > limit)):
+        if bad.any():
+            i = int(bad.any(axis=1).argmax())
+            raise ValueError(f"record {i} {data[i].tolist()}: {fault}")
 
     mu = data.mean(axis=0)
     sd = data.std(axis=0)

@@ -8,15 +8,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ranopt.agent import AgentConfig, DoubleQAgent, valid_segment_starts
-from ranopt.harness import (BaselineRow, ExperimentConfig, build_agent, episode_seed,
-                            episode_stats, evaluate_checkpoint, load_checkpoint,
-                            run_baseline_suite, run_episode, save_checkpoint, train_experiment,
-                            write_baseline_csv)
-from ranopt.kpi import REWARD_MODES
+from ranopt.agent import AgentConfig, DoubleQAgent, greedy_options, valid_segment_starts
+from ranopt.harness import (BASELINE_BLOCK_EPISODES, BaselineRow, ExperimentConfig, build_agent,
+                            episode_seed, episode_stats, evaluate_checkpoint, load_checkpoint,
+                            run_baseline_suite, run_episode, run_rows, save_checkpoint,
+                            train_experiment, write_baseline_csv)
+from ranopt.kpi import REWARD_MODES, STATE_DIM
 from ranopt.qnet import init_params, layers
-from ranopt.sim import CellState, SchedulerOption, UeProfile
+from ranopt.sim import RSRP_MAX_DBM, RSRP_MIN_DBM, CellState, SchedulerOption, SimConfig, UeProfile
 
 
 def small_cfg(**over):
@@ -220,6 +222,110 @@ class TestBaselineSuite:
         assert rows[0].action == SchedulerOption.EQUAL_RATE
 
 
+@st.composite
+def row_runs(draw):
+    """A short run of 1..12 UEs, some without traffic or variance, so that
+    rows are partly active or empty, a budget of 1..120 PRBs, either reward
+    mode, 1..4 episodes from any first one, and a policy: the greedy one
+    of a seeded network, or the five constant options."""
+    n = draw(st.integers(1, 12))
+    volume = st.just(0.0) | st.floats(0.0, 3000.0)
+    profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)), draw(volume), draw(volume))
+                for _ in range(n)]
+    cfg = ExperimentConfig(reward_mode=draw(st.sampled_from(REWARD_MODES)),
+                           steps_demand=draw(st.integers(1, 6)), steps_rest=draw(st.integers(0, 2)),
+                           ue_profiles=profiles,
+                           sim=SimConfig(prb_budget=draw(st.integers(1, 120)),
+                                         rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0]))),
+                           seed=draw(st.integers(0, 2 ** 64 - 1)))
+    episodes = range(first := draw(st.integers(0, 100)), first + draw(st.integers(1, 4)))
+    return cfg, episodes, draw(st.none() | st.integers(0, 2 ** 32 - 1))
+
+
+class TestRunRows:
+    """Each row of a lock-step run against its episode run alone."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The states composed and rewards taken through this module's
+        globals, as one list each, in call order."""
+        import ranopt.harness as hn
+        states, rewards = [], []
+        compose, reward_for = hn.compose_kpis, hn._reward_for
+        monkeypatch.setattr(hn, "compose_kpis", lambda *args: states.append(compose(*args))
+                            or states[-1])
+        monkeypatch.setattr(hn, "_reward_for", lambda *args: rewards.append(reward_for(*args))
+                            or rewards[-1])
+        return states, rewards
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    # the default episode shape, greedy, over two blocks of rows
+    @example(run=(ExperimentConfig(steps_demand=12, steps_rest=2), range(3, 15), 7))
+    # every UE idle: empty rows; then the default UEs under every option
+    @example(run=(ExperimentConfig(steps_demand=3, steps_rest=1,
+                                   ue_profiles=[UeProfile(-100.0, 0.0, 0.0)] * 9), range(2), 1))
+    @example(run=(ExperimentConfig(steps_demand=4, reward_mode="ue_gap"), range(5, 8), None))
+    @given(run=row_runs())
+    def test_each_row_is_its_episode_alone(self, run):
+        cfg, episodes, net_seed = run
+        with pytest.MonkeyPatch.context() as patch:
+            states, rewards = self.recorded(patch)
+            if net_seed is None:
+                options = list(SchedulerOption)
+                means = run_rows(cfg, episodes, options)
+                alone = [[run_episode(cfg, ep, constant_action=option) for ep in episodes]
+                         for option in options]
+            else:
+                agent = DoubleQAgent(cfg.agent, seed=net_seed)
+                means = run_rows(cfg, episodes, lambda x: greedy_options(agent.online, x))
+                alone = [[run_episode(cfg, ep, agent=agent) for ep in episodes]]
+        assert means.shape == (len(alone), len(episodes))
+        for row_means, runs in zip(means, alone):
+            assert [m.hex() for m in row_means] == [r.mean_reward.hex() for r in runs]
+        # the rows' ticks, block by block, then each episode's ticks alone
+        ticks, blocks = cfg.steps_demand, -(-len(episodes) // BASELINE_BLOCK_EPISODES)
+
+        def by_block(recorded, axis):  # (ticks, ...) arrays of the blocks' rows, joined
+            return np.concatenate([recorded[b * ticks:(b + 1) * ticks] for b in range(blocks)],
+                                  axis=axis)
+
+        rows_rewards = by_block(rewards, -1)
+        alone_rewards = np.reshape(rewards[blocks * ticks:], (len(alone), len(episodes), ticks))
+        assert rows_rewards.shape == (ticks,) + alone_rewards.shape[:2]
+        assert np.moveaxis(rows_rewards, 0, -1).tobytes() == alone_rewards.tobytes()
+        if net_seed is not None:
+            rows_states = by_block(states, -2)
+            assert rows_states.shape == (ticks, 1, len(episodes), STATE_DIM)
+            alone_states = np.reshape(states[blocks * ticks:], (len(episodes), ticks, STATE_DIM))
+            assert rows_states[:, 0].swapaxes(0, 1).tobytes() == alone_states.tobytes()
+        else:
+            assert states == []
+
+    def test_a_non_finite_q_value_in_one_row_raises(self):
+        theta = init_params(3)
+        states = np.full((1, 3, STATE_DIM), 0.5)
+        states[0, 1, 7] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite Q-value"):
+            greedy_options(theta, states)
+        assert greedy_options(theta, states[:, [0, 2]]).shape == (1, 2)
+
+    def test_eval_memory_does_not_grow_with_its_episodes(self, tmp_path):
+        cfg = small_cfg(episodes=1)
+        train_experiment(cfg, out_dir=tmp_path)
+        evaluate_checkpoint(cfg, tmp_path / "final", episodes=1)  # first-call allocations
+        peaks = []
+        for blocks in (1, 3):
+            tracemalloc.start()
+            try:
+                evaluate_checkpoint(cfg, tmp_path / "final",
+                                    episodes=blocks * BASELINE_BLOCK_EPISODES)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block's stacked episodes are held at a time
+        assert peaks[1] <= 1.2 * peaks[0]
+
+
 class TestTraceContract:
     """The names and types a tracer that patches module globals relies on."""
 
@@ -313,6 +419,42 @@ class TestTraceContract:
         assert len(utilizations) == ticks
         # each block's tick: one call per option, whatever the block's episode count
         assert names[ticks:] == [o.name for _ in range(2 * ticks) for o in SchedulerOption]
+
+    def test_a_tracer_of_the_globals_reads_scalars_in_eval(self, monkeypatch, tmp_path):
+        """evaluate_checkpoint under the same wrappers, over two blocks of
+        rows: every schedule_prbs call is of one scalar option, no cell of
+        rows passes harness.step, and a block's states are composed once a
+        demand tick through this module's compose_kpis."""
+        import ranopt.harness as hn
+        import ranopt.sim as sim
+        cfg = small_cfg(episodes=1)
+        train_experiment(cfg, out_dir=tmp_path)
+        names, rows, utilizations, composed = [], [], [], []
+        schedule, harness_step, compose = sim.schedule_prbs, hn.step, hn.compose_kpis
+
+        def traced_schedule(*args, **kwargs):
+            option = args[0] if args else kwargs["option"]
+            assert np.ndim(option) == 0
+            names.append(SchedulerOption(option).name)
+            rows.append(args[1].size // args[1].shape[-1])
+            return schedule(*args, **kwargs)
+
+        def traced_step(*args, **kwargs):
+            result = harness_step(*args, **kwargs)
+            utilizations.append(float(result[1].prb_utilization))
+            return result
+
+        monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
+        monkeypatch.setattr(hn, "step", traced_step)
+        monkeypatch.setattr(hn, "compose_kpis", lambda *args: composed.append(1) or compose(*args))
+        episodes = BASELINE_BLOCK_EPISODES + 1
+        evaluate_checkpoint(cfg, tmp_path / "final", episodes=episodes)
+        ticks = cfg.steps_demand + cfg.steps_rest
+        assert utilizations == []
+        assert len(composed) == 2 * cfg.steps_demand
+        # each block tick: one call for each option its rows hold
+        assert 2 * ticks <= len(names) <= 2 * ticks * len(SchedulerOption)
+        assert sum(rows) == episodes * ticks
 
 
 class TestTrainExperiment:
@@ -523,19 +665,24 @@ class TestGoldenGreedy:
     for bit: the states an agent acts on, not only the ones it trains on."""
 
     MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
-    # options stepped over the 6 evaluated episodes, rest ticks included
+    # options stepped over the 6 evaluated episodes, rest ticks included: the
+    # rows of each option that sim.schedule_prbs scheduled
     ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
 
     def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
-        import ranopt.harness as hn
+        import ranopt.sim as sim
         cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
         train_experiment(cfg, out_dir=tmp_path)
-        stepped, orig = [], hn.step
-        monkeypatch.setattr(hn, "step", lambda cell, option: stepped.append(int(option))
-                            or orig(cell, option))
+        stepped, orig = Counter(), sim.schedule_prbs
+
+        def counting(option, avail, *args):
+            stepped[int(option)] += avail.size // avail.shape[-1]
+            return orig(option, avail, *args)
+
+        monkeypatch.setattr(sim, "schedule_prbs", counting)
         mean, stderr = evaluate_checkpoint(cfg, tmp_path / "final", episodes=6, first_episode=4)
         assert (mean.hex(), stderr.hex()) == (self.MEAN, self.STDERR)
-        assert Counter(stepped) == self.ACTIONS
+        assert stepped == self.ACTIONS
 
 
 def entries(buf, id_shift=0):

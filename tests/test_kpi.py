@@ -140,10 +140,12 @@ def reference_compose_kpis(obs, prev_action, step_in_episode, demand_steps, epis
 
 
 @st.composite
-def observables(draw):
-    """Observables of 1..9 UEs, none to all active, with values inside and
-    far outside the state bounds, zero utilization and NaN radio among them."""
-    n = draw(st.integers(1, 9))
+def observables(draw, n=None):
+    """Observables of n UEs, or of 1..9, none to all active, with values
+    inside and far outside the state bounds, zero utilization and NaN radio
+    among them."""
+    if n is None:
+        n = draw(st.integers(1, 9))
 
     def per_ue(strategy, dtype=float):
         return np.array(draw(st.lists(strategy, min_size=n, max_size=n)), dtype=dtype)
@@ -262,6 +264,47 @@ class TestComposeMatchesReference:
         expected = reference_compose_kpis(obs, prev_action, step_in_episode, *FRAMING)
         assert v.shape == (STATE_DIM,) and v.dtype == expected.dtype
         assert v.tobytes() == expected.tobytes()
+
+
+# the fields a tick's rows share when they are blocks over the same episodes
+DRAWN = ("demand_mb", "spectral_eff", "rsrp_dbm")
+
+
+@st.composite
+def ticks_of_rows(draw):
+    """A tick of (blocks, E) rows of 1..12 UEs, 1..2 blocks over 1..4
+    episodes: each row's observables drawn as observables() draws them, the
+    drawn fields those of its episode's row in block 0, and an option for
+    each row."""
+    n, blocks, episodes = (draw(st.integers(1, top)) for top in (12, 2, 4))
+    rows = [[draw(observables(n)) for _ in range(episodes)] for _ in range(blocks)]
+    rows = [[dataclasses.replace(obs, **{f: getattr(rows[0][e], f) for f in DRAWN})
+             for e, obs in enumerate(block)] for block in rows]
+    options = np.array(draw(st.lists(st.sampled_from(SchedulerOption), min_size=blocks * episodes,
+                                     max_size=blocks * episodes))).reshape(blocks, episodes)
+    return rows, options
+
+
+class TestComposeRows:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(tick=ticks_of_rows(), step_in_episode=st.integers(0, 100))
+    def test_each_row_is_the_row_alone(self, tick, step_in_episode):
+        rows, options = tick
+
+        def field(name):  # the rows' values; the blocks share block 0's drawn ones
+            values = [[getattr(obs, name) for obs in block] for block in rows]
+            return np.array(values[0] if name in DRAWN else values)
+
+        stacked = TickObservables(**{f.name: field(f.name)
+                                     for f in dataclasses.fields(TickObservables)})
+        states = compose_kpis(stacked, options, step_in_episode, *FRAMING,
+                              radio_table(stacked.rsrp_dbm, stacked.spectral_eff))
+        assert states.shape == options.shape + (STATE_DIM,)
+        for b, block in enumerate(rows):
+            for e, obs in enumerate(block):
+                alone = compose_kpis(obs, SchedulerOption(options[b, e]), step_in_episode,
+                                     *FRAMING, radio_table(obs.rsrp_dbm, obs.spectral_eff))
+                assert states[b, e].tobytes() == alone.tobytes()
 
 
 class TestRadioTable:

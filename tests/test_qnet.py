@@ -91,6 +91,21 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(init_params(), np.zeros(57))
 
+    @pytest.mark.parametrize("rows", [1, 2, 7, 10, 13])
+    def test_rows_are_each_state_alone_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        p = init_params(seed=rows) * rng.uniform(0.5, 4.0)
+        p[-5:] = rng.normal(size=5)
+        states = rng.uniform(-1.0, 2.0, size=(2, rows, 58))
+        q = forward(p, states)
+        assert q.shape == (2, rows, 5)
+        w1, b1, w2, b2 = layers(p)
+        for state, values in zip(states.reshape(-1, 58), q.reshape(-1, 5)):
+            # the one-state pass: a matrix-vector product per layer
+            assert values.tobytes() == forward(p, state).tobytes()
+            alone = w2.dot(np.maximum(w1.dot(state) + b1, 0.0)) + b2
+            assert values.tobytes() == alone.tobytes()
+
     def test_batch_matches_single(self):
         p = init_params(seed=4)
         states = np.random.default_rng(5).uniform(0, 1, size=(6, 58))

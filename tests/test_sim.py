@@ -554,7 +554,7 @@ class TestStep:
                           for ep in range(50)), len(options))
         tputs, gaps, gap_ticks = np.zeros(5), np.zeros(5), np.zeros(5)
         for _ in range(80):
-            st, obs = step(st, options)
+            st, obs = step(st, np.array(options)[:, None])  # a column: one option per block
             tputs += obs.cell_throughput_mbps.sum(axis=1)
             active, tput = obs.active_mask, obs.ue_throughput_mbps
             gap = (np.where(active, tput, -np.inf).max(axis=2)
@@ -642,7 +642,8 @@ class TestDrawnEpisode:
 def stacked_episodes(draw):
     """1..3 episodes of one shape, as stack_cells takes them: profiles of
     1..12 UEs, a budget of 1..120 PRBs, fading on or off, 1..8 ticks and
-    their rest mask, and one option for each of 1..5 blocks."""
+    their rest mask, and 1..5 blocks of options: a column of one option
+    per block, or one option per row."""
     n = draw(st.integers(1, 12))
     profiles = [UeProfile(draw(st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM)),
                           draw(st.floats(0.0, 3000.0)),
@@ -651,18 +652,27 @@ def stacked_episodes(draw):
                     rf_jitter_std_db=draw(st.sampled_from([0.0, 1.0])))
     rest = draw(st.lists(st.booleans(), min_size=1, max_size=8))
     seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3))
-    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=1, max_size=5))
+    blocks = draw(st.integers(1, 5))
+    per_row = draw(st.booleans())
+    options = draw(st.lists(st.lists(st.sampled_from(SchedulerOption),
+                                     min_size=len(seeds) if per_row else 1,
+                                     max_size=len(seeds) if per_row else 1),
+                            min_size=blocks, max_size=blocks))
     return profiles, cfg, rest, seeds, options
 
 
 class TestStackedCells:
     """step over a cell of option blocks by episode rows, row by row against
-    each episode's one-row cell under the block's option."""
+    each episode's one-row cell under the row's option."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     # the suite's shape: every option over two episodes of the lab UEs
     @example(episode=(PROFILES_LAB, SimConfig(), [t >= 8 for t in range(10)], [3, 4],
-                      list(SchedulerOption)))
+                      [[option] for option in SchedulerOption]))
+    # one block of rows, as greedy evaluation steps, two of them of one option
+    @example(episode=(PROFILES_LAB, SimConfig(), [False] * 3, [3, 4, 5],
+                      [[SchedulerOption.MAXIMUM_C_OVER_I, SchedulerOption.EQUAL_RATE,
+                        SchedulerOption.MAXIMUM_C_OVER_I]]))
     @given(episode=stacked_episodes())
     def test_each_row_steps_as_its_cell_alone(self, episode):
         profiles, cfg, rest, seeds, options = episode
@@ -672,11 +682,12 @@ class TestStackedCells:
             assert same_bits(getattr(stacked, name), np.stack([getattr(c, name) for c in cells], 1))
             assert not getattr(stacked, name).flags.writeable
         alone = [[copy.copy(c) for c in cells] for _ in options]
+        by_row = np.broadcast_to(np.array(options), (len(options), len(cells)))
         for _ in rest:
-            stacked, obs = step(stacked, options)
-            for b, option in enumerate(options):
+            stacked, obs = step(stacked, np.array(options))
+            for b in range(len(options)):
                 for e, cell in enumerate(alone[b]):
-                    _, expected = step(cell, option)
+                    _, expected = step(cell, SchedulerOption(by_row[b, e]))
                     for name in ("served_mb", "queue_after_mb", "ue_throughput_mbps",
                                  "prb_allocation", "active_mask"):
                         assert same_bits(getattr(obs, name)[b, e], getattr(expected, name)), name
@@ -686,6 +697,39 @@ class TestStackedCells:
                         expected.cell_throughput_mbps.hex()
                     assert obs.prb_utilization[b, e] == expected.prb_utilization
                     assert same_bits(stacked.pf_avg_mbps[b, e], cell.pf_avg_mbps)
+
+
+class TestStackRefusals:
+    def test_no_cells(self):
+        with pytest.raises(ValueError, match="^stack_cells needs at least one cell, got none$"):
+            stack_cells(iter([]), 1)
+
+    @pytest.mark.parametrize("second, shown", [
+        ((PROFILES_LAB, SimConfig(prb_budget=50), 3), r"\(3, 4, 50\)"),
+        ((PROFILES_LAB[:3], SimConfig(), 3), r"\(3, 3, 100\)"),
+        ((PROFILES_LAB, SimConfig(), 2), r"\(2, 4, 100\)"),
+    ])
+    def test_cells_of_another_shape(self, second, shown):
+        profiles, cfg, ticks = second
+        cells = (init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(3)),
+                 init_cell_state(PROFILES_LAB, SimConfig(), 2, demand_ticks(3)),
+                 init_cell_state(profiles, cfg, 3, demand_ticks(ticks)))
+        with pytest.raises(ValueError, match=r"^stack_cells needs cells of one \(ticks, UEs, "
+                                             rf"PRBs\) shape: cell 0 has \(3, 4, 100\), cell 2 "
+                                             rf"{shown}$"):
+            stack_cells(iter(cells), 2)
+
+    @pytest.mark.parametrize("options", [[0, 4], [[[0]], [[4]]]])
+    def test_options_not_one_per_row(self, options):
+        cell = stack_cells([init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))], 2)
+        with pytest.raises(ValueError, match=r"^options of shape \(2,( 1, 1)?\) are not one per "
+                                             r"row of \(2, 1\) rows$"):
+            step(cell, np.array(options))
+
+    def test_unknown_option(self):
+        cell = stack_cells([init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))], 2)
+        with pytest.raises(ValueError, match=r"^unknown scheduler option 7$"):
+            step(cell, np.array([[0], [7]]))
 
 
 class TestFitTrafficProfiles:
@@ -727,6 +771,25 @@ class TestFitTrafficProfiles:
             fit_traffic_profiles(records, k=3)
         low, high = fit_traffic_profiles(records, k=2)
         assert sorted([low.demand_mean, high.demand_mean]) == pytest.approx([5.0, 3000.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_record_named(self, bad):
+        records = [(-100.0, 5.0), (-90.0, 7.0), (-80.0, bad), (bad, 3.0)]
+        with pytest.raises(ValueError,
+                           match=r"^record 2 \[-80.0, -?(inf|nan)\]: a non-finite value$"):
+            fit_traffic_profiles(records, k=2)
+
+    @pytest.mark.parametrize("huge", [1e308, -1e308])
+    def test_record_too_large_to_standardize_named(self, huge):
+        records = [(-100.0, 5.0), (-90.0, huge), (-80.0, -huge), (-70.0, 3.0)]
+        with pytest.raises(ValueError, match=r"^record 1 \[-90.0, -?1e\+308\]: a value of "
+                                             r"magnitude above .*, too large to standardize$"):
+            fit_traffic_profiles(records, k=2)
+
+    def test_large_records_within_the_bound_cluster(self):
+        records = [(-100.0, 1e150), (-90.0, 1e150), (-80.0, 0.0)]
+        low, high = sorted(fit_traffic_profiles(records, k=2), key=lambda p: p.demand_mean)
+        assert (low.demand_mean, high.demand_mean) == (0.0, 1e150)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
