@@ -14,11 +14,12 @@ composed; nor are any under a constant action, which reads no state. An
 agent episode bins its radio once, with radio_table over the drawn rows of
 its demand ticks, and composes each demand tick's state from its row.
 
-Evaluation and the baseline suite step rows: run_rows draws each episode's
-cell once and steps a block of at most BASELINE_BLOCK_EPISODES episodes as
-one cell of rows, in one sim.step a tick, a row per episode under the greedy
-policy and a row per constant action and episode in the suite. Only
-training's one-row cells pass this module's step.
+Evaluation and the baseline suite step rows: run_rows draws a block of at
+most BASELINE_BLOCK_EPISODES episodes as one cell of rows, in one
+init_cell_state call over the block's seeds, and steps it in one sim.step a
+tick, a row per episode under the greedy policy and a row per constant
+action and episode in the suite. Only training's one-row cells pass this
+module's step.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from . import kpi, qnet, sim
 from .agent import BUFFER_FIELDS, AgentConfig, DoubleQAgent, ReplayBuffer, greedy_options
 from .kpi import (INITIAL_STATE, KpiConfig, compose_kpis, radio_table, reward_throughput,
                   reward_ue_gap)
-from .sim import (CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, stack_cells,
-                  step)
+from .sim import CellState, SchedulerOption, SimConfig, UeProfile, init_cell_state, step
 
 # Default UE population: radio conditions from the lab placements, traffic
 # sized so that the cell runs just past capacity on an average minute and
@@ -133,10 +133,15 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
     return reward_ue_gap(obs, cfg) if mode == "ue_gap" else reward_throughput(obs, cfg)
 
 
-def _draw_cell(cfg: ExperimentConfig, episode_index: int) -> CellState:
-    """The episode's cell, its radio and demand drawn from the episode seed."""
-    return init_cell_state(cfg.ue_profiles, cfg.sim, episode_seed(cfg.seed, episode_index),
-                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand)
+def _draw_cell(cfg: ExperimentConfig, episodes: int | range, blocks: int = 1) -> CellState:
+    """The cell of one episode index, or of a range of episodes as (blocks,
+    len(episodes)) rows, each episode's radio and demand drawn from its
+    episode seed."""
+    seeds = ([episode_seed(cfg.seed, ep) for ep in episodes] if isinstance(episodes, range)
+             else episode_seed(cfg.seed, episodes))
+    return init_cell_state(cfg.ue_profiles, cfg.sim, seeds,
+                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand,
+                           blocks)
 
 
 def run_episode(cfg: ExperimentConfig, episode_index: int,
@@ -206,8 +211,8 @@ class BaselineRow:
 def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
     """Each row's mean demand reward, (blocks, len(episodes)), the episodes
     stepped in lock-step: in blocks of at most BASELINE_BLOCK_EPISODES, each
-    block's cells drawn once and stacked into one cell of rows, one
-    sim.step a tick.
+    block drawn once as one cell of rows, one sim.step a tick. Refuses an
+    empty range of episodes, naming it.
 
     policy is a sequence of constant options, a block of rows for each, or
     a callable that maps the states of one block of rows, (1, E, STATE_DIM),
@@ -217,11 +222,13 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
     run_episode's order, and its states and rewards are those of its
     episode run alone.
     """
+    if not episodes:
+        raise ValueError(f"run_rows needs at least one episode, got the empty {episodes!r}")
     reads_states = callable(policy)
     blocks = 1 if reads_states else len(policy)
 
     def run_block(block: range) -> np.ndarray:  # nothing of a block outlives its turn
-        cell = stack_cells((_draw_cell(cfg, ep) for ep in block), blocks)
+        cell = _draw_cell(cfg, block, blocks)
         rewards = np.empty((blocks, len(block), cfg.steps_demand))
         if reads_states:  # each demand tick's radio state terms, one block of rows
             ids, rsrq_radio = radio_table(cell.rsrp_dbm[:cfg.steps_demand, None],

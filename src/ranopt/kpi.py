@@ -9,12 +9,12 @@ scalars, its RSRQ bins (they depend on the utilization) and the histogram
 counts of its active UEs, for one row or for a tick of rows at once. The
 layout (12 cell scalars, 15 CQI bins, 8 RSRP bins, 8 RSRQ bins, 8
 timing-advance bins, 5 previous-action indicators and 2 episode-phase
-entries) is frozen in a versioned manifest so that recorded experience
-stays interpretable across runs. The manifest also fixes the
-state's normalization bounds: the 12 cell scalars are divided by its bound
-column (the active-UE count, like the histograms, by the UE count), so a
-checkpoint's manifest hash pins what every state entry means. A config sets
-only the two reward bounds.
+entries) is frozen in a manifest, pinned by its sha256 (MANIFEST_SHA256),
+so that recorded experience stays interpretable across runs. The manifest
+also fixes the state's normalization bounds: the 12 cell scalars are divided
+by its bound column (the active-UE count, like the histograms, by the UE
+count), so a checkpoint's manifest hash pins what every state entry means. A
+config sets only the two reward bounds.
 
 CCE utilization, RSRQ and timing advance have no simulator ground truth and
 are deterministic proxies: grant-count fraction, an RSRP/load blend, and a

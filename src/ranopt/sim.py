@@ -11,9 +11,9 @@ No action changes the radio or the demand, so a cell draws its episode's
 noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
-so a config is read only when a cell is drawn. Cells of one shape stack into
-one cell of rows, blocks over episodes, that a tick steps at once under one
-option per row.
+so a config is read only when a cell is drawn. A block of episodes, drawn
+together from their seeds, is one cell of rows, blocks over episodes, that a
+tick steps at once under one option per row.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -118,11 +118,11 @@ class CellState:
     never writes into them, so a shallow copy of a fresh cell runs the same
     episode.
 
-    A cell of rows, as stack_cells makes it, holds E episodes: each drawn
-    array has the episode axis second, (ticks, E, n_ues[, prb_budget]), and
-    the queue and PF average are (blocks, E, n_ues), one block of E rows for
-    each option step is given. Every block reads the same drawn arrays, so
-    nothing drawn is held per option."""
+    A cell of rows, as init_cell_state draws it from E seeds, holds E
+    episodes: each drawn array has the episode axis second, (ticks, E,
+    n_ues[, prb_budget]), and the queue and PF average are (blocks, E,
+    n_ues), one block of E rows for each option step is given. Every block
+    reads the same drawn arrays, so nothing drawn is held per option."""
 
     queue_mb: np.ndarray        # per-UE buffered traffic
     pf_avg_mbps: np.ndarray     # per-UE smoothed served rate
@@ -168,33 +168,40 @@ def spectral_efficiency(rsrp_dbm):
     return eff
 
 
-def _prb_grid(y_mb, budget):
-    """The PRB-yield grid of yields y_mb: [..., k] = k * y_mb[...], the
-    megabits k PRBs carry, for k below the budget."""
-    return np.arange(budget) * y_mb[..., None]
+def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seeds, rest,
+                    blocks: int = 1) -> CellState:
+    """Fresh cell with empty buffers and its episodes drawn: seeds is one
+    seed, for a one-row cell, or a sequence of E seeds, for a cell of
+    (blocks, E) rows whose row (b, e) runs the episode of seed e. rest
+    holds one flag per tick, and a rest tick brings no demand.
 
-
-def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> CellState:
-    """Fresh cell with empty buffers and its episode drawn: rest holds one
-    flag per tick, and a rest tick brings no demand.
-
-    One standard-normal block holds the draws of a tick-by-tick simulation
-    in its order: n for the initial fading, at its stationary distribution,
-    then per tick n for the fading innovation and, on a demand tick, n for
-    demand. Fading draws are skipped without fading, demand draws when no
-    UE's demand varies. Each draw is loc + scale * z, as Generator.normal
-    forms it, and demand is truncated at 0. The PRB-yield grid is drawn for
-    cfg.prb_budget PRBs. The drawn arrays are read-only.
+    Each seed's standard-normal block, drawn by its own generator, holds the
+    draws of a tick-by-tick simulation in its order: n for the initial
+    fading, at its stationary distribution, then per tick n for the fading
+    innovation and, on a demand tick, n for demand. Fading draws are skipped
+    without fading, demand draws when no UE's demand varies. Each draw is
+    loc + scale * z, as Generator.normal forms it, and demand is truncated
+    at 0. Every step after the draw is elementwise, so each episode of a
+    block holds the bits of its one-seed cell. The PRB-yield grid is drawn
+    for cfg.prb_budget PRBs. The drawn arrays are read-only. Refuses an
+    empty sequence of seeds.
     """
+    one = np.ndim(seeds) == 0
+    seeds = [seeds] if one else list(seeds)
+    if not seeds:
+        raise ValueError("init_cell_state needs at least one seed, got none")
     rest = np.asarray(rest, dtype=bool)
     n, ticks = len(profiles), rest.size
     means, stds = np.array([(p.demand_mean, p.demand_std) for p in profiles]).T
     drawn = np.full((ticks + 1, 2), cfg.rf_jitter_std_db > 0)  # (fading, demand); row 0: start
     drawn[:, 1] = np.append(False, ~rest & np.any(stds > 0))
-    z = np.zeros((ticks + 1, 2, n))
-    z[drawn] = np.random.default_rng(seed).standard_normal(n * int(drawn.sum())).reshape(-1, n)
+    z = np.zeros((len(seeds), ticks + 1, 2, n))
+    for seed_z, seed in zip(z, seeds):
+        seed_z[drawn] = np.random.default_rng(seed).standard_normal(
+            n * int(drawn.sum())).reshape(-1, n)
+    z = z.transpose(1, 2, 0, 3)  # the episode axis second: (ticks + 1, 2, E, n)
 
-    scale = np.full((ticks + 1, 1), cfg.rf_jitter_std_db)
+    scale = np.full((ticks + 1, 1, 1), cfg.rf_jitter_std_db)
     scale[0] = cfg.rf_jitter_std_db / math.sqrt(1.0 - RF_JITTER_RHO ** 2)
     # AR(1) in Python floats, one multiply and one add per step as numpy rounds them
     ar1 = np.frompyfunc(lambda prev, innov: RF_JITTER_RHO * prev + innov, 2, 1)
@@ -204,48 +211,17 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seed, rest) -> Ce
     # a UE without variance gets exactly its mean
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
     y = eff * PRB_MEGABITS
-    cell = CellState(queue_mb=np.zeros(n), pf_avg_mbps=np.full(n, PF_FLOOR_MBPS),
-                     rsrp_dbm=rsrp, spectral_eff=eff, y_mb=y,
-                     demand_mb=np.where(rest[:, None], 0.0, demand),
-                     prb_grid_mb=_prb_grid(y, cfg.prb_budget))
-    for drawn_array in (cell.rsrp_dbm, cell.spectral_eff, cell.y_mb, cell.demand_mb,
-                        cell.prb_grid_mb):
-        drawn_array.flags.writeable = False
-    return cell
-
-
-def stack_cells(cells, blocks: int) -> CellState:
-    """One cell of blocks x E rows over E fresh cells of one shape: row
-    (b, e) starts as cell e and runs its episode. Each drawn array is the
-    cells' arrays stacked along a new second axis, (ticks, E, ...), held once
-    per episode and read by every block; the queue and PF average are
-    (blocks, E, n_ues). step takes one option per row.
-
-    cells may be an iterator: the grid is rebuilt from the stacked yields,
-    as each cell drew it, for the cells' one budget, so no cell's grid
-    outlives its turn. Refuses no cells, and cells whose PRB budgets, UE
-    counts or tick counts differ, naming both shapes.
-    """
-    arrays = {name: [] for name in ("queue_mb", "pf_avg_mbps", "rsrp_dbm", "spectral_eff",
-                                    "y_mb", "demand_mb")}
-    shape = None
-    for i, cell in enumerate(cells):
-        if shape is None:
-            shape = cell.prb_grid_mb.shape
-        elif cell.prb_grid_mb.shape != shape:
-            raise ValueError(f"stack_cells needs cells of one (ticks, UEs, PRBs) shape: cell 0 "
-                             f"has {shape}, cell {i} {cell.prb_grid_mb.shape}")
-        for name, stacked in arrays.items():
-            stacked.append(getattr(cell, name))
-    if shape is None:
-        raise ValueError("stack_cells needs at least one cell, got none")
-    fresh = {name: np.repeat(np.stack(arrays.pop(name))[None], blocks, axis=0)
-             for name in ("queue_mb", "pf_avg_mbps")}
-    drawn = {name: np.stack(stacked, axis=1) for name, stacked in arrays.items()}
-    drawn["prb_grid_mb"] = _prb_grid(drawn["y_mb"], shape[-1])
-    for drawn_array in drawn.values():
-        drawn_array.flags.writeable = False
-    return CellState(**fresh, **drawn)
+    episodes = {"rsrp_dbm": rsrp, "spectral_eff": eff, "y_mb": y,
+                "demand_mb": np.where(rest[:, None, None], 0.0, demand),
+                "prb_grid_mb": np.arange(cfg.prb_budget) * y[..., None]}
+    for array in episodes.values():
+        array.flags.writeable = False  # and so every view of it
+    rows = (blocks, len(seeds))
+    if one:
+        episodes = {name: array[:, 0] for name, array in episodes.items()}
+        rows = ()
+    return CellState(queue_mb=np.zeros(rows + (n,)),
+                     pf_avg_mbps=np.full(rows + (n,), PF_FLOOR_MBPS), **episodes)
 
 
 def _top_budget(keys, valid, budget):

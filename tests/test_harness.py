@@ -184,13 +184,16 @@ class TestBaselineSuite:
         drawn, orig = [], hn.init_cell_state
         monkeypatch.setattr(hn, "init_cell_state", lambda *args: drawn.append(args[2])
                             or orig(*args))
+        full = 2 + hn.BASELINE_BLOCK_EPISODES
+        blocks = [range(2, full), range(full, 2 + n_eps)]
         for mode in REWARD_MODES:
             cfg = small_cfg(reward_mode=mode, baseline_episodes=n_eps)
             alone = {option: [run_episode(cfg, 2 + i, constant_action=option).mean_reward
                               for i in range(n_eps)] for option in SchedulerOption}
             drawn.clear()
             rows = run_baseline_suite(cfg, first_episode=2)
-            assert drawn == [episode_seed(cfg.seed, 2 + i) for i in range(n_eps)]
+            # one draw a block, of that block's seeds
+            assert drawn == [[episode_seed(cfg.seed, ep) for ep in block] for block in blocks]
             assert sorted(row.action for row in rows) == list(SchedulerOption)
             for row in rows:
                 mean, stderr = episode_stats(alone[row.action])
@@ -308,6 +311,15 @@ class TestRunRows:
         with pytest.raises(FloatingPointError, match="non-finite Q-value"):
             greedy_options(theta, states)
         assert greedy_options(theta, states[:, [0, 2]]).shape == (1, 2)
+
+    def test_no_episodes_refused(self, earlier_run):
+        cfg = small_cfg(seed=5)
+        for run, empty in ((lambda: run_baseline_suite(cfg, episodes=0), r"range\(0, 0\)"),
+                           (lambda: evaluate_checkpoint(cfg, earlier_run[0], 0, first_episode=3),
+                            r"range\(3, 3\)")):
+            with pytest.raises(ValueError, match=rf"^run_rows needs at least one episode, got "
+                                                 rf"the empty {empty}$"):
+                run()
 
     def test_eval_memory_does_not_grow_with_its_episodes(self, tmp_path):
         cfg = small_cfg(episodes=1)

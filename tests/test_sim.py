@@ -11,7 +11,7 @@ from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
                         SimConfig, TickObservables, UeProfile, fit_traffic_profiles,
                         init_cell_state, read_traffic_records, schedule_prbs,
-                        spectral_efficiency, stack_cells, step)
+                        spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
@@ -548,10 +548,10 @@ class TestStep:
     def test_constant_option_ordering(self):
         # construction property: max C/I tops raw throughput, equal rate
         # minimizes the throughput spread, over 50 matched 80-tick runs,
-        # stepped as one cell of a row per option and episode
+        # drawn as one cell of a row per option and episode
         options = list(SchedulerOption)
-        st = stack_cells((init_cell_state(PROFILES_LAB, SimConfig(), 1000 + ep, demand_ticks(80))
-                          for ep in range(50)), len(options))
+        st = init_cell_state(PROFILES_LAB, SimConfig(), [1000 + ep for ep in range(50)],
+                             demand_ticks(80), len(options))
         tputs, gaps, gap_ticks = np.zeros(5), np.zeros(5), np.zeros(5)
         for _ in range(80):
             st, obs = step(st, np.array(options)[:, None])  # a column: one option per block
@@ -640,7 +640,7 @@ class TestDrawnEpisode:
 
 @st.composite
 def stacked_episodes(draw):
-    """1..3 episodes of one shape, as stack_cells takes them: profiles of
+    """A block of 1..3 episodes, as init_cell_state draws it: profiles of
     1..12 UEs, a budget of 1..120 PRBs, fading on or off, 1..8 ticks and
     their rest mask, and 1..5 blocks of options: a column of one option
     per block, or one option per row."""
@@ -662,8 +662,10 @@ def stacked_episodes(draw):
 
 
 class TestStackedCells:
-    """step over a cell of option blocks by episode rows, row by row against
-    each episode's one-row cell under the row's option."""
+    """A cell of option blocks by episode rows, drawn from the block's seeds
+    in one call: its drawn arrays against the one-seed draws stacked, and
+    step over it row by row against each episode's one-row cell under the
+    row's option."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     # the suite's shape: every option over two episodes of the lab UEs
@@ -677,7 +679,9 @@ class TestStackedCells:
     def test_each_row_steps_as_its_cell_alone(self, episode):
         profiles, cfg, rest, seeds, options = episode
         cells = [init_cell_state(profiles, cfg, seed, rest) for seed in seeds]
-        stacked = stack_cells(iter(cells), len(options))  # an iterator, as the suite passes one
+        stacked = init_cell_state(profiles, cfg, seeds, rest, len(options))
+        rows = (len(options), len(seeds), len(profiles))
+        assert stacked.queue_mb.shape == stacked.pf_avg_mbps.shape == rows
         for name in ("rsrp_dbm", "spectral_eff", "y_mb", "demand_mb", "prb_grid_mb"):
             assert same_bits(getattr(stacked, name), np.stack([getattr(c, name) for c in cells], 1))
             assert not getattr(stacked, name).flags.writeable
@@ -701,33 +705,18 @@ class TestStackedCells:
 
 class TestStackRefusals:
     def test_no_cells(self):
-        with pytest.raises(ValueError, match="^stack_cells needs at least one cell, got none$"):
-            stack_cells(iter([]), 1)
-
-    @pytest.mark.parametrize("second, shown", [
-        ((PROFILES_LAB, SimConfig(prb_budget=50), 3), r"\(3, 4, 50\)"),
-        ((PROFILES_LAB[:3], SimConfig(), 3), r"\(3, 3, 100\)"),
-        ((PROFILES_LAB, SimConfig(), 2), r"\(2, 4, 100\)"),
-    ])
-    def test_cells_of_another_shape(self, second, shown):
-        profiles, cfg, ticks = second
-        cells = (init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(3)),
-                 init_cell_state(PROFILES_LAB, SimConfig(), 2, demand_ticks(3)),
-                 init_cell_state(profiles, cfg, 3, demand_ticks(ticks)))
-        with pytest.raises(ValueError, match=r"^stack_cells needs cells of one \(ticks, UEs, "
-                                             rf"PRBs\) shape: cell 0 has \(3, 4, 100\), cell 2 "
-                                             rf"{shown}$"):
-            stack_cells(iter(cells), 2)
+        with pytest.raises(ValueError, match="^init_cell_state needs at least one seed, got none$"):
+            init_cell_state(PROFILES_LAB, SimConfig(), [], demand_ticks(1))
 
     @pytest.mark.parametrize("options", [[0, 4], [[[0]], [[4]]]])
     def test_options_not_one_per_row(self, options):
-        cell = stack_cells([init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))], 2)
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1], demand_ticks(1), 2)
         with pytest.raises(ValueError, match=r"^options of shape \(2,( 1, 1)?\) are not one per "
                                              r"row of \(2, 1\) rows$"):
             step(cell, np.array(options))
 
     def test_unknown_option(self):
-        cell = stack_cells([init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))], 2)
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1], demand_ticks(1), 2)
         with pytest.raises(ValueError, match=r"^unknown scheduler option 7$"):
             step(cell, np.array([[0], [7]]))
 
