@@ -250,8 +250,9 @@ def _compose_rows(obs: TickObservables, prev_actions, step_in_episode: int,
     active, tputs, eff, demand = (obs.active_mask, obs.ue_throughput_mbps, obs.spectral_eff,
                                   obs.demand_mb)
     rows_shape, n_ues = active.shape[:-1], active.shape[-1]
-    if eff.shape != active.shape:  # drawn rows that the rows of several blocks share
-        eff, demand = (np.broadcast_to(a, active.shape) for a in (eff, demand))
+    if eff.shape != active.shape:  # drawn rows that the rows share: one block's as views
+        rows_of = np.reshape if eff.size == active.size else np.broadcast_to
+        eff, demand = (rows_of(a, active.shape) for a in (eff, demand))
     if hist_ids.shape[:-1] != active.shape:
         hist_ids = np.broadcast_to(hist_ids, active.shape + hist_ids.shape[-1:])
     # each row's sums along its own contiguous UE axis, as a 1-d sum runs;

@@ -12,8 +12,8 @@ noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
 so a config is read only when a cell is drawn. A block of episodes, drawn
-together from their seeds, is one cell of rows, blocks over episodes, that a
-tick steps at once under one option per row.
+together from their seeds, is one cell of rows, blocks over episodes; a tick
+schedules every row in one pass when a block's rows differ in option.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -60,6 +60,8 @@ PF_ALPHA = {
     SchedulerOption.PROPORTIONAL_FAIR_MEDIUM: 1.0,
     SchedulerOption.PROPORTIONAL_FAIR_LOW: 0.5,
 }
+# The option codes as ints, which compare without the Python-level call of an enum attribute read
+_EQUAL_RATE, _PF_HIGH, _PF_MEDIUM, _PF_LOW, _MAXIMUM_C_OVER_I = map(int, SchedulerOption)
 # One tick is one minute, so a PRB carries 180 kHz * 60 s * 1 bit/s/Hz =
 # 10.8 megabits per tick at unit spectral efficiency.
 TICK_SECONDS = 60.0
@@ -203,10 +205,10 @@ def init_cell_state(profiles: list[UeProfile], cfg: SimConfig, seeds, rest,
 
     scale = np.full((ticks + 1, 1, 1), cfg.rf_jitter_std_db)
     scale[0] = cfg.rf_jitter_std_db / math.sqrt(1.0 - RF_JITTER_RHO ** 2)
-    # AR(1) in Python floats, one multiply and one add per step as numpy rounds them
-    ar1 = np.frompyfunc(lambda prev, innov: RF_JITTER_RHO * prev + innov, 2, 1)
-    fading = ar1.accumulate((0.0 + scale * z[:, 0]).astype(object), axis=0)[1:].astype(float)
-    rsrp = np.clip(np.array([p.rsrp_dbm for p in profiles]) + fading, RSRP_MIN_DBM, RSRP_MAX_DBM)
+    fading = 0.0 + scale * z[:, 0]  # the AR(1), a tick's rows at a time: innovation + rho * prev
+    for t in range(1, ticks + 1):
+        fading[t] += RF_JITTER_RHO * fading[t - 1]
+    rsrp = np.clip([p.rsrp_dbm for p in profiles] + fading[1:], RSRP_MIN_DBM, RSRP_MAX_DBM)
     eff = spectral_efficiency(rsrp)
     # a UE without variance gets exactly its mean
     demand = np.maximum(np.where(stds > 0, means + stds * z[1:, 1], means), 0.0)
@@ -247,23 +249,30 @@ def _top_budget(keys, valid, budget):
     return np.bincount(taken, minlength=len(first) * n).reshape(valid.shape[:-1])
 
 
-def _pf_keys(served_before, y_mb, pf_avg_mbps, alpha):
+def _pf_keys(served_before, y_mb, pf_avg_mbps, option):
     """Proportional-fair keys -eff / avg**alpha, negated so that the best
     PRB sorts first, where the smoothed rate avg counts the PRBs the UE got
-    earlier in the tick. alpha is a Python scalar: numpy takes a scalar
-    exponent of 0.5 as a square root, which an array exponent is not.
+    earlier in the tick. option is a PF option's code, or an integer array
+    of one code per row, rows of other options keeping alpha 1.0. A row's
+    alpha is raised by the ufunc `keys **= alpha` takes for the Python
+    scalar: a square root for 0.5, none for 1.0, np.power for 1.5.
 
     A first PRB can lower avg below the UE's average and so raise its next
     key; the greedy choice then keeps serving that UE, which a running
     maximum of the negated keys along k reproduces.
     """
     base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
-    keys = np.multiply(served_before, PF_EMA)  # the smoothed rate, then the key, in place
+    keys = np.empty(base_avg.shape + served_before.shape[-1:])  # the smoothed rate, then the key
+    np.multiply(served_before, PF_EMA, out=keys)
     keys /= TICK_SECONDS
     keys += ((1.0 - PF_EMA) * base_avg)[..., None]
     np.maximum(keys, PF_FLOOR_MBPS, out=keys)
     keys[..., 0] = base_avg
-    keys **= alpha
+    if isinstance(option, np.ndarray):
+        np.power(keys, PF_ALPHA[_PF_HIGH], out=keys, where=(option == _PF_HIGH)[..., None, None])
+        np.sqrt(keys, out=keys, where=(option == _PF_LOW)[..., None, None])
+    else:
+        keys **= PF_ALPHA[option]
     np.divide((y_mb / -PRB_MEGABITS)[..., None], keys, out=keys)
     return np.maximum.accumulate(keys, axis=-1, out=keys)
 
@@ -313,36 +322,49 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     if np.minimum.reduce(avail, axis=None) < 0:
         raise ValueError("avail must be >= 0")
     budget = grid_mb.shape[-1]
-    if option == SchedulerOption.MAXIMUM_C_OVER_I:
+    if option == _MAXIMUM_C_OVER_I:
         return _ranked_fill(avail, y_mb, budget)
     # a PRB is useful while the UE has traffic left; the megabits served before
     # it, min(avail, k * y), are then k * y, since avail - 1e-12 never rounds
     # above avail
     valid = grid_mb < (avail - 1e-12)[..., None]
-    if option == SchedulerOption.EQUAL_RATE:
+    if option == _EQUAL_RATE:
         return _top_budget(grid_mb, valid, budget)
     if option in PF_ALPHA:
-        return _top_budget(_pf_keys(grid_mb, y_mb, pf_avg_mbps, PF_ALPHA[option]), valid, budget)
+        return _top_budget(_pf_keys(grid_mb, y_mb, pf_avg_mbps, option), valid, budget)
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
 def _schedule_rows(options, avail, y, grid, pf_avg):
-    """PRBs of a cell of (blocks, E) rows under options, one per row or a
-    column of one per block. A block whose rows all hold one option is
-    scheduled on its views; otherwise each option present, in
-    SchedulerOption order, is scheduled on its rows gathered. Either way a
-    schedule_prbs call takes one option, as its integer code, so that no
-    enum is built per call; schedule_prbs refuses an unknown code."""
+    """PRBs of a cell of (blocks, E) rows under integer options, one per row
+    or a column of one per block. When each block's rows hold one option,
+    a block is one schedule_prbs call on its views, under the option's
+    code, which builds no enum; else every row goes to _schedule_mixed."""
+    if options.shape[1] > 1 and (options != options[:, :1]).any():
+        return _schedule_mixed(options, avail, y, grid, pf_avg)
     alloc = np.empty(avail.shape, dtype=np.int64)
-    if options.shape[1] == 1 or (options == options[:, :1]).all():  # no drawn row copied
-        for b, code in enumerate(options[:, 0].tolist()):
-            alloc[b] = schedule_prbs(code, avail[b], y, grid, pf_avg[b])
-        return alloc
-    # row (b, e) reads the drawn rows of episode e
-    ys, grids = (np.broadcast_to(a, avail.shape + a.shape[2:]) for a in (y, grid))
-    for code in sorted(set(options.ravel().tolist())):
-        rows = np.broadcast_to(options == code, avail.shape[:-1])
-        alloc[rows] = schedule_prbs(code, avail[rows], ys[rows], grids[rows], pf_avg[rows])
+    for b, code in enumerate(options[:, 0].tolist()):
+        alloc[b] = schedule_prbs(code, avail[b], y, grid, pf_avg[b])
+    return alloc
+
+
+def _schedule_mixed(options, avail, y, grid, pf_avg):
+    """Each row of (blocks, E) rows as schedule_prbs splits it alone under
+    its option, in one pass: every row's PF keys, EQUAL_RATE rows keyed by
+    the grid instead, one _top_budget, _ranked_fill for any MAXIMUM_C_OVER_I
+    rows. Row (b, e) reads the drawn rows of episode e."""
+    if np.minimum.reduce(avail, axis=None) < 0:
+        raise ValueError("avail must be >= 0")
+    unknown = options[(options < 0) | (options > _MAXIMUM_C_OVER_I)]
+    if unknown.size:
+        raise ValueError(f"unknown scheduler option {int(unknown[0])}")
+    budget = grid.shape[-1]
+    keys = _pf_keys(grid, y, pf_avg, options)
+    np.copyto(keys, grid, where=(options == _EQUAL_RATE)[..., None, None])
+    alloc = _top_budget(keys, grid < (avail - 1e-12)[..., None], budget)
+    ranked = options == _MAXIMUM_C_OVER_I
+    if ranked.any():
+        alloc[ranked] = _ranked_fill(avail[ranked], np.broadcast_to(y, avail.shape)[ranked], budget)
     return alloc
 
 
@@ -352,10 +374,10 @@ def step(state: CellState, option) -> tuple[CellState, TickObservables]:
 
     option is one SchedulerOption for every row of the cell, or, for a cell
     of (blocks, E) rows, an integer ndarray of one option per row, (blocks,
-    E), or of one per block, (blocks, 1). Each schedule_prbs call takes
-    the rows of one block or of one option present, under that option. A
-    one-row cell's observables hold its cell throughput and utilization as
-    floats, a cell of rows as arrays of the rows' shape.
+    E), or of one per block, (blocks, 1), refused in any other dtype or
+    shape; _schedule_rows schedules them. A one-row cell's observables hold
+    its cell throughput and utilization as floats, a cell of rows as arrays
+    of the rows' shape.
 
     Order within a tick: demand arrives, PRBs are scheduled, traffic is
     served, buffers and the PF average update.
@@ -366,6 +388,8 @@ def step(state: CellState, option) -> tuple[CellState, TickObservables]:
     active = avail > 1e-12
     if not isinstance(option, np.ndarray):
         alloc = schedule_prbs(option, avail, y, grid, state.pf_avg_mbps)
+    elif option.dtype.kind not in "iu":
+        raise ValueError(f"options of dtype {option.dtype} are not integer option codes")
     elif (option.ndim == avail.ndim - 1 == 2 and len(option) == len(avail)
           and option.shape[1] in (1, avail.shape[1])):
         alloc = _schedule_rows(option, avail, y, grid, state.pf_avg_mbps)

@@ -436,13 +436,16 @@ class TestTraceContract:
         """evaluate_checkpoint under the same wrappers, over two blocks of
         rows: every schedule_prbs call is of one scalar option, no cell of
         rows passes harness.step, and a block's states are composed once a
-        demand tick through this module's compose_kpis."""
+        demand tick through this module's compose_kpis. A block tick whose
+        rows differ is scheduled by sim._schedule_mixed instead, so both
+        kernels are wrapped: each tick of each block passes one of them."""
         import ranopt.harness as hn
         import ranopt.sim as sim
         cfg = small_cfg(episodes=1)
         train_experiment(cfg, out_dir=tmp_path)
         names, rows, utilizations, composed = [], [], [], []
-        schedule, harness_step, compose = sim.schedule_prbs, hn.step, hn.compose_kpis
+        schedule, mixed = sim.schedule_prbs, sim._schedule_mixed
+        harness_step, compose = hn.step, hn.compose_kpis
 
         def traced_schedule(*args, **kwargs):
             option = args[0] if args else kwargs["option"]
@@ -451,12 +454,17 @@ class TestTraceContract:
             rows.append(args[1].size // args[1].shape[-1])
             return schedule(*args, **kwargs)
 
+        def traced_mixed(options, *args):
+            rows.append(options.size)
+            return mixed(options, *args)
+
         def traced_step(*args, **kwargs):
             result = harness_step(*args, **kwargs)
             utilizations.append(float(result[1].prb_utilization))
             return result
 
         monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
+        monkeypatch.setattr(sim, "_schedule_mixed", traced_mixed)
         monkeypatch.setattr(hn, "step", traced_step)
         monkeypatch.setattr(hn, "compose_kpis", lambda *args: composed.append(1) or compose(*args))
         episodes = BASELINE_BLOCK_EPISODES + 1
@@ -464,8 +472,9 @@ class TestTraceContract:
         ticks = cfg.steps_demand + cfg.steps_rest
         assert utilizations == []
         assert len(composed) == 2 * cfg.steps_demand
-        # each block tick: one call for each option its rows hold
-        assert 2 * ticks <= len(names) <= 2 * ticks * len(SchedulerOption)
+        # each block tick: one schedule_prbs call when its rows agree, else one
+        # pass of every row
+        assert len(rows) == 2 * ticks
         assert sum(rows) == episodes * ticks
 
 
@@ -678,20 +687,20 @@ class TestGoldenGreedy:
 
     MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
     # options stepped over the 6 evaluated episodes, rest ticks included: the
-    # rows of each option that sim.schedule_prbs scheduled
+    # rows of each option that passed sim.step
     ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
 
     def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
         import ranopt.sim as sim
         cfg = ExperimentConfig(episodes=4, steps_demand=20, steps_rest=3, checkpoint_every=2)
         train_experiment(cfg, out_dir=tmp_path)
-        stepped, orig = Counter(), sim.schedule_prbs
+        stepped, orig = Counter(), sim.step
 
-        def counting(option, avail, *args):
-            stepped[int(option)] += avail.size // avail.shape[-1]
-            return orig(option, avail, *args)
+        def counting(cell, options):
+            stepped.update(np.broadcast_to(options, cell.queue_mb.shape[:-1]).ravel().tolist())
+            return orig(cell, options)
 
-        monkeypatch.setattr(sim, "schedule_prbs", counting)
+        monkeypatch.setattr(sim, "step", counting)
         mean, stderr = evaluate_checkpoint(cfg, tmp_path / "final", episodes=6, first_episode=4)
         assert (mean.hex(), stderr.hex()) == (self.MEAN, self.STDERR)
         assert stepped == self.ACTIONS

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER_RHO,
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
-                        SimConfig, TickObservables, UeProfile, fit_traffic_profiles,
-                        init_cell_state, read_traffic_records, schedule_prbs,
-                        spectral_efficiency, step)
+                        SimConfig, TickObservables, UeProfile, _schedule_mixed,
+                        fit_traffic_profiles, init_cell_state, read_traffic_records,
+                        schedule_prbs, spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
@@ -476,6 +476,64 @@ class TestRowKernel:
                 assert row.tolist() == reference_schedule(option, state, demands).tolist()
 
 
+@st.composite
+def mixed_rows(draw):
+    """row_cells() as the episodes of a tick of 1..2 blocks of rows, and an
+    option for each (block, episode) row."""
+    rows = draw(row_cells())
+    blocks = draw(st.integers(1, 2))
+    options = draw(st.lists(st.sampled_from(SchedulerOption), min_size=blocks * len(rows),
+                            max_size=blocks * len(rows)))
+    return rows, np.array(options).reshape(blocks, len(rows))
+
+
+BUDGET_OF_ONE = (make_state([1e-13, 2 * Y_105, 1e6], [-60.0, -105.0, -105.0], budget=1),
+                 np.zeros(3))
+
+
+class TestMixedKernel:
+    """The one pass over a tick of rows under differing options: each row
+    as schedule_prbs schedules it alone under its option, and as the
+    reference loops do."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    # all five options in one tick, over rows of one yield ladder, the PF
+    # averages rotated and the last UE's demand growing
+    @example(tick=([(make_state([1e6, 2 * Y_105, 0.0, 700.0], RSRP_LAB,
+                                pf_avg=np.roll(TIED_PF_AVG[1:], r)),
+                     np.array([0.0, 0.0, 0.0, 300.0 * r])) for r in range(5)],
+                   np.array([list(SchedulerOption)])))
+    # a first PRB raises the next key, under each PF exponent
+    @example(tick=([(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5),
+                     np.zeros(2))] * 3, np.array([[1, 2, 3]])))
+    # a budget of 1, the best UE without traffic, over two blocks
+    @example(tick=([BUDGET_OF_ONE] * 2, np.array([[4, 0], [3, 1]])))
+    @given(tick=mixed_rows())
+    def test_each_row_is_the_row_alone_and_the_reference(self, tick):
+        rows, options = tick
+        avail = np.stack([state.queue_mb + demands for state, demands in rows])
+        y, grid = (np.stack([getattr(state, name)[0] for state, _ in rows])
+                   for name in ("y_mb", "prb_grid_mb"))
+        pf_avg = np.stack([state.pf_avg_mbps for state, _ in rows])
+        blocks = len(options)  # every block's rows read the episodes' drawn rows
+        alloc = _schedule_mixed(options, np.stack([avail] * blocks), y, grid,
+                                np.stack([pf_avg] * blocks))
+        assert alloc.shape == options.shape + avail.shape[-1:]
+        for b, e in np.ndindex(options.shape):
+            state, demands = rows[e]
+            option = SchedulerOption(options[b, e])
+            assert same_bits(alloc[b, e], schedule(option, state, demands)), option.name
+            assert alloc[b, e].tolist() == reference_schedule(option, state, demands).tolist()
+
+    def test_negative_avail_refused(self):
+        state, _ = BUDGET_OF_ONE
+        avail = np.array([[state.queue_mb, [0.0, -1e-9, 1.0]]])
+        with pytest.raises(ValueError, match=r"^avail must be >= 0$"):
+            _schedule_mixed(np.array([[0, 4]]), avail, np.stack([state.y_mb[0]] * 2),
+                            np.stack([state.prb_grid_mb[0]] * 2),
+                            np.stack([state.pf_avg_mbps] * 2)[None])
+
+
 def _rsrp_for_eff(eff):
     """Invert the channel map (within the unclamped region)."""
     sinr_db = 10.0 * math.log10(2.0 ** (eff / 0.6) - 1.0)
@@ -719,6 +777,24 @@ class TestStackRefusals:
         cell = init_cell_state(PROFILES_LAB, SimConfig(), [1], demand_ticks(1), 2)
         with pytest.raises(ValueError, match=r"^unknown scheduler option 7$"):
             step(cell, np.array([[0], [7]]))
+
+    @pytest.mark.parametrize("options, first", [([[0, 7, 9]], 7), ([[4, 2, -1]], -1)])
+    def test_unknown_option_among_valid_ones(self, options, first):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1, 2, 3], demand_ticks(1))
+        with pytest.raises(ValueError, match=rf"^unknown scheduler option {first}$"):
+            step(cell, np.array(options))
+
+    # a bool would run as EQUAL_RATE or PROPORTIONAL_FAIR_HIGH, 3.0 as
+    # PROPORTIONAL_FAIR_LOW
+    @pytest.mark.parametrize("options, dtype", [([[True], [False]], "bool"),
+                                                ([[3.0], [0.0]], "float64"),
+                                                ([[0.0, 3.7], [3.0, 3.0]], "float64")])
+    def test_options_not_integers(self, options, dtype):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1, 2], demand_ticks(1), 2)
+        with pytest.raises(ValueError, match=rf"^options of dtype {dtype} are not integer "
+                                             rf"option codes$"):
+            step(cell, np.array(options))
+        assert cell.tick == 0 and not cell.queue_mb.any()  # nothing scheduled
 
 
 class TestFitTrafficProfiles:
