@@ -212,7 +212,7 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
     """Each row's mean demand reward, (blocks, len(episodes)), the episodes
     stepped in lock-step: in blocks of at most BASELINE_BLOCK_EPISODES, each
     block drawn once as one cell of rows, one sim.step a tick. Refuses an
-    empty range of episodes, naming it.
+    empty range of episodes or an empty sequence of options, naming it.
 
     policy is a sequence of constant options, a block of rows for each, or
     a callable that maps the states of one block of rows, (1, E, STATE_DIM),
@@ -226,6 +226,8 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
         raise ValueError(f"run_rows needs at least one episode, got the empty {episodes!r}")
     reads_states = callable(policy)
     blocks = 1 if reads_states else len(policy)
+    if not blocks:
+        raise ValueError(f"run_rows needs at least one option, got the empty {policy!r}")
 
     def run_block(block: range) -> np.ndarray:  # nothing of a block outlives its turn
         cell = _draw_cell(cfg, block, blocks)
@@ -258,9 +260,10 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
     episode's cell drawn once and run under every option.
 
     run_rows steps a block of episodes as one cell of five option rows per
-    episode, each tick one schedule_prbs call per option, so memory does not
-    grow with the suite. The means are run_episode's, bit for bit. Rows come
-    back sorted best-first under the configured reward mode.
+    episode, each tick one sim._schedule_column pass over the five options'
+    rows, so memory does not grow with the suite. The means are
+    run_episode's, bit for bit. Rows come back sorted best-first under the
+    configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
     options = list(SchedulerOption)

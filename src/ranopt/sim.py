@@ -12,8 +12,10 @@ noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
 so a config is read only when a cell is drawn. A block of episodes, drawn
-together from their seeds, is one cell of rows, blocks over episodes; a tick
-schedules every row in one pass when a block's rows differ in option.
+together from their seeds, is one cell of rows, blocks over episodes. A tick
+schedules all its rows in one pass: one over every row when a block's rows
+differ in option, one over the column of blocks when each block holds one
+option, except a single such block, which is one schedule_prbs call.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -249,20 +251,24 @@ def _top_budget(keys, valid, budget):
     return np.bincount(taken, minlength=len(first) * n).reshape(valid.shape[:-1])
 
 
-def _pf_keys(served_before, y_mb, pf_avg_mbps, option):
+def _pf_keys(served_before, y_mb, pf_avg_mbps, option, out=None):
     """Proportional-fair keys -eff / avg**alpha, negated so that the best
     PRB sorts first, where the smoothed rate avg counts the PRBs the UE got
     earlier in the tick. option is a PF option's code, or an integer array
     of one code per row, rows of other options keeping alpha 1.0. A row's
     alpha is raised by the ufunc `keys **= alpha` takes for the Python
-    scalar: a square root for 0.5, none for 1.0, np.power for 1.5.
+    scalar: a square root for 0.5, none for 1.0, np.power for 1.5. The keys
+    are written into out when it is given.
 
     A first PRB can lower avg below the UE's average and so raise its next
     key; the greedy choice then keeps serving that UE, which a running
-    maximum of the negated keys along k reproduces.
+    maximum of the negated keys along k reproduces. From the second PRB on,
+    avg, its power and so the negated key only grow with k, so that maximum
+    is each key's maximum with the first.
     """
     base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
-    keys = np.empty(base_avg.shape + served_before.shape[-1:])  # the smoothed rate, then the key
+    # the smoothed rate, then the key
+    keys = np.empty(base_avg.shape + served_before.shape[-1:]) if out is None else out
     np.multiply(served_before, PF_EMA, out=keys)
     keys /= TICK_SECONDS
     keys += ((1.0 - PF_EMA) * base_avg)[..., None]
@@ -274,7 +280,8 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, option):
     else:
         keys **= PF_ALPHA[option]
     np.divide((y_mb / -PRB_MEGABITS)[..., None], keys, out=keys)
-    return np.maximum.accumulate(keys, axis=-1, out=keys)
+    np.maximum(keys[..., 1:], keys[..., :1], out=keys[..., 1:])
+    return keys
 
 
 def _ranked_fill(avail, y_mb, budget):
@@ -335,16 +342,60 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
+def _checked_codes(codes, avail):
+    """The integer codes as a flat list, once a negative avail and, named as
+    an int, the first unknown code are refused."""
+    if np.minimum.reduce(avail, axis=None) < 0:
+        raise ValueError("avail must be >= 0")
+    listed = codes.ravel().tolist()
+    for code in listed:
+        if not _EQUAL_RATE <= code <= _MAXIMUM_C_OVER_I:
+            raise ValueError(f"unknown scheduler option {code}")
+    return listed
+
+
 def _schedule_rows(options, avail, y, grid, pf_avg):
     """PRBs of a cell of (blocks, E) rows under integer options, one per row
-    or a column of one per block. When each block's rows hold one option,
-    a block is one schedule_prbs call on its views, under the option's
-    code, which builds no enum; else every row goes to _schedule_mixed."""
+    or a column of one per block. Rows that differ within a block go to
+    _schedule_mixed. Else each block holds one option: a single block is
+    one schedule_prbs call on its views, under the option's code, which
+    builds no enum, and a column of blocks one _schedule_column pass."""
     if options.shape[1] > 1 and (options != options[:, :1]).any():
         return _schedule_mixed(options, avail, y, grid, pf_avg)
+    if len(options) == 1:
+        return schedule_prbs(options.item(0), avail[0], y, grid, pf_avg[0])[None]
+    return _schedule_column(options[:, 0], avail, y, grid, pf_avg)
+
+
+def _schedule_column(codes, avail, y, grid, pf_avg):
+    """Each row of (blocks, E) rows as schedule_prbs splits it alone, block b
+    under codes[b], in one pass. The blocks are taken in order of code,
+    which handles any order and repeats and puts the EQUAL_RATE blocks,
+    keyed by the grid, then the PF blocks, whose keys come from one _pf_keys
+    call, before the MAXIMUM_C_OVER_I blocks: one _top_budget serves the
+    first two kinds, one _ranked_fill the last. Row (b, e) reads the drawn
+    rows of episode e."""
+    column = _checked_codes(codes, avail)
+    order = sorted(range(len(column)), key=column.__getitem__)
+    moved = order != list(range(len(order)))
+    if moved:
+        avail, pf_avg = avail[order], pf_avg[order]
+        column = [column[b] for b in order]
+    equal, keyed = column.count(_EQUAL_RATE), len(column) - column.count(_MAXIMUM_C_OVER_I)
+    budget = grid.shape[-1]
     alloc = np.empty(avail.shape, dtype=np.int64)
-    for b, code in enumerate(options[:, 0].tolist()):
-        alloc[b] = schedule_prbs(code, avail[b], y, grid, pf_avg[b])
+    if keyed:
+        keys = np.empty((keyed,) + grid.shape)
+        keys[:equal] = grid
+        if keyed > equal:
+            _pf_keys(grid, y, pf_avg[equal:keyed], np.array(column[equal:keyed])[:, None],
+                     out=keys[equal:])
+        alloc[:keyed] = _top_budget(keys, grid < (avail[:keyed] - 1e-12)[..., None], budget)
+    if keyed < len(column):
+        ranked = avail[keyed:]
+        alloc[keyed:] = _ranked_fill(ranked, np.broadcast_to(y, ranked.shape), budget)
+    if moved:
+        alloc[order] = alloc.copy()
     return alloc
 
 
@@ -353,11 +404,7 @@ def _schedule_mixed(options, avail, y, grid, pf_avg):
     its option, in one pass: every row's PF keys, EQUAL_RATE rows keyed by
     the grid instead, one _top_budget, _ranked_fill for any MAXIMUM_C_OVER_I
     rows. Row (b, e) reads the drawn rows of episode e."""
-    if np.minimum.reduce(avail, axis=None) < 0:
-        raise ValueError("avail must be >= 0")
-    unknown = options[(options < 0) | (options > _MAXIMUM_C_OVER_I)]
-    if unknown.size:
-        raise ValueError(f"unknown scheduler option {int(unknown[0])}")
+    _checked_codes(options, avail)
     budget = grid.shape[-1]
     keys = _pf_keys(grid, y, pf_avg, options)
     np.copyto(keys, grid, where=(options == _EQUAL_RATE)[..., None, None])

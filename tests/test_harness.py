@@ -321,6 +321,28 @@ class TestRunRows:
                                                  rf"the empty {empty}$"):
                 run()
 
+    def test_no_options_refused_before_a_draw(self, monkeypatch):
+        import ranopt.harness as hn
+        drawn = []
+        monkeypatch.setattr(hn, "init_cell_state", lambda *args: drawn.append(args))
+        for empty, shown in (([], r"\[\]"), ((), r"\(\)")):
+            with pytest.raises(ValueError, match=rf"^run_rows needs at least one option, got "
+                                                 rf"the empty {shown}$"):
+                run_rows(small_cfg(), range(2), empty)
+        assert drawn == []
+
+    def test_a_column_in_any_order_is_each_episode_alone(self):
+        """Options out of code order and repeated, over a full block and part
+        of a second: each row's mean is run_episode's, bit for bit."""
+        cfg = small_cfg(steps_demand=8, steps_rest=1)
+        options = [SchedulerOption.MAXIMUM_C_OVER_I, SchedulerOption.EQUAL_RATE,
+                   SchedulerOption.PROPORTIONAL_FAIR_HIGH, SchedulerOption.MAXIMUM_C_OVER_I]
+        episodes = range(4, 6 + BASELINE_BLOCK_EPISODES)
+        means = run_rows(cfg, episodes, options)
+        assert [[m.hex() for m in row] for row in means] == [
+            [run_episode(cfg, ep, constant_action=option).mean_reward.hex() for ep in episodes]
+            for option in options]
+
     def test_eval_memory_does_not_grow_with_its_episodes(self, tmp_path):
         cfg = small_cfg(episodes=1)
         train_experiment(cfg, out_dir=tmp_path)
@@ -407,15 +429,23 @@ class TestTraceContract:
         """Wrapped as a tracer wraps them, schedule_prbs named by its first
         argument and step's utilization read by float(), the agent's episode
         and a suite of two blocks run: every schedule_prbs call is of one
-        option, and only one-row cells pass harness.step."""
+        scalar option, all from the one-row episode, only one-row cells pass
+        harness.step, and each suite block tick is one sim._schedule_column
+        pass over every option's rows."""
         import ranopt.harness as hn
         import ranopt.sim as sim
-        names, utilizations = [], []
-        schedule, harness_step = sim.schedule_prbs, hn.step
+        names, columns, utilizations = [], [], []
+        schedule, column, harness_step = sim.schedule_prbs, sim._schedule_column, hn.step
 
         def traced_schedule(*args, **kwargs):
-            names.append(SchedulerOption(args[0] if args else kwargs["option"]).name)
+            option = args[0] if args else kwargs["option"]
+            assert np.ndim(option) == 0
+            names.append(SchedulerOption(option).name)
             return schedule(*args, **kwargs)
+
+        def traced_column(codes, avail, *args):
+            columns.append((codes.tolist(), avail.size // avail.shape[-1]))
+            return column(codes, avail, *args)
 
         def traced_step(*args, **kwargs):
             result = harness_step(*args, **kwargs)
@@ -423,14 +453,17 @@ class TestTraceContract:
             return result
 
         monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
+        monkeypatch.setattr(sim, "_schedule_column", traced_column)
         monkeypatch.setattr(hn, "step", traced_step)
         cfg = small_cfg(baseline_episodes=hn.BASELINE_BLOCK_EPISODES + 1)
         ticks = cfg.steps_demand + cfg.steps_rest
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg)
-        assert len(utilizations) == ticks
-        # each block's tick: one call per option, whatever the block's episode count
-        assert names[ticks:] == [o.name for _ in range(2 * ticks) for o in SchedulerOption]
+        assert len(utilizations) == len(names) == ticks
+        # each block's tick: one pass of the column, 5 x E rows
+        codes = [int(o) for o in SchedulerOption]
+        assert columns == [(codes, len(codes) * episodes)
+                           for episodes in (hn.BASELINE_BLOCK_EPISODES, 1) for _ in range(ticks)]
 
     def test_a_tracer_of_the_globals_reads_scalars_in_eval(self, monkeypatch, tmp_path):
         """evaluate_checkpoint under the same wrappers, over two blocks of

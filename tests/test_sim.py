@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER_RHO,
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
-                        SimConfig, TickObservables, UeProfile, _schedule_mixed,
-                        fit_traffic_profiles, init_cell_state, read_traffic_records,
-                        schedule_prbs, spectral_efficiency, step)
+                        SimConfig, TickObservables, UeProfile, _schedule_column,
+                        _schedule_mixed, fit_traffic_profiles, init_cell_state,
+                        read_traffic_records, schedule_prbs, spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
 
@@ -372,16 +372,18 @@ def cells(draw):
     return draw_cell(draw, n, budget, prb_mb)
 
 
-def draw_cell(draw, n, budget, prb_mb):
-    """A state of n UEs and this tick's demands, as cells() describes them."""
+def draw_cell(draw, n, budget, prb_mb, rsrp_eff=None):
+    """A state of n UEs and this tick's demands, as cells() describes them;
+    rsrp_eff, when given, is the effective RSRP instead of a drawn one."""
 
     def per_ue(strategy):
         return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
 
-    rsrp = per_ue(st.sampled_from(TIED_RSRP) | st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM))
-    jitter = per_ue(st.sampled_from([0.0, 1.5]) | st.floats(-4.0, 4.0))
+    if rsrp_eff is None:
+        rsrp = per_ue(st.sampled_from(TIED_RSRP) | st.floats(RSRP_MIN_DBM, RSRP_MAX_DBM))
+        jitter = per_ue(st.sampled_from([0.0, 1.5]) | st.floats(-4.0, 4.0))
+        rsrp_eff = np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)
     pf_avg = per_ue(st.sampled_from(TIED_PF_AVG) | st.floats(0.0, 60.0))
-    rsrp_eff = np.clip(rsrp + jitter, RSRP_MIN_DBM, RSRP_MAX_DBM)
     y = spectral_efficiency(rsrp_eff) * prb_mb
     queue, demands = np.zeros(n), np.zeros(n)
     for i in range(n):
@@ -532,6 +534,73 @@ class TestMixedKernel:
             _schedule_mixed(np.array([[0, 4]]), avail, np.stack([state.y_mb[0]] * 2),
                             np.stack([state.prb_grid_mb[0]] * 2),
                             np.stack([state.pf_avg_mbps] * 2)[None])
+
+
+@st.composite
+def column_ticks(draw):
+    """A tick of 1..6 blocks of 1..4 episode rows, block b under codes[b], in
+    any order and with repeats: 1..12 UEs, a budget of 1..120 PRBs and one
+    PRB size. Each row holds its own queues, demands and PF averages, every
+    block's row e the yields of episode e; UEs without traffic and tied
+    yields as in cells()."""
+    n = draw(st.integers(1, 12))
+    budget = draw(st.integers(1, 120))
+    prb_mb = draw(st.sampled_from([PRB_MEGABITS, 1.0, 0.05]))
+    codes = draw(st.lists(st.sampled_from(SchedulerOption), min_size=1, max_size=6))
+    first = [draw_cell(draw, n, budget, prb_mb) for _ in range(draw(st.integers(1, 4)))]
+    rows = [first] + [[draw_cell(draw, n, budget, prb_mb, state.rsrp_dbm[0])
+                       for state, _ in first] for _ in codes[1:]]
+    return rows, codes
+
+
+def ladder_column(codes, episodes=2, budget=SimConfig().prb_budget):
+    """A tick of one block per code over rows of one yield ladder, each row's
+    PF averages rotated and its last UE's demand growing with (block, episode)."""
+    return ([[(make_state([1e6, 2 * Y_105, 0.0, 700.0], RSRP_LAB,
+                          pf_avg=np.roll(TIED_PF_AVG[1:], b + e), budget=budget),
+               np.array([0.0, 0.0, 0.0, 300.0 * (b + e)])) for e in range(episodes)]
+             for b in range(len(codes))], codes)
+
+
+class TestColumnKernel:
+    """The one pass over a column of blocks, one option each: each row as
+    schedule_prbs schedules it alone under its block's option, and as the
+    reference loops do."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    # the suite's order
+    @example(tick=ladder_column(list(SchedulerOption)))
+    # reversed, with repeats
+    @example(tick=ladder_column([4, 3, 3, 2, 1, 0], episodes=3, budget=7))
+    # every block MAXIMUM_C_OVER_I; then so at a budget of 1, with tied yields
+    @example(tick=ladder_column([4, 4, 4]))
+    @example(tick=([[BUDGET_OF_ONE] * 2] * 3, [4, 4, 4]))
+    # a first PRB raises the next key, under each PF exponent
+    @example(tick=([[(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5),
+                      np.zeros(2))]] * 3, [3, 1, 2]))
+    @given(tick=column_ticks())
+    def test_each_row_is_the_row_alone_and_the_reference(self, tick):
+        rows, codes = tick
+        avail = np.array([[state.queue_mb + demands for state, demands in block]
+                          for block in rows])
+        pf_avg = np.array([[state.pf_avg_mbps for state, _ in block] for block in rows])
+        y, grid = (np.stack([getattr(state, name)[0] for state, _ in rows[0]])
+                   for name in ("y_mb", "prb_grid_mb"))
+        alloc = _schedule_column(np.array(codes), avail, y, grid, pf_avg)
+        assert alloc.shape == avail.shape
+        for b, e in np.ndindex(avail.shape[:2]):
+            state, demands = rows[b][e]
+            option = SchedulerOption(codes[b])
+            assert same_bits(alloc[b, e], schedule(option, state, demands)), option.name
+            assert alloc[b, e].tolist() == reference_schedule(option, state, demands).tolist()
+
+    def test_negative_avail_refused_by_step(self):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1, 2], demand_ticks(1), 3)
+        cell.queue_mb = np.zeros_like(cell.queue_mb)
+        cell.queue_mb[2, 1, 0] = -1e-3 - cell.demand_mb[0, 1, 0]
+        with pytest.raises(ValueError, match=r"^avail must be >= 0$"):
+            step(cell, np.array([[4], [0], [1]]))
+        assert cell.tick == 0
 
 
 def _rsrp_for_eff(eff):
