@@ -9,13 +9,17 @@ transition is checked on its way in.
 Because learning uses n-step temporal-difference targets, training batches
 are contiguous segments of experience sampled from the buffer; a segment
 never crosses an episode boundary (rest minutes produce no experience at
-all, so the gap between episodes is structural). Targets follow the double-Q
+all, so the gap between episodes is structural). The ring keeps an index of
+the valid segment starts as it is written, so a sample draws from it rather
+than scanning the ring's episode ids. Targets follow the double-Q
 rule: the online network picks the bootstrap action, the slowly tracking
 target network evaluates it, and after every training step the target
 network takes a small Polyak step toward the online one. A step evaluates
 the online network once, on its segments' first states and bootstrap states
 stacked as rows, and takes both the bootstrap action and the TD errors from
-that pass; the target network's pass is the only other one.
+that pass; the target network's pass is the only other one. Both steps
+write their network vector in place, so each network's layer views are
+built once, when the vector is set.
 
 The control task is continuous; there is no terminal state and no done flag
 anywhere in the update.
@@ -87,6 +91,24 @@ def _columns(records: list[Experience]) -> list[np.ndarray]:
             for f, t in zip(("state", "next_state", "action", "reward", "episode_id"), _DTYPES)]
 
 
+def _holds_int64(dtype: np.dtype) -> bool:
+    """Whether the ring's int64 cast keeps every value of dtype: an integer
+    type, not bool, that int64 holds."""
+    return np.issubdtype(dtype, np.integer) and np.can_cast(dtype, np.int64)
+
+
+def _as_columns(states, next_states, actions, rewards, episode_ids) -> list[np.ndarray]:
+    """The BUFFER_FIELDS arrays of transitions in the ring's dtypes. Refuses,
+    naming record 0, actions or episode ids of any other type than integers
+    that int64 holds, which the cast would truncate, wrap or take for 0 and 1."""
+    columns = [np.asarray(a) for a in (states, next_states, actions, rewards, episode_ids)]
+    for label, a in (("action", columns[2]), ("episode id", columns[4])):
+        if a.size and not _holds_int64(a.dtype):
+            raise ValueError(f"record 0: {label} {a.flat[0]} is {a.dtype}, "
+                             f"expected an integer that int64 holds")
+    return [a.astype(t, copy=False) for a, t in zip(columns, _DTYPES)]
+
+
 def _transition_ok(states, next_states, actions, rewards) -> list:
     """Per transition (or for one): finite states, reward in [-1, 1], valid action."""
     return [np.isfinite(states).all(axis=-1), np.isfinite(next_states).all(axis=-1),
@@ -148,6 +170,17 @@ class ReplayBuffer:
     not a key of stored. The newest entry is never chained: an append or an
     extend chains it when the state that follows it arrives. next_states_at
     reads the next states of ring rows.
+
+    The segment-start index holds, for one n_step, the ring rows of the
+    valid n-step segment starts (see valid_segment_starts) oldest first, in
+    a ring of capacity rows read from a head; sample_segments draws through
+    it. One scan builds it at its first use; append then keeps it in O(1):
+    it drops the oldest start when it overwrites that entry and pushes a
+    start when the newest n_step entries share an episode id, which it
+    tracks as the length and id of the newest run of equal ids. Every other
+    write (extend, load, the rotation of packed, shift_episode_ids) marks it
+    stale, to be rebuilt by the next sample, as does a sample for another
+    n_step.
     """
 
     def __init__(self, capacity: int = REPLAY_CAPACITY, arrays=None):
@@ -158,6 +191,8 @@ class ReplayBuffer:
         self.capacity = capacity
         self.stored: dict[int, np.ndarray] = {}  # ring row -> next state, unchained rows only
         self.start = self.size = 0
+        self._segment_n = 0  # the n_step of the segment-start index; 0 while it is stale
+        self._starts = None  # its ring, made at its first build
         if arrays is not None:
             self.load(arrays)
             return
@@ -207,13 +242,13 @@ class ReplayBuffer:
         `capacity` entries survive, and nothing is written if one is refused.
         Each ring array is written in at most two slice copies: the run up to
         the ring's end, then the wrapped rest from row 0."""
-        columns = [np.asarray(a, dtype=t) for a, t in
-                   zip((states, next_states, actions, rewards, episode_ids), _DTYPES)]
+        columns = _as_columns(states, next_states, actions, rewards, episode_ids)
         _check_transitions(*columns)
         states, next_states, actions, rewards, episode_ids = columns
         n = len(states)
         if n == 0:
             return
+        self._segment_n = 0
         chained = np.zeros(n, dtype=bool)
         # bitwise, by int64 views: float == would equate -0.0 with 0.0
         chained[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
@@ -235,18 +270,57 @@ class ReplayBuffer:
         self.size = min(self.size + n, self.capacity)
 
     def append(self, state, next_state, action, reward, episode_id) -> None:
-        """Append one transition, refused as extend refuses a batch of one."""
-        if not (np.shape(state) == np.shape(next_state) == (STATE_DIM,)
-                and all(_transition_ok(state, next_state, action, reward))):
-            _check_transitions(*(np.asarray([a], dtype=t) for a, t in
-                                 zip((state, next_state, action, reward, episode_id), _DTYPES)))
-        row = (self.start + self.size) % self.capacity
+        """Append one transition, refused as extend refuses a batch of one,
+        and keep the segment-start index, unless it is stale."""
+        if not (type(action) is int and type(episode_id) is int  # a bool or a float is not
+                and -2 ** 63 <= episode_id < 2 ** 63
+                and np.shape(state) == np.shape(next_state) == (STATE_DIM,)
+                and -1.0 <= reward <= 1.0 and 0 <= action < N_ACTIONS
+                and np.logical_and.reduce(np.isfinite((state, next_state)), axis=None)):
+            _check_transitions(*_as_columns([state], [next_state], [action], [reward],
+                                            [episode_id]))
+            action, episode_id = int(action), int(episode_id)
+        capacity, n = self.capacity, self._segment_n
+        row = (self.start + self.size) % capacity
+        full = self.size == capacity
+        if n and full and self._count and self._starts[self._head] == row:
+            self._head, self._count = (self._head + 1) % capacity, self._count - 1
         self.states[row] = state
         self._chain_newest(self.states[row])
         self.stored[row] = np.array(next_state, dtype=np.float64)
         self.actions[row], self.rewards[row], self.episode_ids[row] = action, reward, episode_id
-        self.start = (self.start + (self.size == self.capacity)) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        self.start = (self.start + full) % capacity
+        self.size = min(self.size + 1, capacity)
+        if n:
+            self._run = self._run + 1 if episode_id == self._run_id else 1
+            self._run_id = episode_id
+            if self._run >= n and self.size >= n:  # the newest n entries share an id
+                self._starts[(self._head + self._count) % capacity] = (row - n + 1) % capacity
+                self._count += 1
+
+    def _segment_index(self, n_step: int) -> tuple[np.ndarray, int, int]:
+        """The segment-start index for n_step: its ring, its head and its
+        count, the ring rows of the valid starts being ring[(head + k) %
+        capacity] for k < count; one scan rebuilds it when it is stale or
+        held for another n_step."""
+        if self._segment_n != n_step:
+            if self._starts is None:
+                self._starts = np.empty(self.capacity, dtype=np.int64)
+            starts = valid_segment_starts(self, n_step)
+            self._head, self._count = 0, len(starts)
+            self._starts[:self._count] = self.rows(starts)
+            ids = self.episode_ids.take(self.rows(np.arange(self.size)))
+            breaks = np.flatnonzero(ids != ids[-1:])  # entries of other ids than the newest
+            self._run = self.size - 1 - int(breaks[-1]) if breaks.size else self.size
+            self._run_id = int(ids[-1]) if self.size else None
+            self._segment_n = n_step
+        return self._starts, self._head, self._count
+
+    def shift_episode_ids(self, offset: int) -> None:
+        """Add offset to every entry's episode id, in int64: equal ids stay
+        equal, as long as no id wraps, which the caller rules out."""
+        self.episode_ids[:self.size] += offset
+        self._segment_n = 0
 
     def load(self, arrays) -> None:
         """Fill an empty ring with the transitions of a mapping as packed
@@ -270,7 +344,7 @@ class ReplayBuffer:
             raise ValueError(f"buffer holds more than {self.capacity} transitions")
         for name in ("actions", "episode_ids"):  # the ring's cast would round or wrap others
             dtype = np.asarray(arrays[name]).dtype
-            if not (np.issubdtype(dtype, np.integer) and np.can_cast(dtype, np.int64)):
+            if not _holds_int64(dtype):
                 raise ValueError(f"member {name} is {dtype}, expected integers that int64 holds")
         chained, n, n_stored = np.asarray(arrays["chained"]), len(columns[0]), len(columns[1])
         if chained.dtype != bool or chained.shape != (n,):
@@ -288,6 +362,7 @@ class ReplayBuffer:
             setattr(self, name, _ring_of(a, self.capacity))
         self.stored = dict(zip(np.flatnonzero(~chained).tolist(), next_states))
         self.size = n
+        self._segment_n = 0
 
     def _rotate(self) -> None:
         """Move the oldest entry to row 0, rotating the ring in place one array at a time."""
@@ -296,6 +371,7 @@ class ReplayBuffer:
                 getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
             self.stored = {(row - self.start) % self.capacity: s for row, s in self.stored.items()}
             self.start = 0
+            self._segment_n = 0
 
     def packed(self) -> dict[str, np.ndarray]:
         """The ring as a checkpoint stores it: BUFFER_FIELDS arrays in logical
@@ -324,7 +400,8 @@ def preload(buffer: ReplayBuffer, records: list[Experience]) -> None:
 
 def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
     """Logical indices where n_step consecutive entries share one episode;
-    one scan of the ring on every call."""
+    one scan of the ring on every call. It builds a ring's segment-start
+    index, which sampling reads instead."""
     size = len(buffer)
     if size < n_step:
         return np.empty(0, dtype=np.int64)
@@ -341,12 +418,17 @@ def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
                     rng: np.random.Generator) -> np.ndarray | None:
     """Ring rows of contiguous intra-episode segments, shape (batch, n_step):
     starts are uniform over the valid ones, with replacement across the batch.
-    None, with rng not drawn from, when the buffer holds no such segment."""
-    starts = valid_segment_starts(buffer, n_step)
-    if starts.size == 0:
+    None, with rng not drawn from, when the buffer holds no such segment.
+
+    The draws index the ring's segment-start index, which append keeps, so
+    a sample reads no episode ids unless the index was stale."""
+    starts, head, count = buffer._segment_index(n_step)
+    if not count:
         return None
-    picks = starts[rng.integers(0, starts.size, size=batch)]
-    return buffer.rows(picks[:, None] + np.arange(n_step))
+    draws = rng.integers(0, count, size=batch)
+    draws += head
+    rows = starts.take(draws, mode="wrap")[:, None] + np.arange(n_step)
+    return np.remainder(rows, buffer.capacity, out=rows)
 
 
 def epsilon_at(step: int, cfg: AgentConfig) -> float:
@@ -356,20 +438,22 @@ def epsilon_at(step: int, cfg: AgentConfig) -> float:
     return max(cfg.epsilon_min, cfg.epsilon_start * cfg.epsilon_decay ** step)
 
 
-def action_values(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """qnet.forward of one state or of (..., STATE_DIM) states; raises
-    FloatingPointError, naming the values, on a non-finite one in any row."""
-    q = qnet.forward(theta, states)
+def action_values(net, states: np.ndarray) -> np.ndarray:
+    """qnet.forward of one state or of (..., STATE_DIM) states under a network
+    vector or its layers; raises FloatingPointError, naming the values, on a
+    non-finite one in any row."""
+    q = qnet.forward(net, states)
     if not all(map(math.isfinite, q.ravel().tolist())):
         raise FloatingPointError(f"non-finite Q-value in {q.tolist()}")
     return q
 
 
-def greedy_options(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """The greedy option of each of (..., STATE_DIM) states under the network
-    vector theta, (...): the first of the best action values, as act picks
-    with greedy set. Raises FloatingPointError on a non-finite action value."""
-    return action_values(theta, states).argmax(axis=-1)
+def greedy_options(net, states: np.ndarray) -> np.ndarray:
+    """The greedy option of each of (..., STATE_DIM) states under a network
+    vector or its layers, (...): the first of the best action values, as act
+    picks with greedy set. Raises FloatingPointError on a non-finite action
+    value."""
+    return action_values(net, states).argmax(axis=-1)
 
 
 def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -393,14 +477,21 @@ def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndar
     """
     batch, n = np.shape(rewards)
     q_boot = q_target[np.arange(batch), q_online.argmax(axis=1)]
+    discounted = rewards * [gamma ** i for i in range(n)]  # each discount Python's float power
     ret = np.zeros(batch)
     for i in range(n):  # reward by reward: the summation order fixes the rounding
-        ret += gamma ** i * rewards[:, i]
-    return ret + gamma ** n * q_boot
+        ret += discounted[:, i]
+    ret += gamma ** n * q_boot
+    return ret
 
 
 class DoubleQAgent:
-    """Online/target network vectors plus replay buffer and exploration schedule."""
+    """Online/target network vectors plus replay buffer and exploration schedule.
+
+    Setting a network vector builds its qnet.layers views once; train_step
+    updates both vectors in place, so the views stay valid, and a copy of
+    the agent builds views of its own vectors.
+    """
 
     def __init__(self, cfg: AgentConfig, buffer: ReplayBuffer | None = None, seed: int = 0):
         """A fresh agent; its replay ring is buffer, when given, else an empty one.
@@ -413,6 +504,34 @@ class DoubleQAgent:
         self.global_step = 0
 
     @property
+    def online(self) -> np.ndarray:
+        """The online network vector; train_step writes it in place."""
+        return self._online
+
+    @online.setter
+    def online(self, theta: np.ndarray) -> None:
+        self._online, self._online_layers = theta, qnet.layers(theta)
+
+    @property
+    def target(self) -> np.ndarray:
+        """The target network vector; train_step writes it in place."""
+        return self._target
+
+    @target.setter
+    def target(self, theta: np.ndarray) -> None:
+        self._target, self._target_layers = theta, qnet.layers(theta)
+
+    def __getstate__(self) -> dict:
+        """The agent but for its layer views: a copy's views are of its own vectors."""
+        state = self.__dict__.copy()
+        del state["_online_layers"], state["_target_layers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.online, self.target = self._online, self._target
+
+    @property
     def epsilon(self) -> float:
         return epsilon_at(self.global_step, self.cfg)
 
@@ -420,7 +539,7 @@ class DoubleQAgent:
         """Pick an option; training-mode calls advance the exploration schedule.
         Raises FloatingPointError on a non-finite action value, before the
         schedule or the RNG moves."""
-        q = action_values(self.online, state)
+        q = action_values(self._online_layers, state)
         if greedy:
             return select_action(q, 0.0, self.rng)
         action = select_action(q, self.epsilon, self.rng)
@@ -437,8 +556,10 @@ class DoubleQAgent:
         and qnet.backward differentiates it; the target network scores the
         bootstrap states in a second pass. Ascends the sum of (Y - Q) *
         grad Q over the batch at the learning rate averaged over the batch,
-        then Polyak-updates the target network. Raises FloatingPointError on
-        a non-finite TD error, before either network changes.
+        then Polyak-updates the target network, each vector in place, so
+        the layer views that the passes read are built once per vector.
+        Raises FloatingPointError on a non-finite TD error, before either
+        network changes.
         """
         cfg, buf = self.cfg, self.buffer
         rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
@@ -449,11 +570,12 @@ class DoubleQAgent:
         states, s_boot = stacked[:batch], stacked[batch:]
         buf.states.take(rows[:, 0], axis=0, out=states)
         buf.next_states_at(rows[:, -1], out=s_boot)
-        hidden, q = qnet.forward_batch(self.online, stacked)
+        hidden, q = qnet.forward_batch(self._online_layers, stacked)
         targets = double_q_target(buf.rewards[rows], q[batch:],
-                                  qnet.forward_batch(self.target, s_boot)[1], cfg.gamma)
-        td, grad = qnet.backward(self.online, states, hidden[:batch], q[:batch],
+                                  qnet.forward_batch(self._target_layers, s_boot)[1], cfg.gamma)
+        td, grad = qnet.backward(self._online_layers, states, hidden[:batch], q[:batch],
                                  buf.actions[rows[:, 0]], targets)
-        self.online = qnet.apply_gradient(self.online, grad, cfg.learning_rate / batch)
-        self.target = qnet.soft_update(self.target, self.online, cfg.tau)
+        online, target = self._online, self._target
+        qnet.apply_gradient(online, grad, cfg.learning_rate / batch, out=online)
+        qnet.soft_update(target, online, cfg.tau, out=target)
         return float(np.add.reduce(np.abs(td))) / batch

@@ -277,12 +277,13 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
 # --- training runs and checkpoints ---------------------------------------------
 
 
-def _read_npz(path) -> dict[str, np.ndarray]:
-    """The members of an npz archive; refuses, naming path, a file that is not one."""
+def _read_npz(path, names=None) -> dict[str, np.ndarray]:
+    """The members of an npz archive, or those of names that it holds, the
+    others left unread; refuses, naming path, a file that is not one."""
     try:
         # a handle of its own: np.load leaks the one it opens when the zip is cut short
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            return dict(npz)
+            return dict(npz) if names is None else {k: npz[k] for k in names if k in npz}
     # empty, a lone .npy, of no numpy format, or a zip archive cut short
     except (EOFError, TypeError, ValueError, zipfile.BadZipFile):
         raise ValueError(f"{path}: not an npz archive") from None
@@ -299,11 +300,11 @@ def build_agent(cfg: ExperimentConfig) -> DoubleQAgent:
     """
     buffer = load_checkpoint(cfg.preload_path, cfg)[0].buffer if cfg.preload_path else None
     if buffer:  # not None and not empty
-        ids = buffer.episode_ids[:len(buffer)]  # a fresh ring: rows in logical order
+        ids = buffer.episode_ids[:len(buffer)]
         if int(ids.max()) - int(ids.min()) >= 2 ** 63:  # the shift would wrap
             raise ValueError(f"{cfg.preload_path}: episode ids {ids.min()} to {ids.max()} "
                              f"do not fit int64 once shifted to end at -1")
-        ids[:] = ids - ids.max() - 1
+        buffer.shift_episode_ids(-int(ids.max()) - 1)
     return DoubleQAgent(cfg.agent, buffer, cfg.seed)
 
 
@@ -351,6 +352,33 @@ def save_checkpoint(directory, ag: DoubleQAgent, next_episode: int) -> None:
             os.remove(tmp)
 
 
+def _check_members(members: dict, arrays=_ARRAYS) -> dict:
+    """The meta of a checkpoint, popped from its members once these pass.
+    Refuses a meta that is not a JSON object of this format and KPI
+    manifest, a member of arrays that is missing or 0-d, and a network among
+    arrays that is not a float64 vector of qnet.N_PARAMS entries."""
+    meta = json.loads(str(members.pop("meta", "{}")))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{CHECKPOINT_FILE} meta must be a JSON object, "
+                         f"got {type(meta).__name__}")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {meta.get('format')}")
+    if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
+        raise ValueError(f"checkpoint written for KPI manifest {meta.get('manifest_sha256')}, "
+                         f"this build uses {kpi.MANIFEST_SHA256}")
+    absent = [name for name in arrays if np.ndim(members.get(name)) == 0]  # missing or 0-d
+    if absent:
+        raise ValueError(f"{CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; format "
+                         f"{CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
+    # qnet trusts its vectors; these come from outside the program
+    for net in (name for name in arrays if name in _NETS):
+        theta = members[net]
+        if theta.dtype != np.float64 or theta.shape != (qnet.N_PARAMS,):
+            raise ValueError(f"{CHECKPOINT_FILE} member {net} is {theta.dtype}"
+                             f"{list(theta.shape)}, expected float64[{qnet.N_PARAMS}]")
+    return meta
+
+
 def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int]:
     """Restore an agent exactly as saved by save_checkpoint; returns (agent, next_episode).
 
@@ -367,24 +395,7 @@ def load_checkpoint(directory, cfg: ExperimentConfig) -> tuple[DoubleQAgent, int
     """
     members = _read_npz(os.path.join(directory, CHECKPOINT_FILE))
     try:
-        meta = json.loads(str(members.pop("meta", "{}")))
-        if not isinstance(meta, dict):
-            raise ValueError(f"{CHECKPOINT_FILE} meta must be a JSON object, "
-                             f"got {type(meta).__name__}")
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format')}")
-        if meta.get("manifest_sha256") != kpi.MANIFEST_SHA256:
-            raise ValueError(f"checkpoint written for KPI manifest {meta.get('manifest_sha256')}, "
-                             f"this build uses {kpi.MANIFEST_SHA256}")
-        absent = [name for name in _ARRAYS if np.ndim(members.get(name)) == 0]  # missing or 0-d
-        if absent:
-            raise ValueError(f"{CHECKPOINT_FILE} lacks arrays {', '.join(absent)}; format "
-                             f"{CHECKPOINT_FORMAT} holds meta and the arrays {', '.join(_ARRAYS)}")
-        for net in _NETS:  # qnet trusts its vectors; these come from outside the program
-            theta = members[net]
-            if theta.dtype != np.float64 or theta.shape != (qnet.N_PARAMS,):
-                raise ValueError(f"{CHECKPOINT_FILE} member {net} is {theta.dtype}"
-                                 f"{list(theta.shape)}, expected float64[{qnet.N_PARAMS}]")
+        meta = _check_members(members)
         ag = DoubleQAgent(cfg.agent, ReplayBuffer(arrays=members))
         ag.online, ag.target = (members[net] for net in _NETS)
         for name in ("global_step", "next_episode"):
@@ -481,13 +492,23 @@ def evaluate_checkpoint(cfg: ExperimentConfig, checkpoint_dir, episodes: int,
                         first_episode: int = 0) -> tuple[float, float]:
     """Greedy (epsilon = 0) evaluation of a saved policy; returns (mean, stderr).
 
-    The checkpoint is loaded and checked whole, and only its online network
-    kept. run_rows steps the episodes together, in blocks, one row each:
+    Only the checkpoint's meta and online members are read, with
+    load_checkpoint's refusals of those two: a meta that is not a JSON
+    object, another format or KPI manifest, a missing or 0-d online, and an
+    online that is not a float64 vector of qnet.N_PARAMS entries, each
+    naming the directory. The replay ring and the rest of the learning
+    state are left unread.
+
+    run_rows steps the episodes together, in blocks, one row each:
     greedy_options scores a block's states in one pass, each row as act
     would score it alone, so the statistics are those of per-episode
     run_episode calls, bit for bit.
     """
-    theta = load_checkpoint(checkpoint_dir, cfg)[0].online
+    members = _read_npz(os.path.join(checkpoint_dir, CHECKPOINT_FILE), ("meta", "online"))
+    try:
+        _check_members(members, ("online",))
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint_dir}: {exc}") from None
     means = run_rows(cfg, range(first_episode, first_episode + episodes),
-                     functools.partial(greedy_options, theta))
+                     functools.partial(greedy_options, qnet.layers(members["online"])))
     return episode_stats(means[0])

@@ -8,8 +8,11 @@ to finite-difference accuracy and the arrays checkpoint bit-exactly.
 A network is its parameter vector theta, a float64 array of N_PARAMS
 entries laid out as w1, b1, w2, b2; layers(theta) is the one place that
 knows this layout. A gradient is a vector of the same layout, so an SGD step
-and a Polyak step are each one vector expression and a checkpoint stores one
-array per network.
+and a Polyak step are each one vector expression, which can write its
+network in place, and a checkpoint stores one array per network. Every
+function that scores a network takes its vector or the views layers(theta)
+gives: a caller that scores one network many times builds them once and
+keeps them valid by updating theta in place.
 
 forward scores one state or a stack of them, each row the same bits as
 alone; greedy evaluation scores its episodes' states together with it.
@@ -43,6 +46,11 @@ def layers(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
             theta[_W2_AT:_B2_AT].reshape(N_ACTIONS, HIDDEN_DIM), theta[_B2_AT:])
 
 
+def _layers_of(net) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The layer views of a network vector, or net itself when it is such views."""
+    return net if type(net) is tuple else layers(net)
+
+
 def init_params(seed: int = 0) -> np.ndarray:
     """A network vector: Glorot-uniform weights, zero biases, deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -53,9 +61,10 @@ def init_params(seed: int = 0) -> np.ndarray:
     return np.concatenate([w1, np.zeros(HIDDEN_DIM), w2, np.zeros(N_ACTIONS)])
 
 
-def forward(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
+def forward(net, states: np.ndarray) -> np.ndarray:
     """Action values w2 @ relu(w1 @ s + b1) + b2 of one state, (STATE_DIM,)
-    -> (N_ACTIONS,), or of each of (..., STATE_DIM) states -> (..., N_ACTIONS).
+    -> (N_ACTIONS,), or of each of (..., STATE_DIM) states -> (..., N_ACTIONS),
+    under a network vector or its layers.
 
     Each state is its own matrix-vector product, so a state's values are
     the same bits alone or among others, which a matrix product over
@@ -64,7 +73,7 @@ def forward(theta: np.ndarray, states: np.ndarray) -> np.ndarray:
     states = np.ascontiguousarray(states, dtype=np.float64)  # as BLAS takes it
     if states.shape[-1:] != (STATE_DIM,):
         raise ValueError(f"states have shape {states.shape}, expected (..., {STATE_DIM})")
-    w1, b1, w2, b2 = layers(theta)
+    w1, b1, w2, b2 = _layers_of(net)
     # one state's ndarray.dot gives matmul's bits for less call overhead
     product = np.ndarray.dot if states.ndim == 1 else _stacked_dot
     hidden = product(w1, states)
@@ -79,10 +88,11 @@ def _stacked_dot(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.matmul(w, xs[..., None])[..., 0]
 
 
-def forward_batch(theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pass over a (batch, STATE_DIM) matrix of states: its hidden
-    activations relu(states @ w1.T + b1), (batch, HIDDEN_DIM), and its action
-    values, (batch, N_ACTIONS). backward differentiates such a pass.
+def forward_batch(net, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pass of a network vector or its layers over a (batch, STATE_DIM)
+    matrix of states: its hidden activations relu(states @ w1.T + b1),
+    (batch, HIDDEN_DIM), and its action values, (batch, N_ACTIONS). backward
+    differentiates such a pass.
 
     The BLAS kernel blocks its products by the batch size, so a pass over
     stacked batches rounds each row as the separate passes do only at some
@@ -91,7 +101,7 @@ def forward_batch(theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ValueError(f"states have shape {states.shape}, expected (n, {STATE_DIM})")
-    w1, b1, w2, b2 = layers(theta)
+    w1, b1, w2, b2 = _layers_of(net)
     hidden = states.dot(w1.T)
     hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
@@ -100,20 +110,21 @@ def forward_batch(theta: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np
     return hidden, q
 
 
-def backward(theta: np.ndarray, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
+def backward(net, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
              actions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """TD errors of a batch and the gradient they weight, from the batch's
-    forward pass: hidden and q as forward_batch(theta, states) gives them.
+    forward pass: hidden and q as forward_batch(net, states) gives them, for
+    a network vector theta or its layers.
 
     For a (batch, STATE_DIM) matrix of states and (batch,) actions and
     targets, returns td = targets - q[b, actions[b]] and
-    sum_b td[b] * dQ(states[b], actions[b]) / dtheta as a vector laid out as
-    theta. No network is evaluated here, so a caller that needs other action
-    values too forms them in the same pass. Only the selected outputs
-    contribute, so w2/b2 rows of actions the batch never took are zero. The
-    caller scales the gradient by the learning rate. Raises
-    FloatingPointError on a non-finite TD error, before any gradient product
-    is formed.
+    sum_b td[b] * dQ(states[b], actions[b]) / dtheta as a new vector laid out
+    as theta, each layer's block written by its product or sum. No network
+    is evaluated here, so a caller that needs other action values too forms
+    them in the same pass. Only the selected outputs contribute, so w2/b2
+    rows of actions the batch never took are zero. The caller scales the
+    gradient by the learning rate. Raises FloatingPointError on a non-finite
+    TD error, before any gradient product is formed.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
@@ -125,29 +136,39 @@ def backward(theta: np.ndarray, states: np.ndarray, hidden: np.ndarray, q: np.nd
     actions, targets = np.asarray(actions), np.asarray(targets, dtype=np.float64)
     if targets.shape != (n,):
         raise ValueError(f"targets have shape {targets.shape}, expected ({n},)")
-    if (actions.shape != (n,) or actions.dtype.kind not in "iu"
-            or not np.logical_and.reduce((0 <= actions) & (actions < N_ACTIONS))):
+    if (actions.shape != (n,) or actions.dtype.kind not in "iu"  # a negative one wraps in uint64
+            or np.count_nonzero(actions.astype(np.uint64) >= N_ACTIONS)):
         raise ValueError(f"actions must be {n} integers in [0, {N_ACTIONS}), got {actions}")
     picked = np.arange(n), actions
     td = targets - q[picked]
     if not np.logical_and.reduce(np.isfinite(td)):
         raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
-    w2 = layers(theta)[2]
     wa = np.zeros((n, N_ACTIONS))  # each TD error at its sample's action
     wa[picked] = td
-    dz1 = wa.dot(w2)
+    dz1 = wa.dot(_layers_of(net)[2])
     dz1 *= hidden > 0.0  # relu's derivative: hidden > 0 exactly where its input is
-    return td, np.concatenate((dz1.T.dot(states).ravel(), np.add.reduce(dz1, axis=0),
-                               wa.T.dot(hidden).ravel(), np.add.reduce(wa, axis=0)))
+    grad = np.empty(N_PARAMS)
+    gw1, gb1, gw2, gb2 = layers(grad)
+    np.dot(dz1.T, states, out=gw1)
+    np.add.reduce(dz1, axis=0, out=gb1)
+    np.dot(wa.T, hidden, out=gw2)
+    np.add.reduce(wa, axis=0, out=gb2)
+    return td, grad
 
 
-def apply_gradient(theta: np.ndarray, grad: np.ndarray, scale: float) -> np.ndarray:
-    """theta + scale * grad, for a gradient vector laid out as theta."""
-    return theta + scale * grad
+def apply_gradient(theta: np.ndarray, grad: np.ndarray, scale: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """theta + scale * grad, for a gradient vector laid out as theta; in out
+    when given, which may be theta itself."""
+    return np.add(theta, scale * grad, out=out)
 
 
-def soft_update(target: np.ndarray, online: np.ndarray, tau: float) -> np.ndarray:
-    """Polyak step: (1 - tau) * target + tau * online."""
+def soft_update(target: np.ndarray, online: np.ndarray, tau: float,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Polyak step: (1 - tau) * target + tau * online; in out when given,
+    which may be target itself."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return (1.0 - tau) * target + tau * online
+    step = np.multiply(target, 1.0 - tau, out=out)
+    step += tau * online
+    return step

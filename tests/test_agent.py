@@ -286,6 +286,50 @@ class TestReplayBuffer:
         # nothing written: the full ring still holds its oldest entry
         assert [values(e) for e in buf] == [values(exp(0, tag=float(i))) for i in range(2)]
 
+    # a cast to the ring's int64 would store 1.7 as 1 and 2.9 as 2, True as 1,
+    # and NaN as -2**63: an episode id cut to another would merge two episodes
+    NOT_INTEGERS = [
+        ("action", 1.7, r"record 0: action 1.7 is float64, expected an integer that int64"),
+        ("action", 2.0, r"record 0: action 2.0 is float64, expected"),
+        ("action", True, r"record 0: action True is bool, expected"),
+        ("episode_id", 2.9, r"record 0: episode id 2.9 is float64, expected"),
+        ("episode_id", np.nan, r"record 0: episode id nan is float64, expected"),
+        ("episode_id", False, r"record 0: episode id False is bool, expected"),
+        ("episode_id", np.uint64(2 ** 64 - 1), r"record 0: episode id \d+ is uint64, expected"),
+        ("episode_id", 2 ** 63, r"record 0: episode id 9223372036854775808 is uint64, expected"),
+    ]
+    NOT_INTEGER_IDS = ["float_action", "integral_float_action", "bool_action", "float_id",
+                       "nan_id", "bool_id", "uint64_id", "int_past_int64"]
+
+    @pytest.mark.parametrize("field, value, message", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    def test_append_refuses_a_value_that_is_not_an_integer(self, field, value, message):
+        buf = ReplayBuffer(capacity=2)
+        push(buf, exp(0))
+        with pytest.raises(ValueError, match=message):
+            buf.append(**{**vars(exp(1, tag=5.0)), field: value})
+        assert [values(e) for e in buf] == [values(exp(0))]
+
+    @pytest.mark.parametrize("field, value, message", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+    def test_extend_refuses_a_value_that_is_not_an_integer(self, field, value, message):
+        buf = ReplayBuffer(capacity=4)
+        push(buf, exp(0))
+        records = [exp(1, tag=1.0), exp(1, tag=2.0)]
+        columns = [np.array([getattr(e, name) for e in records]) for name in
+                   ("state", "next_state", "action", "reward", "episode_id")]
+        columns[2 if field == "action" else 4] = np.array([value, value])
+        with pytest.raises(ValueError, match=message):
+            buf.extend(*columns)
+        assert [values(e) for e in buf] == [values(exp(0))]
+
+    def test_numpy_integers_are_taken(self):
+        buf = ReplayBuffer(capacity=4)
+        e = exp(0)
+        buf.append(e.state, e.next_state, np.int64(3), 0.5, np.int32(7))
+        buf.extend(e.state[None], e.next_state[None], np.array([4], dtype=np.uint8), [0.5],
+                   np.array([7], dtype=np.int16))
+        assert [(x.action, x.episode_id) for x in buf] == [(3, 7), (4, 7)]
+        assert all(type(x.action) is int and type(x.episode_id) is int for x in buf)
+
 
 def packed_round_trip(buf):
     """buf.packed() through an npz file and into a fresh ring of the same capacity."""
@@ -414,6 +458,16 @@ class ReferenceRing:
         return {**arrays, "next_states": arrays["next_states"][~chained], "chained": chained}
 
 
+def reference_sample_segments(ring, n_step, batch, rng):
+    """sample_segments as it was before the ring kept its segment starts: one
+    scan of the ring's episode ids per sample, the starts drawn from it."""
+    starts = valid_segment_starts(ring, n_step)
+    if starts.size == 0:
+        return None
+    picks = starts[rng.integers(0, starts.size, size=batch)]
+    return ring.rows(picks[:, None] + np.arange(n_step))
+
+
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -505,7 +559,8 @@ class TestRingMatchesReference:
             else:
                 n_step, batch, seed = args
                 rows = sample_segments(buf, n_step, batch, np.random.default_rng(seed))
-                want = sample_segments(ref, n_step, batch, np.random.default_rng(seed))
+                want = reference_sample_segments(ref, n_step, batch,
+                                                 np.random.default_rng(seed))
                 assert (rows is None) == (want is None)
                 if rows is not None:
                     assert same_bits(rows, want)
@@ -513,6 +568,97 @@ class TestRingMatchesReference:
             self.assert_same(buf, ref)
         packed, want = buf.packed(), ref.packed()
         assert all(same_bits(packed[name], want[name]) for name in want)
+
+
+# (op, argument): append one transition of an episode id; extend by a run of
+# them; round-trip the ring through packed() and load; rotate it by packed();
+# shift the ids to end at -1, as build_agent does to a preloaded ring; and ask
+# the index for another n_step
+INDEX_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 2)),
+    st.tuples(st.just("extend"), st.lists(st.integers(0, 2), max_size=8)),
+    st.tuples(st.just("load"), st.none()),
+    st.tuples(st.just("packed"), st.none()),
+    st.tuples(st.just("shift"), st.none()),
+    st.tuples(st.just("other_n_step"), st.integers(1, 4))), max_size=24)
+
+
+class TestSegmentIndex:
+    """The segment-start index that append keeps, against the scan it replaced."""
+
+    @staticmethod
+    def logical_starts(buf, n_step):
+        """The index for n_step as logical positions, oldest first."""
+        starts, head, count = buf._segment_index(n_step)
+        return ((starts.take(head + np.arange(count), mode="wrap") - buf.start)
+                % buf.capacity).tolist()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @example(capacity=3, n_step=2, batch=2, seed=0,
+             ops=[("append", 0)] * 4 + [("append", 1)] * 3)  # drops and pushes on a full ring
+    @example(capacity=4, n_step=1, batch=3, seed=1,
+             ops=[("append", 0)] * 6 + [("packed", None), ("append", 0)])  # n = 1, rotated
+    @example(capacity=5, n_step=3, batch=1, seed=2,
+             ops=[("extend", [0, 0]), ("shift", None), ("append", 0), ("append", 0)])
+    @example(capacity=2, n_step=3, batch=1, seed=3, ops=[("append", 0)] * 5)  # n > capacity
+    @given(capacity=st.integers(1, 12), n_step=st.integers(1, 4), batch=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16), ops=INDEX_OPS)
+    def test_index_is_the_scan_and_samples_the_reference(self, capacity, n_step, batch, seed,
+                                                          ops):
+        buf, ref = ReplayBuffer(capacity), ReferenceRing(capacity)
+        tag = 0.0
+
+        def transitions(ids):
+            nonlocal tag
+            states = np.zeros((len(ids), 58))
+            states[:, 0] = tag + np.arange(len(ids))
+            tag += len(ids)
+            return states, states + 0.5, np.arange(len(ids)) % 5, np.zeros(len(ids)), ids
+
+        for op, arg in ops:
+            if op == "append":
+                transition = [a[0] for a in transitions([arg])]
+                transition[2:] = [int(transition[2]), 0.0, arg]
+                buf.append(*transition)
+                ref.append(*transition)
+            elif op == "extend":
+                columns = transitions(np.array(arg, dtype=np.int64))
+                buf.extend(*columns)
+                ref.extend(*columns)
+            elif op == "load":
+                want = ref.packed()
+                buf, ref = packed_round_trip(buf), ReferenceRing(capacity)
+                ref.load(want)
+            elif op == "packed":
+                buf.packed()
+                ref.arrays()
+            elif op == "shift" and len(buf):
+                ids = buf.episode_ids.take(buf.rows(np.arange(len(buf))))
+                buf.shift_episode_ids(-int(ids.max()) - 1)
+                ref.episode_ids[:len(ref)] -= ids.max() + 1
+            elif op == "other_n_step":
+                buf._segment_index(arg)
+            # after each write the index is the scan, and, maintained by the
+            # appends since, draws the rows that the scan's draws give
+            assert self.logical_starts(buf, n_step) == valid_segment_starts(buf, n_step).tolist()
+            rows = sample_segments(buf, n_step, batch, np.random.default_rng(seed))
+            want = reference_sample_segments(ref, n_step, batch, np.random.default_rng(seed))
+            assert (rows is None) == (want is None)
+            assert rows is None or same_bits(rows, want)
+
+    def test_a_full_ring_training_tick_scans_nothing(self, monkeypatch):
+        import ranopt.agent as ag
+        agent = warm_agent()
+        agent.train_step()  # the first sample builds the index
+        calls, orig = [], ag.valid_segment_starts
+        monkeypatch.setattr(ag, "valid_segment_starts",
+                            lambda *args: calls.append(len(args[0])) or orig(*args))
+        state = np.zeros(58)
+        for k in range(200):  # overwrites the oldest entries, episode after episode
+            agent.buffer.append(state, state, k % 5, 0.0, 100 + k // 80)
+            agent.train_step()
+        assert calls == []
+        assert self.logical_starts(agent.buffer, 3) == orig(agent.buffer, 3).tolist()
 
 
 class TestSegments:
@@ -702,15 +848,17 @@ class TestTrainStep:
         batched, forward_batch = qnet.backward, qnet.forward_batch
         monkeypatch.setattr(qnet, "backward", lambda *args: calls.append(args) or batched(*args))
         monkeypatch.setattr(qnet, "forward_batch",
-                            lambda theta, states: passes.append((theta, states.shape))
-                            or forward_batch(theta, states))
+                            lambda net, states: passes.append((net, states.shape))
+                            or forward_batch(net, states))
         online, target = agent.online, agent.target
         agent.train_step()
         assert [args[1].shape for args in calls] == [(16, 58)]
         # two passes: the online network on first and bootstrap states stacked,
-        # then the target network on the bootstrap states
-        assert [(theta is online, theta is target, shape) for theta, shape in passes] == [
-            (True, False, (32, 58)), (False, True, (16, 58))]
+        # then the target network on the bootstrap states, each through the
+        # layer views of the vector that the step then updates in place
+        assert [(np.shares_memory(net[0], online), np.shares_memory(net[0], target), shape)
+                for net, shape in passes] == [(True, False, (32, 58)), (False, True, (16, 58))]
+        assert agent.online is online and agent.target is target
 
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
@@ -813,6 +961,30 @@ def warm_agent(**overrides):
     return agent
 
 
+class TestNetworkViews:
+    def test_a_copy_trains_on_views_of_its_own_vectors(self):
+        agent = warm_agent()
+        agent.train_step()
+        twin = copy.deepcopy(agent)
+        before = agent.online.copy()
+        for _ in range(3):
+            assert twin.train_step().hex() == agent.train_step().hex()
+        assert twin.online.tobytes() == agent.online.tobytes()
+        assert twin.target.tobytes() == agent.target.tobytes()
+        twin.train_step()  # the original's vectors do not move with the copy's
+        assert twin.online.tobytes() != agent.online.tobytes()
+        assert agent.online.tobytes() != before.tobytes()
+
+    def test_setting_a_vector_rebuilds_its_views(self):
+        agent = DoubleQAgent(AgentConfig(n_step=1))
+        push(agent.buffer, exp(0, reward=0.3))
+        agent.online, agent.target = value_nets([np.nan] * 5, [1.0] * 5)
+        with pytest.raises(FloatingPointError, match="non-finite TD error"):
+            agent.train_step()
+        agent.online = value_nets([0.0] * 5, [0.0] * 5)[0]
+        assert agent.train_step() == pytest.approx(0.3 + agent.cfg.gamma * 1.0)
+
+
 class TestTrainStepMatchesReference:
     """train_step against the three-pass step it replaced, kept here as the oracle."""
 
@@ -845,7 +1017,7 @@ class TestTrainStepMatchesReference:
         parts = [qnet.forward_batch(agent.online, half) for half in np.split(stacked, 2)]
         stacks_bitwise = all(a.tobytes() == np.concatenate(b).tobytes()
                              for a, b in zip(whole, zip(*parts)))
-        online, target = agent.online, agent.target
+        online, target = agent.online.copy(), agent.target.copy()  # the step writes in place
         td, want = agent.train_step(), reference_train_step(reference)
         assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
         if stacks_bitwise:

@@ -121,14 +121,20 @@ class TestRunEpisode:
         run_episode(cfg, 1, agent=agent, train=True)
         assert len(agent.buffer) == 2 * cfg.steps_demand
 
-    def test_one_segment_scan_per_training_tick(self, monkeypatch):
+    def test_one_segment_scan_then_appends_keep_the_index(self, monkeypatch):
         import ranopt.agent as ag
         calls, orig = [], ag.valid_segment_starts
         monkeypatch.setattr(ag, "valid_segment_starts",
                             lambda *args: calls.append(len(args[0])) or orig(*args))
         cfg = small_cfg()
-        run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=True)
-        assert calls == list(range(1, cfg.steps_demand + 1))  # once after each append
+        agent = DoubleQAgent(cfg.agent)
+        run_episode(cfg, 0, agent=agent, train=True)
+        run_episode(cfg, 1, agent=agent, train=True)
+        # the first training tick builds the index; every later append keeps it
+        assert calls == [1]
+        assert agent.buffer._segment_index(cfg.agent.n_step)[2] == 2 * (
+            cfg.steps_demand - cfg.agent.n_step + 1)
+        assert calls == [1]
 
     def test_experiences_tagged_with_episode(self):
         cfg = small_cfg()
@@ -1018,6 +1024,43 @@ class TestCheckpointRoundtrip:
         a = evaluate_checkpoint(cfg, tmp_path / "run" / "final", episodes=3)
         b = evaluate_checkpoint(cfg, tmp_path / "run" / "final", episodes=3)
         assert a == b
+
+    def test_evaluate_reads_only_meta_and_online(self, tmp_path, trained):
+        cfg, agent = trained
+        save_checkpoint(tmp_path / "ck", agent, next_episode=2)
+        whole = evaluate_checkpoint(cfg, tmp_path / "ck", episodes=2)
+        # no ring, no target and an RNG state that load_checkpoint refuses
+        rewrite_checkpoint(tmp_path / "ck", {"rng_state": None, "global_step": "abc"},
+                           states=None, target=None, chained=np.zeros(3))
+        with pytest.raises(ValueError, match="lacks arrays target, states"):
+            load_checkpoint(tmp_path / "ck", cfg)
+        assert evaluate_checkpoint(cfg, tmp_path / "ck", episodes=2) == whole
+
+    @pytest.mark.parametrize("meta, arrays, message", [
+        ({"format": 1}, {}, "unsupported checkpoint format 1$"),
+        ({"manifest_sha256": "0" * 64}, {}, "KPI manifest"),
+        ("[1, 2]", {}, "checkpoint.npz meta must be a JSON object, got list$"),
+        ({}, {"online": None}, "checkpoint.npz lacks arrays online; format 4 holds meta and "
+                               "the arrays online, target, states, .*, episode_ids, chained$"),
+        ({}, {"online": np.array(0.0)}, "lacks arrays online;"),
+        ({}, {"online": np.zeros(2052)}, r"member online is float64\[2052\], expected"),
+        ({}, {"online": np.zeros(2053, dtype=np.float32)},
+         r"member online is float32\[2053\], expected float64\[2053\]$"),
+        # the meta refusals come first, as in load_checkpoint
+        ({"format": 1}, {"online": None}, "unsupported checkpoint format 1$"),
+    ], ids=["format", "manifest", "meta_not_an_object", "missing_online", "scalar_online",
+            "one_short", "online_dtype", "format_before_online"])
+    def test_evaluate_refuses_as_load_does(self, tmp_path, trained, meta, arrays, message):
+        cfg, agent = trained
+        # eval's checkpoint lacks its ring too, which eval does not read
+        for name, read, ring in (("load", load_checkpoint, {}),
+                                 ("eval", lambda d, c: evaluate_checkpoint(c, d, episodes=1),
+                                  {"states": None})):
+            save_checkpoint(tmp_path / name, agent, next_episode=2)
+            rewrite_checkpoint(tmp_path / name, meta, **arrays, **ring)
+            with pytest.raises(ValueError, match=message) as err:
+                read(tmp_path / name, cfg)
+            assert str(err.value).startswith(f"{tmp_path / name}: ")
 
 
 class TestCsvWriters:

@@ -65,6 +65,17 @@ class TestInit:
 
 
 class TestForward:
+    def test_layers_score_as_the_vector(self):
+        p = init_params(seed=23)
+        states = np.random.default_rng(24).uniform(0, 1, (3, 58))
+        assert forward(layers(p), states).tobytes() == forward(p, states).tobytes()
+        for got, want in zip(forward_batch(layers(p), states), forward_batch(p, states)):
+            assert got.tobytes() == want.tobytes()
+        hidden, q = forward_batch(p, states)
+        for got, want in zip(backward(layers(p), states, hidden, q, [0, 4, 2], [1.0, 0.0, -1.0]),
+                             backward(p, states, hidden, q, [0, 4, 2], [1.0, 0.0, -1.0])):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_params_zero_output(self):
         q = forward(np.zeros(N_PARAMS), np.ones(58))
         assert np.all(q == 0.0)
@@ -269,6 +280,14 @@ class TestApplyGradient:
         with pytest.raises(ValueError):
             apply_gradient(p, np.zeros(12), 1.0)
 
+    def test_in_place_step_is_the_new_vector(self):
+        p, g = init_params(seed=19), init_params(seed=20)
+        want = p + 1e-3 * g
+        views = layers(p)
+        assert apply_gradient(p, g, 1e-3, out=p) is p
+        assert p.tobytes() == want.tobytes()
+        assert views[0].tobytes() == layers(want)[0].tobytes()  # the views see the step
+
     def test_sgd_step_reduces_td_error(self):
         p = micro_params()
         s = micro_state([2.0, 1.0])
@@ -295,6 +314,12 @@ class TestSoftUpdate:
     def test_tau_out_of_range_raises(self):
         with pytest.raises(ValueError):
             soft_update(init_params(), init_params(), 1.5)
+
+    def test_in_place_step_is_the_new_vector(self):
+        t, o = init_params(seed=21), init_params(seed=22)
+        want = (1.0 - 0.01) * t + 0.01 * o
+        assert soft_update(t, o, 0.01, out=t) is t
+        assert t.tobytes() == want.tobytes()
 
     def test_geometric_decay_toward_frozen_online(self):
         online = init_params(seed=15)
