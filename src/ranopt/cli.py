@@ -151,10 +151,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_first_episode(args) -> None:
+    if args.first_episode < 0:
+        raise ConfigError(f"--first-episode must be >= 0, got {args.first_episode}")
+
+
 def cmd_baseline(args) -> int:
+    _check_first_episode(args)
     cfg = _load_and_echo(args)
     os.makedirs(args.out, exist_ok=True)  # an --out that is a file is refused before the suite runs
-    rows = harness.run_baseline_suite(cfg)
+    rows = harness.run_baseline_suite(cfg, first_episode=args.first_episode)
     path = os.path.join(args.out, "baseline.csv")
     harness.write_baseline_csv(path, rows)
     for r in rows:
@@ -167,12 +173,16 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
+    _check_first_episode(args)
     cfg = _load_and_echo(args)
     if args.out:  # an --out that is a file is refused before the checkpoint is read
         os.makedirs(args.out, exist_ok=True)
-    mean, stderr = harness.evaluate_checkpoint(cfg, args.checkpoint, args.episodes)
-    report = {"checkpoint": args.checkpoint, "episodes": args.episodes,
-              "mean_reward": mean, "stderr": stderr}
+    mean, stderr = harness.evaluate_checkpoint(cfg, args.checkpoint, args.episodes,
+                                               first_episode=args.first_episode)
+    report = {"checkpoint": args.checkpoint, "episodes": args.episodes}
+    if args.first_episode:  # a report of episodes from 0 keeps its earlier keys
+        report["first_episode"] = args.first_episode
+    report.update(mean_reward=mean, stderr=stderr)
     print(json.dumps(report, indent=2))
     if args.out:
         # relative to the report, so the file does not depend on where the tree lives
@@ -203,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate a scheduler-selection agent on a simulated cell.")
     sub = parser.add_subparsers(dest="command", required=True)
     run_seed = "the run's seed, in place of the config's: it seeds the episodes"
+    first_episode = ("index of the first episode to run, 0 by default: episodes from 0 are "
+                     "the first a training run trains on")
 
     p = sub.add_parser("train", help="run training episodes, write curve and checkpoints")
     p.add_argument("--config", required=True)
@@ -216,15 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help=run_seed)
+    p.add_argument("--first-episode", type=int, default=0, metavar="N",
+                   help=first_episode + "; the suite runs baseline_episodes from N")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("eval", help="greedy evaluation of a checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--episodes", type=int, default=10,
-                   help="evaluate episodes 0..N-1, the first episodes a training run trains "
-                        "on; they are evaluated together, in blocks of up to "
+                   help="the number of episodes to evaluate, from --first-episode on; they "
+                        "are evaluated together, in blocks of up to "
                         f"{harness.BASELINE_BLOCK_EPISODES} episodes, one row each")
+    p.add_argument("--first-episode", type=int, default=0, metavar="N", help=first_episode)
     p.add_argument("--seed", type=int, default=None, help=run_seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

@@ -8,18 +8,20 @@ any two runs of the same config reproduce each other exactly. Learning
 state (networks, replay buffer, exploration schedule) is never reset
 between episodes: the control task is continuous.
 
-Rest minutes are simulated (queues keep draining) but produce no experience,
-no training and no reward statistics, so their KPI states are never
-composed; nor are any under a constant action, which reads no state. An
-agent episode bins its radio once, with radio_table over the drawn rows of
-its demand ticks, and composes each demand tick's state from its row.
+Rest minutes produce no experience, no training and no reward statistics,
+so their KPI states are never composed; nor are any under a constant
+action, which reads no state. run_episode still simulates them (queues keep
+draining); the rows of evaluation and the suite are neither drawn nor
+stepped for them, since their next block draws a fresh cell. An agent
+episode bins its radio once, with radio_table over the drawn rows of its
+demand ticks, and composes each demand tick's state from its row.
 
 Evaluation and the baseline suite step rows: run_rows draws a block of at
 most BASELINE_BLOCK_EPISODES episodes as one cell of rows, in one
 init_cell_state call over the block's seeds, and steps it in one sim.step a
-tick, a row per episode under the greedy policy and a row per constant
-action and episode in the suite. Only training's one-row cells pass this
-module's step.
+demand tick, a row per episode under the greedy policy and a row per
+constant action and episode in the suite. Only training's one-row cells
+pass this module's step.
 """
 
 from __future__ import annotations
@@ -133,15 +135,17 @@ def _reward_for(obs, mode: str, cfg: KpiConfig) -> float:
     return reward_ue_gap(obs, cfg) if mode == "ue_gap" else reward_throughput(obs, cfg)
 
 
-def _draw_cell(cfg: ExperimentConfig, episodes: int | range, blocks: int = 1) -> CellState:
+def _draw_cell(cfg: ExperimentConfig, episodes: int | range, ticks: int,
+               blocks: int = 1) -> CellState:
     """The cell of one episode index, or of a range of episodes as (blocks,
     len(episodes)) rows, each episode's radio and demand drawn from its
-    episode seed."""
+    episode seed for its first `ticks` ticks, those from cfg.steps_demand
+    on rest ticks. An episode's draws run in tick order, so a cell drawn
+    for fewer ticks holds the same bits on the ticks it has."""
     seeds = ([episode_seed(cfg.seed, ep) for ep in episodes] if isinstance(episodes, range)
              else episode_seed(cfg.seed, episodes))
     return init_cell_state(cfg.ue_profiles, cfg.sim, seeds,
-                           np.arange(cfg.steps_demand + cfg.steps_rest) >= cfg.steps_demand,
-                           blocks)
+                           np.arange(ticks) >= cfg.steps_demand, blocks)
 
 
 def run_episode(cfg: ExperimentConfig, episode_index: int,
@@ -162,7 +166,7 @@ def run_episode(cfg: ExperimentConfig, episode_index: int,
         raise ValueError("training requires an agent")
 
     n_ticks = cfg.steps_demand + cfg.steps_rest
-    cell = _draw_cell(cfg, episode_index)
+    cell = _draw_cell(cfg, episode_index, n_ticks)
     state_vec = INITIAL_STATE
     rewards = []
     td_errors = []
@@ -217,10 +221,11 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
     policy is a sequence of constant options, a block of rows for each, or
     a callable that maps the states of one block of rows, (1, E, STATE_DIM),
     to their (1, E) options, asked every demand tick; only a callable's
-    rows compose their states. Rest ticks step each row's last option. A
-    row's rewards lie along its own ticks, so its mean adds them in
-    run_episode's order, and its states and rewards are those of its
-    episode run alone.
+    rows compose their states. A block is drawn and stepped for its demand
+    ticks alone: no mean or state reads a rest tick, and the next block
+    draws a fresh cell. A row's rewards lie along its own ticks, so its
+    mean adds them in run_episode's order, and its states and rewards are
+    those of its episode run alone.
     """
     if not episodes:
         raise ValueError(f"run_rows needs at least one episode, got the empty {episodes!r}")
@@ -230,7 +235,7 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
         raise ValueError(f"run_rows needs at least one option, got the empty {policy!r}")
 
     def run_block(block: range) -> np.ndarray:  # nothing of a block outlives its turn
-        cell = _draw_cell(cfg, block, blocks)
+        cell = _draw_cell(cfg, block, cfg.steps_demand, blocks)
         rewards = np.empty((blocks, len(block), cfg.steps_demand))
         if reads_states:  # each demand tick's radio state terms, one block of rows
             ids, rsrq_radio = radio_table(cell.rsrp_dbm[:cfg.steps_demand, None],
@@ -246,8 +251,6 @@ def run_rows(cfg: ExperimentConfig, episodes: range, policy) -> np.ndarray:
             if reads_states:
                 states = compose_kpis(obs, options, t + 1, cfg.steps_demand,
                                       cfg.steps_demand + cfg.steps_rest, (ids[t], rsrq_radio[t]))
-        for _ in range(cfg.steps_rest):  # queues keep draining
-            sim.step(cell, options)
         return rewards.mean(axis=-1)
 
     return np.concatenate([run_block(episodes[start:start + BASELINE_BLOCK_EPISODES])
@@ -260,10 +263,10 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
     episode's cell drawn once and run under every option.
 
     run_rows steps a block of episodes as one cell of five option rows per
-    episode, each tick one sim._schedule_column pass over the five options'
-    rows, so memory does not grow with the suite. The means are
-    run_episode's, bit for bit. Rows come back sorted best-first under the
-    configured reward mode.
+    episode, each demand tick one sim._schedule_column pass over the five
+    options' rows, so memory does not grow with the suite; no rest tick is
+    stepped. The means are run_episode's, bit for bit. Rows come back sorted
+    best-first under the configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
     options = list(SchedulerOption)

@@ -15,7 +15,8 @@ so a config is read only when a cell is drawn. A block of episodes, drawn
 together from their seeds, is one cell of rows, blocks over episodes. A tick
 schedules all its rows in one pass: one over every row when a block's rows
 differ in option, one over the column of blocks when each block holds one
-option, except a single such block, which is one schedule_prbs call.
+option, its plan built once for each column of options, except a single
+such block, which is one schedule_prbs call.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -28,6 +29,7 @@ One PRB carries PRB_MEGABITS * efficiency megabits per tick.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -254,10 +256,13 @@ def _top_budget(keys, valid, budget):
 def _pf_keys(served_before, y_mb, pf_avg_mbps, option, out=None):
     """Proportional-fair keys -eff / avg**alpha, negated so that the best
     PRB sorts first, where the smoothed rate avg counts the PRBs the UE got
-    earlier in the tick. option is a PF option's code, or an integer array
-    of one code per row, rows of other options keeping alpha 1.0. A row's
-    alpha is raised by the ufunc `keys **= alpha` takes for the Python
-    scalar: a square root for 0.5, none for 1.0, np.power for 1.5. The keys
+    earlier in the tick. option is a PF option's code; an integer array of
+    one code per row, rows of other options keeping alpha 1.0; or a tuple of
+    two slices of the leading axis, the rows of PROPORTIONAL_FAIR_HIGH and of
+    PROPORTIONAL_FAIR_LOW, the other rows keeping alpha 1.0. A row's alpha is
+    raised by the ufunc `keys **= alpha` takes for the Python scalar: a
+    square root for 0.5, none for 1.0, np.power for 1.5, over the array's
+    rows through where= masks and over the slices' rows directly. The keys
     are written into out when it is given.
 
     A first PRB can lower avg below the UE's average and so raise its next
@@ -277,6 +282,10 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, option, out=None):
     if isinstance(option, np.ndarray):
         np.power(keys, PF_ALPHA[_PF_HIGH], out=keys, where=(option == _PF_HIGH)[..., None, None])
         np.sqrt(keys, out=keys, where=(option == _PF_LOW)[..., None, None])
+    elif isinstance(option, tuple):  # (high, low) slices of the leading axis
+        high, low = option
+        np.power(keys[high], PF_ALPHA[_PF_HIGH], out=keys[high])
+        np.sqrt(keys[low], out=keys[low])
     else:
         keys **= PF_ALPHA[option]
     np.divide((y_mb / -PRB_MEGABITS)[..., None], keys, out=keys)
@@ -326,8 +335,7 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
-    if np.minimum.reduce(avail, axis=None) < 0:
-        raise ValueError("avail must be >= 0")
+    _refuse_negative(avail)
     budget = grid_mb.shape[-1]
     if option == _MAXIMUM_C_OVER_I:
         return _ranked_fill(avail, y_mb, budget)
@@ -342,16 +350,16 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
     raise ValueError(f"unknown scheduler option {option!r}")
 
 
-def _checked_codes(codes, avail):
-    """The integer codes as a flat list, once a negative avail and, named as
-    an int, the first unknown code are refused."""
+def _refuse_negative(avail):
     if np.minimum.reduce(avail, axis=None) < 0:
         raise ValueError("avail must be >= 0")
-    listed = codes.ravel().tolist()
-    for code in listed:
+
+
+def _refuse_unknown(codes):
+    """Refuses, named as an int, the first of the integer codes that is no option's."""
+    for code in codes:
         if not _EQUAL_RATE <= code <= _MAXIMUM_C_OVER_I:
             raise ValueError(f"unknown scheduler option {code}")
-    return listed
 
 
 def _schedule_rows(options, avail, y, grid, pf_avg):
@@ -367,34 +375,56 @@ def _schedule_rows(options, avail, y, grid, pf_avg):
     return _schedule_column(options[:, 0], avail, y, grid, pf_avg)
 
 
+@functools.lru_cache(maxsize=64)
+def _column_plan(column: tuple) -> tuple:
+    """How _schedule_column takes a column of integer codes, one per block,
+    a pure function of the codes and so built once for each: the order that
+    sorts the blocks by code, None when they are sorted already; the counts
+    of EQUAL_RATE blocks and of keyed blocks, EQUAL_RATE and PF; and the
+    slices of the PROPORTIONAL_FAIR_HIGH and PROPORTIONAL_FAIR_LOW blocks
+    among the PF blocks, which the sort makes contiguous. Refuses, named as
+    an int, the first unknown code; lru_cache keeps no refusal, so each
+    call with the code refuses it."""
+    _refuse_unknown(column)
+    order = sorted(range(len(column)), key=column.__getitem__)
+    if order == list(range(len(order))):
+        order = None
+    else:
+        column = [column[b] for b in order]
+        order = np.array(order)
+        order.flags.writeable = False
+    equal, keyed = column.count(_EQUAL_RATE), len(column) - column.count(_MAXIMUM_C_OVER_I)
+    pf = keyed - equal
+    return (order, equal, keyed,
+            (slice(0, column.count(_PF_HIGH)), slice(pf - column.count(_PF_LOW), pf)))
+
+
 def _schedule_column(codes, avail, y, grid, pf_avg):
     """Each row of (blocks, E) rows as schedule_prbs splits it alone, block b
     under codes[b], in one pass. The blocks are taken in order of code,
     which handles any order and repeats and puts the EQUAL_RATE blocks,
     keyed by the grid, then the PF blocks, whose keys come from one _pf_keys
-    call, before the MAXIMUM_C_OVER_I blocks: one _top_budget serves the
-    first two kinds, one _ranked_fill the last. Row (b, e) reads the drawn
-    rows of episode e."""
-    column = _checked_codes(codes, avail)
-    order = sorted(range(len(column)), key=column.__getitem__)
-    moved = order != list(range(len(order)))
-    if moved:
+    call that raises each PF exponent over its blocks' slice, before the
+    MAXIMUM_C_OVER_I blocks: one _top_budget serves the first two kinds,
+    one _ranked_fill the last. A negative avail is refused on every call,
+    then _column_plan gives the order, the counts and the slices of the
+    codes. Row (b, e) reads the drawn rows of episode e."""
+    _refuse_negative(avail)
+    order, equal, keyed, pf_slices = _column_plan(tuple(codes.tolist()))
+    if order is not None:
         avail, pf_avg = avail[order], pf_avg[order]
-        column = [column[b] for b in order]
-    equal, keyed = column.count(_EQUAL_RATE), len(column) - column.count(_MAXIMUM_C_OVER_I)
     budget = grid.shape[-1]
     alloc = np.empty(avail.shape, dtype=np.int64)
     if keyed:
         keys = np.empty((keyed,) + grid.shape)
         keys[:equal] = grid
         if keyed > equal:
-            _pf_keys(grid, y, pf_avg[equal:keyed], np.array(column[equal:keyed])[:, None],
-                     out=keys[equal:])
+            _pf_keys(grid, y, pf_avg[equal:keyed], pf_slices, out=keys[equal:])
         alloc[:keyed] = _top_budget(keys, grid < (avail[:keyed] - 1e-12)[..., None], budget)
-    if keyed < len(column):
+    if keyed < len(avail):
         ranked = avail[keyed:]
         alloc[keyed:] = _ranked_fill(ranked, np.broadcast_to(y, ranked.shape), budget)
-    if moved:
+    if order is not None:
         alloc[order] = alloc.copy()
     return alloc
 
@@ -404,7 +434,8 @@ def _schedule_mixed(options, avail, y, grid, pf_avg):
     its option, in one pass: every row's PF keys, EQUAL_RATE rows keyed by
     the grid instead, one _top_budget, _ranked_fill for any MAXIMUM_C_OVER_I
     rows. Row (b, e) reads the drawn rows of episode e."""
-    _checked_codes(options, avail)
+    _refuse_negative(avail)
+    _refuse_unknown(options.ravel().tolist())
     budget = grid.shape[-1]
     keys = _pf_keys(grid, y, pf_avg, options)
     np.copyto(keys, grid, where=(options == _EQUAL_RATE)[..., None, None])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from ranopt import harness
 from ranopt.agent import AgentConfig
 from ranopt.cli import ConfigError, build_config, load_config_file, main, resolved_config_dict
 from ranopt.harness import load_checkpoint
@@ -224,6 +225,41 @@ class TestCliCommands:
                      "--episodes", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: --episodes must be >= 1, got 0\n"
+
+    def test_first_episode_runs_the_episodes_from_it(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL)
+        cfg = load_config_file(cfg_path)
+        main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")])
+        final = tmp_path / "run" / "final"
+        csvs, reports = [], []
+        for first in ([], ["--first-episode", "0"], ["--first-episode", "5"]):
+            out = tmp_path / f"out{len(csvs)}"
+            assert main(["baseline", "--config", cfg_path, "--out", str(out)] + first) == 0
+            csvs.append((out / "baseline.csv").read_bytes())
+            assert main(["eval", "--config", cfg_path, "--checkpoint", str(final),
+                         "--episodes", "2", "--out", str(out)] + first) == 0
+            reports.append(json.loads((out / "eval.json").read_text()))
+        # the default is episode 0, and its report names no first episode
+        assert csvs[0] == csvs[1] and csvs[0] != csvs[2]
+        assert reports[0] == reports[1] and "first_episode" not in reports[0]
+        expected = tmp_path / "expected.csv"
+        harness.write_baseline_csv(expected, harness.run_baseline_suite(cfg, first_episode=5))
+        assert csvs[2] == expected.read_bytes()
+        mean, stderr = harness.evaluate_checkpoint(cfg, final, 2, first_episode=5)
+        assert [reports[2][key] for key in ("episodes", "first_episode", "mean_reward",
+                                            "stderr")] == [2, 5, mean, stderr]
+
+    @pytest.mark.parametrize("command", ["baseline", "eval"])
+    def test_a_negative_first_episode_is_refused_before_any_work(self, tmp_path, capsys,
+                                                                  command):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(tmp_path / "missing.json"), "--out", str(out),
+                "--first-episode", "-3"]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "missing")]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: --first-episode must be >= 0, got -3\n")
+        assert not out.exists()
 
     def test_eval_deterministic(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL)

@@ -366,6 +366,39 @@ class TestRunRows:
         assert peaks[1] <= 1.2 * peaks[0]
 
 
+class TestDemandTicksOnly:
+    """run_rows draws and steps each block for its demand ticks alone, under
+    a column of constants and under a greedy policy; run_episode still steps
+    its rest ticks after them."""
+
+    def test_rows_draw_and_step_only_the_demand_ticks(self, monkeypatch):
+        import ranopt.harness as hn
+        import ranopt.sim as sim
+        cfg = small_cfg(steps_demand=6, steps_rest=4)
+        drawn, stepped = [], []
+        draw, rows_step, episode_step = hn.init_cell_state, sim.step, hn.step
+        monkeypatch.setattr(hn, "init_cell_state", lambda *args: drawn.append(len(args[3]))
+                            or draw(*args))
+        monkeypatch.setattr(sim, "step", lambda cell, options: stepped.append(
+            len(cell.demand_mb)) or rows_step(cell, options))
+        agent = DoubleQAgent(cfg.agent, seed=3)
+        episodes, blocks = range(1, 2 + BASELINE_BLOCK_EPISODES), 2
+        for policy in (list(SchedulerOption), lambda x: greedy_options(agent.online, x)):
+            drawn.clear()
+            stepped.clear()
+            run_rows(cfg, episodes, policy)
+            # each block a cell of its demand ticks, each stepped once
+            assert drawn == [cfg.steps_demand] * blocks
+            assert stepped == [cfg.steps_demand] * (blocks * cfg.steps_demand)
+        calls = []
+        monkeypatch.setattr(hn, "step", lambda *args: calls.append(1) or episode_step(*args))
+        drawn.clear()
+        run_episode(cfg, 0, constant_action=SchedulerOption.EQUAL_RATE)
+        run_episode(cfg, 0, agent=agent)
+        assert drawn == [cfg.steps_demand + cfg.steps_rest] * 2
+        assert len(calls) == 2 * (cfg.steps_demand + cfg.steps_rest)
+
+
 class TestTraceContract:
     """The names and types a tracer that patches module globals relies on."""
 
@@ -466,10 +499,12 @@ class TestTraceContract:
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg)
         assert len(utilizations) == len(names) == ticks
-        # each block's tick: one pass of the column, 5 x E rows
+        # each block's demand tick: one pass of the column, 5 x E rows; the
+        # suite steps no rest tick
         codes = [int(o) for o in SchedulerOption]
         assert columns == [(codes, len(codes) * episodes)
-                           for episodes in (hn.BASELINE_BLOCK_EPISODES, 1) for _ in range(ticks)]
+                           for episodes in (hn.BASELINE_BLOCK_EPISODES, 1)
+                           for _ in range(cfg.steps_demand)]
 
     def test_a_tracer_of_the_globals_reads_scalars_in_eval(self, monkeypatch, tmp_path):
         """evaluate_checkpoint under the same wrappers, over two blocks of
@@ -508,13 +543,12 @@ class TestTraceContract:
         monkeypatch.setattr(hn, "compose_kpis", lambda *args: composed.append(1) or compose(*args))
         episodes = BASELINE_BLOCK_EPISODES + 1
         evaluate_checkpoint(cfg, tmp_path / "final", episodes=episodes)
-        ticks = cfg.steps_demand + cfg.steps_rest
         assert utilizations == []
         assert len(composed) == 2 * cfg.steps_demand
-        # each block tick: one schedule_prbs call when its rows agree, else one
-        # pass of every row
-        assert len(rows) == 2 * ticks
-        assert sum(rows) == episodes * ticks
+        # each block's demand tick: one schedule_prbs call when its rows agree,
+        # else one pass of every row; eval steps no rest tick
+        assert len(rows) == 2 * cfg.steps_demand
+        assert sum(rows) == episodes * cfg.steps_demand
 
 
 class TestTrainExperiment:
@@ -725,9 +759,9 @@ class TestGoldenGreedy:
     for bit: the states an agent acts on, not only the ones it trains on."""
 
     MEAN, STDERR = "0x1.cb9a017565f53p-1", "0x1.3d410c98da883p-6"
-    # options stepped over the 6 evaluated episodes, rest ticks included: the
-    # rows of each option that passed sim.step
-    ACTIONS = {0: 4, 1: 15, 2: 72, 3: 32, 4: 15}
+    # options stepped over the 6 evaluated episodes' demand ticks: the rows
+    # of each option that passed sim.step
+    ACTIONS = {0: 4, 1: 9, 2: 66, 3: 26, 4: 15}
 
     def test_evaluate_final_checkpoint(self, tmp_path, monkeypatch):
         import ranopt.sim as sim
@@ -743,6 +777,34 @@ class TestGoldenGreedy:
         mean, stderr = evaluate_checkpoint(cfg, tmp_path / "final", episodes=6, first_episode=4)
         assert (mean.hex(), stderr.hex()) == (self.MEAN, self.STDERR)
         assert stepped == self.ACTIONS
+
+
+class TestGoldenBaseline:
+    """The suite over 12 default episodes under each reward mode, each
+    option's mean and stderr pinned bit for bit, best first: the bits that
+    every schedule path of a column of blocks must keep."""
+
+    ROWS = {
+        "cell_throughput": [
+            ("MAXIMUM_C_OVER_I", "0x1.f9f5c9f6ee6c1p-1", "0x1.281d20ce5a6e4p-9"),
+            ("PROPORTIONAL_FAIR_LOW", "0x1.f34055819916bp-1", "0x1.b66d70f43994ep-9"),
+            ("PROPORTIONAL_FAIR_MEDIUM", "0x1.ce0d95de370fbp-1", "0x1.16fab76c716c3p-7"),
+            ("PROPORTIONAL_FAIR_HIGH", "0x1.b9597bfc0ac1dp-1", "0x1.c687e4a80c8edp-7"),
+            ("EQUAL_RATE", "0x1.9dc2df1998883p-1", "0x1.acb2ca9a8a99dp-6")],
+        "ue_gap": [
+            ("EQUAL_RATE", "-0x1.8b40898b6057dp-2", "0x1.9d385ef20eb8bp-5"),
+            ("PROPORTIONAL_FAIR_HIGH", "-0x1.f9439ca390a67p-1", "0x1.f9e0c03ee1a0ep-9"),
+            ("PROPORTIONAL_FAIR_MEDIUM", "-0x1.fd1dc9835c41bp-1", "0x1.b8ddac27fde56p-10"),
+            ("PROPORTIONAL_FAIR_LOW", "-0x1.fdf6a56ee7e4fp-1", "0x1.f8694feebd609p-11"),
+            ("MAXIMUM_C_OVER_I", "-0x1.ff7cc504a5795p-1", "0x1.55e4e64b72b0fp-11")],
+    }
+
+    @pytest.mark.parametrize("mode", REWARD_MODES)
+    def test_suite(self, mode):
+        rows = run_baseline_suite(ExperimentConfig(reward_mode=mode, baseline_episodes=12))
+        assert [(r.action.name, r.mean_reward.hex(), r.stderr.hex()) for r in rows] == \
+            self.ROWS[mode]
+        assert all(r.episodes == 12 for r in rows)
 
 
 def entries(buf, id_shift=0):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER_RHO,
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
-                        SimConfig, TickObservables, UeProfile, _schedule_column,
-                        _schedule_mixed, fit_traffic_profiles, init_cell_state,
+                        SimConfig, TickObservables, UeProfile, _column_plan,
+                        _schedule_column, _schedule_mixed, fit_traffic_profiles, init_cell_state,
                         read_traffic_records, schedule_prbs, spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
@@ -601,6 +601,31 @@ class TestColumnKernel:
         with pytest.raises(ValueError, match=r"^avail must be >= 0$"):
             step(cell, np.array([[4], [0], [1]]))
         assert cell.tick == 0
+
+    def test_the_plan_refuses_an_unknown_code_on_each_call(self):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1, 2], demand_ticks(1), 3)
+        cached = _column_plan.cache_info().currsize
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ValueError, match=r"^unknown scheduler option 7$"):
+                step(cell, np.array([[0], [7], [4]]))
+        assert _column_plan.cache_info().currsize == cached
+        assert cell.tick == 0
+
+    def test_negative_avail_refused_once_the_plan_is_cached(self):
+        codes = np.array([[3], [0], [1]])
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), [1, 2], demand_ticks(1), 3)
+        step(copy.copy(cell), codes)  # the codes' plan is now cached
+        hits = _column_plan.cache_info().hits
+        cell.queue_mb = np.zeros_like(cell.queue_mb)
+        cell.queue_mb[1, 0, 2] = -1e-3 - cell.demand_mb[0, 0, 2]
+        queue, pf_avg = cell.queue_mb, cell.pf_avg_mbps
+        before = queue.tobytes(), pf_avg.tobytes()
+        with pytest.raises(ValueError, match=r"^avail must be >= 0$"):
+            step(cell, codes)
+        # refused before the plan is read, and nothing of the cell is touched
+        assert _column_plan.cache_info().hits == hits
+        assert cell.tick == 0 and cell.queue_mb is queue and cell.pf_avg_mbps is pf_avg
+        assert (queue.tobytes(), pf_avg.tobytes()) == before
 
 
 def _rsrp_for_eff(eff):
