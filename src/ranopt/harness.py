@@ -263,10 +263,10 @@ def run_baseline_suite(cfg: ExperimentConfig, episodes: int | None = None,
     episode's cell drawn once and run under every option.
 
     run_rows steps a block of episodes as one cell of five option rows per
-    episode, each demand tick one sim._schedule_column pass over the five
-    options' rows, so memory does not grow with the suite; no rest tick is
-    stepped. The means are run_episode's, bit for bit. Rows come back sorted
-    best-first under the configured reward mode.
+    episode, each demand tick one sim._schedule pass over the column of the
+    five options' blocks, so memory does not grow with the suite; no rest
+    tick is stepped. The means are run_episode's, bit for bit. Rows come
+    back sorted best-first under the configured reward mode.
     """
     n_eps = cfg.baseline_episodes if episodes is None else episodes
     options = list(SchedulerOption)

@@ -12,11 +12,11 @@ noise when it is created: each tick's radio conditions, demand and PRB-yield
 grid (the megabits each count of PRBs carries) are rows of drawn arrays, and
 a tick only schedules and serves. The grid's width is the cell's PRB budget,
 so a config is read only when a cell is drawn. A block of episodes, drawn
-together from their seeds, is one cell of rows, blocks over episodes. A tick
-schedules all its rows in one pass: one over every row when a block's rows
-differ in option, one over the column of blocks when each block holds one
-option, its plan built once for each column of options, except a single
-such block, which is one schedule_prbs call.
+together from their seeds, is one cell of rows, blocks over episodes. Every
+tick, of one row or of a cell of rows, is one pass of one kernel over rows
+sorted by option: blocks of one option each read the episodes' drawn rows
+in place, and rows whose options differ within a block are taken one by
+one, each with its episode's drawn rows.
 
 The scheduler's internals, the tick length and the fading persistence are
 module constants, as a vendor fixes them: a config sets only the PRB budget
@@ -253,17 +253,15 @@ def _top_budget(keys, valid, budget):
     return np.bincount(taken, minlength=len(first) * n).reshape(valid.shape[:-1])
 
 
-def _pf_keys(served_before, y_mb, pf_avg_mbps, option, out=None):
-    """Proportional-fair keys -eff / avg**alpha, negated so that the best
-    PRB sorts first, where the smoothed rate avg counts the PRBs the UE got
-    earlier in the tick. option is a PF option's code; an integer array of
-    one code per row, rows of other options keeping alpha 1.0; or a tuple of
-    two slices of the leading axis, the rows of PROPORTIONAL_FAIR_HIGH and of
-    PROPORTIONAL_FAIR_LOW, the other rows keeping alpha 1.0. A row's alpha is
-    raised by the ufunc `keys **= alpha` takes for the Python scalar: a
-    square root for 0.5, none for 1.0, np.power for 1.5, over the array's
-    rows through where= masks and over the slices' rows directly. The keys
-    are written into out when it is given.
+def _pf_keys(served_before, y_mb, pf_avg_mbps, pf_rows, keys):
+    """Writes into keys the proportional-fair keys -eff / avg**alpha of
+    rows along the leading axis, negated so that the best PRB sorts first,
+    where the smoothed rate avg counts the PRBs the UE got earlier in the
+    tick. pf_rows holds two slices of that axis, the rows of
+    PROPORTIONAL_FAIR_HIGH and of PROPORTIONAL_FAIR_LOW; the other rows keep
+    alpha 1.0. Each slice's alpha is raised by the ufunc `keys **= alpha`
+    takes for the Python scalar: np.power for 1.5, a square root for 0.5,
+    none for 1.0.
 
     A first PRB can lower avg below the UE's average and so raise its next
     key; the greedy choice then keeps serving that UE, which a running
@@ -273,30 +271,25 @@ def _pf_keys(served_before, y_mb, pf_avg_mbps, option, out=None):
     """
     base_avg = np.maximum(pf_avg_mbps, PF_FLOOR_MBPS)
     # the smoothed rate, then the key
-    keys = np.empty(base_avg.shape + served_before.shape[-1:]) if out is None else out
     np.multiply(served_before, PF_EMA, out=keys)
     keys /= TICK_SECONDS
     keys += ((1.0 - PF_EMA) * base_avg)[..., None]
     np.maximum(keys, PF_FLOOR_MBPS, out=keys)
     keys[..., 0] = base_avg
-    if isinstance(option, np.ndarray):
-        np.power(keys, PF_ALPHA[_PF_HIGH], out=keys, where=(option == _PF_HIGH)[..., None, None])
-        np.sqrt(keys, out=keys, where=(option == _PF_LOW)[..., None, None])
-    elif isinstance(option, tuple):  # (high, low) slices of the leading axis
-        high, low = option
+    high, low = pf_rows
+    if high.start < high.stop:
         np.power(keys[high], PF_ALPHA[_PF_HIGH], out=keys[high])
+    if low.start < low.stop:
         np.sqrt(keys[low], out=keys[low])
-    else:
-        keys **= PF_ALPHA[option]
     np.divide((y_mb / -PRB_MEGABITS)[..., None], keys, out=keys)
     np.maximum(keys[..., 1:], keys[..., :1], out=keys[..., 1:])
-    return keys
 
 
 def _ranked_fill(avail, y_mb, budget):
     """MAXIMUM_C_OVER_I: in each row, UEs in order of yield, best first, each
     take their whole need of ceil(avail / y) PRBs, capped by what the budget
-    has left. A UE without traffic takes none.
+    has left. A UE without traffic takes none. y_mb broadcasts against
+    avail, so rows that share their yields give them once.
 
     Ranked by a stable sort, so equal yields go to the lowest UE index
     first. A UE takes the budget spent once it is served, capped at the
@@ -304,13 +297,13 @@ def _ranked_fill(avail, y_mb, budget):
     budget, and one that reaches it rounds to no less.
     """
     order = np.negative(y_mb).argsort(kind="stable")
-    if order.ndim > 1:  # an index into the flattened rows
-        order += np.arange(0, y_mb.size, y_mb.shape[-1]).reshape(order.shape[:-1] + (1,))
+    if avail.size > avail.shape[-1]:  # an index into the flattened rows
+        order = order + np.arange(0, avail.size, avail.shape[-1]).reshape(avail.shape[:-1] + (1,))
     need = np.divide(avail, y_mb)
     need -= 1e-12
     np.ceil(need, out=need)
     # spent[..., r + 1]: the budget spent once the UE of rank r is served
-    spent = np.zeros(avail.shape[:-1] + (avail.shape[-1] + 1,))
+    spent = np.zeros(order.shape[:-1] + (order.shape[-1] + 1,))
     np.add.accumulate(np.where(avail > 1e-12, need, 0.0).take(order), axis=-1,
                       out=spent[..., 1:])
     np.minimum(spent, budget, out=spent)
@@ -330,130 +323,112 @@ def schedule_prbs(option: SchedulerOption, avail: np.ndarray, y_mb: np.ndarray,
 
     Each argument may carry leading row axes, (..., n_ues) and, for the
     grid, (..., n_ues, budget): every row is scheduled on its own under the
-    one option, and the split has avail's shape.
+    one option, and the split has avail's shape. This is _schedule's pass
+    over one block of rows; an option that is not an integer, such as a
+    float or a bool, is refused, never rounded to a code.
 
     Never allocates to a UE without buffered or fresh traffic, never exceeds
     the budget, and breaks ranking ties toward the lowest UE index.
     """
-    _refuse_negative(avail)
-    budget = grid_mb.shape[-1]
-    if option == _MAXIMUM_C_OVER_I:
-        return _ranked_fill(avail, y_mb, budget)
-    # a PRB is useful while the UE has traffic left; the megabits served before
-    # it, min(avail, k * y), are then k * y, since avail - 1e-12 never rounds
-    # above avail
-    valid = grid_mb < (avail - 1e-12)[..., None]
-    if option == _EQUAL_RATE:
-        return _top_budget(grid_mb, valid, budget)
-    if option in PF_ALPHA:
-        return _top_budget(_pf_keys(grid_mb, y_mb, pf_avg_mbps, option), valid, budget)
-    raise ValueError(f"unknown scheduler option {option!r}")
+    if isinstance(option, bool) or not isinstance(option, numbers.Integral):
+        raise ValueError(f"option {option!r} is not an integer option code")
+    return _schedule((option,), avail[None], y_mb, grid_mb, pf_avg_mbps[None])[0]
 
 
-def _refuse_negative(avail):
-    if np.minimum.reduce(avail, axis=None) < 0:
-        raise ValueError("avail must be >= 0")
-
-
-def _refuse_unknown(codes):
-    """Refuses, named as an int, the first of the integer codes that is no option's."""
+def _plan(codes: tuple) -> tuple:
+    """How _schedule takes rows under a tuple of integer codes, one per row,
+    a pure function of the codes: the order that sorts the rows by code and
+    its inverse, both None when the rows are sorted already; the counts of
+    EQUAL_RATE rows and of keyed rows, EQUAL_RATE and PF; and the slices of
+    the PROPORTIONAL_FAIR_HIGH and PROPORTIONAL_FAIR_LOW rows among the PF
+    rows, which the sort makes contiguous. Refuses, named as an int, the
+    first unknown code."""
     for code in codes:
         if not _EQUAL_RATE <= code <= _MAXIMUM_C_OVER_I:
             raise ValueError(f"unknown scheduler option {code}")
+    order = inverse = None
+    if list(codes) != sorted(codes):
+        order = np.array(codes).argsort(kind="stable")
+        inverse = order.argsort()
+        order.flags.writeable = inverse.flags.writeable = False
+    equal, keyed = codes.count(_EQUAL_RATE), len(codes) - codes.count(_MAXIMUM_C_OVER_I)
+    pf = keyed - equal
+    return (order, inverse, equal, keyed,
+            (slice(0, codes.count(_PF_HIGH)), slice(pf - codes.count(_PF_LOW), pf)))
+
+
+# Blocks of one option each, one row's option or the suite's column, are a
+# few tuples that recur every tick. Per-row codes seldom do (under a tenth of
+# greedy evaluation's ticks), so _schedule plans them afresh. lru_cache keeps
+# no refusal, so each call with an unknown code refuses it.
+_column_plan = functools.lru_cache(maxsize=64)(_plan)
+
+
+def _schedule(codes: tuple, avail, y, grid, pf_avg):
+    """Each row along the first axis of avail and pf_avg as it is split
+    alone, row r under codes[r], in one pass. y and grid hold each row's
+    drawn rows or, one axis shorter, the drawn rows every row shares, which
+    are then read in place.
+
+    Sorted by code, the EQUAL_RATE rows, keyed by the grid, and the PF rows,
+    keyed by one _pf_keys call, come before the MAXIMUM_C_OVER_I rows: one
+    _top_budget serves the first two kinds, one _ranked_fill the last. A
+    negative avail is refused before the plan is read, and an unknown code
+    by the plan: both on every call, before anything is written.
+    """
+    if np.minimum.reduce(avail, axis=None) < 0:
+        raise ValueError("avail must be >= 0")
+    shared = y.ndim < avail.ndim
+    order, inverse, equal, keyed, pf_rows = (_column_plan if shared else _plan)(codes)
+    if order is not None:  # take is the cheaper gather
+        avail, pf_avg = avail.take(order, axis=0), pf_avg.take(order, axis=0)
+        if not shared:
+            y, grid = y.take(order, axis=0), grid.take(order, axis=0)
+    budget = grid.shape[-1]
+    parts = []
+    if keyed:  # EQUAL_RATE rows alone are keyed by the grid, which _top_budget broadcasts
+        keys = grid if shared else grid[:keyed]
+        # a PRB is useful while the UE has traffic left; the megabits served
+        # before it, min(avail, k * y), are then k * y, since avail - 1e-12
+        # never rounds above avail
+        valid = keys < (avail[:keyed] - 1e-12)[..., None]
+        if keyed > equal:
+            keys = np.empty(valid.shape)
+            keys[:equal] = grid if shared else grid[:equal]
+            _pf_keys(grid if shared else grid[equal:keyed], y if shared else y[equal:keyed],
+                     pf_avg[equal:keyed], pf_rows, keys[equal:])
+        parts.append(_top_budget(keys, valid, budget))
+    if keyed < len(avail):
+        parts.append(_ranked_fill(avail[keyed:], y if shared else y[keyed:], budget))
+    alloc = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return alloc if inverse is None else alloc.take(inverse, axis=0)
 
 
 def _schedule_rows(options, avail, y, grid, pf_avg):
     """PRBs of a cell of (blocks, E) rows under integer options, one per row
-    or a column of one per block. Rows that differ within a block go to
-    _schedule_mixed. Else each block holds one option: a single block is
-    one schedule_prbs call on its views, under the option's code, which
-    builds no enum, and a column of blocks one _schedule_column pass."""
-    if options.shape[1] > 1 and (options != options[:, :1]).any():
-        return _schedule_mixed(options, avail, y, grid, pf_avg)
-    if len(options) == 1:
-        return schedule_prbs(options.item(0), avail[0], y, grid, pf_avg[0])[None]
-    return _schedule_column(options[:, 0], avail, y, grid, pf_avg)
-
-
-@functools.lru_cache(maxsize=64)
-def _column_plan(column: tuple) -> tuple:
-    """How _schedule_column takes a column of integer codes, one per block,
-    a pure function of the codes and so built once for each: the order that
-    sorts the blocks by code, None when they are sorted already; the counts
-    of EQUAL_RATE blocks and of keyed blocks, EQUAL_RATE and PF; and the
-    slices of the PROPORTIONAL_FAIR_HIGH and PROPORTIONAL_FAIR_LOW blocks
-    among the PF blocks, which the sort makes contiguous. Refuses, named as
-    an int, the first unknown code; lru_cache keeps no refusal, so each
-    call with the code refuses it."""
-    _refuse_unknown(column)
-    order = sorted(range(len(column)), key=column.__getitem__)
-    if order == list(range(len(order))):
-        order = None
-    else:
-        column = [column[b] for b in order]
-        order = np.array(order)
-        order.flags.writeable = False
-    equal, keyed = column.count(_EQUAL_RATE), len(column) - column.count(_MAXIMUM_C_OVER_I)
-    pf = keyed - equal
-    return (order, equal, keyed,
-            (slice(0, column.count(_PF_HIGH)), slice(pf - column.count(_PF_LOW), pf)))
-
-
-def _schedule_column(codes, avail, y, grid, pf_avg):
-    """Each row of (blocks, E) rows as schedule_prbs splits it alone, block b
-    under codes[b], in one pass. The blocks are taken in order of code,
-    which handles any order and repeats and puts the EQUAL_RATE blocks,
-    keyed by the grid, then the PF blocks, whose keys come from one _pf_keys
-    call that raises each PF exponent over its blocks' slice, before the
-    MAXIMUM_C_OVER_I blocks: one _top_budget serves the first two kinds,
-    one _ranked_fill the last. A negative avail is refused on every call,
-    then _column_plan gives the order, the counts and the slices of the
-    codes. Row (b, e) reads the drawn rows of episode e."""
-    _refuse_negative(avail)
-    order, equal, keyed, pf_slices = _column_plan(tuple(codes.tolist()))
-    if order is not None:
-        avail, pf_avg = avail[order], pf_avg[order]
-    budget = grid.shape[-1]
-    alloc = np.empty(avail.shape, dtype=np.int64)
-    if keyed:
-        keys = np.empty((keyed,) + grid.shape)
-        keys[:equal] = grid
-        if keyed > equal:
-            _pf_keys(grid, y, pf_avg[equal:keyed], pf_slices, out=keys[equal:])
-        alloc[:keyed] = _top_budget(keys, grid < (avail[:keyed] - 1e-12)[..., None], budget)
-    if keyed < len(avail):
-        ranked = avail[keyed:]
-        alloc[keyed:] = _ranked_fill(ranked, np.broadcast_to(y, ranked.shape), budget)
-    if order is not None:
-        alloc[order] = alloc.copy()
-    return alloc
-
-
-def _schedule_mixed(options, avail, y, grid, pf_avg):
-    """Each row of (blocks, E) rows as schedule_prbs splits it alone under
-    its option, in one pass: every row's PF keys, EQUAL_RATE rows keyed by
-    the grid instead, one _top_budget, _ranked_fill for any MAXIMUM_C_OVER_I
-    rows. Row (b, e) reads the drawn rows of episode e."""
-    _refuse_negative(avail)
-    _refuse_unknown(options.ravel().tolist())
-    budget = grid.shape[-1]
-    keys = _pf_keys(grid, y, pf_avg, options)
-    np.copyto(keys, grid, where=(options == _EQUAL_RATE)[..., None, None])
-    alloc = _top_budget(keys, grid < (avail - 1e-12)[..., None], budget)
-    ranked = options == _MAXIMUM_C_OVER_I
-    if ranked.any():
-        alloc[ranked] = _ranked_fill(avail[ranked], np.broadcast_to(y, avail.shape)[ranked], budget)
-    return alloc
+    or a column of one per block, in one _schedule pass: over the blocks,
+    which read the episodes' drawn rows in place, when each block's rows
+    agree, else over the rows, each given its episode's drawn rows."""
+    if options.shape[1] == 1 or all(row.count(row[0]) == len(row) for row in options.tolist()):
+        return _schedule(tuple(options[:, 0].tolist()), avail, y, grid, pf_avg)
+    rows = (-1,) + avail.shape[-1:]
+    if len(avail) > 1:  # row (b, e) reads the drawn rows of episode e
+        episode = np.arange(options.size) % options.shape[1]
+        y, grid = y[episode], grid[episode]
+    alloc = _schedule(tuple(options.ravel().tolist()), avail.reshape(rows), y, grid,
+                      pf_avg.reshape(rows))
+    return alloc.reshape(avail.shape)
 
 
 def step(state: CellState, option) -> tuple[CellState, TickObservables]:
     """Advance the cell by one minute, the next row of its drawn episodes,
     over the PRB budget it was drawn for; mutates and returns the state.
 
-    option is one SchedulerOption for every row of the cell, or, for a cell
-    of (blocks, E) rows, an integer ndarray of one option per row, (blocks,
-    E), or of one per block, (blocks, 1), refused in any other dtype or
-    shape; _schedule_rows schedules them. A one-row cell's observables hold
+    option is one integer code or SchedulerOption for every row of the
+    cell, or, for a cell of (blocks, E) rows, an integer ndarray of one
+    option per row, (blocks, E), or of one per block, (blocks, 1), refused
+    in any other type, dtype or shape; schedule_prbs or _schedule_rows
+    schedules them in one _schedule pass. A one-row cell's observables hold
     its cell throughput and utilization as floats, a cell of rows as arrays
     of the rows' shape.
 

@@ -469,12 +469,13 @@ class TestTraceContract:
         argument and step's utilization read by float(), the agent's episode
         and a suite of two blocks run: every schedule_prbs call is of one
         scalar option, all from the one-row episode, only one-row cells pass
-        harness.step, and each suite block tick is one sim._schedule_column
-        pass over every option's rows."""
+        harness.step, and every tick is one sim._schedule pass, a one-row
+        tick's over its row under its option and each suite block tick's
+        over the column of every option's blocks."""
         import ranopt.harness as hn
         import ranopt.sim as sim
-        names, columns, utilizations = [], [], []
-        schedule, column, harness_step = sim.schedule_prbs, sim._schedule_column, hn.step
+        names, passes, utilizations = [], [], []
+        schedule, kernel, harness_step = sim.schedule_prbs, sim._schedule, hn.step
 
         def traced_schedule(*args, **kwargs):
             option = args[0] if args else kwargs["option"]
@@ -482,9 +483,9 @@ class TestTraceContract:
             names.append(SchedulerOption(option).name)
             return schedule(*args, **kwargs)
 
-        def traced_column(codes, avail, *args):
-            columns.append((codes.tolist(), avail.size // avail.shape[-1]))
-            return column(codes, avail, *args)
+        def traced_kernel(codes, avail, *args):
+            passes.append((list(codes), avail.size // avail.shape[-1]))
+            return kernel(codes, avail, *args)
 
         def traced_step(*args, **kwargs):
             result = harness_step(*args, **kwargs)
@@ -492,45 +493,44 @@ class TestTraceContract:
             return result
 
         monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
-        monkeypatch.setattr(sim, "_schedule_column", traced_column)
+        monkeypatch.setattr(sim, "_schedule", traced_kernel)
         monkeypatch.setattr(hn, "step", traced_step)
         cfg = small_cfg(baseline_episodes=hn.BASELINE_BLOCK_EPISODES + 1)
         ticks = cfg.steps_demand + cfg.steps_rest
         run_episode(cfg, 0, agent=DoubleQAgent(cfg.agent), train=False)
         run_baseline_suite(cfg)
         assert len(utilizations) == len(names) == ticks
+        assert passes[:ticks] == [([SchedulerOption[name]], 1) for name in names]
         # each block's demand tick: one pass of the column, 5 x E rows; the
         # suite steps no rest tick
         codes = [int(o) for o in SchedulerOption]
-        assert columns == [(codes, len(codes) * episodes)
-                           for episodes in (hn.BASELINE_BLOCK_EPISODES, 1)
-                           for _ in range(cfg.steps_demand)]
+        assert passes[ticks:] == [(codes, len(codes) * episodes)
+                                  for episodes in (hn.BASELINE_BLOCK_EPISODES, 1)
+                                  for _ in range(cfg.steps_demand)]
 
     def test_a_tracer_of_the_globals_reads_scalars_in_eval(self, monkeypatch, tmp_path):
         """evaluate_checkpoint under the same wrappers, over two blocks of
-        rows: every schedule_prbs call is of one scalar option, no cell of
-        rows passes harness.step, and a block's states are composed once a
-        demand tick through this module's compose_kpis. A block tick whose
-        rows differ is scheduled by sim._schedule_mixed instead, so both
-        kernels are wrapped: each tick of each block passes one of them."""
+        rows: no cell of rows passes harness.step or schedule_prbs, a block's
+        states are composed once a demand tick through this module's
+        compose_kpis, and each tick of each block is one sim._schedule pass
+        over its rows, whether their options agree or differ."""
         import ranopt.harness as hn
         import ranopt.sim as sim
         cfg = small_cfg(episodes=1)
         train_experiment(cfg, out_dir=tmp_path)
         names, rows, utilizations, composed = [], [], [], []
-        schedule, mixed = sim.schedule_prbs, sim._schedule_mixed
+        schedule, kernel = sim.schedule_prbs, sim._schedule
         harness_step, compose = hn.step, hn.compose_kpis
 
         def traced_schedule(*args, **kwargs):
             option = args[0] if args else kwargs["option"]
             assert np.ndim(option) == 0
             names.append(SchedulerOption(option).name)
-            rows.append(args[1].size // args[1].shape[-1])
             return schedule(*args, **kwargs)
 
-        def traced_mixed(options, *args):
-            rows.append(options.size)
-            return mixed(options, *args)
+        def traced_kernel(codes, avail, *args):
+            rows.append(avail.size // avail.shape[-1])
+            return kernel(codes, avail, *args)
 
         def traced_step(*args, **kwargs):
             result = harness_step(*args, **kwargs)
@@ -538,15 +538,14 @@ class TestTraceContract:
             return result
 
         monkeypatch.setattr(sim, "schedule_prbs", traced_schedule)
-        monkeypatch.setattr(sim, "_schedule_mixed", traced_mixed)
+        monkeypatch.setattr(sim, "_schedule", traced_kernel)
         monkeypatch.setattr(hn, "step", traced_step)
         monkeypatch.setattr(hn, "compose_kpis", lambda *args: composed.append(1) or compose(*args))
         episodes = BASELINE_BLOCK_EPISODES + 1
         evaluate_checkpoint(cfg, tmp_path / "final", episodes=episodes)
-        assert utilizations == []
+        assert names == utilizations == []
         assert len(composed) == 2 * cfg.steps_demand
-        # each block's demand tick: one schedule_prbs call when its rows agree,
-        # else one pass of every row; eval steps no rest tick
+        # each block's demand tick: one pass over its rows; eval steps no rest tick
         assert len(rows) == 2 * cfg.steps_demand
         assert sum(rows) == episodes * cfg.steps_demand
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from ranopt.sim import (PF_ALPHA, PF_EMA, PF_FLOOR_MBPS, PRB_MEGABITS, RF_JITTER_RHO,
                         RSRP_MAX_DBM, RSRP_MIN_DBM, TICK_SECONDS, CellState, SchedulerOption,
-                        SimConfig, TickObservables, UeProfile, _column_plan,
-                        _schedule_column, _schedule_mixed, fit_traffic_profiles, init_cell_state,
+                        SimConfig, TickObservables, UeProfile, _column_plan, _schedule,
+                        _schedule_rows, fit_traffic_profiles, init_cell_state,
                         read_traffic_records, schedule_prbs, spectral_efficiency, step)
 
 RSRP_LAB = [-115.0, -110.0, -105.0, -94.0]
@@ -494,9 +495,9 @@ BUDGET_OF_ONE = (make_state([1e-13, 2 * Y_105, 1e6], [-60.0, -105.0, -105.0], bu
 
 
 class TestMixedKernel:
-    """The one pass over a tick of rows under differing options: each row
-    as schedule_prbs schedules it alone under its option, and as the
-    reference loops do."""
+    """The one kernel's pass over a tick of rows, an option each, as
+    _schedule_rows feeds it: each row as schedule_prbs schedules it alone
+    under its option, and as the reference loops do."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     # all five options in one tick, over rows of one yield ladder, the PF
@@ -510,6 +511,16 @@ class TestMixedKernel:
                      np.zeros(2))] * 3, np.array([[1, 2, 3]])))
     # a budget of 1, the best UE without traffic, over two blocks
     @example(tick=([BUDGET_OF_ONE] * 2, np.array([[4, 0], [3, 1]])))
+    # a block whose rows all agree, as some eval ticks' do
+    @example(tick=([(make_state([1e6, 2 * Y_105, 0.0, 700.0], RSRP_LAB,
+                                pf_avg=np.roll(TIED_PF_AVG[1:], r)), np.zeros(4))
+                    for r in range(3)], np.array([[2, 2, 2]])))
+    # per-row options over two blocks, each code repeated
+    @example(tick=([(make_state([1e6, 1e6], [-105.0, -105.0], pf_avg=[40.0, 38.0], budget=5),
+                     np.zeros(2)),
+                    (make_state([1e6, 1e6], [-94.0, -105.0], budget=5), np.zeros(2)),
+                    (make_state([3.0, 1e6], [-94.0, -110.0], budget=5), np.zeros(2))],
+                   np.array([[1, 3, 1], [3, 4, 4]])))
     @given(tick=mixed_rows())
     def test_each_row_is_the_row_alone_and_the_reference(self, tick):
         rows, options = tick
@@ -518,8 +529,8 @@ class TestMixedKernel:
                    for name in ("y_mb", "prb_grid_mb"))
         pf_avg = np.stack([state.pf_avg_mbps for state, _ in rows])
         blocks = len(options)  # every block's rows read the episodes' drawn rows
-        alloc = _schedule_mixed(options, np.stack([avail] * blocks), y, grid,
-                                np.stack([pf_avg] * blocks))
+        alloc = _schedule_rows(options, np.stack([avail] * blocks), y, grid,
+                               np.stack([pf_avg] * blocks))
         assert alloc.shape == options.shape + avail.shape[-1:]
         for b, e in np.ndindex(options.shape):
             state, demands = rows[e]
@@ -531,9 +542,9 @@ class TestMixedKernel:
         state, _ = BUDGET_OF_ONE
         avail = np.array([[state.queue_mb, [0.0, -1e-9, 1.0]]])
         with pytest.raises(ValueError, match=r"^avail must be >= 0$"):
-            _schedule_mixed(np.array([[0, 4]]), avail, np.stack([state.y_mb[0]] * 2),
-                            np.stack([state.prb_grid_mb[0]] * 2),
-                            np.stack([state.pf_avg_mbps] * 2)[None])
+            _schedule_rows(np.array([[0, 4]]), avail, np.stack([state.y_mb[0]] * 2),
+                           np.stack([state.prb_grid_mb[0]] * 2),
+                           np.stack([state.pf_avg_mbps] * 2)[None])
 
 
 @st.composite
@@ -563,9 +574,10 @@ def ladder_column(codes, episodes=2, budget=SimConfig().prb_budget):
 
 
 class TestColumnKernel:
-    """The one pass over a column of blocks, one option each: each row as
-    schedule_prbs schedules it alone under its block's option, and as the
-    reference loops do."""
+    """The one kernel's pass over a column of blocks, one option each, its
+    blocks' rows reading the episodes' drawn rows: each row as schedule_prbs
+    schedules it alone under its block's option, and as the reference loops
+    do."""
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     # the suite's order
@@ -586,7 +598,7 @@ class TestColumnKernel:
         pf_avg = np.array([[state.pf_avg_mbps for state, _ in block] for block in rows])
         y, grid = (np.stack([getattr(state, name)[0] for state, _ in rows[0]])
                    for name in ("y_mb", "prb_grid_mb"))
-        alloc = _schedule_column(np.array(codes), avail, y, grid, pf_avg)
+        alloc = _schedule(tuple(codes), avail, y, grid, pf_avg)
         assert alloc.shape == avail.shape
         for b, e in np.ndindex(avail.shape[:2]):
             state, demands = rows[b][e]
@@ -889,6 +901,28 @@ class TestStackRefusals:
                                              rf"option codes$"):
             step(cell, np.array(options))
         assert cell.tick == 0 and not cell.queue_mb.any()  # nothing scheduled
+
+    # 2.0 would run as PROPORTIONAL_FAIR_MEDIUM, True as PROPORTIONAL_FAIR_HIGH,
+    # 4.0 as MAXIMUM_C_OVER_I, and 2.7 truncated as PROPORTIONAL_FAIR_MEDIUM
+    @pytest.mark.parametrize("option, shown", [(2.0, "2.0"), (True, "True"), (2.7, "2.7"),
+                                               (np.float64(4.0), "np.float64(4.0)"),
+                                               (np.True_, "np.True_")])
+    def test_a_scalar_option_not_an_integer(self, option, shown):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))
+        queue = cell.queue_mb
+        with pytest.raises(ValueError, match=rf"^option {re.escape(shown)} is not an integer "
+                                             rf"option code$"):
+            step(cell, option)
+        assert cell.tick == 0 and cell.queue_mb is queue and not queue.any()
+
+    def test_an_unknown_scalar_option_is_refused_on_each_call(self):
+        cell = init_cell_state(PROFILES_LAB, SimConfig(), 1, demand_ticks(1))
+        for option in (7, np.int64(7), 7):  # a refusal is not cached
+            with pytest.raises(ValueError, match=r"^unknown scheduler option 7$"):
+                step(cell, option)
+        assert cell.tick == 0
+        step(cell, np.int64(4))  # a numpy integer is a code
+        assert cell.tick == 1
 
 
 class TestFitTrafficProfiles:
