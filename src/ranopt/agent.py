@@ -19,7 +19,12 @@ the online network once, on its segments' first states and bootstrap states
 stacked as rows, and takes both the bootstrap action and the TD errors from
 that pass; the target network's pass is the only other one. Both steps
 write their network vector in place, so each network's layer views are
-built once, when the vector is set.
+built once, when the vector is set. Everything else a step computes is
+written into arrays that the agent builds at its first step for its
+batch_segments, n_step and gamma (its step arrays), through the out= and
+scratch= arguments of sample_segments, double_q_target and the qnet
+functions. A copy or a pickle of the agent leaves them out and builds its
+own: a copied view would no longer alias the copied array it reads.
 
 The control task is continuous; there is no terminal state and no done flag
 anywhere in the update.
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qnet
-from .qnet import N_ACTIONS, STATE_DIM
+from .qnet import HIDDEN_DIM, N_ACTIONS, N_PARAMS, STATE_DIM
 
 REPLAY_CAPACITY = 5000
 # The transition fields as extend takes them, named as the checkpoint members
@@ -223,9 +228,11 @@ class ReplayBuffer:
         of states, any other's from the stored ones."""
         # wrap: the row after the ring's last is row 0
         out = self.states.take(rows + 1, axis=0, out=out, mode="wrap")
-        for i, row in enumerate(rows.tolist()):
-            if row in self.stored:
-                out[i] = self.stored[row]
+        listed = rows.tolist()
+        if not self.stored.keys().isdisjoint(listed):  # most batches hold no stored row
+            for i, row in enumerate(listed):
+                if row in self.stored:
+                    out[i] = self.stored[row]
         return out
 
     def _chain_newest(self, state: np.ndarray) -> None:
@@ -365,17 +372,18 @@ class ReplayBuffer:
         self._segment_n = 0
 
     def _rotate(self) -> None:
-        """Move the oldest entry to row 0, rotating the ring in place one array at a time."""
+        """Move the oldest entry to row 0: each ring array becomes its rolled
+        copy, one array at a time."""
         if self.start:
             for name in _RING_FIELDS:
-                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
+                setattr(self, name, np.roll(getattr(self, name), -self.start, axis=0))
             self.stored = {(row - self.start) % self.capacity: s for row, s in self.stored.items()}
             self.start = 0
             self._segment_n = 0
 
     def packed(self) -> dict[str, np.ndarray]:
         """The ring as a checkpoint stores it: BUFFER_FIELDS arrays in logical
-        order, views of the ring rotated in place so that the oldest entry
+        order, views of the ring arrays once rotated so that the oldest entry
         sits in row 0, but for next_states, a new array of the stored next
         states in order; and a new bool array chained, one flag per entry,
         False for the entries that stored holds. The last entry is never
@@ -415,10 +423,12 @@ def valid_segment_starts(buffer: ReplayBuffer, n_step: int) -> np.ndarray:
 
 
 def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
-                    rng: np.random.Generator) -> np.ndarray | None:
-    """Ring rows of contiguous intra-episode segments, shape (batch, n_step):
-    starts are uniform over the valid ones, with replacement across the batch.
-    None, with rng not drawn from, when the buffer holds no such segment.
+                    rng: np.random.Generator, out: np.ndarray | None = None
+                    ) -> np.ndarray | None:
+    """Ring rows of contiguous intra-episode segments, shape (batch, n_step),
+    in out when given, an int64 array of that shape: starts are uniform over
+    the valid ones, with replacement across the batch. None, with rng not
+    drawn from and out not written, when the buffer holds no such segment.
 
     The draws index the ring's segment-start index, which append keeps, so
     a sample reads no episode ids unless the index was stale."""
@@ -427,7 +437,7 @@ def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
         return None
     draws = rng.integers(0, count, size=batch)
     draws += head
-    rows = starts.take(draws, mode="wrap")[:, None] + np.arange(n_step)
+    rows = np.add(starts.take(draws, mode="wrap")[:, None], np.arange(n_step), out=out)
     return np.remainder(rows, buffer.capacity, out=rows)
 
 
@@ -466,23 +476,65 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(q_values.argmax())
 
 
+def discount_row(gamma: float, n: int) -> np.ndarray:
+    """gamma**i for i in 0..n, each Python's float power: the n reward
+    discounts of an n-step target, then its bootstrap discount."""
+    return np.array([gamma ** i for i in range(n + 1)])
+
+
 def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndarray,
-                    gamma: float) -> np.ndarray:
+                    gamma: float, out: np.ndarray | None = None,
+                    discounts: np.ndarray | None = None) -> np.ndarray:
     """n-step double-Q targets for segments with (batch, n) rewards, oldest
     first, from the two networks' (batch, N_ACTIONS) action values at the
-    states after their last transitions.
+    states after their last transitions; in out when given, a (batch,)
+    float64 array.
 
     Sums the n discounted rewards, then bootstraps: the online network
     chooses the action, the target network scores it, discounted by gamma**n.
+    A caller that targets many batches passes discounts, discount_row(gamma,
+    n), built once.
     """
     batch, n = np.shape(rewards)
+    if discounts is None:
+        discounts = discount_row(gamma, n)
     q_boot = q_target[np.arange(batch), q_online.argmax(axis=1)]
-    discounted = rewards * [gamma ** i for i in range(n)]  # each discount Python's float power
-    ret = np.zeros(batch)
+    discounted = rewards * discounts[:n]
+    ret = np.empty(batch) if out is None else out
+    ret.fill(0.0)  # the sum starts from 0.0, which turns a first -0.0 into 0.0
     for i in range(n):  # reward by reward: the summation order fixes the rounding
         ret += discounted[:, i]
-    ret += gamma ** n * q_boot
+    q_boot *= discounts[n]
+    ret += q_boot
     return ret
+
+
+class _StepArrays:
+    """The arrays a learner step writes, for batch segments of n_step
+    transitions discounted by gamma, with the views of them that it reads:
+    the segments' ring rows, their first and bootstrap states stacked as
+    rows, their rewards and first actions, the online pass over the stack and
+    the target pass over the bootstrap states, the targets, the TD errors,
+    the gradient vector with its layer views, a scratch vector for an
+    update's product, and discount_row(gamma, n_step)."""
+
+    def __init__(self, batch: int, n_step: int, gamma: float):
+        self.key = (batch, n_step, gamma)
+        self.rows = np.empty((batch, n_step), dtype=np.int64)
+        self.first_rows, self.last_rows = self.rows[:, 0], self.rows[:, -1]
+        self.stacked = np.empty((2 * batch, STATE_DIM))  # first states, then bootstrap states
+        self.states, self.s_boot = self.stacked[:batch], self.stacked[batch:]
+        self.rewards = np.empty((batch, n_step))
+        self.actions = np.empty(batch, dtype=np.int64)
+        hidden, q = np.empty((2 * batch, HIDDEN_DIM)), np.empty((2 * batch, N_ACTIONS))
+        self.online_pass = hidden, q
+        self.first_hidden, self.first_q, self.boot_q = hidden[:batch], q[:batch], q[batch:]
+        self.target_pass = np.empty((batch, HIDDEN_DIM)), np.empty((batch, N_ACTIONS))
+        self.targets = np.empty(batch)
+        self.grad = np.empty(N_PARAMS)
+        self.gradient = np.empty(batch), qnet.layers(self.grad)  # backward's td and gradient
+        self.scratch = np.empty(N_PARAMS)
+        self.discounts = discount_row(gamma, n_step)
 
 
 class DoubleQAgent:
@@ -491,6 +543,12 @@ class DoubleQAgent:
     Setting a network vector builds its qnet.layers views once; train_step
     updates both vectors in place, so the views stay valid, and a copy of
     the agent builds views of its own vectors.
+
+    The first train_step builds the arrays every step then writes, sized by
+    the config's batch_segments, n_step and gamma, and a step whose config
+    has changed them builds new ones. A copy or a pickle of the agent
+    carries none of them: its first step builds its own, so that no view in
+    them is of another agent's arrays.
     """
 
     def __init__(self, cfg: AgentConfig, buffer: ReplayBuffer | None = None, seed: int = 0):
@@ -502,6 +560,7 @@ class DoubleQAgent:
         self.buffer = ReplayBuffer(REPLAY_CAPACITY) if buffer is None else buffer
         self.rng = np.random.default_rng([seed, 1])
         self.global_step = 0
+        self._step_arrays = None  # built by the first train_step
 
     @property
     def online(self) -> np.ndarray:
@@ -522,14 +581,16 @@ class DoubleQAgent:
         self._target, self._target_layers = theta, qnet.layers(theta)
 
     def __getstate__(self) -> dict:
-        """The agent but for its layer views: a copy's views are of its own vectors."""
+        """The agent but for its layer views and its step arrays: a copy's
+        views are of its own vectors, and its first step builds its arrays."""
         state = self.__dict__.copy()
-        del state["_online_layers"], state["_target_layers"]
+        del state["_online_layers"], state["_target_layers"], state["_step_arrays"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.online, self.target = self._online, self._target
+        self._step_arrays = None
 
     @property
     def epsilon(self) -> float:
@@ -560,22 +621,34 @@ class DoubleQAgent:
         the layer views that the passes read are built once per vector.
         Raises FloatingPointError on a non-finite TD error, before either
         network changes.
+
+        The sampled rows, the gathered states, rewards and actions, both
+        passes, the targets, the TD errors, the gradient and the updates'
+        products are written into the agent's step arrays (see DoubleQAgent)
+        through the out= and scratch= arguments of the functions called, so
+        that a warm step makes only those functions' small temporaries.
         """
         cfg, buf = self.cfg, self.buffer
-        rows = sample_segments(buf, cfg.n_step, cfg.batch_segments, self.rng)
-        if rows is None:
+        batch = cfg.batch_segments
+        arrays = self._step_arrays
+        if arrays is None or arrays.key != (batch, cfg.n_step, cfg.gamma):
+            arrays = self._step_arrays = _StepArrays(batch, cfg.n_step, cfg.gamma)
+        if sample_segments(buf, cfg.n_step, batch, self.rng, out=arrays.rows) is None:
             return None
-        batch = len(rows)
-        stacked = np.empty((2 * batch, STATE_DIM))  # first states, then bootstrap states
-        states, s_boot = stacked[:batch], stacked[batch:]
-        buf.states.take(rows[:, 0], axis=0, out=states)
-        buf.next_states_at(rows[:, -1], out=s_boot)
-        hidden, q = qnet.forward_batch(self._online_layers, stacked)
-        targets = double_q_target(buf.rewards[rows], q[batch:],
-                                  qnet.forward_batch(self._target_layers, s_boot)[1], cfg.gamma)
-        td, grad = qnet.backward(self._online_layers, states, hidden[:batch], q[:batch],
-                                 buf.actions[rows[:, 0]], targets)
+        # the rows lie in the ring, so wrap changes none; it spares take a buffered copy
+        buf.states.take(arrays.first_rows, axis=0, out=arrays.states, mode="wrap")
+        buf.next_states_at(arrays.last_rows, out=arrays.s_boot)
+        qnet.forward_batch(self._online_layers, arrays.stacked, out=arrays.online_pass)
+        targets = double_q_target(
+            buf.rewards.take(arrays.rows, out=arrays.rewards, mode="wrap"), arrays.boot_q,
+            qnet.forward_batch(self._target_layers, arrays.s_boot, out=arrays.target_pass)[1],
+            cfg.gamma, out=arrays.targets, discounts=arrays.discounts)
+        td = qnet.backward(self._online_layers, arrays.states, arrays.first_hidden,
+                           arrays.first_q,
+                           buf.actions.take(arrays.first_rows, out=arrays.actions, mode="wrap"),
+                           targets, out=arrays.gradient)[0]
         online, target = self._online, self._target
-        qnet.apply_gradient(online, grad, cfg.learning_rate / batch, out=online)
-        qnet.soft_update(target, online, cfg.tau, out=target)
-        return float(np.add.reduce(np.abs(td))) / batch
+        qnet.apply_gradient(online, arrays.grad, cfg.learning_rate / batch, out=online,
+                            scratch=arrays.scratch)
+        qnet.soft_update(target, online, cfg.tau, out=target, scratch=arrays.scratch)
+        return float(np.add.reduce(np.abs(td, out=td))) / batch

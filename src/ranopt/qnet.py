@@ -22,6 +22,12 @@ hidden activations with the action values, and backward differentiates that
 pass instead of running its own, so one pass over stacked rows serves every
 online value a step reads.
 
+A learner that steps many times on batches of one shape passes its own
+arrays to be written: forward_batch and backward take out=, and
+apply_gradient and soft_update take scratch= for their one product besides
+out=. Each checks its arguments as it does without them, and writes the same
+bits into them as it would into new arrays.
+
 The output head is linear: action values are unbounded regression targets,
 so a squashing head could not represent bootstrapped targets above 1.
 """
@@ -88,11 +94,13 @@ def _stacked_dot(w: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.matmul(w, xs[..., None])[..., 0]
 
 
-def forward_batch(net, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward_batch(net, states: np.ndarray, out: tuple | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """The pass of a network vector or its layers over a (batch, STATE_DIM)
     matrix of states: its hidden activations relu(states @ w1.T + b1),
     (batch, HIDDEN_DIM), and its action values, (batch, N_ACTIONS). backward
-    differentiates such a pass.
+    differentiates such a pass. out, when given, is a pair of C-contiguous
+    float64 arrays of those shapes, which the pass writes and returns.
 
     The BLAS kernel blocks its products by the batch size, so a pass over
     stacked batches rounds each row as the separate passes do only at some
@@ -102,16 +110,18 @@ def forward_batch(net, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
         raise ValueError(f"states have shape {states.shape}, expected (n, {STATE_DIM})")
     w1, b1, w2, b2 = _layers_of(net)
-    hidden = states.dot(w1.T)
+    hidden, q = (None, None) if out is None else out
+    hidden = states.dot(w1.T, out=hidden)
     hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
-    q = hidden.dot(w2.T)
+    q = hidden.dot(w2.T, out=q)
     q += b2
     return hidden, q
 
 
 def backward(net, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
-             actions: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             actions: np.ndarray, targets: np.ndarray, out: tuple | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """TD errors of a batch and the gradient they weight, from the batch's
     forward pass: hidden and q as forward_batch(net, states) gives them, for
     a network vector theta or its layers.
@@ -125,6 +135,10 @@ def backward(net, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
     rows of actions the batch never took are zero. The caller scales the
     gradient by the learning rate. Raises FloatingPointError on a non-finite
     TD error, before any gradient product is formed.
+
+    out, when given, is a pair of a (batch,) float64 array for td and a
+    gradient vector or its layer views, as layers gives them, which are
+    written and returned as given.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
@@ -139,36 +153,40 @@ def backward(net, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
     if (actions.shape != (n,) or actions.dtype.kind not in "iu"  # a negative one wraps in uint64
             or np.count_nonzero(actions.astype(np.uint64) >= N_ACTIONS)):
         raise ValueError(f"actions must be {n} integers in [0, {N_ACTIONS}), got {actions}")
+    td, grad = (None, np.empty(N_PARAMS)) if out is None else out
     picked = np.arange(n), actions
-    td = targets - q[picked]
+    td = np.subtract(targets, q[picked], out=td)
     if not np.logical_and.reduce(np.isfinite(td)):
         raise FloatingPointError(f"non-finite TD error in {td.tolist()}")
     wa = np.zeros((n, N_ACTIONS))  # each TD error at its sample's action
     wa[picked] = td
     dz1 = wa.dot(_layers_of(net)[2])
     dz1 *= hidden > 0.0  # relu's derivative: hidden > 0 exactly where its input is
-    grad = np.empty(N_PARAMS)
-    gw1, gb1, gw2, gb2 = layers(grad)
-    np.dot(dz1.T, states, out=gw1)
+    gw1, gb1, gw2, gb2 = _layers_of(grad)
+    dz1.T.dot(states, out=gw1)  # the method skips np.dot's dispatch
     np.add.reduce(dz1, axis=0, out=gb1)
-    np.dot(wa.T, hidden, out=gw2)
+    wa.T.dot(hidden, out=gw2)
     np.add.reduce(wa, axis=0, out=gb2)
     return td, grad
 
 
 def apply_gradient(theta: np.ndarray, grad: np.ndarray, scale: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None, scratch: np.ndarray | None = None
+                   ) -> np.ndarray:
     """theta + scale * grad, for a gradient vector laid out as theta; in out
-    when given, which may be theta itself."""
-    return np.add(theta, scale * grad, out=out)
+    when given, which may be theta itself. scratch, when given, is a vector
+    of theta's shape, not out, that takes scale * grad."""
+    return np.add(theta, np.multiply(grad, scale, out=scratch), out=out)
 
 
 def soft_update(target: np.ndarray, online: np.ndarray, tau: float,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, scratch: np.ndarray | None = None
+                ) -> np.ndarray:
     """Polyak step: (1 - tau) * target + tau * online; in out when given,
-    which may be target itself."""
+    which may be target itself. scratch, when given, is a vector of target's
+    shape, not out, that takes tau * online."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     step = np.multiply(target, 1.0 - tau, out=out)
-    step += tau * online
+    step += np.multiply(online, tau, out=scratch)
     return step

@@ -394,7 +394,8 @@ def _schedule(codes: tuple, avail, y, grid, pf_avg):
         valid = keys < (avail[:keyed] - 1e-12)[..., None]
         if keyed > equal:
             keys = np.empty(valid.shape)
-            keys[:equal] = grid if shared else grid[:equal]
+            if equal:
+                keys[:equal] = grid if shared else grid[:equal]
             _pf_keys(grid if shared else grid[equal:keyed], y if shared else y[equal:keyed],
                      pf_avg[equal:keyed], pf_rows, keys[equal:])
         parts.append(_top_budget(keys, valid, budget))

@@ -1,6 +1,7 @@
 import copy
 import io
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from ranopt import qnet
 from ranopt.agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
-                          double_q_target, epsilon_at, preload, sample_segments, select_action,
-                          valid_segment_starts)
+                          discount_row, double_q_target, epsilon_at, preload, sample_segments,
+                          select_action, valid_segment_starts)
 
 
 def exp(ep, tag=0.0, reward=0.0, action=0):
@@ -814,6 +815,32 @@ class TestDoubleQTarget:
             classic = e.reward + 0.95 * qnet.forward(p, e.next_state).max()
             assert y == pytest.approx(classic, rel=1e-12)
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @example(n_step=8, batch=1, gamma=0.95, seed=0)  # where numpy's pairwise sum rounds apart
+    @example(n_step=1, batch=1, gamma=0.5, seed=-1)  # -0.0 rewards and action values
+    @given(n_step=st.integers(1, 10), batch=st.integers(1, 40),
+           gamma=st.floats(0.01, 0.99), seed=st.integers(-1, 2 ** 32 - 1))
+    def test_bitwise_the_reference_loop(self, n_step, batch, gamma, seed):
+        if seed < 0:
+            rewards, q_online, q_target = (np.full(shape, -0.0) for shape in (
+                (batch, n_step), (batch, 5), (batch, 5)))
+        else:
+            rng = np.random.default_rng(seed)
+            rewards = rng.uniform(-1, 1, (batch, n_step))
+            q_online = rng.choice([0.0, 1.0, 2.0], (batch, 5))  # ties pick the first
+            q_target = rng.normal(0, 10, (batch, 5))
+        want = []
+        for r, qo, qt in zip(rewards.tolist(), q_online.tolist(), q_target.tolist()):
+            ret = 0.0
+            for i, reward in enumerate(r):  # oldest first, each discount Python's power
+                ret += reward * gamma ** i
+            want.append(ret + gamma ** n_step * qt[qo.index(max(qo))])
+        out = np.full(batch, np.nan)
+        for got in (double_q_target(rewards, q_online, q_target, gamma),
+                    double_q_target(rewards, q_online, q_target, gamma, out=out,
+                                    discounts=discount_row(gamma, n_step))):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
 
 class TestTrainStep:
     @pytest.mark.parametrize("episode_ids", [[], [0, 0, 1, 1]], ids=["empty", "no_segment"])
@@ -846,10 +873,11 @@ class TestTrainStep:
         push(agent.buffer, exp(0, reward=0.3))
         calls, passes = [], []
         batched, forward_batch = qnet.backward, qnet.forward_batch
-        monkeypatch.setattr(qnet, "backward", lambda *args: calls.append(args) or batched(*args))
+        monkeypatch.setattr(qnet, "backward",
+                            lambda *args, **kwargs: calls.append(args) or batched(*args, **kwargs))
         monkeypatch.setattr(qnet, "forward_batch",
-                            lambda net, states: passes.append((net, states.shape))
-                            or forward_batch(net, states))
+                            lambda net, states, **kwargs: passes.append((net, states.shape))
+                            or forward_batch(net, states, **kwargs))
         online, target = agent.online, agent.target
         agent.train_step()
         assert [args[1].shape for args in calls] == [(16, 58)]
@@ -859,6 +887,34 @@ class TestTrainStep:
         assert [(np.shares_memory(net[0], online), np.shares_memory(net[0], target), shape)
                 for net, shape in passes] == [(True, False, (32, 58)), (False, True, (16, 58))]
         assert agent.online is online and agent.target is target
+
+    def test_a_warm_step_allocates_under_16_kb(self):
+        # one step on a full ring writes the step arrays its first step built;
+        # a step that makes its batch's arrays afresh peaks at 59,080 B
+        agent = warm_agent()
+        agent.train_step()
+        tracemalloc.start()
+        try:
+            agent.train_step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000
+
+    @pytest.mark.parametrize("change", [{"gamma": 0.9},
+                                        {"batch_segments": 5, "n_step": 2, "gamma": 0.9}],
+                             ids=["gamma", "all_three"])
+    def test_a_config_change_builds_new_step_arrays(self, change):
+        agent = warm_agent()
+        agent.train_step()
+        fresh = copy.deepcopy(agent)  # a copy builds its arrays at its first step
+        for a in (agent, fresh):
+            for name, value in change.items():
+                setattr(a.cfg, name, value)
+        for _ in range(3):
+            assert agent.train_step().hex() == fresh.train_step().hex()
+            assert agent.online.tobytes() == fresh.online.tobytes()
+            assert agent.target.tobytes() == fresh.target.tobytes()
 
     def test_tau_zero_target_frozen(self):
         cfg = AgentConfig(n_step=1, tau=0.0)
@@ -974,6 +1030,23 @@ class TestNetworkViews:
         twin.train_step()  # the original's vectors do not move with the copy's
         assert twin.online.tobytes() != agent.online.tobytes()
         assert agent.online.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_copy_steps_on_arrays_of_its_own(self, duplicate):
+        agent = warm_agent()
+        agent.train_step()
+        twin = duplicate(agent)
+        for _ in range(3):
+            assert twin.train_step().hex() == agent.train_step().hex()
+            assert twin.online.tobytes() == agent.online.tobytes()
+            assert twin.target.tobytes() == agent.target.tobytes()
+        left = agent.online.tobytes(), agent.target.tobytes()
+        for _ in range(2):
+            twin.train_step()
+        # the copy's steps write its own vectors: the original's stay where it left them
+        assert (agent.online.tobytes(), agent.target.tobytes()) == left
+        assert (twin.online.tobytes(), twin.target.tobytes()) != left
 
     def test_setting_a_vector_rebuilds_its_views(self):
         agent = DoubleQAgent(AgentConfig(n_step=1))

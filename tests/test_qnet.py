@@ -126,6 +126,15 @@ class TestForward:
             assert np.allclose(batch[i], forward(p, states[i]))
             assert np.allclose(hidden[i], np.maximum(w1 @ states[i] + b1, 0.0))
 
+    @pytest.mark.parametrize("rows", [1, 16, 32])
+    def test_batch_out_is_written_with_the_same_bits(self, rows):
+        p = init_params(seed=rows)
+        states = np.random.default_rng(rows).uniform(0, 1, size=(rows, 58))
+        out = np.full((rows, HIDDEN_DIM), np.nan), np.full((rows, 5), np.nan)
+        got = forward_batch(layers(p), states, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in forward_batch(p, states)]
+
 
 def backward_one(p, state, action):
     """Reference: the gradient of Q(state, action) for one sample, laid out as theta."""
@@ -195,6 +204,17 @@ class TestBackward:
                     for s, a, w in zip(states, actions, td))
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(batch=batches(), as_layers=st.booleans())
+    def test_out_is_written_with_the_same_bits(self, batch, as_layers):
+        p, states, actions, targets = batch
+        want = backward(p, states, *forward_batch(p, states), actions, targets)
+        td, grad = np.full(len(states), np.nan), np.full(N_PARAMS, np.nan)
+        out = td, (layers(grad) if as_layers else grad)
+        got = backward(p, states, *forward_batch(p, states), actions, targets, out=out)
+        assert got[0] is td and got[1] is out[1]
+        assert td.tobytes() == want[0].tobytes() and grad.tobytes() == want[1].tobytes()
+
     def test_zero_state_w1_gradient_zero(self):
         p = init_params(seed=6)
         layers(p)[1][:] = 0.3  # keep hidden units live so b1 receives gradient
@@ -241,6 +261,11 @@ class TestBackward:
             with pytest.raises(FloatingPointError, match="non-finite TD error"):
                 states = np.full((2, 58), 0.5)
                 backward(p, states, *forward_batch(p, states), [0, 1], [target, 1.0])
+            grad = np.zeros(N_PARAMS)
+            with pytest.raises(FloatingPointError, match="non-finite TD error"):
+                backward(p, states, *forward_batch(p, states), [0, 1], [target, 1.0],
+                         out=(np.empty(2), grad))
+        assert not grad.any()  # refused before a gradient block was written
 
     def test_matches_finite_differences(self):
         # spot version of the acceptance gradient check, through a batch of one
@@ -288,6 +313,13 @@ class TestApplyGradient:
         assert p.tobytes() == want.tobytes()
         assert views[0].tobytes() == layers(want)[0].tobytes()  # the views see the step
 
+    def test_scratch_takes_the_product(self):
+        p, g = init_params(seed=23), init_params(seed=24)
+        want, scratch = p + 1e-3 * g, np.empty(N_PARAMS)
+        assert apply_gradient(p, g, 1e-3, out=p, scratch=scratch) is p
+        assert p.tobytes() == want.tobytes()
+        assert scratch.tobytes() == (1e-3 * g).tobytes()
+
     def test_sgd_step_reduces_td_error(self):
         p = micro_params()
         s = micro_state([2.0, 1.0])
@@ -320,6 +352,13 @@ class TestSoftUpdate:
         want = (1.0 - 0.01) * t + 0.01 * o
         assert soft_update(t, o, 0.01, out=t) is t
         assert t.tobytes() == want.tobytes()
+
+    def test_scratch_takes_the_product(self):
+        t, o = init_params(seed=25), init_params(seed=26)
+        want, scratch = (1.0 - 0.01) * t + 0.01 * o, np.empty(N_PARAMS)
+        assert soft_update(t, o, 0.01, out=t, scratch=scratch) is t
+        assert t.tobytes() == want.tobytes()
+        assert scratch.tobytes() == (0.01 * o).tobytes()
 
     def test_geometric_decay_toward_frozen_online(self):
         online = init_params(seed=15)
