@@ -21,7 +21,7 @@ that pass; the target network's pass is the only other one. Both steps
 write their network vector in place, so each network's layer views are
 built once, when the vector is set. Everything else a step computes is
 written into arrays that the agent builds at its first step for its
-batch_segments, n_step and gamma (its step arrays), through the out= and
+batch_segments and n_step (its step arrays), through the out= and
 scratch= arguments of sample_segments, double_q_target and the qnet
 functions. A copy or a pickle of the agent leaves them out and builds its
 own: a copied view would no longer alias the copied array it reads.
@@ -32,6 +32,7 @@ anywhere in the update.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -228,11 +229,9 @@ class ReplayBuffer:
         of states, any other's from the stored ones."""
         # wrap: the row after the ring's last is row 0
         out = self.states.take(rows + 1, axis=0, out=out, mode="wrap")
-        listed = rows.tolist()
-        if not self.stored.keys().isdisjoint(listed):  # most batches hold no stored row
-            for i, row in enumerate(listed):
-                if row in self.stored:
-                    out[i] = self.stored[row]
+        for i, row in enumerate(rows.tolist()):
+            if row in self.stored:
+                out[i] = self.stored[row]
         return out
 
     def _chain_newest(self, state: np.ndarray) -> None:
@@ -437,7 +436,7 @@ def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
         return None
     draws = rng.integers(0, count, size=batch)
     draws += head
-    rows = np.add(starts.take(draws, mode="wrap")[:, None], np.arange(n_step), out=out)
+    rows = np.add(starts.take(draws, mode="wrap")[:, None], qnet.row_numbers(n_step), out=out)
     return np.remainder(rows, buffer.capacity, out=rows)
 
 
@@ -476,15 +475,17 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(q_values.argmax())
 
 
-def discount_row(gamma: float, n: int) -> np.ndarray:
-    """gamma**i for i in 0..n, each Python's float power: the n reward
-    discounts of an n-step target, then its bootstrap discount."""
-    return np.array([gamma ** i for i in range(n + 1)])
+@functools.lru_cache(maxsize=16)
+def _discounts(gamma: float, n: int) -> np.ndarray:
+    """gamma**i for i in 0..n, each Python's float power, read-only: the n
+    reward discounts of an n-step target, then its bootstrap discount."""
+    row = np.array([gamma ** i for i in range(n + 1)], dtype=np.float64)
+    row.flags.writeable = False  # shared by every call of this gamma and n
+    return row
 
 
 def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndarray,
-                    gamma: float, out: np.ndarray | None = None,
-                    discounts: np.ndarray | None = None) -> np.ndarray:
+                    gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """n-step double-Q targets for segments with (batch, n) rewards, oldest
     first, from the two networks' (batch, N_ACTIONS) action values at the
     states after their last transitions; in out when given, a (batch,)
@@ -492,13 +493,11 @@ def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndar
 
     Sums the n discounted rewards, then bootstraps: the online network
     chooses the action, the target network scores it, discounted by gamma**n.
-    A caller that targets many batches passes discounts, discount_row(gamma,
-    n), built once.
+    The discounts of a (gamma, n) are built once and kept for later calls.
     """
     batch, n = np.shape(rewards)
-    if discounts is None:
-        discounts = discount_row(gamma, n)
-    q_boot = q_target[np.arange(batch), q_online.argmax(axis=1)]
+    discounts = _discounts(gamma, n)
+    q_boot = q_target[qnet.row_numbers(batch), q_online.argmax(axis=1)]
     discounted = rewards * discounts[:n]
     ret = np.empty(batch) if out is None else out
     ret.fill(0.0)  # the sum starts from 0.0, which turns a first -0.0 into 0.0
@@ -511,15 +510,14 @@ def double_q_target(rewards: np.ndarray, q_online: np.ndarray, q_target: np.ndar
 
 class _StepArrays:
     """The arrays a learner step writes, for batch segments of n_step
-    transitions discounted by gamma, with the views of them that it reads:
+    transitions, with the views of them that it reads:
     the segments' ring rows, their first and bootstrap states stacked as
     rows, their rewards and first actions, the online pass over the stack and
     the target pass over the bootstrap states, the targets, the TD errors,
-    the gradient vector with its layer views, a scratch vector for an
-    update's product, and discount_row(gamma, n_step)."""
+    the gradient vector with its layer views and a scratch vector for an
+    update's product."""
 
-    def __init__(self, batch: int, n_step: int, gamma: float):
-        self.key = (batch, n_step, gamma)
+    def __init__(self, batch: int, n_step: int):
         self.rows = np.empty((batch, n_step), dtype=np.int64)
         self.first_rows, self.last_rows = self.rows[:, 0], self.rows[:, -1]
         self.stacked = np.empty((2 * batch, STATE_DIM))  # first states, then bootstrap states
@@ -534,7 +532,6 @@ class _StepArrays:
         self.grad = np.empty(N_PARAMS)
         self.gradient = np.empty(batch), qnet.layers(self.grad)  # backward's td and gradient
         self.scratch = np.empty(N_PARAMS)
-        self.discounts = discount_row(gamma, n_step)
 
 
 class DoubleQAgent:
@@ -545,8 +542,8 @@ class DoubleQAgent:
     the agent builds views of its own vectors.
 
     The first train_step builds the arrays every step then writes, sized by
-    the config's batch_segments, n_step and gamma, and a step whose config
-    has changed them builds new ones. A copy or a pickle of the agent
+    the config's batch_segments and n_step, and a step whose config has
+    changed either builds new ones. A copy or a pickle of the agent
     carries none of them: its first step builds its own, so that no view in
     them is of another agent's arrays.
     """
@@ -631,8 +628,8 @@ class DoubleQAgent:
         cfg, buf = self.cfg, self.buffer
         batch = cfg.batch_segments
         arrays = self._step_arrays
-        if arrays is None or arrays.key != (batch, cfg.n_step, cfg.gamma):
-            arrays = self._step_arrays = _StepArrays(batch, cfg.n_step, cfg.gamma)
+        if arrays is None or arrays.rows.shape != (batch, cfg.n_step):
+            arrays = self._step_arrays = _StepArrays(batch, cfg.n_step)
         if sample_segments(buf, cfg.n_step, batch, self.rng, out=arrays.rows) is None:
             return None
         # the rows lie in the ring, so wrap changes none; it spares take a buffered copy
@@ -642,7 +639,7 @@ class DoubleQAgent:
         targets = double_q_target(
             buf.rewards.take(arrays.rows, out=arrays.rewards, mode="wrap"), arrays.boot_q,
             qnet.forward_batch(self._target_layers, arrays.s_boot, out=arrays.target_pass)[1],
-            cfg.gamma, out=arrays.targets, discounts=arrays.discounts)
+            cfg.gamma, out=arrays.targets)
         td = qnet.backward(self._online_layers, arrays.states, arrays.first_hidden,
                            arrays.first_q,
                            buf.actions.take(arrays.first_rows, out=arrays.actions, mode="wrap"),

@@ -34,6 +34,8 @@ so a squashing head could not represent bootstrapped targets above 1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .kpi import N_ACTIONS, STATE_DIM
@@ -50,6 +52,15 @@ def layers(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     a network vector; writing to one writes theta."""
     return (theta[:_B1_AT].reshape(HIDDEN_DIM, STATE_DIM), theta[_B1_AT:_W2_AT],
             theta[_W2_AT:_B2_AT].reshape(N_ACTIONS, HIDDEN_DIM), theta[_B2_AT:])
+
+
+@functools.lru_cache(maxsize=16)
+def row_numbers(n: int) -> np.ndarray:
+    """np.arange(n), read-only, built once per n: the row numbers that
+    index a batch's rows, as its fancy indexing pairs them with columns."""
+    rows = np.arange(n)
+    rows.flags.writeable = False  # shared by every call of this n
+    return rows
 
 
 def _layers_of(net) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +165,7 @@ def backward(net, states: np.ndarray, hidden: np.ndarray, q: np.ndarray,
             or np.count_nonzero(actions.astype(np.uint64) >= N_ACTIONS)):
         raise ValueError(f"actions must be {n} integers in [0, {N_ACTIONS}), got {actions}")
     td, grad = (None, np.empty(N_PARAMS)) if out is None else out
-    picked = np.arange(n), actions
+    picked = row_numbers(n), actions
     td = np.subtract(targets, q[picked], out=td)
     if not np.logical_and.reduce(np.isfinite(td)):
         raise FloatingPointError(f"non-finite TD error in {td.tolist()}")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from ranopt import qnet
 from ranopt.agent import (BUFFER_FIELDS, AgentConfig, DoubleQAgent, Experience, ReplayBuffer,
-                          discount_row, double_q_target, epsilon_at, preload, sample_segments,
-                          select_action, valid_segment_starts)
+                          double_q_target, epsilon_at, preload, sample_segments, select_action,
+                          valid_segment_starts)
 
 
 def exp(ep, tag=0.0, reward=0.0, action=0):
@@ -836,9 +836,8 @@ class TestDoubleQTarget:
                 ret += reward * gamma ** i
             want.append(ret + gamma ** n_step * qt[qo.index(max(qo))])
         out = np.full(batch, np.nan)
-        for got in (double_q_target(rewards, q_online, q_target, gamma),
-                    double_q_target(rewards, q_online, q_target, gamma, out=out,
-                                    discounts=discount_row(gamma, n_step))):
+        assert double_q_target(rewards, q_online, q_target, gamma, out=out) is out
+        for got in (double_q_target(rewards, q_online, q_target, gamma), out):
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
@@ -904,7 +903,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("change", [{"gamma": 0.9},
                                         {"batch_segments": 5, "n_step": 2, "gamma": 0.9}],
                              ids=["gamma", "all_three"])
-    def test_a_config_change_builds_new_step_arrays(self, change):
+    def test_a_config_change_steps_as_a_fresh_copy(self, change):
         agent = warm_agent()
         agent.train_step()
         fresh = copy.deepcopy(agent)  # a copy builds its arrays at its first step
