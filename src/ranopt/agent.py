@@ -434,8 +434,7 @@ def sample_segments(buffer: ReplayBuffer, n_step: int, batch: int,
     starts, head, count = buffer._segment_index(n_step)
     if not count:
         return None
-    draws = rng.integers(0, count, size=batch)
-    draws += head
+    draws = rng.integers(head, head + count, size=batch)  # the draws of [0, count), plus head
     rows = np.add(starts.take(draws, mode="wrap")[:, None], qnet.row_numbers(n_step), out=out)
     return np.remainder(rows, buffer.capacity, out=rows)
 
