@@ -371,18 +371,17 @@ class ReplayBuffer:
         self._segment_n = 0
 
     def _rotate(self) -> None:
-        """Move the oldest entry to row 0: each ring array becomes its rolled
-        copy, one array at a time."""
+        """Move the oldest entry to row 0, rotating the ring in place one array at a time."""
         if self.start:
             for name in _RING_FIELDS:
-                setattr(self, name, np.roll(getattr(self, name), -self.start, axis=0))
+                getattr(self, name)[:] = np.roll(getattr(self, name), -self.start, axis=0)
             self.stored = {(row - self.start) % self.capacity: s for row, s in self.stored.items()}
             self.start = 0
             self._segment_n = 0
 
     def packed(self) -> dict[str, np.ndarray]:
         """The ring as a checkpoint stores it: BUFFER_FIELDS arrays in logical
-        order, views of the ring arrays once rotated so that the oldest entry
+        order, views of the ring rotated in place so that the oldest entry
         sits in row 0, but for next_states, a new array of the stored next
         states in order; and a new bool array chained, one flag per entry,
         False for the entries that stored holds. The last entry is never
