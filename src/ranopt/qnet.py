@@ -57,7 +57,7 @@ def layers(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 @functools.lru_cache(maxsize=16)
 def row_numbers(n: int) -> np.ndarray:
     """np.arange(n), read-only, built once per n: the row numbers that
-    index a batch's rows, as its fancy indexing pairs them with columns."""
+    fancy indexing pairs with a batch's columns, or a segment's offsets."""
     rows = np.arange(n)
     rows.flags.writeable = False  # shared by every call of this n
     return rows
